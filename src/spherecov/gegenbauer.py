@@ -14,6 +14,7 @@ which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +64,10 @@ class GegenbauerBasis:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule for the weight (1−x²)^{λ−1/2} on [−1, 1]."""
+    """Gauss rule for the weight (1−x²)^{λ−1/2} on [−1, 1].
+
+    `nodes` and `weights` are stored as read-only copies.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -79,6 +83,10 @@ class QuadratureRule:
             raise ValueError("nodes must lie in (-1, 1)")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of function values at the nodes."""
@@ -187,13 +195,17 @@ def _eval_with_derivative(lam: float, n: int, x: np.ndarray):
     return p, d
 
 
+@functools.lru_cache(maxsize=64)
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
     Nodes are found by Newton iteration started from Chebyshev-angle
     guesses cos(π(k−1/2+λ/2)/(N+λ)) (exact for λ = 0 and λ = 1); weights
     are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k. Node and weight vectors
-    are symmetrized about 0. Reliable for orders up to ~512.
+    are symmetrized about 0. The tests check orders up to 1024.
+
+    The last 64 rules are cached by (lam, order), so repeated calls return
+    the same read-only rule object.
     """
     if lam < 0:
         raise DomainError(f"lam must be nonnegative, got {lam}")

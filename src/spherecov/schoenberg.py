@@ -107,28 +107,64 @@ def kernel_eval(seq: SchoenbergSequence, x):
     return float(value) if np.ndim(value) == 0 else value
 
 
+VECTORIZED = "vectorized"
+POINTWISE = "pointwise"
+
+
+def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Values of g on the 1-D array xs, and whether one call made them.
+
+    xs is made read-only, then g is called once on the whole array. Only if
+    that call raises or does not return a real array of xs's shape is g
+    called point by point on Python floats, so a scalar-only callback works
+    and a failure names its point. A non-finite value raises at the first
+    point that produced one.
+    """
+    xs.setflags(write=False)
+    try:
+        values = np.asarray(g(xs))
+        vectorized = values.shape == xs.shape and values.dtype.kind in "biuf"
+    except Exception:  # noqa: BLE001 - any failure selects the pointwise path
+        vectorized = False
+    if vectorized:
+        values = values.astype(float)
+    else:
+        values = np.empty(xs.size)
+        for i, x in enumerate(xs.tolist()):
+            try:
+                values[i] = g(x)
+            except Exception as exc:  # noqa: BLE001 - attribute the failing point
+                raise EvaluationError(x, exc) from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(float(xs[bad[0]]), "non-finite function value")
+    return values, vectorized
+
+
+def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
+    if quad_order < n_max + 1:
+        raise DomainError(f"quad_order must be at least n_max+1 = {n_max + 1}, got {quad_order}")
+    rule = quadrature(basis.lam, quad_order)
+    values, vectorized = _evaluate(g, rule.nodes)
+    table = eval_sequence(basis, n_max, rule.nodes)
+    norms = np.array([norm_squared(basis, n) for n in range(n_max + 1)])
+    return table @ (rule.weights * values) / norms, vectorized
+
+
 def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> np.ndarray:
     """Fourier-Gegenbauer coefficients â_n of g for n = 0..n_max.
 
     â_n = (1/h_n) Σ_i w_i g(x_i) P̃_n(x_i) with a Gauss rule of the given
     order; exact for polynomial g of degree ≤ n_max when
     quad_order ≥ n_max + 1.
+
+    g is first called once with the read-only 1-D float array of all nodes
+    and should return an array of the same shape. Only if that call raises
+    or returns another shape is g called once per node with a float, so
+    scalar-only functions still work. A failing or non-finite evaluation
+    raises EvaluationError naming the node.
     """
-    if quad_order < n_max + 1:
-        raise DomainError(f"quad_order must be at least n_max+1 = {n_max + 1}, got {quad_order}")
-    rule = quadrature(basis.lam, quad_order)
-    values = np.empty(rule.order)
-    for i, node in enumerate(rule.nodes):
-        try:
-            values[i] = g(node)
-        except Exception as exc:  # noqa: BLE001 - attribute the failing node
-            raise EvaluationError(node, exc) from exc
-    if not np.all(np.isfinite(values)):
-        bad = rule.nodes[~np.isfinite(values)][0]
-        raise EvaluationError(bad, "non-finite function value")
-    table = eval_sequence(basis, n_max, rule.nodes)
-    norms = np.array([norm_squared(basis, n) for n in range(n_max + 1)])
-    return table @ (rule.weights * values) / norms
+    return _recover(g, basis, n_max, quad_order)[0]
 
 
 @dataclass(frozen=True)
@@ -138,6 +174,9 @@ class PDCertificate:
     `witness` is None for PD/Inconclusive verdicts; for NotPD it holds either
     {"kind": "coefficient", "index", "value"} or
     {"kind": "eigenvalue", "gram_size", "eigenvalue", "seed", "trial"}.
+    `quad_order` is the Gauss rule used for the coefficients, `evaluations`
+    the number of function values computed, and `callback_path` is
+    "vectorized" when every batched call of g succeeded, else "pointwise".
     """
 
     verdict: str
@@ -152,6 +191,9 @@ class PDCertificate:
     min_gram_eigenvalue: float | None
     witness: dict | None
     seed: int
+    quad_order: int
+    evaluations: int
+    callback_path: str
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -168,6 +210,9 @@ class PDCertificate:
             "min_gram_eigenvalue": self.min_gram_eigenvalue,
             "witness": self.witness,
             "seed": self.seed,
+            "quad_order": self.quad_order,
+            "evaluations": self.evaluations,
+            "callback_path": self.callback_path,
         }
 
 
@@ -189,9 +234,14 @@ def certify(
     function), else Inconclusive. `eig_tol` defaults to 1e−8 times the Gram
     dimension. Trial point-set seeds are derived from `seed` through
     numpy's SeedSequence, so results are reproducible.
+
+    g is called as in `recover_coefficients`: first once with a read-only
+    1-D float array (the quadrature nodes, then the upper triangle of each
+    trial's cosine matrix), and point by point with floats only if that call
+    raises or returns another shape.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import geodesic_cosine, min_eigenvalue, uniform_sphere_points
+    from .fields import _cosine_matrix, min_eigenvalue, uniform_sphere_points
 
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -201,9 +251,12 @@ def certify(
         eig_tol = 1e-8 * CERTIFY_GRAM_POINTS
     if eig_tol <= 0:
         raise DomainError("eig_tol must be positive")
+    if gram_trials < 0:
+        raise DomainError(f"gram_trials must be nonnegative, got {gram_trials}")
 
     quad_order = max(64, 2 * (n_max + 1))
-    ahat = recover_coefficients(g, basis, n_max, quad_order)
+    ahat, vectorized = _recover(g, basis, n_max, quad_order)
+    evaluations = quad_order
     i_min = int(np.argmin(ahat))
     a_min = float(ahat[i_min])
     tail = float(np.sum(np.abs(ahat[np.arange(ahat.size) > n_max / 2])))
@@ -222,26 +275,27 @@ def certify(
             min_gram_eigenvalue=min_eig,
             witness=witness,
             seed=seed,
+            quad_order=quad_order,
+            evaluations=evaluations,
+            callback_path=VECTORIZED if vectorized else POINTWISE,
         )
 
     if a_min < -coeff_tol:
         return _certificate(NOT_PD, None, {"kind": "coefficient", "index": i_min, "value": a_min})
 
+    n = CERTIFY_GRAM_POINTS
+    iu = np.triu_indices(n)
     trial_seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])
-        pts = uniform_sphere_points(basis.dimension, CERTIFY_GRAM_POINTS, trial_seed)
-        n = CERTIFY_GRAM_POINTS
+        pts = uniform_sphere_points(basis.dimension, n, trial_seed)
+        values, batched = _evaluate(g, _cosine_matrix(pts.points)[iu])
+        vectorized = vectorized and batched
+        evaluations += values.size
         gmat = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                c = geodesic_cosine(pts.points[i], pts.points[j])
-                try:
-                    gmat[i, j] = g(c)
-                except Exception as exc:  # noqa: BLE001
-                    raise EvaluationError(c, exc) from exc
-                gmat[j, i] = gmat[i, j]
+        gmat[iu] = values
+        gmat[iu[1], iu[0]] = values
         eig = min_eigenvalue(gmat)
         min_eig = min(min_eig, eig)
         if eig < -eig_tol:

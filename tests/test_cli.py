@@ -226,6 +226,23 @@ class TestCertify:
         assert code == 5
         assert json.loads(out)["verdict"] == "Inconclusive"
 
+    def test_negative_gram_trials_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "--lambda", "0.5", "--nmax", "10", "--expr", "x", "--gram-trials", "-3"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == 3
+
+    @pytest.mark.parametrize("expr, path", [("xsquared", "vectorized"), ("expcos", "pointwise")])
+    def test_certificate_records_how_it_was_made(self, capsys, expr, path):
+        code, out, _ = run(capsys, "certify", "--lambda", "0.5", "--nmax", "30", "--expr", expr)
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["quad_order"] == 64
+        assert cert["evaluations"] == 64 + 5 * 25 * 26 // 2
+        assert cert["callback_path"] == path
+
 
 class TestSeparable:
     def test_outer_product_matrix(self, capsys, spec_file):

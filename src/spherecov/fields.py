@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import GegenbauerBasis
-from .product_spheres import ProductSphereKernel, ps_kernel_eval
-from .schoenberg import SchoenbergSequence, kernel_eval
-from .spacetime import SpaceTimeKernel, st_kernel_eval
+from .product_spheres import ProductSphereKernel
+# kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
+from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
+from .spacetime import SpaceTimeKernel
 
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -31,10 +31,17 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpherePointSet:
-    """n unit vectors in R^{d+1}, rows of `points`."""
+    """n unit vectors in R^{d+1}, rows of `points`.
+
+    All three point sets share `dimensions`, the points-file columns
+    (`n_columns`, `from_columns`, `columns`), seeded `random` points and the
+    kernel arguments of point pairs (`pair_arguments`).
+    """
 
     dimension: int
     points: np.ndarray
+
+    LAYOUT = "coordinates in R^(d+1)"
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -56,6 +63,30 @@ class SpherePointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def dimensions(self) -> tuple:
+        return (self.dimension,)
+
+    @staticmethod
+    def n_columns(dimensions) -> int:
+        return dimensions[0] + 1
+
+    @classmethod
+    def from_columns(cls, dimensions, data) -> "SpherePointSet":
+        return cls(dimension=dimensions[0], points=data)
+
+    def columns(self) -> np.ndarray:
+        return self.points
+
+    @classmethod
+    def random(cls, dimensions, n: int, states) -> "SpherePointSet":
+        """n uniform points seeded by states[0]."""
+        return uniform_sphere_points(dimensions[0], n, int(states[0]))
+
+    def pair_arguments(self, pairs) -> tuple:
+        """(cosines,) of the point pairs indexed by `pairs`, a pair of index arrays."""
+        return (_cosine_matrix(self.points)[pairs],)
+
 
 @dataclass(frozen=True)
 class SpaceTimePointSet:
@@ -63,6 +94,8 @@ class SpaceTimePointSet:
 
     space: SpherePointSet
     times: np.ndarray
+
+    LAYOUT = "coordinates then time"
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float, copy=True)
@@ -78,6 +111,32 @@ class SpaceTimePointSet:
     def __len__(self) -> int:
         return len(self.space)
 
+    @property
+    def dimensions(self) -> tuple:
+        return self.space.dimensions
+
+    @staticmethod
+    def n_columns(dimensions) -> int:
+        return SpherePointSet.n_columns(dimensions) + 1
+
+    @classmethod
+    def from_columns(cls, dimensions, data) -> "SpaceTimePointSet":
+        return cls(space=SpherePointSet.from_columns(dimensions, data[:, :-1]), times=data[:, -1])
+
+    def columns(self) -> np.ndarray:
+        return np.column_stack([self.space.points, self.times])
+
+    @classmethod
+    def random(cls, dimensions, n: int, states) -> "SpaceTimePointSet":
+        """n uniform points seeded by states[0], times uniform on [0, 1) seeded by states[1]."""
+        space = SpherePointSet.random(dimensions, n, states)
+        return cls(space=space, times=np.random.default_rng(int(states[1])).uniform(0.0, 1.0, n))
+
+    def pair_arguments(self, pairs) -> tuple:
+        """(cosines, time lags t_i - t_j) of the point pairs indexed by `pairs`."""
+        lag = self.times[:, None] - self.times[None, :]
+        return (_cosine_matrix(self.space.points)[pairs], lag[pairs])
+
 
 @dataclass(frozen=True)
 class ProductPointSet:
@@ -85,6 +144,8 @@ class ProductPointSet:
 
     first: SpherePointSet
     second: SpherePointSet
+
+    LAYOUT = "first factor then second"
 
     def __post_init__(self):
         if len(self.first) != len(self.second):
@@ -94,6 +155,65 @@ class ProductPointSet:
 
     def __len__(self) -> int:
         return len(self.first)
+
+    @property
+    def dimensions(self) -> tuple:
+        return (self.first.dimension, self.second.dimension)
+
+    @staticmethod
+    def n_columns(dimensions) -> int:
+        d1, d2 = dimensions
+        return d1 + d2 + 2
+
+    @classmethod
+    def from_columns(cls, dimensions, data) -> "ProductPointSet":
+        d1, d2 = dimensions
+        return cls(
+            first=SpherePointSet(dimension=d1, points=data[:, : d1 + 1]),
+            second=SpherePointSet(dimension=d2, points=data[:, d1 + 1 :]),
+        )
+
+    def columns(self) -> np.ndarray:
+        return np.hstack([self.first.points, self.second.points])
+
+    @classmethod
+    def random(cls, dimensions, n: int, states) -> "ProductPointSet":
+        """n uniform points on each factor, seeded by states[0] and states[1]."""
+        d1, d2 = dimensions
+        return cls(
+            first=uniform_sphere_points(d1, n, int(states[0])),
+            second=uniform_sphere_points(d2, n, int(states[1])),
+        )
+
+    def pair_arguments(self, pairs) -> tuple:
+        """(first-factor cosines, second-factor cosines) of the point pairs indexed by `pairs`."""
+        return (_cosine_matrix(self.first.points)[pairs], _cosine_matrix(self.second.points)[pairs])
+
+
+# The only place that pairs a kernel family with its point geometry.
+_POINT_SET_TYPES = {
+    SchoenbergSequence: SpherePointSet,
+    SpaceTimeKernel: SpaceTimePointSet,
+    ProductSphereKernel: ProductPointSet,
+}
+
+
+def point_set_type(kernel) -> type:
+    """The point-set class on which `kernel` is evaluated."""
+    try:
+        return _POINT_SET_TYPES[type(kernel)]
+    except KeyError:
+        raise GeometryError(f"unknown kernel type {type(kernel).__name__}") from None
+
+
+def _check_points(kernel, points):
+    point_type = point_set_type(kernel)
+    if not isinstance(points, point_type):
+        raise GeometryError(f"a {kernel.label} kernel needs a {point_type.__name__}")
+    if points.dimensions != kernel.dimensions:
+        raise GeometryError(
+            f"kernel has sphere dimensions {kernel.dimensions}, points {points.dimensions}"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,17 +295,8 @@ def geodesic_cosine(p, q) -> float:
 
 def kernel_label(kernel) -> str:
     """Short human-readable identifier used in provenance strings."""
-    if isinstance(kernel, SchoenbergSequence):
-        return f"sphere(d={kernel.basis.dimension}, n_max={kernel.truncation})"
-    if isinstance(kernel, SpaceTimeKernel):
-        return f"sphere_time(d={kernel.basis.dimension}, n_max={kernel.truncation})"
-    if isinstance(kernel, ProductSphereKernel):
-        m_max, n_max = kernel.truncations
-        return (
-            f"product_spheres(d1={kernel.basis1.dimension}, d2={kernel.basis2.dimension}, "
-            f"m_max={m_max}, n_max={n_max})"
-        )
-    raise GeometryError(f"unknown kernel type {type(kernel).__name__}")
+    point_set_type(kernel)  # GeometryError for anything but the three kernel types
+    return kernel.label
 
 
 def _cosine_matrix(points: np.ndarray) -> np.ndarray:
@@ -194,50 +305,14 @@ def _cosine_matrix(points: np.ndarray) -> np.ndarray:
 
 def gram(kernel, points) -> GramMatrix:
     """Matrix of kernel values over all point pairs (upper triangle mirrored)."""
-    if isinstance(kernel, SchoenbergSequence):
-        if not isinstance(points, SpherePointSet):
-            raise GeometryError("a sphere kernel needs a SpherePointSet")
-        if points.dimension != kernel.basis.dimension:
-            raise GeometryError(
-                f"kernel lives on S^{kernel.basis.dimension}, points on S^{points.dimension}"
-            )
-        cos = _cosine_matrix(points.points)
-        iu = np.triu_indices(len(points))
-        vals = kernel_eval(kernel, cos[iu])
-    elif isinstance(kernel, SpaceTimeKernel):
-        if not isinstance(points, SpaceTimePointSet):
-            raise GeometryError("a sphere-time kernel needs a SpaceTimePointSet")
-        if points.space.dimension != kernel.basis.dimension:
-            raise GeometryError(
-                f"kernel lives on S^{kernel.basis.dimension}, points on S^{points.space.dimension}"
-            )
-        cos = _cosine_matrix(points.space.points)
-        lag = points.times[:, None] - points.times[None, :]
-        iu = np.triu_indices(len(points))
-        vals = st_kernel_eval(kernel, cos[iu], lag[iu])
-    elif isinstance(kernel, ProductSphereKernel):
-        if not isinstance(points, ProductPointSet):
-            raise GeometryError("a product-sphere kernel needs a ProductPointSet")
-        if points.first.dimension != kernel.basis1.dimension:
-            raise GeometryError(
-                f"first factor is S^{kernel.basis1.dimension}, points on S^{points.first.dimension}"
-            )
-        if points.second.dimension != kernel.basis2.dimension:
-            raise GeometryError(
-                f"second factor is S^{kernel.basis2.dimension}, points on S^{points.second.dimension}"
-            )
-        cos1 = _cosine_matrix(points.first.points)
-        cos2 = _cosine_matrix(points.second.points)
-        iu = np.triu_indices(len(points))
-        vals = ps_kernel_eval(kernel, cos1[iu], cos2[iu])
-    else:
-        raise GeometryError(f"unknown kernel type {type(kernel).__name__}")
-
+    _check_points(kernel, points)
     n = len(points)
+    iu = np.triu_indices(n)
+    vals = kernel.values(*points.pair_arguments(iu))
     entries = np.empty((n, n))
     entries[iu] = vals
     entries[iu[1], iu[0]] = vals
-    return GramMatrix(entries=entries, provenance=f"gram({kernel_label(kernel)}, n={n})")
+    return GramMatrix(entries=entries, provenance=f"gram({kernel.label}, n={n})")
 
 
 def min_eigenvalue(m) -> float:
@@ -309,7 +384,7 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     factor = _factor(g.entries, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, g.size))
-    return FieldSample(values=z @ factor.T, seed=seed, kernel_id=kernel_label(kernel))
+    return FieldSample(values=z @ factor.T, seed=seed, kernel_id=kernel.label)
 
 
 def harmonic_dimension(d: int, n: int) -> int:
@@ -374,7 +449,6 @@ def sample_spectral_s2(
     points: SpherePointSet,
     n_samples: int,
     seed: int,
-    degree_cap: int | None = None,
 ) -> FieldSample:
     """Spectral Gaussian sampler on S^2 via the harmonic expansion
 
@@ -382,20 +456,14 @@ def sample_spectral_s2(
 
     The addition theorem makes the covariance of X exactly the kernel of
     `seq`, so this sampler and `sample_factorized` are mutual oracles.
+    Kernels of the other two families raise GeometryError.
     """
-    if abs(seq.basis.lam - 0.5) > 0:
-        raise GeometryError(
-            f"spectral sampler requires the 2-sphere basis (lam=1/2), got lam={seq.basis.lam}"
-        )
-    if points.dimension != 2:
-        raise GeometryError(f"spectral sampler needs points on S^2, got S^{points.dimension}")
+    if point_set_type(seq) is not SpherePointSet or seq.dimensions != (2,):
+        raise GeometryError(f"spectral sampler needs a sphere kernel on S^2, got {seq.label}")
+    _check_points(seq, points)
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     n_trunc = seq.truncation
-    if degree_cap is None:
-        degree_cap = n_trunc
-    if degree_cap < n_trunc:
-        raise DomainError(f"degree_cap must be >= truncation {n_trunc}, got {degree_cap}")
 
     table = real_spherical_harmonics(n_trunc, points)
     stds = np.empty((n_trunc + 1) ** 2)
@@ -407,7 +475,7 @@ def sample_spectral_s2(
     return FieldSample(
         values=(z * stds) @ table,
         seed=seed,
-        kernel_id=f"spectral[{kernel_label(seq)}]",
+        kernel_id=f"spectral[{seq.label}]",
     )
 
 

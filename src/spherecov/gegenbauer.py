@@ -12,6 +12,13 @@ The three-term recurrence is rewritten for the normalized family,
 
 which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
+
+Gauss nodes for λ > 0 come from `scipy.special.roots_gegenbauer` (the
+Golub–Welsch eigenvalue method), imported only when a rule is built, so
+evaluating polynomials never loads scipy. The weights are Christoffel
+numbers from the recurrence above, which are more accurate than scipy's at
+high order; they are built a block of nodes at a time, so memory grows
+linearly with the order.
 """
 
 import functools
@@ -19,14 +26,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 
 MAX_DEGREE = 10_000
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_ITER = 100
+# Nodes per block of the Christoffel weight computation: the recurrence
+# table of a block holds order × _WEIGHT_BLOCK values.
+_WEIGHT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,10 @@ def _log_norm_squared(lam: float, n: int) -> float:
     return (
         math.log(math.pi)
         + (1.0 - 2.0 * lam) * math.log(2.0)
-        + 2.0 * gammaln(2.0 * lam)
-        - 2.0 * gammaln(lam)
-        + gammaln(n + 1.0)
-        - gammaln(n + 2.0 * lam)
+        + 2.0 * math.lgamma(2.0 * lam)
+        - 2.0 * math.lgamma(lam)
+        + math.lgamma(n + 1.0)
+        - math.lgamma(n + 2.0 * lam)
         - math.log(n + lam)
     )
 
@@ -177,32 +184,29 @@ def norm_squared(basis: GegenbauerBasis, n: int) -> float:
     return _norm_squared(basis.lam, n)
 
 
-def _eval_with_derivative(lam: float, n: int, x: np.ndarray):
-    """(P̃_n(x), P̃_n'(x)) by differentiating the recurrence. Requires λ > 0."""
-    p_prev = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    if n == 0:
-        return p_prev, d_prev
-    p = x.copy()
-    d = np.ones_like(x)
-    for k in range(2, n + 1):
-        a = 2.0 * (k + lam - 1.0)
-        denom = k + 2.0 * lam - 1.0
-        p_next = (a * x * p - (k - 1.0) * p_prev) / denom
-        d_next = (a * (p + x * d) - (k - 1.0) * d_prev) / denom
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
+    """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node."""
+    order = nodes.size
+    inv_norms = np.array([1.0 / _norm_squared(lam, n) for n in range(order)])
+    weights = np.empty(order)
+    for start in range(0, order, _WEIGHT_BLOCK):
+        block = slice(start, start + _WEIGHT_BLOCK)
+        table = _eval_sequence(lam, order - 1, nodes[block])
+        weights[block] = 1.0 / (inv_norms @ np.square(table, out=table))
+        del table  # freed before the next block's table is built
+    return weights
 
 
 @functools.lru_cache(maxsize=64)
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
-    Nodes are found by Newton iteration started from Chebyshev-angle
-    guesses cos(π(k−1/2+λ/2)/(N+λ)) (exact for λ = 0 and λ = 1); weights
-    are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k. Node and weight vectors
-    are symmetrized about 0. The tests check orders up to 1024.
+    For λ > 0 the nodes come from `scipy.special.roots_gegenbauer` and the
+    weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, computed from the
+    recurrence 512 nodes at a time, so the working memory is about
+    order × 512 values rather than order². λ = 0 uses the closed-form
+    Chebyshev rule. Node and weight vectors are symmetrized about 0. The
+    tests check orders up to 1024.
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same read-only rule object.
@@ -220,29 +224,16 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
         weights = np.full(order, np.pi / order)
         return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
 
-    k = np.arange(order, 0, -1, dtype=float)
-    nodes = np.cos(np.pi * (k - 0.5 + 0.5 * lam) / (order + lam))
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _eval_with_derivative(lam, order, nodes)
-        step = p / dp
-        nodes -= step
-        if np.max(np.abs(step)) <= _NEWTON_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"Gauss nodes (lam={lam}, order={order}) did not converge: "
-            f"max residual {np.max(np.abs(step)):.3e} after {_NEWTON_MAX_ITER} iterations"
-        )
+    from scipy.special import roots_gegenbauer
+
+    nodes = roots_gegenbauer(order, lam)[0]
     nodes = 0.5 * (nodes - nodes[::-1])
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
         raise ConvergenceError(
-            f"Gauss nodes (lam={lam}, order={order}) collapsed or left (-1, 1); "
-            "Newton iteration likely jumped between roots"
+            f"Gauss nodes (lam={lam}, order={order}) are not distinct and inside (-1, 1)"
         )
 
-    table = _eval_sequence(lam, order - 1, nodes)
-    inv_norms = np.array([1.0 / _norm_squared(lam, n) for n in range(order)])
-    weights = 1.0 / np.einsum("i,ij->j", inv_norms, table**2)
+    weights = _christoffel_weights(lam, nodes)
     weights = 0.5 * (weights + weights[::-1])
 
     mass = math.exp(_log_norm_squared(lam, 0))

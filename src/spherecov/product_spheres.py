@@ -9,19 +9,13 @@ the coefficient matrix has rank one, which is decided here by checking all
 2×2 minors against a relative tolerance.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateZeroError,
-    DomainError,
-    NormalizationError,
-    ZeroMassError,
-)
+from .errors import DegenerateZeroError
 from .gegenbauer import GegenbauerBasis, eval_sequence
-from .schoenberg import NORMALIZATION_TOL, SchoenbergSequence, _check_nonnegative
+from .schoenberg import SchoenbergSequence, _split_mass, _stored_weights
 
 
 @dataclass(frozen=True)
@@ -34,26 +28,35 @@ class ProductSphereKernel:
     basis1: GegenbauerBasis
     basis2: GegenbauerBasis
 
+    arguments = ("x1", "x2")
+
     def __post_init__(self):
-        arr = np.array(self.coeff_matrix, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DomainError("coeff_matrix must be a nonempty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coeff_matrix must be finite")
-        _check_nonnegative(arr)
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"stored coefficients must sum to 1 within {NORMALIZATION_TOL}, got {arr.sum()!r}"
-            )
-        if not (math.isfinite(self.scale_c) and self.scale_c > 0):
-            raise DomainError(f"scale_c must be a positive real, got {self.scale_c}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeff_matrix", arr)
+        object.__setattr__(
+            self, "coeff_matrix", _stored_weights(self.coeff_matrix, 2, "coeff_matrix", self.scale_c)
+        )
 
     @property
     def truncations(self) -> tuple:
         """Largest retained degrees (M, N)."""
         return (self.coeff_matrix.shape[0] - 1, self.coeff_matrix.shape[1] - 1)
+
+    @property
+    def dimensions(self) -> tuple:
+        """Sphere dimensions of the two cosine arguments, as (d1, d2)."""
+        return (self.basis1.dimension, self.basis2.dimension)
+
+    @property
+    def label(self) -> str:
+        """Short identifier used in provenance strings."""
+        m_max, n_max = self.truncations
+        return (
+            f"product_spheres(d1={self.basis1.dimension}, d2={self.basis2.dimension}, "
+            f"m_max={m_max}, n_max={n_max})"
+        )
+
+    def values(self, x1, x2):
+        """Kernel values at cosine pairs (x1, x2); see `ps_kernel_eval`."""
+        return ps_kernel_eval(self, x1, x2)
 
 
 def make_ps_kernel(
@@ -64,18 +67,8 @@ def make_ps_kernel(
     With `normalize` the total mass moves into `scale_c`; otherwise the
     entries must already sum to 1.
     """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DomainError("matrix must be a nonempty 2-D array")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix must be finite")
-    _check_nonnegative(arr)
-    total = float(arr.sum())
-    if total == 0.0:
-        raise ZeroMassError("all coefficients are zero")
-    if normalize:
-        return ProductSphereKernel(arr / total, total, basis1, basis2)
-    return ProductSphereKernel(arr, 1.0, basis1, basis2)
+    arr, scale = _split_mass(matrix, 2, "coeff_matrix", normalize)
+    return ProductSphereKernel(arr, scale, basis1, basis2)
 
 
 def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):

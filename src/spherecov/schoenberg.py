@@ -49,35 +49,75 @@ class SchoenbergSequence:
     scale_c: float
     basis: GegenbauerBasis
 
+    arguments = ("x",)
+
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("coeffs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coeffs must be finite")
-        _check_nonnegative(arr)
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"stored coefficients must sum to 1 within {NORMALIZATION_TOL}, got {arr.sum()!r}"
-            )
-        if not (math.isfinite(self.scale_c) and self.scale_c > 0):
-            raise DomainError(f"scale_c must be a positive real, got {self.scale_c}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _stored_weights(self.coeffs, 1, "coeffs", self.scale_c))
 
     @property
     def truncation(self) -> int:
         """Largest retained degree N."""
         return self.coeffs.size - 1
 
+    @property
+    def dimensions(self) -> tuple:
+        """Sphere dimension of the cosine argument, as (d,)."""
+        return (self.basis.dimension,)
 
-def _check_nonnegative(arr: np.ndarray):
+    @property
+    def label(self) -> str:
+        """Short identifier used in provenance strings."""
+        return f"sphere(d={self.basis.dimension}, n_max={self.truncation})"
+
+    def values(self, x):
+        """Kernel values at cosines x; see `kernel_eval`."""
+        return kernel_eval(self, x)
+
+
+def _checked_weights(values, ndim: int, name: str) -> np.ndarray:
+    """A float copy of values: nonempty, `ndim`-dimensional, finite and
+    nonnegative. A negative entry is reported with its index and value."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DomainError(f"{name} must be a nonempty {ndim}-D array")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
     flat = arr.reshape(-1)
     bad = np.flatnonzero(flat < 0)
     if bad.size:
         i = int(bad[0])
         index = i if arr.ndim == 1 else np.unravel_index(i, arr.shape)
         raise NegativeCoefficientError(index, float(flat[i]))
+    return arr
+
+
+def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple[np.ndarray, float]:
+    """(weights, scale) for a kernel constructor.
+
+    With `normalize` the weights are rescaled to unit mass and their total
+    becomes the scale; otherwise they are returned with scale 1.
+    """
+    arr = _checked_weights(values, ndim, name)
+    total = float(arr.sum())
+    if total == 0.0:
+        raise ZeroMassError("all coefficients are zero")
+    if normalize:
+        return arr / total, total
+    return arr, 1.0
+
+
+def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
+    """The read-only weight array a kernel stores: checked as by
+    `_checked_weights`, summing to 1, and with a positive finite scale."""
+    arr = _checked_weights(values, ndim, name)
+    if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
+        raise NormalizationError(
+            f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {arr.sum()!r}"
+        )
+    if not (math.isfinite(scale_c) and scale_c > 0):
+        raise DomainError(f"scale_c must be a positive real, got {scale_c}")
+    arr.setflags(write=False)
+    return arr
 
 
 def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> SchoenbergSequence:
@@ -86,18 +126,8 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
     With `normalize` the vector is rescaled to unit mass and the original
     total is stored as `scale_c`; otherwise the input must already sum to 1.
     """
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("coeffs must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("coeffs must be finite")
-    _check_nonnegative(arr)
-    total = float(arr.sum())
-    if total == 0.0:
-        raise ZeroMassError("all coefficients are zero")
-    if normalize:
-        return SchoenbergSequence(coeffs=arr / total, scale_c=total, basis=basis)
-    return SchoenbergSequence(coeffs=arr, scale_c=1.0, basis=basis)
+    coeffs, scale = _split_mass(coeffs, 1, "coeffs", normalize)
+    return SchoenbergSequence(coeffs=coeffs, scale_c=scale, basis=basis)
 
 
 def kernel_eval(seq: SchoenbergSequence, x):

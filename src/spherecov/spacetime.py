@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NegativeCoefficientError,
-    NormalizationError,
-    ZeroMassError,
-)
+from .errors import DomainError
 from .gegenbauer import GegenbauerBasis, eval_sequence
-from .schoenberg import NORMALIZATION_TOL, SchoenbergSequence
+from .schoenberg import SchoenbergSequence, _split_mass, _stored_weights
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -129,37 +124,39 @@ class SpaceTimeKernel:
     scale_c: float
     basis: GegenbauerBasis
 
+    arguments = ("x", "t")
+
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("weights must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("weights must be finite")
-        bad = np.flatnonzero(arr < 0)
-        if bad.size:
-            raise NegativeCoefficientError(int(bad[0]), float(arr[bad[0]]))
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"stored weights must sum to 1 within {NORMALIZATION_TOL}, got {arr.sum()!r}"
-            )
+        weights = _stored_weights(self.weights, 1, "weights", self.scale_c)
         charfns = tuple(self.charfns)
-        if len(charfns) != arr.size:
+        if len(charfns) != weights.size:
             raise DomainError(
-                f"need one characteristic function per weight: {arr.size} weights, "
+                f"need one characteristic function per weight: {weights.size} weights, "
                 f"{len(charfns)} functions"
             )
         for cf in charfns:
             if not isinstance(cf, CharFn):
                 raise DomainError(f"charfns entries must be CharFn, got {type(cf).__name__}")
-        if not (math.isfinite(self.scale_c) and self.scale_c > 0):
-            raise DomainError(f"scale_c must be a positive real, got {self.scale_c}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "charfns", charfns)
 
     @property
     def truncation(self) -> int:
         return self.weights.size - 1
+
+    @property
+    def dimensions(self) -> tuple:
+        """Sphere dimension of the cosine argument, as (d,)."""
+        return (self.basis.dimension,)
+
+    @property
+    def label(self) -> str:
+        """Short identifier used in provenance strings."""
+        return f"sphere_time(d={self.basis.dimension}, n_max={self.truncation})"
+
+    def values(self, x, t):
+        """Kernel values at cosines x and time lags t; see `st_kernel_eval`."""
+        return st_kernel_eval(self, x, t)
 
 
 def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> SpaceTimeKernel:
@@ -169,19 +166,8 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
     weights must already sum to 1.
     """
     terms = list(terms)
-    if not terms:
-        raise DomainError("terms must be nonempty")
-    weights = np.array([float(a) for a, _ in terms])
-    charfns = tuple(cf for _, cf in terms)
-    bad = np.flatnonzero(weights < 0)
-    if bad.size:
-        raise NegativeCoefficientError(int(bad[0]), float(weights[bad[0]]))
-    total = float(weights.sum())
-    if total == 0.0:
-        raise ZeroMassError("all weights are zero")
-    if normalize:
-        return SpaceTimeKernel(weights / total, charfns, total, basis)
-    return SpaceTimeKernel(weights, charfns, 1.0, basis)
+    weights, scale = _split_mass([float(a) for a, _ in terms], 1, "weights", normalize)
+    return SpaceTimeKernel(weights, tuple(cf for _, cf in terms), scale, basis)
 
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):

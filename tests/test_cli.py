@@ -2,12 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import run_cli
+from helpers import cli_env, run_cli
 from spherecov import GegenbauerBasis, multiquadric_kernel, multiquadric_sequence
 from spherecov.cli import main
 
@@ -127,6 +129,52 @@ class TestEval:
     def test_grid_rejects_point_flags(self, capsys, spec_file):
         code, _, _ = run(capsys, "eval", spec_file(SPHERE_CONST), "--grid", "5", "--x", "0.3")
         assert code == 2
+
+
+GOLDEN_SPHERE = {"kind": "sphere", "d": 2, "coeffs": [0.2, 0.5, 0.3]}
+GOLDEN_ST = {
+    "kind": "sphere_time",
+    "d": 2,
+    "terms": [
+        {"a": 0.5, "charfn": {"family": "gaussian", "params": {"sigma": 1.0}}},
+        {"a": 0.3, "charfn": {"family": "exponential", "params": {"rate": 2.0}}},
+        {"a": 0.2, "charfn": {"family": "triangle_sinc", "params": {"width": 3.0}}},
+    ],
+}
+GOLDEN_PROD = {"kind": "product_spheres", "d1": 2, "d2": 1, "matrix": [[0.1, 0.2], [0.3, 0.4]]}
+GOLDEN_SPECS = {"sphere": GOLDEN_SPHERE, "sphere_time": GOLDEN_ST, "product_spheres": GOLDEN_PROD}
+
+
+class TestEvalGoldenBytes:
+    """Exact stdout of ``eval`` for each kind, point and grid."""
+
+    @pytest.mark.parametrize(
+        "kind, flags, expected",
+        [
+            ("sphere", ["--x", "0.3"], "0.3,0.2405\n"),
+            ("sphere_time", ["--x", "-0.25", "--t", "0.7"], "-0.25,0.7,0.33945951537758934\n"),
+            ("product_spheres", ["--x1", "0.3", "--x2", "-0.4"], "0.3,-0.4,0.061999999999999986\n"),
+            ("sphere", ["--grid", "3"], "-1.0,0.0\n0.0,0.05000000000000002\n1.0,1.0\n"),
+            (
+                "sphere_time",
+                ["--grid", "3"],
+                "-1.0,0.0,0.4\n-1.0,0.5,0.46388395048807224\n-1.0,1.0,0.2720727454226574\n"
+                "0.0,0.0,0.4\n0.0,0.5,0.37474878551869406\n0.0,1.0,0.29856132958765447\n"
+                "1.0,0.0,1.0\n1.0,0.5,0.6846116151909376\n1.0,1.0,0.353273915364625\n",
+            ),
+            (
+                "product_spheres",
+                ["--grid", "3"],
+                "-1.0,-1.0,0.0\n-1.0,0.0,-0.19999999999999998\n-1.0,1.0,-0.39999999999999997\n"
+                "0.0,-1.0,-0.1\n0.0,0.0,0.1\n0.0,1.0,0.30000000000000004\n"
+                "1.0,-1.0,-0.20000000000000004\n1.0,0.0,0.4\n1.0,1.0,1.0\n",
+            ),
+        ],
+    )
+    def test_stdout(self, capsys, spec_file, kind, flags, expected):
+        code, out, err = run(capsys, "eval", spec_file(GOLDEN_SPECS[kind]), *flags)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestCoeffs:
@@ -411,12 +459,69 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", spec_file(SPHERE_CONST), "--random", "2")
         assert code == 2
 
-    def test_degree_cap_requires_spectral(self, capsys, spec_file):
-        code, _, _ = run(
-            capsys, "simulate", spec_file(SPHERE_CONST), "--random", "2",
-            "--seed", "0", "--degree-cap", "5",
-        )
-        assert code == 2
+
+RANDOM_SPHERE_ROWS = (
+    "0.41006065704279726,-0.22633659414677382,0.8835281567079049",
+    "-0.10804877715796454,-0.8596556979293826,0.4993170763875541",
+    "-0.20233820348162762,-0.67818399841505,-0.706488298350088",
+)
+HEADER_CASES = {
+    ("sphere", "random"): ("sphere(d=2, n_max=2)", RANDOM_SPHERE_ROWS),
+    ("sphere_time", "random"): (
+        "sphere_time(d=2, n_max=2)",
+        tuple(
+            f"{row},{t}"
+            for row, t in zip(RANDOM_SPHERE_ROWS, ("0.8871209184969293", "0.9318129485050863", "0.27421998026218264"))
+        ),
+    ),
+    ("product_spheres", "random"): (
+        "product_spheres(d1=2, d2=1, m_max=1, n_max=1)",
+        tuple(
+            f"{row},{q}"
+            for row, q in zip(
+                RANDOM_SPHERE_ROWS,
+                (
+                    "0.37966971266962524,0.9251221050657931",
+                    "-0.09792960445270292,0.9951933443164385",
+                    "0.3350261995716278,-0.9422088121009013",
+                ),
+            )
+        ),
+    ),
+    ("sphere", "points"): ("sphere(d=2, n_max=2)", ("1.0,0.0,0.0", "0.0,0.6,0.8", "0.0,0.0,-1.0")),
+    ("sphere_time", "points"): (
+        "sphere_time(d=2, n_max=2)",
+        ("1.0,0.0,0.0,0.0", "0.0,0.6,0.8,0.25", "0.0,0.0,-1.0,1.5"),
+    ),
+    ("product_spheres", "points"): (
+        "product_spheres(d1=2, d2=1, m_max=1, n_max=1)",
+        ("1.0,0.0,0.0,0.6,0.8", "0.0,0.6,0.8,-1.0,0.0", "0.0,0.0,-1.0,0.0,1.0"),
+    ),
+}
+POINTS_FILES = {
+    "sphere": "1,0,0\n0,0.6,0.8\n0,0,-1\n",
+    "sphere_time": "1,0,0,0.0\n0,0.6,0.8,0.25\n0,0,-1,1.5\n",
+    "product_spheres": "1,0,0,0.6,0.8\n0,0.6,0.8,-1,0\n0,0,-1,0,1\n",
+}
+
+
+class TestSimulateHeaders:
+    """Exact ``#`` header lines of ``simulate`` for each kind and point source."""
+
+    @pytest.mark.parametrize("kind, source", sorted(HEADER_CASES))
+    def test_header_lines(self, capsys, spec_file, tmp_path, kind, source):
+        if source == "random":
+            where = ["--random", "3"]
+        else:
+            path = tmp_path / "points.csv"
+            path.write_text(POINTS_FILES[kind], encoding="utf-8")
+            where = ["--points", str(path)]
+        code, out, err = run(capsys, "simulate", spec_file(GOLDEN_SPECS[kind]), *where, "--seed", "5")
+        assert (code, err) == (0, "")
+        label, rows = HEADER_CASES[kind, source]
+        expected = [f"# kernel: {label}", "# method: factorized", "# seed: 5", "# samples: 1", "# points: 3"]
+        expected += [f"# point_{i}: {row}" for i, row in enumerate(rows)]
+        assert [line for line in out.splitlines() if line.startswith("#")] == expected
 
 
 class TestRoundTrip:
@@ -448,6 +553,25 @@ class TestEntryPoints:
         assert result.returncode == 2
         payload = json.loads(result.stderr)
         assert payload["error"] == 2
+
+    def test_eval_separable_simulate_never_import_scipy(self, tmp_path):
+        (tmp_path / "sphere.json").write_text(json.dumps(SPHERE_DEGREE_ONE), encoding="utf-8")
+        (tmp_path / "product.json").write_text(json.dumps(PROD_OUTER), encoding="utf-8")
+        script = (
+            "import contextlib, io, sys\n"
+            "import spherecov.cli as cli\n"
+            "runs = [['eval', 'sphere.json', '--x', '0.3'], ['eval', 'sphere.json', '--grid', '5'],\n"
+            "        ['separable', 'product.json'], ['simulate', 'sphere.json', '--random', '4'],\n"
+            "        ['simulate', 'sphere.json', '--random', '4', '--method', 'spectral']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in runs]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[0, 0, 0, 0, 0] []\n"
 
     def test_usage_error_is_exit_2(self, tmp_path):
         result = run_cli(["eval"], tmp_path)

@@ -465,11 +465,15 @@ class TestSampleSpectralS2:
         with pytest.raises(GeometryError):
             sample_spectral_s2(seq, uniform_sphere_points(1, 3, seed=83), n_samples=2, seed=0)
 
-    def test_rejects_small_degree_cap(self):
-        seq = make_sequence([0.5, 0.0, 0.5], LEGENDRE)
-        pts = uniform_sphere_points(2, 3, seed=84)
-        with pytest.raises(DomainError):
-            sample_spectral_s2(seq, pts, n_samples=2, seed=0, degree_cap=1)
+    def test_rejects_other_kernel_families(self):
+        st = make_st_kernel([(1.0, gaussian(1.0))], LEGENDRE)
+        st_pts = SpaceTimePointSet(space=uniform_sphere_points(2, 3, seed=84), times=[0.0, 0.5, 1.0])
+        with pytest.raises(GeometryError):
+            sample_spectral_s2(st, st_pts, n_samples=2, seed=0)
+        ps = make_ps_kernel([[1.0]], LEGENDRE, LEGENDRE)
+        ps_pts = ProductPointSet(first=uniform_sphere_points(2, 3, seed=85), second=uniform_sphere_points(2, 3, seed=86))
+        with pytest.raises(GeometryError):
+            sample_spectral_s2(ps, ps_pts, n_samples=2, seed=0)
 
 
 class TestEmpiricalCovariance:

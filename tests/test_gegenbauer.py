@@ -1,6 +1,7 @@
 """Gegenbauer evaluation and quadrature against closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ class TestQuadrature:
         assert np.all(np.diff(rule.nodes) > 0) and np.max(np.abs(rule.nodes)) < 1
         for j in (0, 1, 5, 20):
             assert_allclose(rule.integrate(rule.nodes ** (2 * j)), _even_moment(lam, j), rtol=1e-12)
+
+    def test_weight_memory_is_linear_in_order(self):
+        # An order x order recurrence table and its square would take 137 MiB here.
+        build = quadrature.__wrapped__
+        build(0.5, 4)  # loads scipy.special outside the measurement
+        tracemalloc.start()
+        try:
+            rule = build(0.5, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert_allclose(rule.integrate(rule.nodes**2), 2.0 / 3.0, rtol=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

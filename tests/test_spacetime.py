@@ -152,6 +152,11 @@ class TestMakeStKernel:
         with pytest.raises(DomainError):
             make_st_kernel([], LEGENDRE)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_weight_is_domain_error_without_warning(self):
+        with pytest.raises(DomainError):
+            make_st_kernel([(np.inf, gaussian(1.0)), (1.0, gaussian(1.0))], LEGENDRE, normalize=True)
+
 
 class TestStKernelEval:
     def test_single_term_product(self):

@@ -1,11 +1,12 @@
 """Command-line interface: eval, coeffs, certify, separable, simulate.
 
-Exit codes: 0 success (certify: PD), 2 validation failure, 3 domain or
-geometry error, 4 certify NotPD, 5 certify Inconclusive. Errors are
-single-line JSON objects {"error": code, "message": ...} on stderr; data
-goes to stdout (or --out for simulate) as headerless CSV with '.' decimal
-separator. The environment variable SPHERECOV_SEED supplies the default
-seed; everything else is flags.
+Exit codes: 0 success (certify: PD), 1 stdout closed before the output was
+written (nothing on stderr), 2 validation failure, 3 domain or geometry
+error, 4 certify NotPD, 5 certify Inconclusive. Errors are single-line JSON
+objects {"error": code, "message": ...} on stderr; data goes to stdout (or
+--out for simulate) as headerless CSV with '.' decimal separator. The
+environment variable SPHERECOV_SEED supplies the default seed; everything
+else is flags.
 """
 
 import argparse
@@ -91,12 +92,14 @@ def _forbid(args, names, reason):
 
 def cmd_eval(args) -> int:
     kernel = read_kernel_file(args.spec)
+    if args.grid is None or "t" not in kernel.arguments:
+        _forbid(args, ["--t-max"], "outside a --grid of a sphere_time spec")
     if args.grid is not None:
         if args.grid < 2:
             raise _ValidationFailure(f"--grid must be at least 2, got {args.grid}")
         _forbid(args, EVAL_FLAGS, "together with --grid")
         xs = np.linspace(-1.0, 1.0, args.grid)
-        ts = np.linspace(0.0, args.t_max, args.grid)
+        ts = np.linspace(0.0, 1.0 if args.t_max is None else args.t_max, args.grid)
         axes = np.meshgrid(*(ts if name == "t" else xs for name in kernel.arguments), indexing="ij")
         columns = [axis.ravel() for axis in axes]
         values = kernel.values(*columns)
@@ -116,6 +119,25 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- coeffs / certify
 
 
+def _read_rows(path: str, what: str) -> list:
+    """(line number, floats) of each row of a comma-separated file, skipping
+    blank and '#' lines; `what` names the file in a read error."""
+    rows = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    rows.append((lineno, [float(p) for p in line.split(",")]))
+                except ValueError:
+                    raise _ValidationFailure(f"{path}:{lineno}: non-numeric entry") from None
+    except OSError as exc:
+        raise _ValidationFailure(f"cannot read {what} {path}: {exc}") from exc
+    return rows
+
+
 def _load_table_function(path: str, n_max: int, cover: tuple | None):
     """Monotone piecewise-cubic interpolant of a two-column CSV table.
 
@@ -123,29 +145,16 @@ def _load_table_function(path: str, n_max: int, cover: tuple | None):
     the nodes must span so the interpolant is never extrapolated.
     """
     xs, ys = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise _ValidationFailure(
-                        f"{path}:{lineno}: expected two comma-separated columns, got {len(parts)}"
-                    )
-                try:
-                    x, y = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise _ValidationFailure(f"{path}:{lineno}: non-numeric entry") from None
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise _ValidationFailure(f"{path}:{lineno}: non-finite entry")
-                if abs(x) > 1.0:
-                    raise _ValidationFailure(f"{path}:{lineno}: x must lie in [-1, 1], got {x!r}")
-                xs.append(x)
-                ys.append(y)
-    except OSError as exc:
-        raise _ValidationFailure(f"cannot read table {path}: {exc}") from exc
+    for lineno, row in _read_rows(path, "table"):
+        if len(row) != 2:
+            raise _ValidationFailure(f"{path}:{lineno}: expected two comma-separated columns, got {len(row)}")
+        x, y = row
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _ValidationFailure(f"{path}:{lineno}: non-finite entry")
+        if abs(x) > 1.0:
+            raise _ValidationFailure(f"{path}:{lineno}: x must lie in [-1, 1], got {x!r}")
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2 * n_max:
         raise _ValidationFailure(
             f"table needs at least 2*n_max = {2 * n_max} nodes, got {len(xs)}"
@@ -252,19 +261,7 @@ def cmd_separable(args) -> int:
 
 def _read_points_file(path: str, kernel):
     """Parse a points CSV whose column layout is fixed by the kernel kind."""
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(p) for p in line.split(",")])
-                except ValueError:
-                    raise _ValidationFailure(f"{path}:{lineno}: non-numeric entry") from None
-    except OSError as exc:
-        raise _ValidationFailure(f"cannot read points file {path}: {exc}") from exc
+    rows = [row for _, row in _read_rows(path, "points file")]
     if not rows:
         raise _ValidationFailure(f"points file {path} is empty")
     widths = {len(r) for r in rows}
@@ -293,6 +290,8 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.samples < 1:
         raise _ValidationFailure(f"--samples must be at least 1, got {args.samples}")
+    if args.method == "spectral":
+        _forbid(args, ["--jitter"], "with --method spectral")
     if args.points is not None:
         points = _read_points_file(args.points, kernel)
     else:
@@ -348,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x1", help="first cosine (product_spheres)")
     p_eval.add_argument("--x2", help="second cosine (product_spheres)")
     p_eval.add_argument("--grid", type=int, help="emit a uniform grid with this many points per axis")
-    p_eval.add_argument("--t-max", type=float, default=1.0, help="grid time range [0, t-max] (default 1)")
+    p_eval.add_argument("--t-max", type=float, help="sphere_time grid time range [0, t-max] (default 1)")
     p_eval.set_defaults(func=cmd_eval)
 
     def add_function_args(p):
@@ -386,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("factorized", "spectral"), default="factorized",
         help="sampler (spectral: sphere kind with d=2 only)",
     )
-    p_sim.add_argument("--jitter", type=float, help="diagonal jitter (default 1e-10 * trace/dim)")
+    p_sim.add_argument("--jitter", type=float, help="factorized diagonal jitter (default 1e-10 * trace/dim)")
     p_sim.add_argument("--out", help="output CSV path (default: stdout); written atomically")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -399,7 +398,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # The recipe of the `signal` docs: point stdout at devnull so the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _ValidationFailure as exc:
         _print_error(2, str(exc))
         return 2

@@ -51,6 +51,8 @@ class SpherePointSet:
             raise GeometryError(
                 f"points must have shape (n, {self.dimension + 1}), got {pts.shape}"
             )
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("point coordinates must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = int(np.argmax(np.abs(norms - 1.0)))

@@ -17,8 +17,9 @@ Gauss nodes for λ > 0 come from `scipy.special.roots_gegenbauer` (the
 Golub–Welsch eigenvalue method), imported only when a rule is built, so
 evaluating polynomials never loads scipy. The weights are Christoffel
 numbers from the recurrence above, which are more accurate than scipy's at
-high order; they are built a block of nodes at a time, so memory grows
-linearly with the order.
+high order. Like coefficient recovery and the sphere × time kernel, they
+read the recurrence one degree at a time, so memory grows with the number
+of points, not with degree × points.
 """
 
 import functools
@@ -30,10 +31,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 MAX_DEGREE = 10_000
-
-# Nodes per block of the Christoffel weight computation: the recurrence
-# table of a block holds order × _WEIGHT_BLOCK values.
-_WEIGHT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -118,27 +115,27 @@ def _check_argument(x):
     return x
 
 
-def _eval_sequence(lam: float, n_max: int, x) -> np.ndarray:
-    """All normalized polynomial values P̃_0..P̃_{n_max} at x, one forward pass.
+def _sequence(lam: float, n_max: int, x):
+    """Yield P̃_0(x), ..., P̃_{n_max}(x) one degree at a time, keeping only
+    the last two; degree and argument are not checked.
 
-    Returns shape (n_max+1,) + x.shape. The λ = 0 case runs the Chebyshev
-    recurrence T_n = 2x·T_{n−1} − T_{n−2} directly.
+    The λ = 0 case runs the Chebyshev recurrence T_n = 2x·T_{n−1} − T_{n−2}
+    directly.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
+    before, last = np.ones(x.shape), x.copy()
+    yield before
     if n_max == 0:
-        return out
-    out[1] = x
-    if lam == 0.0:
-        for n in range(2, n_max + 1):
-            out[n] = 2.0 * x * out[n - 1] - out[n - 2]
-    else:
-        for n in range(2, n_max + 1):
-            out[n] = (2.0 * (n + lam - 1.0) * x * out[n - 1] - (n - 1.0) * out[n - 2]) / (
+        return
+    yield last
+    for n in range(2, n_max + 1):
+        if lam == 0.0:
+            before, last = last, 2.0 * x * last - before
+        else:
+            before, last = last, (2.0 * (n + lam - 1.0) * x * last - (n - 1.0) * before) / (
                 n + 2.0 * lam - 1.0
             )
-    return out
+        yield last
 
 
 def eval_normalized(basis: GegenbauerBasis, n: int, x):
@@ -148,14 +145,19 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
     """
     n = _check_degree(n)
     x = _check_argument(x)
-    value = _eval_sequence(basis.lam, n, x)[n]
+    for value in _sequence(basis.lam, n, x):
+        pass  # only the last degree is kept
     return float(value) if value.ndim == 0 else value
+
 
 def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
     """Vector [P̃_0(x), ..., P̃_{n_max}(x)] from a single recurrence pass."""
     n_max = _check_degree(n_max)
     x = _check_argument(x)
-    return _eval_sequence(basis.lam, n_max, x)
+    out = np.empty((n_max + 1,) + x.shape)
+    for n, values in enumerate(_sequence(basis.lam, n_max, x)):
+        out[n] = values
+    return out
 
 
 def _log_norm_squared(lam: float, n: int) -> float:
@@ -186,15 +188,10 @@ def norm_squared(basis: GegenbauerBasis, n: int) -> float:
 
 def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node."""
-    order = nodes.size
-    inv_norms = np.array([1.0 / _norm_squared(lam, n) for n in range(order)])
-    weights = np.empty(order)
-    for start in range(0, order, _WEIGHT_BLOCK):
-        block = slice(start, start + _WEIGHT_BLOCK)
-        table = _eval_sequence(lam, order - 1, nodes[block])
-        weights[block] = 1.0 / (inv_norms @ np.square(table, out=table))
-        del table  # freed before the next block's table is built
-    return weights
+    total = np.zeros(nodes.size)
+    for n, values in enumerate(_sequence(lam, nodes.size - 1, nodes)):
+        total += np.square(values) / _norm_squared(lam, n)
+    return 1.0 / total
 
 
 @functools.lru_cache(maxsize=64)
@@ -202,9 +199,9 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
     For λ > 0 the nodes come from `scipy.special.roots_gegenbauer` and the
-    weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, computed from the
-    recurrence 512 nodes at a time, so the working memory is about
-    order × 512 values rather than order². λ = 0 uses the closed-form
+    weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, summed from the
+    recurrence one degree at a time over all nodes, so the working memory
+    is a few vectors of length order. λ = 0 uses the closed-form
     Chebyshev rule. Node and weight vectors are symmetrized about 0. The
     tests check orders up to 1024.
 

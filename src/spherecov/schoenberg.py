@@ -24,7 +24,7 @@ from .errors import (
     NormalizationError,
     ZeroMassError,
 )
-from .gegenbauer import GegenbauerBasis, eval_sequence, norm_squared, quadrature
+from .gegenbauer import GegenbauerBasis, _check_degree, _sequence, eval_sequence, norm_squared, quadrature
 
 NORMALIZATION_TOL = 1e-12
 
@@ -174,11 +174,12 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
     if quad_order < n_max + 1:
         raise DomainError(f"quad_order must be at least n_max+1 = {n_max + 1}, got {quad_order}")
+    n_max = _check_degree(n_max)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
-    table = eval_sequence(basis, n_max, rule.nodes)
-    norms = np.array([norm_squared(basis, n) for n in range(n_max + 1)])
-    return table @ (rule.weights * values) / norms, vectorized
+    weighted = rule.weights * values
+    degrees = enumerate(_sequence(basis.lam, n_max, rule.nodes))
+    return np.array([p @ weighted / norm_squared(basis, n) for n, p in degrees]), vectorized
 
 
 def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> np.ndarray:

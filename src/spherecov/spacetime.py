@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gegenbauer import GegenbauerBasis, eval_sequence
+from .gegenbauer import GegenbauerBasis, _check_argument, _check_degree, _sequence
 from .schoenberg import SchoenbergSequence, _split_mass, _stored_weights
 
 GAUSSIAN = "gaussian"
@@ -173,12 +173,12 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together."""
     x_b, t_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    table = eval_sequence(kernel.basis, kernel.truncation, x_b)
+    degrees = _sequence(kernel.basis.lam, _check_degree(kernel.truncation), _check_argument(x_b))
     acc = np.zeros(x_b.shape)
-    for n, cf in enumerate(kernel.charfns):
-        if kernel.weights[n] == 0.0:
+    for a, cf, p in zip(kernel.weights, kernel.charfns, degrees):
+        if a == 0.0:
             continue
-        acc += kernel.weights[n] * charfn_eval(cf, t_b) * table[n]
+        acc += a * charfn_eval(cf, t_b) * p
     value = kernel.scale_c * acc
     return float(value) if value.ndim == 0 else value
 

@@ -130,6 +130,19 @@ class TestEval:
         code, _, _ = run(capsys, "eval", spec_file(SPHERE_CONST), "--grid", "5", "--x", "0.3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec, flags",
+        [
+            (SPHERE_CONST, ["--grid", "3"]),
+            (PROD_OUTER, ["--grid", "3"]),
+            (ST_GAUSS, ["--x", "0.1", "--t", "0.5"]),
+        ],
+    )
+    def test_t_max_outside_sphere_time_grid_is_rejected(self, capsys, spec_file, spec, flags):
+        code, out, err = run(capsys, "eval", spec_file(spec), *flags, "--t-max", "2.0")
+        assert (code, out) == (2, "")
+        assert "--t-max" in json.loads(err)["message"]
+
 
 GOLDEN_SPHERE = {"kind": "sphere", "d": 2, "coeffs": [0.2, 0.5, 0.3]}
 GOLDEN_ST = {
@@ -235,6 +248,28 @@ class TestCoeffs:
         table.write_text("0.0,1.0\n0.5,1.0\n", encoding="utf-8")
         code, _, _ = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "10", "--table", str(table))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.0,1.0\n0.5\n", "{path}:2: expected two comma-separated columns, got 1"),
+            ("# x,g\n\n0.0,abc\n", "{path}:3: non-numeric entry"),
+            ("0.0,nan\n", "{path}:1: non-finite entry"),
+            ("1.5,1.0\n", "{path}:1: x must lie in [-1, 1], got 1.5"),
+        ],
+    )
+    def test_table_row_messages(self, capsys, tmp_path, text, message):
+        table = tmp_path / "t.csv"
+        table.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "1", "--table", str(table))
+        assert code == 2
+        assert json.loads(err)["message"] == message.format(path=table)
+
+    def test_missing_table_message(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, _, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "1", "--table", str(missing))
+        assert code == 2
+        assert json.loads(err)["message"].startswith(f"cannot read table {missing}: ")
 
     def test_table_coverage_check(self, capsys, tmp_path):
         xs = np.linspace(-0.5, 0.5, 200).tolist()
@@ -428,6 +463,35 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", spec_file(SPHERE_CONST), "--points", str(bad), "--seed", "0")
         assert code == 2
 
+    def test_points_file_messages(self, capsys, spec_file, tmp_path):
+        spec = spec_file(SPHERE_CONST)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# x,y,z\n1,0,0\n\n0,one,0\n", encoding="utf-8")
+        code, _, err = run(capsys, "simulate", spec, "--points", str(bad))
+        assert (code, json.loads(err)["message"]) == (2, f"{bad}:4: non-numeric entry")
+        missing = tmp_path / "missing.csv"
+        code, _, err = run(capsys, "simulate", spec, "--points", str(missing))
+        assert code == 2
+        assert json.loads(err)["message"].startswith(f"cannot read points file {missing}: ")
+
+    @pytest.mark.parametrize("method", ["factorized", "spectral"])
+    def test_non_finite_point_is_exit_3(self, capsys, spec_file, tmp_path, method):
+        points = tmp_path / "nan.csv"
+        points.write_text("1,0,0\nnan,0,0\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "simulate", spec_file(SPHERE_DEGREE_ONE), "--points", str(points), "--method", method
+        )
+        assert (code, out) == (3, "")
+        assert "finite" in json.loads(err)["message"]
+
+    def test_spectral_rejects_jitter(self, capsys, spec_file):
+        code, out, err = run(
+            capsys, "simulate", spec_file(SPHERE_DEGREE_ONE), "--random", "3",
+            "--method", "spectral", "--jitter", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert "--jitter" in json.loads(err)["message"]
+
     def test_ragged_points_file(self, capsys, spec_file, tmp_path):
         bad = tmp_path / "ragged.csv"
         bad.write_text("1,0,0\n0,1\n", encoding="utf-8")
@@ -572,6 +636,22 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[0, 0, 0, 0, 0] []\n"
+
+    def test_closed_stdout_is_exit_1_without_traceback(self, tmp_path):
+        spec = tmp_path / "product.json"
+        spec.write_text(json.dumps(PROD_OUTER), encoding="utf-8")
+        # 90000 rows overflow the pipe buffer, so the child is still writing
+        # when the reader goes away.
+        argv = [sys.executable, "-m", "spherecov", "eval", str(spec), "--grid", "300"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=cli_env()
+        ) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert first.startswith(b"-1.0,-1.0,")
+        assert (code, err) == (1, b"")
 
     def test_usage_error_is_exit_2(self, tmp_path):
         result = run_cli(["eval"], tmp_path)

@@ -62,6 +62,11 @@ class TestPointSets:
         with pytest.raises(GeometryError):
             SpherePointSet(dimension=2, points=np.empty((0, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sphere_set_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            _sphere_set([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
     def test_sphere_set_rejects_bad_dimension(self):
         with pytest.raises(GeometryError):
             SpherePointSet(dimension=0, points=[[1.0]])

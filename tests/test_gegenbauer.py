@@ -189,6 +189,17 @@ class TestQuadrature:
         for j in (0, 1, 5, 20):
             assert_allclose(rule.integrate(rule.nodes ** (2 * j)), _even_moment(lam, j), rtol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 4.5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 16, 257, 1024])
+    def test_weights_match_table_formula(self, lam, order):
+        # Reference: Christoffel numbers from the whole degree x node table,
+        # symmetrized as the rule is.
+        rule = quadrature(lam, order)
+        basis = GegenbauerBasis.from_index(lam)
+        inv_norms = np.array([1.0 / norm_squared(basis, n) for n in range(order)])
+        reference = 1.0 / (inv_norms @ eval_sequence(basis, order - 1, rule.nodes) ** 2)
+        assert_allclose(rule.weights, 0.5 * (reference + reference[::-1]), rtol=1e-14, atol=0)
+
     def test_weight_memory_is_linear_in_order(self):
         # An order x order recurrence table and its square would take 137 MiB here.
         build = quadrature.__wrapped__

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from spherecov import (
     ZeroMassError,
     certify,
     eval_normalized,
+    eval_sequence,
     kernel_eval,
     make_sequence,
     multiquadric_kernel,
     multiquadric_sequence,
+    norm_squared,
     quadrature,
     recover_coefficients,
 )
@@ -183,6 +187,44 @@ class TestRecoverCoefficients:
         recover_coefficients(g, LEGENDRE, 4, 16)
         assert len(seen) == 1
         assert seen[0].shape == (16,) and not seen[0].flags.writeable
+
+    def test_memory_does_not_grow_with_degree_times_order(self):
+        # A degree x node table would take 34 MiB here.
+        quadrature(0.5, 3002)  # the cached rule is built outside the measurement
+        tracemalloc.start()
+        try:
+            ahat = recover_coefficients(lambda x: x, LEGENDRE, 1500, 3002)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert_allclose(ahat[:3], [0.0, 1.0, 0.0], atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 400),
+    st.integers(0, 64),
+    st.floats(-20.0, 20.0),
+    st.floats(0.0, 3.2),
+)
+def test_recovery_matches_table_formula(d, n_max, extra, frequency, phase):
+    # Reference: each row of the degree x node table times the weighted
+    # values, summed exactly, so only recover_coefficients' own rounding is
+    # measured (a BLAS product of the table is itself up to 1.4e-15 off for
+    # g = 1 on the circle). With |g| <= 1 the summed terms add up to at
+    # most h_0 in magnitude.
+    basis = GegenbauerBasis.from_dimension(d)
+    quad_order = n_max + 1 + extra
+    g = lambda x: np.cos(frequency * x + phase)
+    rule = quadrature(basis.lam, quad_order)
+    weighted = rule.weights * g(rule.nodes)
+    norms = np.array([norm_squared(basis, n) for n in range(n_max + 1)])
+    table = eval_sequence(basis, n_max, rule.nodes)
+    reference = np.array([math.fsum(row * weighted) for row in table]) / norms
+    ahat = recover_coefficients(g, basis, n_max, quad_order)
+    assert np.max(np.abs(ahat - reference) * norms / norms[0]) <= 1e-15
 
 
 class TestCertify:

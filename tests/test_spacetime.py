@@ -1,12 +1,15 @@
 """Sphere-cross-line kernels: characteristic functions, evaluation, separability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_st_kernel
+from helpers import random_charfn, random_st_kernel
 from spherecov import (
     DomainError,
     GegenbauerBasis,
@@ -14,6 +17,7 @@ from spherecov import (
     NormalizationError,
     ZeroMassError,
     charfn_eval,
+    eval_sequence,
     is_separable,
     kernel_eval,
     make_charfn,
@@ -198,6 +202,53 @@ class TestStKernelEval:
         k = make_st_kernel([(1.0, gaussian(1.0))], LEGENDRE)
         with pytest.raises(DomainError):
             st_kernel_eval(k, 1.2, 0.0)
+
+    def test_memory_does_not_grow_with_degree_times_points(self):
+        # A degree x point table would take 79 MiB here.
+        rng = np.random.default_rng(5)
+        k = random_st_kernel(rng, LEGENDRE, 100)
+        x, t = rng.uniform(-1.0, 1.0, 100_000), rng.uniform(-2.0, 2.0, 100_000)
+        tracemalloc.start()
+        try:
+            st_kernel_eval(k, x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _table_st_kernel_eval(kernel, x, t):
+    """Reference: the sum over a whole degree x point table, zero weights skipped."""
+    x_b, t_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    table = eval_sequence(kernel.basis, kernel.truncation, x_b)
+    acc = np.zeros(x_b.shape)
+    for n, cf in enumerate(kernel.charfns):
+        if kernel.weights[n] != 0.0:
+            acc += kernel.weights[n] * charfn_eval(cf, t_b) * table[n]
+    return kernel.scale_c * acc
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 2000),
+    st.integers(1, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_st_kernel_eval_matches_table_sum_bit_for_bit(d, n_max, n_points, grid, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, n_max + 1) * (rng.uniform(size=n_max + 1) < 0.7)
+    if not raw.any():
+        raw[0] = 1.0
+    k = make_st_kernel(
+        [(a, random_charfn(rng)) for a in raw], GegenbauerBasis.from_dimension(d), normalize=True
+    )
+    x = np.append(rng.uniform(-1.0, 1.0, n_points), [-1.0, 1.0])
+    t = rng.uniform(-3.0, 3.0, x.size)
+    if grid:
+        x, t = x[:, None], t[None, :]
+    assert np.array_equal(st_kernel_eval(k, x, t), _table_st_kernel_eval(k, x, t))
 
 
 class TestSchoenbergFunctionsAt:

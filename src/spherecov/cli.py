@@ -22,10 +22,8 @@ from .errors import KernelSpecError, SphereCovError
 from .fields import point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis
 from .kernelspec import read_kernel_file
-from .product_spheres import ProductSphereKernel, Separable, separability_test
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
-from .spacetime import SpaceTimeKernel, is_separable
 
 SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
@@ -234,24 +232,9 @@ def cmd_certify(args) -> int:
 
 def cmd_separable(args) -> int:
     kernel = read_kernel_file(args.spec)
-    if isinstance(kernel, ProductSphereKernel):
-        result = separability_test(kernel, args.tol if args.tol is not None else 1e-9)
-        if isinstance(result, Separable):
-            verdict = {
-                "separable": True,
-                "row_factors": [float(v) for v in result.row_factors],
-                "col_factors": [float(v) for v in result.col_factors],
-            }
-        else:
-            verdict = {
-                "separable": False,
-                "minor": list(result.minor),
-                "value": result.value,
-            }
-    elif isinstance(kernel, SpaceTimeKernel):
-        verdict = {"separable": is_separable(kernel, args.tol if args.tol is not None else 1e-12)}
-    else:
+    if not hasattr(kernel, "separability"):
         raise _ValidationFailure("separability applies to sphere_time and product_spheres specs")
+    verdict = kernel.separability() if args.tol is None else kernel.separability(args.tol)
     print(json.dumps(verdict, indent=2))
     return 0
 

@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import KernelSpecError, SphereCovError
 from .gegenbauer import GegenbauerBasis
-from .product_spheres import ProductSphereKernel, make_ps_kernel
-from .schoenberg import SchoenbergSequence, make_sequence
-from .spacetime import CharFn, SpaceTimeKernel, make_charfn, make_st_kernel
-
-KINDS = ("sphere", "sphere_time", "product_spheres")
+from .product_spheres import make_ps_kernel
+from .schoenberg import make_sequence
+from .spacetime import make_charfn, make_st_kernel
 
 
 def _require_keys(doc: dict, required: tuple, optional: tuple, where: str):
@@ -63,6 +61,68 @@ def _apply_scale(kernel, scale: float):
     return dataclasses.replace(kernel, scale_c=kernel.scale_c * scale)
 
 
+def _read_coeffs(coeffs, bases):
+    if not isinstance(coeffs, list) or not coeffs:
+        raise KernelSpecError("coeffs must be a nonempty array of numbers")
+    values = [_as_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
+    return make_sequence(values, *bases, normalize=True)
+
+
+def _read_terms(terms_doc, bases):
+    if not isinstance(terms_doc, list) or not terms_doc:
+        raise KernelSpecError("terms must be a nonempty array of objects")
+    terms = []
+    for i, term in enumerate(terms_doc):
+        if not isinstance(term, dict):
+            raise KernelSpecError(f"terms[{i}] must be an object")
+        _require_keys(term, ("a", "charfn"), (), f"terms[{i}]")
+        cf_doc = term["charfn"]
+        if not isinstance(cf_doc, dict):
+            raise KernelSpecError(f"terms[{i}].charfn must be an object")
+        _require_keys(cf_doc, ("family",), ("params",), f"terms[{i}].charfn")
+        params = cf_doc.get("params", {})
+        if not isinstance(params, dict):
+            raise KernelSpecError(f"terms[{i}].charfn.params must be an object")
+        cf = make_charfn(str(cf_doc["family"]), params)
+        terms.append((_as_number(term["a"], f"terms[{i}].a"), cf))
+    return make_st_kernel(terms, *bases, normalize=True)
+
+
+def _write_terms(kernel) -> list:
+    return [
+        {"a": float(a), "charfn": {"family": cf.family, "params": cf.param_dict}}
+        for a, cf in zip(kernel.weights, kernel.charfns)
+    ]
+
+
+def _read_matrix(matrix_doc, bases):
+    if not isinstance(matrix_doc, list) or not matrix_doc:
+        raise KernelSpecError("matrix must be a nonempty array of rows")
+    width = None
+    rows = []
+    for i, row in enumerate(matrix_doc):
+        if not isinstance(row, list) or not row:
+            raise KernelSpecError(f"matrix[{i}] must be a nonempty array of numbers")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise KernelSpecError(
+                f"matrix rows must have equal length: row 0 has {width}, row {i} has {len(row)}"
+            )
+        rows.append([_as_number(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
+    return make_ps_kernel(np.array(rows), *bases, normalize=True)
+
+
+# kind -> (dimension keys, payload key, payload -> kernel given the bases, kernel -> payload).
+# A kernel class names its entry in its `kind` attribute.
+_KINDS = {
+    "sphere": (("d",), "coeffs", _read_coeffs, lambda kernel: kernel.coeffs.tolist()),
+    "sphere_time": (("d",), "terms", _read_terms, _write_terms),
+    "product_spheres": (("d1", "d2"), "matrix", _read_matrix, lambda kernel: kernel.coeff_matrix.tolist()),
+}
+KINDS = tuple(_KINDS)
+
+
 def kernel_from_dict(doc: dict):
     """Validate a parsed spec document into one of the three kernel types."""
     if not isinstance(doc, dict):
@@ -70,56 +130,11 @@ def kernel_from_dict(doc: dict):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise KernelSpecError(f"kind must be one of {list(KINDS)}, got {kind!r}")
+    dimension_keys, payload_key, read, _ = _KINDS[kind]
     try:
-        if kind == "sphere":
-            _require_keys(doc, ("kind", "d", "coeffs"), ("scale",), "sphere spec")
-            basis = GegenbauerBasis.from_dimension(_as_positive_int(doc["d"], "d"))
-            coeffs = doc["coeffs"]
-            if not isinstance(coeffs, list) or not coeffs:
-                raise KernelSpecError("coeffs must be a nonempty array of numbers")
-            values = [_as_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
-            kernel = make_sequence(values, basis, normalize=True)
-        elif kind == "sphere_time":
-            _require_keys(doc, ("kind", "d", "terms"), ("scale",), "sphere_time spec")
-            basis = GegenbauerBasis.from_dimension(_as_positive_int(doc["d"], "d"))
-            terms_doc = doc["terms"]
-            if not isinstance(terms_doc, list) or not terms_doc:
-                raise KernelSpecError("terms must be a nonempty array of objects")
-            terms = []
-            for i, term in enumerate(terms_doc):
-                if not isinstance(term, dict):
-                    raise KernelSpecError(f"terms[{i}] must be an object")
-                _require_keys(term, ("a", "charfn"), (), f"terms[{i}]")
-                cf_doc = term["charfn"]
-                if not isinstance(cf_doc, dict):
-                    raise KernelSpecError(f"terms[{i}].charfn must be an object")
-                _require_keys(cf_doc, ("family",), ("params",), f"terms[{i}].charfn")
-                params = cf_doc.get("params", {})
-                if not isinstance(params, dict):
-                    raise KernelSpecError(f"terms[{i}].charfn.params must be an object")
-                cf = make_charfn(str(cf_doc["family"]), params)
-                terms.append((_as_number(term["a"], f"terms[{i}].a"), cf))
-            kernel = make_st_kernel(terms, basis, normalize=True)
-        else:
-            _require_keys(doc, ("kind", "d1", "d2", "matrix"), ("scale",), "product_spheres spec")
-            basis1 = GegenbauerBasis.from_dimension(_as_positive_int(doc["d1"], "d1"))
-            basis2 = GegenbauerBasis.from_dimension(_as_positive_int(doc["d2"], "d2"))
-            matrix_doc = doc["matrix"]
-            if not isinstance(matrix_doc, list) or not matrix_doc:
-                raise KernelSpecError("matrix must be a nonempty array of rows")
-            width = None
-            rows = []
-            for i, row in enumerate(matrix_doc):
-                if not isinstance(row, list) or not row:
-                    raise KernelSpecError(f"matrix[{i}] must be a nonempty array of numbers")
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise KernelSpecError(
-                        f"matrix rows must have equal length: row 0 has {width}, row {i} has {len(row)}"
-                    )
-                rows.append([_as_number(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
-            kernel = make_ps_kernel(np.array(rows), basis1, basis2, normalize=True)
+        _require_keys(doc, ("kind", *dimension_keys, payload_key), ("scale",), f"{kind} spec")
+        bases = [GegenbauerBasis.from_dimension(_as_positive_int(doc[key], key)) for key in dimension_keys]
+        kernel = read(doc[payload_key], bases)
     except KernelSpecError:
         raise
     except SphereCovError as exc:
@@ -130,32 +145,16 @@ def kernel_from_dict(doc: dict):
 def kernel_to_dict(kernel) -> dict:
     """Serialize a kernel back to the spec schema (normalized coefficients,
     total mass in "scale")."""
-    if isinstance(kernel, SchoenbergSequence):
-        return {
-            "kind": "sphere",
-            "d": kernel.basis.dimension,
-            "coeffs": [float(a) for a in kernel.coeffs],
-            "scale": kernel.scale_c,
-        }
-    if isinstance(kernel, SpaceTimeKernel):
-        return {
-            "kind": "sphere_time",
-            "d": kernel.basis.dimension,
-            "terms": [
-                {"a": float(a), "charfn": {"family": cf.family, "params": cf.param_dict}}
-                for a, cf in zip(kernel.weights, kernel.charfns)
-            ],
-            "scale": kernel.scale_c,
-        }
-    if isinstance(kernel, ProductSphereKernel):
-        return {
-            "kind": "product_spheres",
-            "d1": kernel.basis1.dimension,
-            "d2": kernel.basis2.dimension,
-            "matrix": [[float(v) for v in row] for row in kernel.coeff_matrix],
-            "scale": kernel.scale_c,
-        }
-    raise KernelSpecError(f"cannot serialize {type(kernel).__name__}")
+    kind = getattr(kernel, "kind", None)
+    if kind not in KINDS:
+        raise KernelSpecError(f"cannot serialize {type(kernel).__name__}")
+    dimension_keys, payload_key, _, write = _KINDS[kind]
+    return {
+        "kind": kind,
+        **dict(zip(dimension_keys, kernel.dimensions)),
+        payload_key: write(kernel),
+        "scale": kernel.scale_c,
+    }
 
 
 def read_kernel_file(path):

@@ -28,6 +28,7 @@ class ProductSphereKernel:
     basis1: GegenbauerBasis
     basis2: GegenbauerBasis
 
+    kind = "product_spheres"
     arguments = ("x1", "x2")
 
     def __post_init__(self):
@@ -57,6 +58,10 @@ class ProductSphereKernel:
     def values(self, x1, x2):
         """Kernel values at cosine pairs (x1, x2); see `ps_kernel_eval`."""
         return ps_kernel_eval(self, x1, x2)
+
+    def separability(self, tol: float = 1e-9) -> dict:
+        """JSON-ready verdict of `separability_test`."""
+        return separability_test(self, tol).to_dict()
 
 
 def make_ps_kernel(
@@ -88,6 +93,13 @@ class Separable:
     row_factors: np.ndarray
     col_factors: np.ndarray
 
+    def to_dict(self) -> dict:
+        return {
+            "separable": True,
+            "row_factors": self.row_factors.tolist(),
+            "col_factors": self.col_factors.tolist(),
+        }
+
 
 @dataclass(frozen=True)
 class NonSeparable:
@@ -95,6 +107,9 @@ class NonSeparable:
 
     minor: tuple
     value: float
+
+    def to_dict(self) -> dict:
+        return {"separable": False, "minor": list(self.minor), "value": self.value}
 
 
 def separability_test(kernel: ProductSphereKernel, tol: float = 1e-9):

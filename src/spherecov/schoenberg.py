@@ -49,6 +49,7 @@ class SchoenbergSequence:
     scale_c: float
     basis: GegenbauerBasis
 
+    kind = "sphere"
     arguments = ("x",)
 
     def __post_init__(self):
@@ -227,24 +228,10 @@ class PDCertificate:
     callback_path: str
 
     def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "verdict": self.verdict,
-            "coefficients": [float(a) for a in self.coefficients],
-            "min_coefficient": self.min_coefficient,
-            "min_coefficient_index": self.min_coefficient_index,
-            "tail_mass": self.tail_mass,
-            "coeff_tol": self.coeff_tol,
-            "eig_tol": self.eig_tol,
-            "gram_trials": self.gram_trials,
-            "gram_points": self.gram_points,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "witness": self.witness,
-            "seed": self.seed,
-            "quad_order": self.quad_order,
-            "evaluations": self.evaluations,
-            "callback_path": self.callback_path,
-        }
+        """JSON-ready representation, keys in field order."""
+        doc = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        doc["coefficients"] = self.coefficients.tolist()
+        return doc
 
 
 def certify(

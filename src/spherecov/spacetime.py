@@ -124,6 +124,7 @@ class SpaceTimeKernel:
     scale_c: float
     basis: GegenbauerBasis
 
+    kind = "sphere_time"
     arguments = ("x", "t")
 
     def __post_init__(self):
@@ -157,6 +158,10 @@ class SpaceTimeKernel:
     def values(self, x, t):
         """Kernel values at cosines x and time lags t; see `st_kernel_eval`."""
         return st_kernel_eval(self, x, t)
+
+    def separability(self, tol: float = 1e-12) -> dict:
+        """JSON-ready verdict of `is_separable`."""
+        return {"separable": is_separable(self, tol)}
 
 
 def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> SpaceTimeKernel:

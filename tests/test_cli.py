@@ -326,6 +326,15 @@ class TestCertify:
         assert cert["evaluations"] == 64 + 5 * 25 * 26 // 2
         assert cert["callback_path"] == path
 
+    def test_certificate_key_order(self, capsys):
+        code, out, _ = run(capsys, "certify", "--lambda", "0.5", "--nmax", "10", "--expr", "x")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "verdict", "coefficients", "min_coefficient", "min_coefficient_index", "tail_mass",
+            "coeff_tol", "eig_tol", "gram_trials", "gram_points", "min_gram_eigenvalue", "witness",
+            "seed", "quad_order", "evaluations", "callback_path",
+        ]
+
 
 class TestSeparable:
     def test_outer_product_matrix(self, capsys, spec_file):
@@ -356,8 +365,34 @@ class TestSeparable:
         assert json.loads(out) == {"separable": False}
 
     def test_sphere_kind_rejected(self, capsys, spec_file):
-        code, _, _ = run(capsys, "separable", spec_file(SPHERE_CONST))
+        code, _, err = run(capsys, "separable", spec_file(SPHERE_CONST))
         assert code == 2
+        assert json.loads(err) == {
+            "error": 2,
+            "message": "separability applies to sphere_time and product_spheres specs",
+        }
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (
+                PROD_OUTER,
+                '{\n  "separable": true,\n  "row_factors": [\n    0.1,\n    0.4\n  ],\n'
+                '  "col_factors": [\n    1.0,\n    1.0\n  ]\n}\n',
+            ),
+            (
+                PROD_IDENTITY,
+                '{\n  "separable": false,\n  "minor": [\n    0,\n    0,\n    1,\n    1\n  ],\n'
+                '  "value": 0.25\n}\n',
+            ),
+            (ST_TWO_GAUSS, '{\n  "separable": true\n}\n'),
+            (ST_MIXED, '{\n  "separable": false\n}\n'),
+        ],
+        ids=["rank_one", "identity", "st_separable", "st_mixed"],
+    )
+    def test_stdout_bytes(self, capsys, spec_file, spec, expected):
+        code, out, err = run(capsys, "separable", spec_file(spec))
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestSimulate:

@@ -1,7 +1,11 @@
 """JSON kernel specs: parse, validate, serialize, round-trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_ps_kernel, random_sequence, random_st_kernel
@@ -18,6 +22,9 @@ from spherecov import (
 )
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
+
+# Keys of each kind between "kind" and "scale", in serialized order.
+KEYS = {"sphere": ["d", "coeffs"], "sphere_time": ["d", "terms"], "product_spheres": ["d1", "d2", "matrix"]}
 
 
 class TestSphereKind:
@@ -184,6 +191,37 @@ class TestRoundTrips:
         assert_allclose(k2.coeff_matrix, k.coeff_matrix, rtol=0, atol=1e-15)
         assert k2.basis1 == k.basis1 and k2.basis2 == k.basis2
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["sphere", "sphere_time", "product_spheres"]),
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_round_trip(self, kind, dims, sizes, scale, seed):
+        rng = np.random.default_rng(seed)
+        bases = [GegenbauerBasis.from_dimension(d) for d in dims]
+        if kind == "sphere":
+            k = random_sequence(rng, bases[0], sizes[0])
+        elif kind == "sphere_time":
+            k = random_st_kernel(rng, bases[0], sizes[0])
+        else:
+            k = random_ps_kernel(rng, *bases, *sizes)
+        k = dataclasses.replace(k, scale_c=scale)
+        doc = kernel_to_dict(k)
+        assert list(doc) == ["kind", *KEYS[kind], "scale"]
+        assert doc["kind"] == kind and doc["scale"] == scale
+        k2 = kernel_from_dict(doc)
+        assert type(k2) is type(k)
+        assert k2.dimensions == k.dimensions
+        assert_allclose(k2.scale_c, k.scale_c, rtol=1e-15)
+        for name in ("coeffs", "weights", "coeff_matrix"):
+            if hasattr(k, name):
+                assert_allclose(getattr(k2, name), getattr(k, name), rtol=0, atol=1e-15)
+        if kind == "sphere_time":
+            assert k2.charfns == k.charfns
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         k = random_sequence(rng, GegenbauerBasis.from_index(1.0), 5)
@@ -207,3 +245,86 @@ class TestReadKernelFile:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(KernelSpecError):
             read_kernel_file(path)
+
+
+WRITTEN = {
+    "sphere": (
+        {"kind": "sphere", "d": 3, "coeffs": [1.0, 0.0, 3.0], "scale": 0.5},
+        """{
+  "kind": "sphere",
+  "d": 3,
+  "coeffs": [
+    0.25,
+    0.0,
+    0.75
+  ],
+  "scale": 2.0
+}
+""",
+    ),
+    "sphere_time": (
+        {
+            "kind": "sphere_time",
+            "d": 1,
+            "terms": [
+                {"a": 1.0, "charfn": {"family": "stable", "params": {"scale": 2.0, "alpha": 1.5}}},
+                {"a": 3.0, "charfn": {"family": "point_mass_at_zero"}},
+            ],
+        },
+        """{
+  "kind": "sphere_time",
+  "d": 1,
+  "terms": [
+    {
+      "a": 0.25,
+      "charfn": {
+        "family": "stable",
+        "params": {
+          "alpha": 1.5,
+          "scale": 2.0
+        }
+      }
+    },
+    {
+      "a": 0.75,
+      "charfn": {
+        "family": "point_mass_at_zero",
+        "params": {}
+      }
+    }
+  ],
+  "scale": 4.0
+}
+""",
+    ),
+    "product_spheres": (
+        {"kind": "product_spheres", "d1": 2, "d2": 3, "matrix": [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], "scale": 2},
+        """{
+  "kind": "product_spheres",
+  "d1": 2,
+  "d2": 3,
+  "matrix": [
+    [
+      0.25,
+      0.5,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      0.25
+    ]
+  ],
+  "scale": 8.0
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITTEN))
+def test_write_kernel_file_bytes(tmp_path, kind):
+    doc, expected = WRITTEN[kind]
+    path = tmp_path / "kernel.json"
+    write_kernel_file(kernel_from_dict(doc), path)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -69,6 +69,17 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
+def _float_flag(text: str) -> float:
+    """argparse type of every float flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -131,7 +142,7 @@ def _read_rows(path: str, what: str) -> list:
                     rows.append((lineno, [float(p) for p in line.split(",")]))
                 except ValueError:
                     raise _ValidationFailure(f"{path}:{lineno}: non-numeric entry") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ValidationFailure(f"cannot read {what} {path}: {exc}") from exc
     return rows
 
@@ -330,11 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x1", help="first cosine (product_spheres)")
     p_eval.add_argument("--x2", help="second cosine (product_spheres)")
     p_eval.add_argument("--grid", type=int, help="emit a uniform grid with this many points per axis")
-    p_eval.add_argument("--t-max", type=float, help="sphere_time grid time range [0, t-max] (default 1)")
+    p_eval.add_argument("--t-max", type=_float_flag, help="sphere_time grid time range [0, t-max] (default 1)")
     p_eval.set_defaults(func=cmd_eval)
 
     def add_function_args(p):
-        p.add_argument("--lambda", dest="lam", type=float, required=True, help="Gegenbauer index (d-1)/2")
+        p.add_argument("--lambda", dest="lam", type=_float_flag, required=True, help="Gegenbauer index (d-1)/2")
         p.add_argument("--nmax", type=int, default=30, help="largest recovered degree (default 30)")
         p.add_argument("--table", help="CSV table of x,g(x) rows to interpolate")
         p.add_argument("--expr", help=f"built-in expression: {', '.join(sorted(BUILTIN_EXPRESSIONS))}")
@@ -346,15 +357,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify positive definiteness")
     add_function_args(p_cert)
-    p_cert.add_argument("--coeff-tol", type=float, default=1e-8, help="coefficient tolerance (default 1e-8)")
-    p_cert.add_argument("--eig-tol", type=float, help="Gram eigenvalue tolerance (default 1e-8 * gram size)")
+    p_cert.add_argument("--coeff-tol", type=_float_flag, default=1e-8, help="coefficient tolerance (default 1e-8)")
+    p_cert.add_argument("--eig-tol", type=_float_flag, help="Gram eigenvalue tolerance (default 1e-8 * gram size)")
     p_cert.add_argument("--gram-trials", type=int, default=5, help="random Gram point sets (default 5)")
     p_cert.add_argument("--seed", type=int, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sep = sub.add_parser("separable", help="test a spec for separability")
     p_sep.add_argument("spec", help="kernel spec JSON file (sphere_time or product_spheres)")
-    p_sep.add_argument("--tol", type=float, help="tolerance (default 1e-9 matrix, 1e-12 sphere_time)")
+    p_sep.add_argument("--tol", type=_float_flag, help="tolerance (default 1e-9 matrix, 1e-12 sphere_time)")
     p_sep.set_defaults(func=cmd_separable)
 
     p_sim = sub.add_parser("simulate", help="draw Gaussian field realizations")
@@ -368,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("factorized", "spectral"), default="factorized",
         help="sampler (spectral: sphere kind with d=2 only)",
     )
-    p_sim.add_argument("--jitter", type=float, help="factorized diagonal jitter (default 1e-10 * trace/dim)")
+    p_sim.add_argument("--jitter", type=_float_flag, help="factorized diagonal jitter (default 1e-10 * trace/dim)")
     p_sim.add_argument("--out", help="output CSV path (default: stdout); written atomically")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

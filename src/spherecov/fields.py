@@ -11,7 +11,10 @@ which serves as an independent cross-check through the addition theorem
 All randomness flows through numpy's seedable PCG64 generator
 (`numpy.random.default_rng`); derived streams are split with
 `numpy.random.SeedSequence`, so every operation is a pure function of its
-inputs and seed.
+inputs and seed on a fixed BLAS build and thread count. Gram matrices,
+factors and samples go through BLAS, whose summation order may change
+with the number of threads, so their last bits can differ between thread
+counts.
 """
 
 import math
@@ -381,6 +384,8 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     g = gram(kernel, points)
     if jitter is None:
         jitter = _default_jitter(g.entries)
+    if not math.isfinite(jitter):
+        raise DomainError(f"jitter must be finite, got {jitter}")
     if jitter < 0:
         raise DomainError(f"jitter must be nonnegative, got {jitter}")
     factor = _factor(g.entries, jitter)

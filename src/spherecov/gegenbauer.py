@@ -61,7 +61,7 @@ class GegenbauerBasis:
     def from_index(cls, lam: float) -> "GegenbauerBasis":
         """Basis with index λ; 2λ+1 must be a positive integer (the dimension)."""
         d = 2 * lam + 1
-        if d < 1 or d != int(round(d)):
+        if not math.isfinite(d) or d < 1 or d != int(round(d)):
             raise DomainError(f"lam={lam} does not correspond to a sphere dimension (d=2*lam+1)")
         return cls(lam=lam, dimension=int(round(d)))
 

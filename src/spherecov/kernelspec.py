@@ -162,7 +162,7 @@ def read_kernel_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KernelSpecError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KernelSpecError(f"spec file {path} is not valid JSON: {exc}") from exc

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateZeroError
 from .gegenbauer import GegenbauerBasis, eval_sequence
-from .schoenberg import SchoenbergSequence, _split_mass, _stored_weights
+from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ def separability_test(kernel: ProductSphereKernel, tol: float = 1e-9):
     outer product reconstructs the matrix, or NonSeparable with the first
     violating minor in row-pair-major order.
     """
+    _check_tol(tol)
     a = kernel.coeff_matrix
     a_max = float(a.max())
     if a_max == 0.0:

@@ -121,6 +121,12 @@ def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
     return arr
 
 
+def _check_tol(tol: float):
+    """A separability tolerance must be finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> SchoenbergSequence:
     """Validate a coefficient vector into a SchoenbergSequence.
 
@@ -263,12 +269,13 @@ def certify(
 
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if coeff_tol <= 0:
-        raise DomainError("coeff_tol must be positive")
     if eig_tol is None:
         eig_tol = 1e-8 * CERTIFY_GRAM_POINTS
-    if eig_tol <= 0:
-        raise DomainError("eig_tol must be positive")
+    for name, tol in (("coeff_tol", coeff_tol), ("eig_tol", eig_tol)):
+        if not tol > 0:
+            raise DomainError(f"{name} must be positive")
+        if tol == math.inf:
+            raise DomainError(f"{name} must be finite")
     if gram_trials < 0:
         raise DomainError(f"gram_trials must be nonnegative, got {gram_trials}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gegenbauer import GegenbauerBasis, _check_argument, _check_degree, _sequence
-from .schoenberg import SchoenbergSequence, _split_mass, _stored_weights
+from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -210,6 +210,7 @@ def is_separable(kernel: SpaceTimeKernel, tol: float = 1e-12) -> bool:
     """True when all terms with weight above tol share one characteristic
     function (same family, parameters equal within tol), i.e. k(x, t) =
     c·φ(t)·k_space(x)."""
+    _check_tol(tol)
     active = [cf for a, cf in zip(kernel.weights, kernel.charfns) if a > tol]
     if len(active) <= 1:
         return True

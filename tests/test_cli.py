@@ -637,6 +637,74 @@ class TestRoundTrip:
         assert float(np.abs(recovered - seq.coeffs[:26]).max()) <= 1e-6
 
 
+class TestFloatFlags:
+    # Each float flag in a command line that is valid apart from the flag's value.
+    FLAGS = [
+        (["eval", "{st}", "--grid", "3"], "--t-max"),
+        (["coeffs", "--nmax", "5", "--expr", "x"], "--lambda"),
+        (["certify", "--lambda", "0.5", "--nmax", "5", "--expr", "x"], "--coeff-tol"),
+        (["certify", "--lambda", "0.5", "--nmax", "5", "--expr", "x"], "--eig-tol"),
+        (["separable", "{prod}"], "--tol"),
+        (["separable", "{st}"], "--tol"),
+        (["simulate", "{sphere}", "--random", "3"], "--jitter"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in FLAGS])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_is_exit_2(self, capsys, spec_file, argv, flag, value):
+        specs = {
+            "st": spec_file(ST_MIXED, "st.json"),
+            "prod": spec_file({**PROD_IDENTITY, "matrix": [[0.5, 0.1], [0.1, 0.3]]}, "prod.json"),
+            "sphere": spec_file(SPHERE_DEGREE_ONE, "sphere.json"),
+        }
+        args = [a.format(**specs) for a in argv]
+        code, out, err = run(capsys, *args, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": f"argument {flag}: must be finite, got {value!r}"}
+
+    def test_non_number_message_is_unchanged(self, capsys):
+        code, _, err = run(capsys, "coeffs", "--lambda", "half", "--expr", "x")
+        assert code == 2
+        assert json.loads(err) == {"error": 2, "message": "argument --lambda: invalid float value: 'half'"}
+
+    def test_negative_tol_is_domain_error(self, capsys, spec_file):
+        code, out, err = run(capsys, "separable", spec_file(PROD_IDENTITY), "--tol", "-1")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == 3
+
+
+class TestNonUtf8Input:
+    BYTES = b"\xff\xfe{"
+
+    def test_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(self.BYTES)
+        code, out, err = run(capsys, "eval", str(path), "--x", "0.1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"cannot read spec file {path}: ")
+
+    def test_points_file(self, capsys, spec_file, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(self.BYTES)
+        code, out, err = run(capsys, "simulate", spec_file(SPHERE_CONST), "--points", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"cannot read points file {path}: ")
+
+    def test_table_file(self, capsys, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(self.BYTES)
+        code, out, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "4", "--table", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"cannot read table {path}: ")
+
+    def test_module_invocation_has_no_traceback(self, tmp_path):
+        (tmp_path / "bin.json").write_bytes(self.BYTES)
+        result = run_cli(["eval", "bin.json", "--x", "0.1"], tmp_path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stderr)["error"] == 2
+
+
 class TestEntryPoints:
     """``python -m spherecov`` run from a scratch directory, as criterion 10 runs it."""
 

@@ -344,6 +344,13 @@ class TestSampleFactorized:
         with pytest.raises(DomainError):
             sample_factorized(seq, pts, n_samples=2, seed=0, jitter=-1.0)
 
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_jitter(self, jitter):
+        seq = make_sequence([1.0], LEGENDRE)
+        pts = uniform_sphere_points(2, 3, seed=53)
+        with pytest.raises(DomainError):
+            sample_factorized(seq, pts, n_samples=2, seed=0, jitter=jitter)
+
 
 class TestHarmonicDimension:
     def test_two_sphere(self):

@@ -50,6 +50,11 @@ class TestBasisConstruction:
         with pytest.raises(DomainError):
             GegenbauerBasis.from_index(0.7)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(DomainError):
+            GegenbauerBasis.from_index(lam)
+
     def test_rejects_mismatched_pair(self):
         with pytest.raises(DomainError):
             GegenbauerBasis(lam=1.0, dimension=2)

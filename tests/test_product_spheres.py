@@ -114,6 +114,22 @@ class TestSeparabilityTest:
         assert result.minor == (0, 0, 1, 1)
         assert_allclose(result.value, 0.25, rtol=1e-15)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_rejects_bad_tol(self, tol):
+        # At NaN every minor comparison is False, which read as rank one.
+        k = make_ps_kernel([[0.5, 0.1], [0.1, 0.3]], LEGENDRE, LEGENDRE, normalize=True)
+        with pytest.raises(DomainError):
+            separability_test(k, tol)
+        with pytest.raises(DomainError):
+            k.separability(tol)
+
+    def test_separability_verdicts(self):
+        outer = make_ps_kernel(np.outer([0.2, 0.8], [0.5, 0.5]), LEGENDRE, LEGENDRE)
+        assert outer.separability() == {"separable": True, "row_factors": [0.1, 0.4], "col_factors": [1.0, 1.0]}
+        diagonal = make_ps_kernel(np.eye(2) * 0.5, LEGENDRE, LEGENDRE)
+        assert diagonal.separability() == {"separable": False, "minor": [0, 0, 1, 1], "value": 0.25}
+        assert make_ps_kernel([[0.5, 0.5]], LEGENDRE, LEGENDRE).separability(0.0)["separable"] is True
+
     def test_noise_below_tolerance(self):
         rng = np.random.default_rng(2)
         matrix = random_rank_one_matrix(rng, 3, 4)

@@ -286,6 +286,13 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(lambda x: x, LEGENDRE, eig_tol=-1.0)
 
+    @pytest.mark.parametrize("name", ["coeff_tol", "eig_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerances(self, name, value):
+        # A NaN coeff_tol made every comparison False: x -> x came out Inconclusive.
+        with pytest.raises(DomainError):
+            certify(lambda x: x, LEGENDRE, **{name: value})
+
     def test_rejects_negative_gram_trials(self):
         with pytest.raises(DomainError):
             certify(lambda x: x, LEGENDRE, gram_trials=-2)

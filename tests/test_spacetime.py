@@ -291,6 +291,22 @@ class TestSeparability:
         assert not is_separable(k)
         assert is_separable(k, tol=0.2)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_bad_tol(self, tol):
+        k = make_st_kernel([(0.5, gaussian(1.0)), (0.5, exponential(1.0))], LEGENDRE)
+        with pytest.raises(DomainError):
+            is_separable(k, tol)
+        with pytest.raises(DomainError):
+            k.separability(tol)
+
+    def test_separability_verdict(self):
+        mixed = make_st_kernel([(0.5, gaussian(1.0)), (0.5, exponential(1.0))], LEGENDRE)
+        assert mixed.separability() == {"separable": False}
+        # Above both weights no term is active, so the tolerance reaches is_separable.
+        assert mixed.separability(tol=0.6) == {"separable": True}
+        same = make_st_kernel([(0.5, gaussian(1.0)), (0.5, gaussian(1.0))], LEGENDRE)
+        assert same.separability() == {"separable": True}
+
     def test_separable_kernel_factorizes_on_grid(self):
         phi = stable(0.8, 1.5)
         rng = np.random.default_rng(5)

@@ -24,6 +24,7 @@ from .gegenbauer import GegenbauerBasis
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
+from .schoenberg import _default_quad_order, _tail_mass
 
 SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
@@ -197,7 +198,7 @@ def _function_from_args(args, n_max: int, cover: tuple | None):
 def cmd_coeffs(args) -> int:
     basis = GegenbauerBasis.from_index(args.lam)
     n_max = args.nmax
-    quad_order = args.quad_order if args.quad_order is not None else max(64, 2 * (n_max + 1))
+    quad_order = args.quad_order if args.quad_order is not None else _default_quad_order(n_max)
     rule_cover = None
     if args.table is not None:
         from .gegenbauer import quadrature
@@ -206,7 +207,7 @@ def cmd_coeffs(args) -> int:
         rule_cover = (float(rule.nodes[0]), float(rule.nodes[-1]))
     g = _function_from_args(args, n_max, rule_cover)
     coeffs = recover_coefficients(g, basis, n_max, quad_order)
-    tail = float(np.sum(np.abs(coeffs[np.arange(coeffs.size) > n_max / 2])))
+    tail = _tail_mass(coeffs)
     print("\n".join(f"{n},{_r(a)}" for n, a in enumerate(coeffs)))
     if tail > TAIL_WARN_THRESHOLD:
         print(

@@ -413,6 +413,11 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     sine harmonics sqrt(2) P̄_n^{|m|} sin(|m|φ), m = 0 is P̄_n^0, positive m
     are sqrt(2) P̄_n^m cos(mφ), with P̄ the normalized associated Legendre
     functions. Row index of (n, m) is n² + n + m.
+
+    The P̄_n^m are built one degree at a time (Holmes & Featherstone 2002,
+    J. Geodesy 76:279-299): n_max Python-level steps, each vectorized
+    over m and the points. Working memory is the output plus the rows of
+    the last two degrees and the cos(mφ), sin(mφ) tables.
     """
     if points.dimension != 2:
         raise GeometryError(f"spherical harmonics need points on S^2, got S^{points.dimension}")
@@ -422,32 +427,31 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     npts = xyz.shape[0]
     cos_t = np.clip(xyz[:, 2], -1.0, 1.0)
     sin_t = np.hypot(xyz[:, 0], xyz[:, 1])
-    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
-
-    # legendre[n, m] = P̄_n^m(θ) with ∫ P̄² sinθ dθ = 1/(2π) for every m.
-    legendre = np.zeros((n_max + 1, n_max + 1, npts))
-    legendre[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, n_max + 1):
-        legendre[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * legendre[m - 1, m - 1]
-    for m in range(n_max):
-        legendre[m + 1, m] = math.sqrt(2.0 * m + 3.0) * cos_t * legendre[m, m]
-    for m in range(n_max + 1):
-        for n in range(m + 2, n_max + 1):
-            a = math.sqrt((2.0 * n - 1.0) * (2.0 * n + 1.0) / ((n - m) * (n + m)))
-            b = math.sqrt(
-                (2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
-                / ((2.0 * n - 3.0) * (n - m) * (n + m))
-            )
-            legendre[n, m] = a * cos_t * legendre[n - 1, m] - b * legendre[n - 2, m]
-
-    table = np.empty(((n_max + 1) ** 2, npts))
+    mphi = np.arange(1, n_max + 1)[:, None] * np.arctan2(xyz[:, 1], xyz[:, 0])
+    cos_mphi, sin_mphi = np.cos(mphi), np.sin(mphi)
     sqrt2 = math.sqrt(2.0)
-    for n in range(n_max + 1):
+
+    # rows[m] = P̄_n^m(θ), ∫ P̄² sinθ dθ = 1/(2π); `last`, `before`: degrees n-1, n-2.
+    table = np.empty(((n_max + 1) ** 2, npts))
+    before = last = np.full((1, npts), math.sqrt(1.0 / (4.0 * math.pi)))
+    table[0] = last[0]
+    for n in range(1, n_max + 1):
+        m = np.arange(n - 1)[:, None]
+        a = np.sqrt((2.0 * n - 1.0) * (2.0 * n + 1.0) / ((n - m) * (n + m)))
+        b = np.sqrt(
+            (2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
+            / ((2.0 * n - 3.0) * (n - m) * (n + m))
+        )
+        rows = np.empty((n + 1, npts))
+        rows[: n - 1] = a * cos_t * last[: n - 1] - b * before[: n - 1]
+        rows[n - 1] = math.sqrt(2.0 * n + 1.0) * cos_t * last[n - 1]
+        rows[n] = math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * last[n - 1]
+        before, last = last, rows
         base = n * n + n
-        table[base] = legendre[n, 0]
-        for m in range(1, n + 1):
-            table[base + m] = sqrt2 * legendre[n, m] * np.cos(m * phi)
-            table[base - m] = sqrt2 * legendre[n, m] * np.sin(m * phi)
+        table[base] = rows[0]
+        scaled = sqrt2 * rows[1:]
+        table[base + 1 : base + n + 1] = scaled * cos_mphi[:n]
+        table[n * n : base] = (scaled * sin_mphi[:n])[::-1]
     return table
 
 
@@ -473,14 +477,14 @@ def sample_spectral_s2(
     n_trunc = seq.truncation
 
     table = real_spherical_harmonics(n_trunc, points)
-    stds = np.empty((n_trunc + 1) ** 2)
-    for n in range(n_trunc + 1):
-        amp = math.sqrt(seq.scale_c * seq.coeffs[n] * 4.0 * math.pi / (2.0 * n + 1.0))
-        stds[n * n : (n + 1) ** 2] = amp
+    degrees = np.arange(n_trunc + 1)
+    amps = np.sqrt(seq.scale_c * seq.coeffs * 4.0 * math.pi / (2.0 * degrees + 1.0))
+    stds = np.repeat(amps, 2 * degrees + 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, stds.size))
+    z *= stds
     return FieldSample(
-        values=(z * stds) @ table,
+        values=z @ table,
         seed=seed,
         kernel_id=f"spectral[{seq.label}]",
     )

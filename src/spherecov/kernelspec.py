@@ -134,12 +134,11 @@ def kernel_from_dict(doc: dict):
     try:
         _require_keys(doc, ("kind", *dimension_keys, payload_key), ("scale",), f"{kind} spec")
         bases = [GegenbauerBasis.from_dimension(_as_positive_int(doc[key], key)) for key in dimension_keys]
-        kernel = read(doc[payload_key], bases)
+        return _apply_scale(read(doc[payload_key], bases), _as_scale(doc))
     except KernelSpecError:
         raise
     except SphereCovError as exc:
         raise KernelSpecError(f"invalid {kind} spec: {exc}") from exc
-    return _apply_scale(kernel, _as_scale(doc))
 
 
 def kernel_to_dict(kernel) -> dict:

@@ -99,7 +99,10 @@ def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple[np.ndarr
     becomes the scale; otherwise they are returned with scale 1.
     """
     arr = _checked_weights(values, ndim, name)
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"{name} must have a finite total, got {total}")
     if total == 0.0:
         raise ZeroMassError("all coefficients are zero")
     if normalize:
@@ -187,6 +190,17 @@ def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np
     weighted = rule.weights * values
     degrees = enumerate(_sequence(basis.lam, n_max, rule.nodes))
     return np.array([p @ weighted / norm_squared(basis, n) for n, p in degrees]), vectorized
+
+
+def _default_quad_order(n_max: int) -> int:
+    """Gauss order of `certify` and `coeffs` when none is given."""
+    return max(64, 2 * (n_max + 1))
+
+
+def _tail_mass(ahat: np.ndarray) -> float:
+    """Σ|â_n| over n > n_max/2 of â_0..â_n_max: mass the truncation has barely resolved."""
+    n_max = ahat.size - 1
+    return float(np.sum(np.abs(ahat[np.arange(ahat.size) > n_max / 2])))
 
 
 def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> np.ndarray:
@@ -279,12 +293,12 @@ def certify(
     if gram_trials < 0:
         raise DomainError(f"gram_trials must be nonnegative, got {gram_trials}")
 
-    quad_order = max(64, 2 * (n_max + 1))
+    quad_order = _default_quad_order(n_max)
     ahat, vectorized = _recover(g, basis, n_max, quad_order)
     evaluations = quad_order
     i_min = int(np.argmin(ahat))
     a_min = float(ahat[i_min])
-    tail = float(np.sum(np.abs(ahat[np.arange(ahat.size) > n_max / 2])))
+    tail = _tail_mass(ahat)
 
     def _certificate(verdict, min_eig, witness):
         return PDCertificate(

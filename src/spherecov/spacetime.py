@@ -24,7 +24,7 @@ STABLE = "stable"
 TRIANGLE_SINC = "triangle_sinc"
 POINT_MASS_AT_ZERO = "point_mass_at_zero"
 
-# family name -> {param name: validator description}
+# family name -> names of its parameters
 _FAMILY_PARAMS = {
     GAUSSIAN: ("sigma",),
     EXPONENTIAL: ("rate",),

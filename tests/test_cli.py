@@ -1,5 +1,6 @@
 """Command-line contract: golden outputs, exit codes, error shape, atomicity."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -602,6 +603,53 @@ POINTS_FILES = {
     "sphere_time": "1,0,0,0.0\n0,0.6,0.8,0.25\n0,0,-1,1.5\n",
     "product_spheres": "1,0,0,0.6,0.8\n0,0.6,0.8,-1,0\n0,0,-1,0,1\n",
 }
+
+
+class TestSpectralGoldenBytes:
+    """``simulate --method spectral`` output of a degree-20 S² spec, pinned by
+    sha256 (recorded with OpenBLAS 0.3.31 on x86-64, 1 and 2 threads alike)."""
+
+    SPEC = {"kind": "sphere", "d": 2, "coeffs": [1.0 / (n + 1) for n in range(21)]}
+    ARGS = ["--random", "50", "--samples", "5", "--seed", "3", "--method", "spectral"]
+    SHA256 = "7a0101868023c76670e975bc61279928efee6824a5d34e2d4ee7243d30979eb4"
+
+    def test_stdout(self, capsys, spec_file):
+        code, out, err = run(capsys, "simulate", spec_file(self.SPEC), *self.ARGS)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.SHA256
+
+    def test_out_file(self, capsys, spec_file, tmp_path):
+        out = tmp_path / "field.csv"
+        code, stdout, err = run(capsys, "simulate", spec_file(self.SPEC), *self.ARGS, "--out", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256
+
+
+class TestSpecOverflow:
+    """An infinite or overflowing scale or coefficient mass is a spec problem:
+    exit 2 with one JSON line on stderr and no numpy warning."""
+
+    CASES = [
+        ({"kind": "sphere", "d": 2, "coeffs": [1], "scale": math.inf},
+         "invalid sphere spec: scale_c must be a positive real, got inf"),
+        ({"kind": "sphere", "d": 2, "coeffs": [1e300, 1e300], "scale": 1e300},
+         "invalid sphere spec: scale_c must be a positive real, got inf"),
+        ({"kind": "sphere", "d": 2, "coeffs": [1e308, 1e308]},
+         "invalid sphere spec: coeffs must have a finite total, got inf"),
+        ({"kind": "product_spheres", "d1": 2, "d2": 2, "matrix": [[1e308, 0.0], [0.0, 1e308]]},
+         "invalid product_spheres spec: coeff_matrix must have a finite total, got inf"),
+        ({**ST_MIXED, "terms": [{**term, "a": 1e308} for term in ST_MIXED["terms"]]},
+         "invalid sphere_time spec: weights must have a finite total, got inf"),
+    ]
+
+    IDS = ["inf-scale", "scale-times-mass", "sphere-mass", "product-mass", "st-mass"]
+
+    @pytest.mark.parametrize("doc, message", CASES, ids=IDS)
+    def test_exit_2_with_one_json_line(self, tmp_path, doc, message):
+        (tmp_path / "spec.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli(["eval", "spec.json", "--grid", "3"], tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == json.dumps({"error": 2, "message": message}) + "\n"
 
 
 class TestSimulateHeaders:

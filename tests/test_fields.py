@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import random_ps_kernel, random_sequence, random_st_kernel
@@ -374,7 +376,70 @@ class TestHarmonicDimension:
             harmonic_dimension(2, -1)
 
 
+def _reference_harmonics(n_max, points):
+    """The triple-loop table that `real_spherical_harmonics` used to build:
+    an (N+1) x (N+1) x n array of P̄_n^m, then one table row per (n, m)."""
+    xyz = points.points
+    npts = xyz.shape[0]
+    cos_t = np.clip(xyz[:, 2], -1.0, 1.0)
+    sin_t = np.hypot(xyz[:, 0], xyz[:, 1])
+    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
+    legendre = np.zeros((n_max + 1, n_max + 1, npts))
+    legendre[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(1, n_max + 1):
+        legendre[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * legendre[m - 1, m - 1]
+    for m in range(n_max):
+        legendre[m + 1, m] = math.sqrt(2.0 * m + 3.0) * cos_t * legendre[m, m]
+    for m in range(n_max + 1):
+        for n in range(m + 2, n_max + 1):
+            a = math.sqrt((2.0 * n - 1.0) * (2.0 * n + 1.0) / ((n - m) * (n + m)))
+            b = math.sqrt(
+                (2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
+                / ((2.0 * n - 3.0) * (n - m) * (n + m))
+            )
+            legendre[n, m] = a * cos_t * legendre[n - 1, m] - b * legendre[n - 2, m]
+    table = np.empty(((n_max + 1) ** 2, npts))
+    sqrt2 = math.sqrt(2.0)
+    for n in range(n_max + 1):
+        base = n * n + n
+        table[base] = legendre[n, 0]
+        for m in range(1, n + 1):
+            table[base + m] = sqrt2 * legendre[n, m] * np.cos(m * phi)
+            table[base - m] = sqrt2 * legendre[n, m] * np.sin(m * phi)
+    return table
+
+
+def _reference_stds(seq):
+    """Per-row standard deviations of the spectral sampler, one degree at a time."""
+    n_trunc = seq.truncation
+    stds = np.empty((n_trunc + 1) ** 2)
+    for n in range(n_trunc + 1):
+        amp = math.sqrt(seq.scale_c * seq.coeffs[n] * 4.0 * math.pi / (2.0 * n + 1.0))
+        stds[n * n : (n + 1) ** 2] = amp
+    return stds
+
+
+_COORD = st.floats(-1.0, 1.0)
+_DIRECTIONS = st.lists(
+    st.tuples(_COORD, _COORD, _COORD).filter(lambda v: math.hypot(*v) > 1e-3), min_size=1, max_size=20
+)
+_S = math.sqrt(0.5)
+
+
 class TestRealSphericalHarmonics:
+    @settings(max_examples=80, deadline=None)
+    @given(n_max=st.integers(0, 40), directions=_DIRECTIONS)
+    @example(n_max=12, directions=[(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    @example(n_max=40, directions=[(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (-0.0, 0.0, -1.0)])
+    @example(n_max=17, directions=[(0.6, 0.0, 0.8), (-0.6, -0.0, -0.8), (-1.0, 0.0, 0.0), (1.0, -0.0, 0.0)])
+    @example(n_max=33, directions=[(_S, _S, 0.0), (-_S, -_S, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)])
+    @example(n_max=0, directions=[(0.3, -0.4, 0.5)])
+    @example(n_max=1, directions=[(0.0, 0.0, -1.0)])
+    def test_bytes_match_the_triple_loop_table(self, n_max, directions):
+        v = np.array(directions, dtype=float)
+        pts = SpherePointSet(dimension=2, points=v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.array_equal(real_spherical_harmonics(n_max, pts), _reference_harmonics(n_max, pts))
+
     def test_addition_theorem(self):
         n_max = 12
         pts = uniform_sphere_points(2, 6, seed=60)
@@ -427,6 +492,16 @@ class TestRealSphericalHarmonics:
 
 
 class TestSampleSpectralS2:
+    @pytest.mark.parametrize("n_max, n_points, n_samples", [(0, 3, 2), (7, 20, 5), (40, 60, 9)])
+    def test_bytes_match_reference_table(self, n_max, n_points, n_samples):
+        rng = np.random.default_rng(90 + n_max)
+        seq = make_sequence(rng.uniform(0.05, 1.0, n_max + 1), LEGENDRE, normalize=True)
+        pts = uniform_sphere_points(2, n_points, seed=91)
+        z = np.random.default_rng(92).standard_normal((n_samples, (n_max + 1) ** 2))
+        expected = (z * _reference_stds(seq)) @ _reference_harmonics(n_max, pts)
+        s = sample_spectral_s2(seq, pts, n_samples=n_samples, seed=92)
+        assert np.array_equal(s.values, expected)
+
     def test_constant_kernel_gives_constant_realizations(self):
         seq = make_sequence([1.0], LEGENDRE)
         pts = uniform_sphere_points(2, 6, seed=70)

@@ -77,6 +77,13 @@ class TestSphereKind:
             with pytest.raises(KernelSpecError):
                 kernel_from_dict({"kind": "sphere", "d": 2, "coeffs": [1.0], "scale": scale})
 
+    @pytest.mark.parametrize(
+        "coeffs, scale", [([1], float("inf")), ([1e300, 1e300], 1e300)], ids=["inf", "overflowing-product"]
+    )
+    def test_infinite_scale_is_spec_error(self, coeffs, scale):
+        with pytest.raises(KernelSpecError, match=r"^invalid sphere spec: scale_c must be a positive real, got inf$"):
+            kernel_from_dict({"kind": "sphere", "d": 2, "coeffs": coeffs, "scale": scale})
+
 
 class TestSphereTimeKind:
     DOC = {

@@ -1,11 +1,18 @@
 """The traced benchmark wraps spherecov functions by "<module>.<function>"
-name; every such name must stay a callable module attribute."""
+name; every such name must stay a callable module attribute, and the
+benchmark's own self-tests must pass against this source tree."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+from helpers import cli_env
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+METRICS = PERFBENCH / "metrics.py"
+SELFTEST = PERFBENCH / "selftest.py"
 
 
 def test_library_layers_resolve_to_callables():
@@ -21,3 +28,10 @@ def test_library_layers_resolve_to_callables():
         if not callable(getattr(module, func_name, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_benchmark_selftests_pass(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SELFTEST)], capture_output=True, text=True, cwd=tmp_path, env=cli_env()
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from spherecov import (
     certify,
     eval_normalized,
     eval_sequence,
+    gaussian,
     kernel_eval,
+    make_ps_kernel,
     make_sequence,
+    make_st_kernel,
     multiquadric_kernel,
     multiquadric_sequence,
     norm_squared,
@@ -73,6 +77,24 @@ class TestMakeSequence:
         seq = make_sequence([0.5, 0.5], LEGENDRE)
         with pytest.raises(ValueError):
             seq.coeffs[0] = 1.0
+
+
+class TestOverflowingMass:
+    """A total mass that overflows is named, with no numpy warning."""
+
+    CASES = [
+        (lambda normalize: make_sequence([1e308, 1e308], LEGENDRE, normalize=normalize), "coeffs"),
+        (lambda normalize: make_st_kernel([(1e308, gaussian(1.0)), (1e308, gaussian(2.0))], LEGENDRE, normalize=normalize), "weights"),
+        (lambda normalize: make_ps_kernel([[1e308, 0.0], [0.0, 1e308]], LEGENDRE, LEGENDRE, normalize=normalize), "coeff_matrix"),
+    ]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("build, name", CASES, ids=["make_sequence", "make_st_kernel", "make_ps_kernel"])
+    def test_domain_error_names_the_mass(self, build, name, normalize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^{name} must have a finite total, got inf$"):
+                build(normalize)
 
 
 class TestKernelEval:

@@ -24,7 +24,7 @@ from .gegenbauer import GegenbauerBasis
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
-from .schoenberg import _default_quad_order, _tail_mass
+from .schoenberg import DEFAULT_COEFF_TOL, DEFAULT_GRAM_TRIALS, _check_recovery, _default_quad_order, _tail_mass
 
 SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
@@ -60,16 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_float(text: str, name: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise _ValidationFailure(f"{name} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise _ValidationFailure(f"{name} must be finite, got {text!r}")
-    return value
-
-
 def _float_flag(text: str) -> float:
     """argparse type of every float flag: a finite float."""
     try:
@@ -79,6 +69,14 @@ def _float_flag(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _parse_float(text: str, name: str) -> float:
+    """A flag kept as text (eval echoes it), read as `_float_flag` reads it."""
+    try:
+        return _float_flag(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _ValidationFailure(f"argument {name}: {exc}") from None
 
 
 def _default_seed() -> int:
@@ -203,6 +201,7 @@ def cmd_coeffs(args) -> int:
     if args.table is not None:
         from .gegenbauer import quadrature
 
+        _check_recovery(n_max, quad_order)
         rule = quadrature(args.lam, quad_order)
         rule_cover = (float(rule.nodes[0]), float(rule.nodes[-1]))
     g = _function_from_args(args, n_max, rule_cover)
@@ -353,14 +352,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = sub.add_parser("coeffs", help="recover Fourier-Gegenbauer coefficients")
     add_function_args(p_coeffs)
-    p_coeffs.add_argument("--quad-order", type=int, help="quadrature order (default max(64, 2*(nmax+1)))")
+    p_coeffs.add_argument(
+        "--quad-order", type=int, help="quadrature order, at most 20002 (default max(64, 2*(nmax+1)))"
+    )
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_cert = sub.add_parser("certify", help="certify positive definiteness")
     add_function_args(p_cert)
-    p_cert.add_argument("--coeff-tol", type=_float_flag, default=1e-8, help="coefficient tolerance (default 1e-8)")
+    p_cert.add_argument(
+        "--coeff-tol", type=_float_flag, default=DEFAULT_COEFF_TOL, help="coefficient tolerance (default %(default)s)"
+    )
     p_cert.add_argument("--eig-tol", type=_float_flag, help="Gram eigenvalue tolerance (default 1e-8 * gram size)")
-    p_cert.add_argument("--gram-trials", type=int, default=5, help="random Gram point sets (default 5)")
+    p_cert.add_argument(
+        "--gram-trials", type=int, default=DEFAULT_GRAM_TRIALS, help="random Gram point sets (default %(default)s)"
+    )
     p_cert.add_argument("--seed", type=int, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
     p_cert.set_defaults(func=cmd_certify)
 

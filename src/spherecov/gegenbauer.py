@@ -203,7 +203,8 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     recurrence one degree at a time over all nodes, so the working memory
     is a few vectors of length order. λ = 0 uses the closed-form
     Chebyshev rule. Node and weight vectors are symmetrized about 0. The
-    tests check orders up to 1024.
+    tests check orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002
+    raise DomainError.
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same read-only rule object.
@@ -212,6 +213,10 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
         raise DomainError(f"lam must be nonnegative, got {lam}")
     if order < 1 or order != int(order):
         raise DomainError(f"order must be a positive integer, got {order}")
+    # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
+    # largest rule `certify` or the default `coeffs` asks for.
+    if order > 2 * MAX_DEGREE + 2:
+        raise DomainError(f"order {order} exceeds the supported cap {2 * MAX_DEGREE + 2}")
     order = int(order)
 
     if lam == 0.0:

@@ -92,6 +92,16 @@ def _checked_weights(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _finite_total(arr: np.ndarray, name: str) -> float:
+    """Sum of checked weights as a float; an overflowing sum is a DomainError,
+    not a numpy warning."""
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"{name} must have a finite total, got {total}")
+    return total
+
+
 def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple[np.ndarray, float]:
     """(weights, scale) for a kernel constructor.
 
@@ -99,10 +109,7 @@ def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple[np.ndarr
     becomes the scale; otherwise they are returned with scale 1.
     """
     arr = _checked_weights(values, ndim, name)
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if not math.isfinite(total):
-        raise DomainError(f"{name} must have a finite total, got {total}")
+    total = _finite_total(arr, name)
     if total == 0.0:
         raise ZeroMassError("all coefficients are zero")
     if normalize:
@@ -114,10 +121,9 @@ def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
     """The read-only weight array a kernel stores: checked as by
     `_checked_weights`, summing to 1, and with a positive finite scale."""
     arr = _checked_weights(values, ndim, name)
-    if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {arr.sum()!r}"
-        )
+    total = _finite_total(arr, name)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NormalizationError(f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
     if not (math.isfinite(scale_c) and scale_c > 0):
         raise DomainError(f"scale_c must be a positive real, got {scale_c}")
     arr.setflags(write=False)
@@ -181,10 +187,16 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     return values, vectorized
 
 
-def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
+def _check_recovery(n_max: int, quad_order: int) -> int:
+    """The degree n_max as an int, once it and the Gauss order are valid for
+    coefficient recovery."""
     if quad_order < n_max + 1:
         raise DomainError(f"quad_order must be at least n_max+1 = {n_max + 1}, got {quad_order}")
-    n_max = _check_degree(n_max)
+    return _check_degree(n_max)
+
+
+def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
+    n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
     weighted = rule.weights * values

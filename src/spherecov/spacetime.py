@@ -24,13 +24,15 @@ STABLE = "stable"
 TRIANGLE_SINC = "triangle_sinc"
 POINT_MASS_AT_ZERO = "point_mass_at_zero"
 
-# family name -> names of its parameters
-_FAMILY_PARAMS = {
-    GAUSSIAN: ("sigma",),
-    EXPONENTIAL: ("rate",),
-    STABLE: ("scale", "alpha"),
-    TRIANGLE_SINC: ("width",),
-    POINT_MASS_AT_ZERO: (),
+# family name -> (its parameter names, sorted; φ(t; params)). The formulas'
+# operation order fixes the bits of every sphere × time kernel value.
+_FAMILIES = {
+    GAUSSIAN: (("sigma",), lambda t, sigma: np.exp(-0.5 * (sigma * t) ** 2)),
+    EXPONENTIAL: (("rate",), lambda t, rate: np.exp(-rate * np.abs(t))),
+    STABLE: (("alpha", "scale"), lambda t, alpha, scale: np.exp(-scale * np.abs(t) ** alpha)),
+    # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0.
+    TRIANGLE_SINC: (("width",), lambda t, width: np.sinc(width * t / np.pi)),
+    POINT_MASS_AT_ZERO: ((), np.ones_like),
 }
 
 
@@ -42,22 +44,21 @@ class CharFn:
     params: tuple
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
+        if self.family not in _FAMILIES:
             raise DomainError(
                 f"unknown characteristic function family {self.family!r}; "
-                f"known: {sorted(_FAMILY_PARAMS)}"
+                f"known: {sorted(_FAMILIES)}"
             )
         params = tuple(sorted((str(k), float(v)) for k, v in dict(self.params).items()))
-        names = tuple(k for k, _ in params)
-        if tuple(sorted(names)) != tuple(sorted(_FAMILY_PARAMS[self.family])):
-            raise DomainError(
-                f"family {self.family!r} takes parameters {sorted(_FAMILY_PARAMS[self.family])}, "
-                f"got {sorted(names)}"
-            )
+        names = [k for k, _ in params]
+        expected = list(_FAMILIES[self.family][0])
+        if names != expected:
+            raise DomainError(f"family {self.family!r} takes parameters {expected}, got {names}")
+        # Every parameter is a finite positive real except the stable index alpha.
+        for name, value in params:
+            if name != "alpha" and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be a positive real, got {value}")
         values = dict(params)
-        for name in ("sigma", "rate", "scale", "width"):
-            if name in values and not (math.isfinite(values[name]) and values[name] > 0):
-                raise DomainError(f"{name} must be a positive real, got {values[name]}")
         if "alpha" in values and not 0.0 < values["alpha"] <= 2.0:
             raise DomainError(f"alpha must lie in (0, 2], got {values['alpha']}")
         object.__setattr__(self, "params", params)
@@ -100,18 +101,9 @@ def make_charfn(family: str, params: dict) -> CharFn:
 def charfn_eval(spec: CharFn, t):
     """Evaluate φ at scalar or array t. Even in t, exactly 1 at t = 0."""
     t = np.asarray(t, dtype=float)
-    p = spec.param_dict
-    if spec.family == GAUSSIAN:
-        value = np.exp(-0.5 * (p["sigma"] * t) ** 2)
-    elif spec.family == EXPONENTIAL:
-        value = np.exp(-p["rate"] * np.abs(t))
-    elif spec.family == STABLE:
-        value = np.exp(-p["scale"] * np.abs(t) ** p["alpha"])
-    elif spec.family == TRIANGLE_SINC:
-        # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0.
-        value = np.sinc(p["width"] * t / np.pi)
-    else:
-        value = np.ones_like(t)
+    # At huge lags σt, rate·|t| or |t|^α overflow to inf, and exp(−inf) = 0.
+    with np.errstate(over="ignore"):
+        value = _FAMILIES[spec.family][1](t, **spec.param_dict)
     return float(value) if value.ndim == 0 else value
 
 

@@ -16,6 +16,10 @@ from spherecov import (
     make_st_kernel,
 )
 from spherecov.spacetime import (
+    EXPONENTIAL,
+    GAUSSIAN,
+    STABLE,
+    TRIANGLE_SINC,
     exponential,
     gaussian,
     point_mass_at_zero,
@@ -41,6 +45,25 @@ def random_charfn(rng):
     if pick == 3:
         return triangle_sinc(float(rng.uniform(0.2, 3.0)))
     return point_mass_at_zero()
+
+
+def charfn_eval_branches(spec, t):
+    """Reference copy of `charfn_eval` written with one branch per family,
+    as it was before the family table; the table must give the same bits."""
+    t = np.asarray(t, dtype=float)
+    p = spec.param_dict
+    if spec.family == GAUSSIAN:
+        value = np.exp(-0.5 * (p["sigma"] * t) ** 2)
+    elif spec.family == EXPONENTIAL:
+        value = np.exp(-p["rate"] * np.abs(t))
+    elif spec.family == STABLE:
+        value = np.exp(-p["scale"] * np.abs(t) ** p["alpha"])
+    elif spec.family == TRIANGLE_SINC:
+        # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0.
+        value = np.sinc(p["width"] * t / np.pi)
+    else:
+        value = np.ones_like(t)
+    return float(value) if value.ndim == 0 else value
 
 
 def random_st_kernel(rng, basis, n_max):

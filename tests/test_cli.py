@@ -721,6 +721,71 @@ class TestFloatFlags:
         assert json.loads(err)["error"] == 3
 
 
+class TestPointFloats:
+    """`eval --x/--t/--x1/--x2` read a float as the float flags do."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["{st}", "--x", "abc", "--t", "1"], "argument --x: invalid float value: 'abc'"),
+            (["{st}", "--x", "0.5", "--t", "1e999"], "argument --t: must be finite, got '1e999'"),
+            (["{st}", "--x", "nan", "--t", "1"], "argument --x: must be finite, got 'nan'"),
+            (["{prod}", "--x1", "0.5", "--x2=-inf"], "argument --x2: must be finite, got '-inf'"),
+            (["{prod}", "--x1", "", "--x2", "0.5"], "argument --x1: invalid float value: ''"),
+        ],
+    )
+    def test_bad_value_is_exit_2(self, capsys, spec_file, argv, message):
+        specs = {"st": spec_file(ST_MIXED, "st.json"), "prod": spec_file(PROD_IDENTITY, "prod.json")}
+        code, out, err = run(capsys, "eval", *[a.format(**specs) for a in argv])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": message}
+
+
+class TestHugeLags:
+    """Lags whose φ underflows to 0 print the value with nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (["--x", "0.5", "--t", "1e200"], "0.5,1e200,0.0\n"),
+            (
+                ["--grid", "2", "--t-max", "1e300"],
+                "-1.0,0.0,0.0\n-1.0,1e+300,0.0\n1.0,0.0,1.0\n1.0,1e+300,0.0\n",
+            ),
+        ],
+        ids=["point", "grid"],
+    )
+    def test_stderr_is_empty(self, tmp_path, argv, stdout):
+        (tmp_path / "st.json").write_text(json.dumps(ST_MIXED), encoding="utf-8")
+        result = run_cli(["eval", "st.json", *argv], tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+class TestQuadOrderCap:
+    """A Gauss order above 2·MAX_DEGREE + 2 fails before any work is done.
+    λ = 0 keeps each case fast even if the cap were missing."""
+
+    def test_huge_order_is_exit_3_with_one_json_line(self, tmp_path):
+        result = run_cli(["coeffs", "--lambda", "0", "--nmax", "3", "--expr", "x", "--quad-order", "1000000"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == json.dumps({"error": 3, "message": "order 1000000 exceeds the supported cap 20002"}) + "\n"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--nmax", "3", "--quad-order", "1000000"], "order 1000000 exceeds the supported cap 20002"),
+            (["--nmax", "20000"], "degree 20000 exceeds the supported cap 10000"),
+            (["--nmax", "5", "--quad-order", "3"], "quad_order must be at least n_max+1 = 6, got 3"),
+        ],
+    )
+    def test_table_path_checks_recovery_before_building_its_rule(self, capsys, tmp_path, extra, message):
+        table = tmp_path / "table.csv"
+        table.write_text("-1.0,1.0\n1.0,1.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--lambda", "0", "--table", str(table), *extra)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": 3, "message": message}
+
+
 class TestNonUtf8Input:
     BYTES = b"\xff\xfe{"
 

@@ -224,6 +224,13 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quadrature(0.5, 0)
 
+    def test_order_cap(self):
+        # λ = 0 is the closed-form Chebyshev rule, so these orders are cheap
+        # even without the cap; a large order at λ > 0 would run for hours.
+        assert quadrature(0.0, 20002).order == 20002
+        with pytest.raises(DomainError, match=r"^order 20003 exceeds the supported cap 20002$"):
+            quadrature(0.0, 20003)
+
     def test_integrate_checks_shape(self):
         rule = quadrature(0.5, 8)
         with pytest.raises(DomainError):

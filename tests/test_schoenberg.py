@@ -19,6 +19,9 @@ from spherecov import (
     GegenbauerBasis,
     NegativeCoefficientError,
     NormalizationError,
+    ProductSphereKernel,
+    SchoenbergSequence,
+    SpaceTimeKernel,
     ZeroMassError,
     certify,
     eval_normalized,
@@ -95,6 +98,27 @@ class TestOverflowingMass:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=rf"^{name} must have a finite total, got inf$"):
                 build(normalize)
+
+    # The dataclasses themselves, built directly as a library caller may.
+    DIRECT = [
+        (lambda total: SchoenbergSequence(np.array([total, total]), 1.0, LEGENDRE), "coeffs"),
+        (lambda total: SpaceTimeKernel(np.array([total, total]), (gaussian(1.0),) * 2, 1.0, LEGENDRE), "weights"),
+        (lambda total: ProductSphereKernel(np.diag([total, total]), 1.0, LEGENDRE, LEGENDRE), "coeff_matrix"),
+    ]
+    DIRECT_IDS = ["SchoenbergSequence", "SpaceTimeKernel", "ProductSphereKernel"]
+
+    @pytest.mark.parametrize("build, name", DIRECT, ids=DIRECT_IDS)
+    def test_direct_construction_names_the_mass(self, build, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^{name} must have a finite total, got inf$"):
+                build(1e308)
+
+    @pytest.mark.parametrize("build, name", DIRECT, ids=DIRECT_IDS)
+    def test_normalization_error_reports_a_plain_float(self, build, name):
+        with pytest.raises(NormalizationError) as excinfo:
+            build(0.2)
+        assert str(excinfo.value) == f"stored {name} must sum to 1 within 1e-12, got 0.4"
 
 
 class TestKernelEval:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_charfn, random_st_kernel
+from helpers import charfn_eval_branches, random_charfn, random_st_kernel
 from spherecov import (
     DomainError,
     GegenbauerBasis,
@@ -84,6 +85,67 @@ class TestCharFnConstruction:
             make_charfn("gaussian", {"rate": 1.0})
 
 
+KNOWN_FAMILIES = "['exponential', 'gaussian', 'point_mass_at_zero', 'stable', 'triangle_sinc']"
+BAD_POSITIVE = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"), (-0.0, "-0.0"), (-1.0, "-1.0")]
+BAD_ALPHA = [(0.0, "0.0"), (-0.5, "-0.5"), (2.0001, "2.0001"), (math.nan, "nan"), (math.inf, "inf")]
+
+# (family, params, exact DomainError message) for every way CharFn rejects its input.
+CHARFN_ERRORS = [
+    ("cauchy", {}, f"unknown characteristic function family 'cauchy'; known: {KNOWN_FAMILIES}"),
+    ("gaussian", {"rate": 1.0}, "family 'gaussian' takes parameters ['sigma'], got ['rate']"),
+    ("gaussian", {"sigma": 1.0, "rate": 1.0}, "family 'gaussian' takes parameters ['sigma'], got ['rate', 'sigma']"),
+    ("stable", {"scale": 1.0}, "family 'stable' takes parameters ['alpha', 'scale'], got ['scale']"),
+    ("point_mass_at_zero", {"width": 1.0}, "family 'point_mass_at_zero' takes parameters [], got ['width']"),
+    ("triangle_sinc", {}, "family 'triangle_sinc' takes parameters ['width'], got []"),
+    *[
+        (family, {**extra, name: bad}, f"{name} must be a positive real, got {text}")
+        for family, name, extra in [
+            ("gaussian", "sigma", {}),
+            ("exponential", "rate", {}),
+            ("stable", "scale", {"alpha": 1.0}),
+            ("triangle_sinc", "width", {}),
+        ]
+        for bad, text in BAD_POSITIVE
+    ],
+    *[("stable", {"scale": 1.0, "alpha": bad}, f"alpha must lie in (0, 2], got {text}") for bad, text in BAD_ALPHA],
+    # Both stable parameters bad: the positive parameter is reported first.
+    ("stable", {"scale": -1.0, "alpha": 3.0}, "scale must be a positive real, got -1.0"),
+    ("stable", {"scale": math.nan, "alpha": math.nan}, "scale must be a positive real, got nan"),
+]
+
+
+@pytest.mark.parametrize("family, params, message", CHARFN_ERRORS)
+def test_charfn_error_messages(family, params, message):
+    with pytest.raises(DomainError) as excinfo:
+        make_charfn(family, params)
+    assert str(excinfo.value) == message
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+CHARFNS = st.one_of(
+    st.builds(gaussian, POSITIVE),
+    st.builds(exponential, POSITIVE),
+    st.builds(stable, POSITIVE, st.floats(min_value=0.0, max_value=2.0, exclude_min=True)),
+    st.builds(triangle_sinc, POSITIVE),
+    st.just(point_mass_at_zero()),
+)
+LAGS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e200, 1e300, -1e300]), st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(cf=CHARFNS, scalar=LAGS, lags=st.lists(LAGS, max_size=24))
+def test_charfn_eval_matches_branch_reference_bit_for_bit(cf, scalar, lags):
+    """The family table gives the bits of the one-branch-per-family code for
+    scalar, list and 2-D lags, zero signs, subnormals and overflowing lags."""
+    # Floating-point warnings are pinned by TestNoNumpyWarnings; here only values count.
+    with np.errstate(all="ignore"):
+        for t in (scalar, lags, np.array(lags).reshape(-1, 1)):
+            got, want = charfn_eval(cf, t), charfn_eval_branches(cf, t)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestCharFnEval:
     @pytest.mark.parametrize("cf", ALL_FAMILIES, ids=lambda c: c.family)
     def test_value_one_at_zero(self, cf):
@@ -123,6 +185,31 @@ class TestCharFnEval:
     def test_point_mass_is_identically_one(self):
         t = np.linspace(-100, 100, 7)
         assert np.all(charfn_eval(point_mass_at_zero(), t) == 1.0)
+
+
+class TestNoNumpyWarnings:
+    """Lags so large that σt, rate·|t| or |t|^α overflow give φ = exp(−inf) = 0
+    without a numpy warning."""
+
+    HUGE = np.array([1e200, -1e300, 0.0, 1e300])
+
+    @pytest.mark.parametrize(
+        "cf",
+        [gaussian(1.0), gaussian(1e300), exponential(1e10), stable(1e10, 2.0), stable(1.0, 1.5)],
+        ids=lambda c: c.family,
+    )
+    def test_charfn_eval(self, cf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert charfn_eval(cf, 1e200) == 0.0
+            assert charfn_eval(cf, self.HUGE).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    def test_st_kernel_eval(self):
+        kernel = make_st_kernel([(0.4, gaussian(1.0)), (0.6, exponential(2.0))], LEGENDRE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert st_kernel_eval(kernel, 0.5, 1e200) == 0.0
+            assert schoenberg_functions_at(kernel, 1e300).tolist() == [0.0, 0.0]
 
 
 class TestMakeStKernel:

@@ -11,10 +11,11 @@ which serves as an independent cross-check through the addition theorem
 All randomness flows through numpy's seedable PCG64 generator
 (`numpy.random.default_rng`); derived streams are split with
 `numpy.random.SeedSequence`, so every operation is a pure function of its
-inputs and seed on a fixed BLAS build and thread count. Gram matrices,
-factors and samples go through BLAS, whose summation order may change
-with the number of threads, so their last bits can differ between thread
-counts.
+inputs and seed on a fixed BLAS build and thread count. Kernel values and
+Gram entries are the same at any thread count, since no kernel sums its
+series in BLAS. Factors and samples go through BLAS, whose summation order
+may change with the number of threads, so their last bits can differ
+between thread counts.
 """
 
 import math

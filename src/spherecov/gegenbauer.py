@@ -20,6 +20,11 @@ numbers from the recurrence above, which are more accurate than scipy's at
 high order. Like coefficient recovery and the sphere × time kernel, they
 read the recurrence one degree at a time, so memory grows with the number
 of points, not with degree × points.
+
+The sphere and product kernel sums instead build `eval_sequence` tables,
+but only for one block of points at a time: each table holds at most
+16 MiB, whatever the number of points, so a kernel evaluation needs its
+output plus one such table.
 """
 
 import functools
@@ -31,6 +36,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 MAX_DEGREE = 10_000
+
+# Largest degree × point table, in bytes, that a kernel sum builds at once.
+_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,20 @@ def _sequence(lam: float, n_max: int, x):
         yield last
 
 
+def _blocks(rows: int, n: int):
+    """Yield consecutive slices of near-equal length covering range(n), as
+    few as keep a float table of `rows` rows over one slice within
+    `_BLOCK_BYTES` (one point per slice at the least).
+
+    Equal lengths keep a short last block from holding a single point, which
+    `einsum` sums in another order than a longer block.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * rows))
+    count = -(-n // step)
+    for i in range(count):
+        yield slice(i * n // count, (i + 1) * n // count)
+
+
 def eval_normalized(basis: GegenbauerBasis, n: int, x):
     """Evaluate P̃_n(x) = C_n^λ(x)/C_n^λ(1); T_n(x) when λ = 0.
 
@@ -211,7 +233,7 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     """
     if lam < 0:
         raise DomainError(f"lam must be nonnegative, got {lam}")
-    if order < 1 or order != int(order):
+    if not math.isfinite(order) or order < 1 or order != int(order):
         raise DomainError(f"order must be a positive integer, got {order}")
     # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
     # largest rule `certify` or the default `coeffs` asks for.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateZeroError
-from .gegenbauer import GegenbauerBasis, eval_sequence
+from .gegenbauer import GegenbauerBasis, _blocks, eval_sequence
 from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
 
 
@@ -77,13 +77,22 @@ def make_ps_kernel(
 
 
 def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
-    """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast."""
+    """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast.
+
+    The broadcast pairs are taken in blocks, as in `kernel_eval`: each block
+    builds both factor tables (at most 16 MiB together) and contracts them
+    with the coefficient matrix in one `einsum`.
+    """
     x1_b, x2_b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    flat1, flat2 = x1_b.reshape(-1), x2_b.reshape(-1)
     m_max, n_max = kernel.truncations
-    t1 = eval_sequence(kernel.basis1, m_max, x1_b)
-    t2 = eval_sequence(kernel.basis2, n_max, x2_b)
-    value = kernel.scale_c * np.einsum("mn,m...,n...->...", kernel.coeff_matrix, t1, t2)
-    return float(value) if np.ndim(value) == 0 else value
+    out = np.empty(flat1.size)
+    for block in _blocks(m_max + n_max + 2, flat1.size):
+        t1 = eval_sequence(kernel.basis1, m_max, flat1[block])
+        t2 = eval_sequence(kernel.basis2, n_max, flat2[block])
+        out[block] = np.einsum("mn,m...,n...->...", kernel.coeff_matrix, t1, t2)
+    value = kernel.scale_c * out.reshape(x1_b.shape)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,15 @@ from .errors import (
     NormalizationError,
     ZeroMassError,
 )
-from .gegenbauer import GegenbauerBasis, _check_degree, _sequence, eval_sequence, norm_squared, quadrature
+from .gegenbauer import (
+    GegenbauerBasis,
+    _blocks,
+    _check_degree,
+    _sequence,
+    eval_sequence,
+    norm_squared,
+    quadrature,
+)
 
 NORMALIZATION_TOL = 1e-12
 
@@ -147,10 +155,25 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
 
 
 def kernel_eval(seq: SchoenbergSequence, x):
-    """k(x) = c · Σ_n a_n P̃_n(x). Scalar in, float out; arrays broadcast."""
-    table = eval_sequence(seq.basis, seq.truncation, x)
-    value = seq.scale_c * np.tensordot(seq.coeffs, table, axes=1)
-    return float(value) if np.ndim(value) == 0 else value
+    """k(x) = c · Σ_n a_n P̃_n(x). Scalar in, float out; an array gives an
+    array of its shape.
+
+    The points are taken in blocks; each block's `eval_sequence` table is
+    summed over degrees left to right (a_0 P̃_0 + a_1 P̃_1 + ...), then the
+    sum is scaled by c. The values therefore depend neither on the block size
+    nor on BLAS, and the memory needed is the output plus one table of at
+    most 16 MiB.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    for block in _blocks(seq.coeffs.size, flat.size):
+        acc = out[block]
+        acc.fill(0.0)
+        for a_n, row in zip(seq.coeffs, eval_sequence(seq.basis, seq.truncation, flat[block])):
+            acc += a_n * row
+    value = seq.scale_c * out.reshape(x.shape)
+    return float(value) if value.ndim == 0 else value
 
 
 VECTORIZED = "vectorized"

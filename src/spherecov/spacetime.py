@@ -24,14 +24,21 @@ STABLE = "stable"
 TRIANGLE_SINC = "triangle_sinc"
 POINT_MASS_AT_ZERO = "point_mass_at_zero"
 
+
+def _sinc(u):
+    """sin(u)/u, 1 at u = 0 and 0 where u overflowed to ±inf (|sinc u| ≤ 1/|u|)."""
+    # np.sinc(v) = sin(pi v)/(pi v); np.sinc(inf) would be sin(inf)/inf = nan.
+    huge = np.isinf(u)
+    return np.where(huge, 0.0, np.sinc(np.where(huge, 0.0, u) / np.pi))
+
+
 # family name -> (its parameter names, sorted; φ(t; params)). The formulas'
 # operation order fixes the bits of every sphere × time kernel value.
 _FAMILIES = {
     GAUSSIAN: (("sigma",), lambda t, sigma: np.exp(-0.5 * (sigma * t) ** 2)),
     EXPONENTIAL: (("rate",), lambda t, rate: np.exp(-rate * np.abs(t))),
     STABLE: (("alpha", "scale"), lambda t, alpha, scale: np.exp(-scale * np.abs(t) ** alpha)),
-    # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0.
-    TRIANGLE_SINC: (("width",), lambda t, width: np.sinc(width * t / np.pi)),
+    TRIANGLE_SINC: (("width",), lambda t, width: _sinc(width * t)),
     POINT_MASS_AT_ZERO: ((), np.ones_like),
 }
 

@@ -11,6 +11,7 @@ import numpy as np
 import spherecov
 from spherecov import (
     GegenbauerBasis,
+    eval_sequence,
     make_ps_kernel,
     make_sequence,
     make_st_kernel,
@@ -49,7 +50,8 @@ def random_charfn(rng):
 
 def charfn_eval_branches(spec, t):
     """Reference copy of `charfn_eval` written with one branch per family,
-    as it was before the family table; the table must give the same bits."""
+    as it was before the family table, with the `triangle_sinc` overflow
+    limit added since; the table must give the same bits."""
     t = np.asarray(t, dtype=float)
     p = spec.param_dict
     if spec.family == GAUSSIAN:
@@ -59,11 +61,26 @@ def charfn_eval_branches(spec, t):
     elif spec.family == STABLE:
         value = np.exp(-p["scale"] * np.abs(t) ** p["alpha"])
     elif spec.family == TRIANGLE_SINC:
-        # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0.
-        value = np.sinc(p["width"] * t / np.pi)
+        # np.sinc(u) = sin(pi u)/(pi u), finite and 1 at u = 0; where width·t
+        # overflows, the limit 0.
+        u = p["width"] * t
+        finite = np.where(np.isinf(u), 0.0, u)
+        value = np.where(np.isinf(u), 0.0, np.sinc(finite / np.pi))
     else:
         value = np.ones_like(t)
     return float(value) if value.ndim == 0 else value
+
+
+def ps_kernel_eval_one_einsum(kernel, x1, x2):
+    """Reference copy of `ps_kernel_eval` as it was before point blocks: both
+    factor tables over all pairs, contracted in one `einsum`; the blocks must
+    give the same bits."""
+    x1_b, x2_b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    m_max, n_max = kernel.truncations
+    t1 = eval_sequence(kernel.basis1, m_max, x1_b)
+    t2 = eval_sequence(kernel.basis2, n_max, x2_b)
+    value = kernel.scale_c * np.einsum("mn,m...,n...->...", kernel.coeff_matrix, t1, t2)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def random_st_kernel(rng, basis, n_max):

@@ -760,6 +760,17 @@ class TestHugeLags:
         result = run_cli(["eval", "st.json", *argv], tmp_path)
         assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
 
+    def test_overflowing_sinc_argument_prints_the_limit(self, tmp_path):
+        # width·t = 1e310 overflows; sin(u)/u tends to 0.
+        spec = {
+            "kind": "sphere_time",
+            "d": 2,
+            "terms": [{"a": 1.0, "charfn": {"family": "triangle_sinc", "params": {"width": 1e10}}}],
+        }
+        (tmp_path / "st.json").write_text(json.dumps(spec), encoding="utf-8")
+        result = run_cli(["eval", "st.json", "--x", "0.5", "--t", "1e300"], tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0.5,1e300,0.0\n", "")
+
 
 class TestQuadOrderCap:
     """A Gauss order above 2·MAX_DEGREE + 2 fails before any work is done.

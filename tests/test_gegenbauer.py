@@ -224,6 +224,11 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quadrature(0.5, 0)
 
+    @pytest.mark.parametrize("order", [math.inf, math.nan, 2.5], ids=str)
+    def test_rejects_non_integer_orders(self, order):
+        with pytest.raises(DomainError, match=r"^order must be a positive integer, got "):
+            quadrature(0.5, order)
+
     def test_order_cap(self):
         # λ = 0 is the closed-form Chebyshev rule, so these orders are cheap
         # even without the cap; a large order at λ > 0 would run for hours.

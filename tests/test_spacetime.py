@@ -204,6 +204,19 @@ class TestNoNumpyWarnings:
             assert charfn_eval(cf, 1e200) == 0.0
             assert charfn_eval(cf, self.HUGE).tolist() == [0.0, 0.0, 1.0, 0.0]
 
+    def test_triangle_sinc_overflow_gives_the_limit_zero(self):
+        # width·t overflows to ±inf; |sinc u| ≤ 1/|u| makes the limit 0.
+        cf = triangle_sinc(1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert charfn_eval(cf, 1e299) == 0.0
+            assert charfn_eval(cf, np.array([1e299, -1e300, 0.0, math.inf])).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    def test_triangle_sinc_finite_values_keep_their_bits(self):
+        t = np.concatenate([np.linspace(-50.0, 50.0, 1001), [1e200, -1e290, 5e-324, -0.0]])
+        want = np.sinc(1e10 * t / np.pi)
+        assert charfn_eval(triangle_sinc(1e10), t).tobytes() == want.tobytes()
+
     def test_st_kernel_eval(self):
         kernel = make_st_kernel([(0.4, gaussian(1.0)), (0.6, exponential(2.0))], LEGENDRE)
         with warnings.catch_warnings():

@@ -79,14 +79,26 @@ def _parse_float(text: str, name: str) -> float:
         raise _ValidationFailure(f"argument {name}: {exc}") from None
 
 
+def _seed_flag(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
+    """The seed in SPHERECOV_SEED, read as --seed is, else 0."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise _ValidationFailure(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        return _seed_flag(raw)
+    except argparse.ArgumentTypeError:
+        raise _ValidationFailure(f"{SEED_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
 
 
 def _forbid(args, names, reason):
@@ -146,7 +158,7 @@ def _read_rows(path: str, what: str) -> list:
     return rows
 
 
-def _load_table_function(path: str, n_max: int, cover: tuple | None):
+def _load_table_function(path: str, n_max: int, cover: tuple):
     """Monotone piecewise-cubic interpolant of a two-column CSV table.
 
     The table needs at least 2*n_max nodes; `cover` is the (lo, hi) range
@@ -172,7 +184,7 @@ def _load_table_function(path: str, n_max: int, cover: tuple | None):
     ys = np.asarray(ys)[order]
     if np.any(np.diff(xs) == 0.0):
         raise _ValidationFailure("table has duplicate x values")
-    if cover is not None and (xs[0] > cover[0] or xs[-1] < cover[1]):
+    if xs[0] > cover[0] or xs[-1] < cover[1]:
         raise _ValidationFailure(
             f"table spans [{xs[0]!r}, {xs[-1]!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
         )
@@ -366,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--gram-trials", type=int, default=DEFAULT_GRAM_TRIALS, help="random Gram point sets (default %(default)s)"
     )
-    p_cert.add_argument("--seed", type=int, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
+    p_cert.add_argument("--seed", type=_seed_flag, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sep = sub.add_parser("separable", help="test a spec for separability")
@@ -380,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--points", help="CSV file of evaluation points")
     src.add_argument("--random", type=int, help="draw this many uniform random points")
     p_sim.add_argument("--samples", type=int, default=1, help="number of realizations (default 1)")
-    p_sim.add_argument("--seed", type=int, help=f"seed (default ${SEED_ENV_VAR} or 0)")
+    p_sim.add_argument("--seed", type=_seed_flag, help=f"seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument(
         "--method", choices=("factorized", "spectral"), default="factorized",
         help="sampler (spectral: sphere kind with d=2 only)",

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, FactorizationError, GeometryError
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
-from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
+from .schoenberg import SchoenbergSequence, _check_count, kernel_eval  # noqa: F401
 from .spacetime import SpaceTimeKernel
 
 UNIT_NORM_TOL = 1e-12
@@ -270,11 +270,9 @@ class FieldSample:
 
 def uniform_sphere_points(d: int, n: int, seed: int) -> SpherePointSet:
     """n points drawn uniformly on S^d by normalizing standard Gaussians."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    d = _check_count(d, "d", 1)
+    n = _check_count(n, "n", 1)
+    rng = np.random.default_rng(_check_count(seed, "seed"))
     v = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     # A zero draw has probability 0; redraw those rows to keep the map total.
@@ -380,8 +378,8 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     `jitter` defaults to 1e-10 * trace(G)/dim; pass 0.0 to factor the Gram
     matrix exactly (rank-deficient covariances then take the eigen route).
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _check_count(n_samples, "n_samples", 1)
+    seed = _check_count(seed, "seed")
     g = gram(kernel, points)
     if jitter is None:
         jitter = _default_jitter(g.entries)
@@ -397,10 +395,8 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
 
 def harmonic_dimension(d: int, n: int) -> int:
     """Dimension of the space of degree-n spherical harmonics on S^d."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    d = _check_count(d, "d", 1)
+    n = _check_count(n, "n")
     if n == 0:
         return 1
     return (2 * n + d - 1) * math.factorial(n + d - 2) // (math.factorial(n) * math.factorial(d - 1))
@@ -422,8 +418,7 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     """
     if points.dimension != 2:
         raise GeometryError(f"spherical harmonics need points on S^2, got S^{points.dimension}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_count(n_max, "n_max")
     xyz = points.points
     npts = xyz.shape[0]
     cos_t = np.clip(xyz[:, 2], -1.0, 1.0)
@@ -473,8 +468,8 @@ def sample_spectral_s2(
     if point_set_type(seq) is not SpherePointSet or seq.dimensions != (2,):
         raise GeometryError(f"spectral sampler needs a sphere kernel on S^2, got {seq.label}")
     _check_points(seq, points)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _check_count(n_samples, "n_samples", 1)
+    seed = _check_count(seed, "seed")
     n_trunc = seq.truncation
 
     table = real_spherical_harmonics(n_trunc, points)

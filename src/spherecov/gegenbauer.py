@@ -20,11 +20,6 @@ numbers from the recurrence above, which are more accurate than scipy's at
 high order. Like coefficient recovery and the sphere × time kernel, they
 read the recurrence one degree at a time, so memory grows with the number
 of points, not with degree × points.
-
-The sphere and product kernel sums instead build `eval_sequence` tables,
-but only for one block of points at a time: each table holds at most
-16 MiB, whatever the number of points, so a kernel evaluation needs its
-output plus one such table.
 """
 
 import functools
@@ -147,17 +142,27 @@ def _sequence(lam: float, n_max: int, x):
 
 
 def _blocks(rows: int, n: int):
-    """Yield consecutive slices of near-equal length covering range(n), as
-    few as keep a float table of `rows` rows over one slice within
-    `_BLOCK_BYTES` (one point per slice at the least).
-
-    Equal lengths keep a short last block from holding a single point, which
-    `einsum` sums in another order than a longer block.
-    """
+    """Yield slices covering range(n) in steps of `_BLOCK_BYTES // (8 * rows)`
+    points (at least 1), so a float table of `rows` rows over one fits."""
     step = max(1, _BLOCK_BYTES // (8 * rows))
-    count = -(-n // step)
-    for i in range(count):
-        yield slice(i * n // count, (i + 1) * n // count)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _block_sum(rows: int, terms, *args) -> np.ndarray:
+    """Sum of a kernel series' terms at the broadcast points of `args`: for each
+    of `_blocks(rows, ...)`, `acc += term` runs from zero over what `terms(*block)`
+    yields, so a value does not depend on its batch, block or BLAS threads. A term
+    is added before the next is made, so `terms` may reuse a buffer. Memory is the
+    output plus about `_BLOCK_BYTES` (`rows` rows of one block)."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    flat = [a.reshape(-1) for a in arrays]
+    out = np.zeros(flat[0].size)
+    for block in _blocks(rows, out.size):
+        acc = out[block]
+        for term in terms(*(f[block] for f in flat)):
+            acc += term
+    return out.reshape(arrays[0].shape)
 
 
 def eval_normalized(basis: GegenbauerBasis, n: int, x):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateZeroError
-from .gegenbauer import GegenbauerBasis, _blocks, eval_sequence
+from .gegenbauer import GegenbauerBasis, _block_sum, eval_sequence
 from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
 
 
@@ -77,21 +77,21 @@ def make_ps_kernel(
 
 
 def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
-    """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast.
-
-    The broadcast pairs are taken in blocks, as in `kernel_eval`: each block
-    builds both factor tables (at most 16 MiB together) and contracts them
-    with the coefficient matrix in one `einsum`.
-    """
-    x1_b, x2_b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    flat1, flat2 = x1_b.reshape(-1), x2_b.reshape(-1)
+    """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast. `_block_sum` adds
+    (a_{mn} P̃_m) · P̃_n, m outer, n inner, made in one buffer to keep a block in cache."""
     m_max, n_max = kernel.truncations
-    out = np.empty(flat1.size)
-    for block in _blocks(m_max + n_max + 2, flat1.size):
-        t1 = eval_sequence(kernel.basis1, m_max, flat1[block])
-        t2 = eval_sequence(kernel.basis2, n_max, flat2[block])
-        out[block] = np.einsum("mn,m...,n...->...", kernel.coeff_matrix, t1, t2)
-    value = kernel.scale_c * out.reshape(x1_b.shape)
+
+    def terms(x1_block, x2_block):
+        t1 = eval_sequence(kernel.basis1, m_max, x1_block)
+        t2 = eval_sequence(kernel.basis2, n_max, x2_block)
+        term = np.empty(x1_block.size)
+        for a_m, p in zip(kernel.coeff_matrix, t1):
+            for a_mn, q in zip(a_m, t2):
+                np.multiply(a_mn, p, out=term)
+                term *= q
+                yield term
+
+    value = kernel.scale_c * _block_sum(m_max + n_max + 2, terms, x1, x2)
     return float(value) if value.ndim == 0 else value
 
 

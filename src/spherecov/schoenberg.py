@@ -13,6 +13,7 @@ independent Gram-eigenvalue oracle.
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .gegenbauer import (
     GegenbauerBasis,
-    _blocks,
+    _block_sum,
     _check_degree,
     _sequence,
     eval_sequence,
@@ -144,6 +145,18 @@ def _check_tol(tol: float):
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
+def _check_count(value, name: str, least: int = 0) -> int:
+    """A count, dimension or seed as an int. It must be an integer (Python or
+    numpy, not a float) of at least `least`; anything else is a DomainError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise DomainError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
 def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> SchoenbergSequence:
     """Validate a coefficient vector into a SchoenbergSequence.
 
@@ -155,24 +168,14 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
 
 
 def kernel_eval(seq: SchoenbergSequence, x):
-    """k(x) = c · Σ_n a_n P̃_n(x). Scalar in, float out; an array gives an
-    array of its shape.
+    """k(x) = c · Σ_n a_n P̃_n(x), summed by `_block_sum`. Scalar in, float
+    out; an array gives an array of its shape."""
 
-    The points are taken in blocks; each block's `eval_sequence` table is
-    summed over degrees left to right (a_0 P̃_0 + a_1 P̃_1 + ...), then the
-    sum is scaled by c. The values therefore depend neither on the block size
-    nor on BLAS, and the memory needed is the output plus one table of at
-    most 16 MiB.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    out = np.empty(flat.size)
-    for block in _blocks(seq.coeffs.size, flat.size):
-        acc = out[block]
-        acc.fill(0.0)
-        for a_n, row in zip(seq.coeffs, eval_sequence(seq.basis, seq.truncation, flat[block])):
-            acc += a_n * row
-    value = seq.scale_c * out.reshape(x.shape)
+    def terms(block):
+        table = eval_sequence(seq.basis, seq.truncation, block)
+        return (a_n * row for a_n, row in zip(seq.coeffs, table))
+
+    value = seq.scale_c * _block_sum(seq.coeffs.size, terms, x)
     return float(value) if value.ndim == 0 else value
 
 
@@ -325,8 +328,8 @@ def certify(
             raise DomainError(f"{name} must be positive")
         if tol == math.inf:
             raise DomainError(f"{name} must be finite")
-    if gram_trials < 0:
-        raise DomainError(f"gram_trials must be nonnegative, got {gram_trials}")
+    gram_trials = _check_count(gram_trials, "gram_trials")
+    seed = _check_count(seed, "seed")
 
     quad_order = _default_quad_order(n_max)
     ahat, vectorized = _recover(g, basis, n_max, quad_order)
@@ -407,6 +410,7 @@ def multiquadric_sequence(delta: float, basis: GegenbauerBasis, n_max: int) -> S
     lam = basis.lam
     if lam <= 0:
         raise DomainError("multiquadric sequence requires lam > 0 (d >= 2)")
+    n_max = _check_degree(n_max)
     terms = np.empty(n_max + 1)
     terms[0] = 1.0
     for n in range(1, n_max + 1):

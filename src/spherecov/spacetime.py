@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gegenbauer import GegenbauerBasis, _check_argument, _check_degree, _sequence
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _sequence
 from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
 
 GAUSSIAN = "gaussian"
@@ -175,15 +175,19 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
 
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
-    """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together."""
-    x_b, t_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    degrees = _sequence(kernel.basis.lam, _check_degree(kernel.truncation), _check_argument(x_b))
-    acc = np.zeros(x_b.shape)
-    for a, cf, p in zip(kernel.weights, kernel.charfns, degrees):
-        if a == 0.0:
-            continue
-        acc += a * charfn_eval(cf, t_b) * p
-    value = kernel.scale_c * acc
+    """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
+    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, with
+    P̃_n from the recurrence (no table). A NaN lag is a DomainError."""
+    if np.any(np.isnan(t)):
+        raise DomainError("time lag must not be NaN")
+
+    def terms(x_block, t_block):
+        degrees = _sequence(kernel.basis.lam, kernel.truncation, _check_argument(x_block))
+        for a, cf, p in zip(kernel.weights, kernel.charfns, degrees):
+            if a != 0.0:
+                yield a * charfn_eval(cf, t_block) * p
+
+    value = kernel.scale_c * _block_sum(_check_degree(kernel.truncation) + 1, terms, x, t)
     return float(value) if value.ndim == 0 else value
 
 

@@ -73,8 +73,8 @@ def charfn_eval_branches(spec, t):
 
 def ps_kernel_eval_one_einsum(kernel, x1, x2):
     """Reference copy of `ps_kernel_eval` as it was before point blocks: both
-    factor tables over all pairs, contracted in one `einsum`; the blocks must
-    give the same bits."""
+    factor tables over all pairs, contracted in one `einsum`; the block sum
+    must give the same bits on two or more pairs."""
     x1_b, x2_b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     m_max, n_max = kernel.truncations
     t1 = eval_sequence(kernel.basis1, m_max, x1_b)

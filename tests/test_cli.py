@@ -560,6 +560,37 @@ class TestSimulate:
         assert code == 2
 
 
+class TestSeeds:
+    """`--seed` and SPHERECOV_SEED take a nonnegative integer; anything else
+    exits 2 with the JSON error line before any work is done."""
+
+    COMMANDS = {
+        "certify": ["certify", "--lambda", "0.5", "--nmax", "4", "--expr", "xsquared"],
+        "simulate": ["simulate", "{spec}", "--random", "3"],
+    }
+
+    @pytest.mark.parametrize("value", ["-1", "1.5", "seven", ""])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_flag_is_exit_2(self, capsys, spec_file, command, value):
+        argv = [a.format(spec=spec_file(SPHERE_CONST)) for a in self.COMMANDS[command]]
+        code, out, err = run(capsys, *argv, f"--seed={value}")
+        assert (code, out) == (2, "")
+        message = json.loads(err)["message"]
+        assert message.startswith("argument --seed: ") and repr(value) in message
+
+    @pytest.mark.parametrize("value", ["-5", "2.0"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_env_seed_is_exit_2(self, capsys, spec_file, monkeypatch, command, value):
+        monkeypatch.setenv("SPHERECOV_SEED", value)
+        argv = [a.format(spec=spec_file(SPHERE_CONST)) for a in self.COMMANDS[command]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": 2,
+            "message": f"SPHERECOV_SEED must be a nonnegative integer, got {value!r}",
+        }
+
+
 RANDOM_SPHERE_ROWS = (
     "0.41006065704279726,-0.22633659414677382,0.8835281567079049",
     "-0.10804877715796454,-0.8596556979293826,0.4993170763875541",

@@ -147,6 +147,36 @@ class TestUniformSpherePoints:
             uniform_sphere_points(2, 0, seed=0)
 
 
+class TestIntegerArguments:
+    """Counts, dimensions and seeds must be integers (Python or numpy) in
+    range; a float, a negative seed or a non-number is a DomainError."""
+
+    POINTS = uniform_sphere_points(2, 4, 0)
+    SEQ = make_sequence([0.5, 0.5], LEGENDRE)
+    CALLS = {
+        "points-d": lambda v: uniform_sphere_points(v, 3, 0),
+        "points-n": lambda v: uniform_sphere_points(2, v, 0),
+        "points-seed": lambda v: uniform_sphere_points(2, 3, v),
+        "factorized-samples": lambda v: sample_factorized(TestIntegerArguments.SEQ, TestIntegerArguments.POINTS, v, 0),
+        "factorized-seed": lambda v: sample_factorized(TestIntegerArguments.SEQ, TestIntegerArguments.POINTS, 2, v),
+        "spectral-samples": lambda v: sample_spectral_s2(TestIntegerArguments.SEQ, TestIntegerArguments.POINTS, v, 0),
+        "spectral-seed": lambda v: sample_spectral_s2(TestIntegerArguments.SEQ, TestIntegerArguments.POINTS, 2, v),
+        "harmonic-d": lambda v: harmonic_dimension(v, 2),
+        "harmonic-n": lambda v: harmonic_dimension(2, v),
+        "harmonics-n_max": lambda v: real_spherical_harmonics(v, TestIntegerArguments.POINTS),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, -1, "2", None], ids=repr)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_bad_value_is_domain_error(self, call, value):
+        with pytest.raises(DomainError):
+            self.CALLS[call](value)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_numpy_integer_is_accepted(self, call):
+        self.CALLS[call](np.uint32(2))
+
+
 class TestGeodesicCosine:
     def test_same_point(self):
         p = np.array([0.6, 0.8, 0.0])

@@ -1,19 +1,31 @@
-"""Sphere and product kernel sums over bounded blocks of points: accuracy,
-independence of the block size and of BLAS, and the table bound."""
+"""The three kernel sums over bounded blocks of points: accuracy,
+independence of the batch, the block size and BLAS, and the table bound."""
 
+import ast
+import inspect
 import math
 import subprocess
 import sys
+import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cli_env, ps_kernel_eval_one_einsum, random_ps_kernel, random_sequence
-from spherecov import GegenbauerBasis, eval_sequence, kernel_eval, make_sequence, ps_kernel_eval
-from spherecov import gegenbauer, schoenberg
+from helpers import cli_env, ps_kernel_eval_one_einsum, random_charfn, random_ps_kernel, random_sequence
+from spherecov import (
+    GegenbauerBasis,
+    eval_sequence,
+    kernel_eval,
+    make_ps_kernel,
+    make_sequence,
+    make_st_kernel,
+    ps_kernel_eval,
+)
+from spherecov import gegenbauer, product_spheres, schoenberg, spacetime
 
 EPS = np.finfo(float).eps
 SMALL_BUDGET = 2048  # bytes: a 21-row table then holds 12 points per block
@@ -65,10 +77,13 @@ class TestBlocks:
         # The fewest: one slice less could not hold all n points.
         assert (len(slices) - 1) * (gegenbauer._BLOCK_BYTES // (8 * rows)) < n
 
-    def test_no_single_point_block(self, monkeypatch):
+    def test_slices_take_fixed_steps_and_stop_at_n(self, monkeypatch):
+        # A short last block, even of one point, is allowed: no kernel sum's
+        # bits depend on the block length.
         monkeypatch.setattr(gegenbauer, "_BLOCK_BYTES", SMALL_BUDGET)
-        for n in range(2, 200):
-            assert min(s.stop - s.start for s in gegenbauer._blocks(21, n)) >= 2
+        for n in range(200):
+            want = [slice(start, min(start + 12, n)) for start in range(0, n, 12)]
+            assert list(gegenbauer._blocks(21, n)) == want
 
 
 class TestManyBlocks:
@@ -102,13 +117,107 @@ class TestManyBlocks:
         basis1, basis2 = (GegenbauerBasis.from_dimension(int(d)) for d in rng.integers(1, 4, 2))
         kernel = random_ps_kernel(rng, basis1, basis2, m_max, n_max)
         x1, x2 = rng.uniform(-1.0, 1.0, shape1), rng.uniform(-1.0, 1.0, shape2)
-        want = ps_kernel_eval_one_einsum(kernel, x1, x2)
+        if np.broadcast(x1, x2).size >= 2:
+            want = ps_kernel_eval_one_einsum(kernel, x1, x2)
+        else:
+            # `einsum` sums a one-point operand in another order; a pair alone
+            # must get the bits it has inside a batch.
+            others = rng.uniform(-1.0, 1.0, (2, 3))
+            batch = ps_kernel_eval_one_einsum(
+                kernel, np.append(x1, others[0]), np.append(x2, others[1])
+            )
+            want = batch[:1].reshape(np.broadcast(x1, x2).shape)
+            want = float(want) if want.ndim == 0 else want
         for budget in (gegenbauer._BLOCK_BYTES, SMALL_BUDGET, 8 * 4 * (m_max + n_max + 2)):
             monkeypatch.setattr(gegenbauer, "_BLOCK_BYTES", budget)
             got = ps_kernel_eval(kernel, x1, x2)
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _random_kernel(rng, kind):
+    """A kernel of `kind` with random dimensions, truncations and weights,
+    about a fifth of the weights zero."""
+
+    def weights(shape):
+        raw = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.8)
+        raw.reshape(-1)[0] += 0.1
+        return raw * float(rng.uniform(0.1, 10.0))
+
+    basis = GegenbauerBasis.from_dimension(int(rng.integers(1, 4)))
+    if kind == "sphere":
+        return make_sequence(weights(int(rng.integers(1, 101))), basis, normalize=True)
+    if kind == "sphere_time":
+        terms = [(a, random_charfn(rng)) for a in weights(int(rng.integers(1, 32)))]
+        return make_st_kernel(terms, basis, normalize=True)
+    basis2 = GegenbauerBasis.from_dimension(int(rng.integers(1, 4)))
+    shape = (int(rng.integers(1, 22)), int(rng.integers(1, 12)))
+    return make_ps_kernel(weights(shape), basis, basis2, normalize=True)
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "sphere_time", "product_spheres"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 40),
+)
+def test_a_pair_has_the_same_bits_alone_in_a_batch_and_in_small_blocks(kind, seed, size):
+    rng = np.random.default_rng(seed)
+    kernel = _random_kernel(rng, kind)
+    args = [rng.uniform(-1.0, 1.0, size) for _ in kernel.arguments]
+    if kind == "sphere_time":
+        args[1] = rng.normal(0.0, 3.0, size)
+    batch = kernel.values(*args)
+    with mock.patch.object(gegenbauer, "_BLOCK_BYTES", SMALL_BUDGET):
+        small = kernel.values(*args)
+    alone = np.array([kernel.values(*(float(a[i]) for a in args)) for i in range(size)])
+    assert small.tobytes() == batch.tobytes()
+    assert alone.tobytes() == batch.tobytes()
+
+
+# The kernel series are summed term by term, never by BLAS or `einsum`.
+BLAS_CALLS = {"einsum", "tensordot", "dot", "matmul", "inner"}
+KERNEL_SUMS = [
+    (schoenberg, "kernel_eval"),
+    (spacetime, "st_kernel_eval"),
+    (product_spheres, "ps_kernel_eval"),
+    (gegenbauer, "_block_sum"),
+]
+
+
+def _blas_sites(source):
+    """Line numbers of BLAS-style calls and `@` products in `source`."""
+    sites = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                sites.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+@pytest.mark.parametrize("module, name", KERNEL_SUMS, ids=[name for _, name in KERNEL_SUMS])
+def test_kernel_sums_use_no_blas(module, name):
+    assert _blas_sites(inspect.getsource(getattr(module, name))) == []
+
+
+def test_blas_guard_flags_each_form():
+    source = """\
+        out = np.einsum("mn,m...,n...->...", a, t1, t2)
+        out = np.tensordot(a, t, axes=1)
+        out = a.dot(t)
+        out = matmul(a, t)
+        out = np.inner(a, t)
+        out = a @ t
+        out @= t
+        out = a * t
+    """
+    assert _blas_sites(source) == [1, 2, 3, 4, 5, 6, 7]
+    assert _blas_sites(inspect.getsource(ps_kernel_eval_one_einsum)) != []
 
 
 def test_table_stays_within_the_budget_for_a_million_points(monkeypatch):
@@ -130,13 +239,23 @@ def test_table_stays_within_the_budget_for_a_million_points(monkeypatch):
 _HASHES = """
 import hashlib
 import numpy as np
-from spherecov import GegenbauerBasis, gram, kernel_eval, make_sequence, uniform_sphere_points
+from spherecov import (
+    GegenbauerBasis, ProductPointSet, SpaceTimePointSet, gaussian, exponential, gram, kernel_eval,
+    make_ps_kernel, make_sequence, make_st_kernel, uniform_sphere_points,
+)
 
 rng = np.random.default_rng(11)
-seq = make_sequence(rng.uniform(0.05, 1.0, 101), GegenbauerBasis.from_dimension(2), normalize=True)
+s2 = GegenbauerBasis.from_dimension(2)
+seq = make_sequence(rng.uniform(0.05, 1.0, 101), s2, normalize=True)
 values = kernel_eval(seq, rng.uniform(-1.0, 1.0, 200_003))
 entries = gram(seq, uniform_sphere_points(2, 300, 4)).entries
-print(hashlib.sha256(values.tobytes()).hexdigest(), hashlib.sha256(entries.tobytes()).hexdigest())
+terms = [(a, gaussian(1.0 + n) if n % 2 else exponential(0.5)) for n, a in enumerate(rng.uniform(0.05, 1.0, 31))]
+st_points = SpaceTimePointSet(uniform_sphere_points(2, 300, 5), rng.uniform(0.0, 2.0, 300))
+st_entries = gram(make_st_kernel(terms, s2, normalize=True), st_points).entries
+ps = make_ps_kernel(rng.uniform(0.05, 1.0, (21, 11)), s2, GegenbauerBasis.from_dimension(1), normalize=True)
+ps_entries = gram(ps, ProductPointSet(uniform_sphere_points(2, 300, 6), uniform_sphere_points(1, 300, 7))).entries
+for array in (values, entries, st_entries, ps_entries):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
 """
 
 

@@ -274,6 +274,16 @@ def test_recovery_matches_table_formula(d, n_max, extra, frequency, phase):
 
 
 class TestCertify:
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"seed": "1"}, {"gram_trials": 2.5}], ids=repr)
+    def test_bad_seed_or_trial_count_is_domain_error(self, kwargs):
+        with pytest.raises(DomainError):
+            certify(lambda x: x, LEGENDRE, n_max=4, **kwargs)
+
+    def test_numpy_integer_seed_is_recorded_as_int(self):
+        cert = certify(lambda x: x, LEGENDRE, n_max=4, seed=np.uint32(7))
+        assert type(cert.seed) is int
+        assert cert.to_dict() == certify(lambda x: x, LEGENDRE, n_max=4, seed=7).to_dict()
+
     def test_pd_on_x(self):
         cert = certify(lambda x: x, LEGENDRE, n_max=10, seed=1)
         assert cert.verdict == "PD"
@@ -472,6 +482,11 @@ class TestMultiquadric:
     def test_rejects_chebyshev_basis(self):
         with pytest.raises(DomainError):
             multiquadric_sequence(0.5, GegenbauerBasis.from_index(0.0), 10)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, 10_001])
+    def test_rejects_a_bad_truncation(self, n_max):
+        with pytest.raises(DomainError):
+            multiquadric_sequence(0.5, LEGENDRE, n_max)
 
 
 class TestSequenceDataclass:

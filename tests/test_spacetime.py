@@ -298,6 +298,18 @@ class TestStKernelEval:
         out = st_kernel_eval(k, np.zeros((3, 1)), np.zeros((1, 4)))
         assert out.shape == (3, 4)
 
+    def test_nan_lag_is_domain_error(self):
+        k = make_st_kernel([(0.5, gaussian(1.0)), (0.5, exponential(2.0))], LEGENDRE)
+        for t in (math.nan, [0.0, math.nan]):
+            with pytest.raises(DomainError, match="NaN"):
+                st_kernel_eval(k, 0.1, t)
+
+    def test_infinite_lag_gives_the_limit(self):
+        k = make_st_kernel([(0.5, gaussian(1.0)), (0.5, exponential(2.0))], LEGENDRE)
+        assert st_kernel_eval(k, 0.1, [math.inf, -math.inf]).tolist() == [0.0, 0.0]
+        held = make_st_kernel([(0.5, gaussian(1.0)), (0.5, point_mass_at_zero())], LEGENDRE)
+        assert st_kernel_eval(held, 0.1, math.inf) == 0.5 * 0.1
+
     def test_domain_error(self):
         k = make_st_kernel([(1.0, gaussian(1.0))], LEGENDRE)
         with pytest.raises(DomainError):

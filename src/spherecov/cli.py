@@ -49,6 +49,11 @@ def _r(value) -> str:
     return repr(float(value))
 
 
+def _csv_row(row: np.ndarray) -> str:
+    """A float row as `_r` would join it, without one Python call per value."""
+    return ",".join(map(repr, row.tolist()))
+
+
 def _print_error(code: int, message: str):
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
 
@@ -122,8 +127,8 @@ def cmd_eval(args) -> int:
         ts = np.linspace(0.0, 1.0 if args.t_max is None else args.t_max, args.grid)
         axes = np.meshgrid(*(ts if name == "t" else xs for name in kernel.arguments), indexing="ij")
         columns = [axis.ravel() for axis in axes]
-        values = kernel.values(*columns)
-        rows = [",".join(_r(v) for v in row) for row in zip(*columns, values)]
+        table = np.column_stack([*columns, kernel.values(*columns)])
+        rows = [_csv_row(row) for row in table]
     else:
         flags = [f"--{name}" for name in kernel.arguments]
         texts = [getattr(args, name) for name in kernel.arguments]
@@ -317,10 +322,10 @@ def cmd_simulate(args) -> int:
         f"# points: {n}",
     ]
     for i, row in enumerate(points.columns()):
-        lines.append(f"# point_{i}: " + ",".join(_r(c) for c in row))
+        lines.append(f"# point_{i}: " + _csv_row(row))
     lines.append("sample," + ",".join(f"p_{i}" for i in range(n)))
     for k, row in enumerate(sample.values):
-        lines.append(f"{k}," + ",".join(_r(v) for v in row))
+        lines.append(f"{k}," + _csv_row(row))
     text = "\n".join(lines) + "\n"
 
     if args.out is None:

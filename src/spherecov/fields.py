@@ -15,7 +15,14 @@ inputs and seed on a fixed BLAS build and thread count. Kernel values and
 Gram entries are the same at any thread count, since no kernel sums its
 series in BLAS. Factors and samples go through BLAS, whose summation order
 may change with the number of threads, so their last bits can differ
-between thread counts.
+between thread counts. The spectral sampler multiplies in blocks of
+samples, and OpenBLAS may sum a row differently with the row count of the
+product, so its bits can also differ from those of one whole product.
+
+The arrays that grow with the request (a random point set, a Gram matrix,
+a samples × points matrix, a harmonics table) are checked against
+`_MAX_ARRAY_BYTES` before any of them is allocated; a larger request
+raises DomainError.
 """
 
 import math
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
@@ -31,6 +39,18 @@ from .spacetime import SpaceTimeKernel
 
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
+
+# Largest float array, in bytes, that one request may build whole. gram holds
+# about five n²-sized arrays at once, so 1 GiB keeps it within an 8 GiB machine.
+_MAX_ARRAY_BYTES = 2**30
+
+
+def _check_array_bytes(shape: tuple, what: str):
+    """DomainError if a float array of `shape` would exceed `_MAX_ARRAY_BYTES`."""
+    size = 8 * math.prod(shape)
+    if size > _MAX_ARRAY_BYTES:
+        dims = " x ".join(map(str, shape))
+        raise DomainError(f"{what} of {dims} floats needs {size} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -272,6 +292,7 @@ def uniform_sphere_points(d: int, n: int, seed: int) -> SpherePointSet:
     """n points drawn uniformly on S^d by normalizing standard Gaussians."""
     d = _check_count(d, "d", 1)
     n = _check_count(n, "n", 1)
+    _check_array_bytes((n, d + 1), "a point set")
     rng = np.random.default_rng(_check_count(seed, "seed"))
     v = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
@@ -311,6 +332,7 @@ def gram(kernel, points) -> GramMatrix:
     """Matrix of kernel values over all point pairs (upper triangle mirrored)."""
     _check_points(kernel, points)
     n = len(points)
+    _check_array_bytes((n, n), "a Gram matrix")
     iu = np.triu_indices(n)
     vals = kernel.values(*points.pair_arguments(iu))
     entries = np.empty((n, n))
@@ -380,6 +402,8 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     """
     n_samples = _check_count(n_samples, "n_samples", 1)
     seed = _check_count(seed, "seed")
+    _check_points(kernel, points)
+    _check_array_bytes((n_samples, len(points)), "a sample")
     g = gram(kernel, points)
     if jitter is None:
         jitter = _default_jitter(g.entries)
@@ -414,13 +438,15 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     The P̄_n^m are built one degree at a time (Holmes & Featherstone 2002,
     J. Geodesy 76:279-299): n_max Python-level steps, each vectorized
     over m and the points. Working memory is the output plus the rows of
-    the last two degrees and the cos(mφ), sin(mφ) tables.
+    the last two degrees and the cos(mφ), sin(mφ) tables. An output over
+    `_MAX_ARRAY_BYTES` raises DomainError before it is allocated.
     """
     if points.dimension != 2:
         raise GeometryError(f"spherical harmonics need points on S^2, got S^{points.dimension}")
     n_max = _check_count(n_max, "n_max")
     xyz = points.points
     npts = xyz.shape[0]
+    _check_array_bytes(((n_max + 1) ** 2, npts), "a harmonics table")
     cos_t = np.clip(xyz[:, 2], -1.0, 1.0)
     sin_t = np.hypot(xyz[:, 0], xyz[:, 1])
     mphi = np.arange(1, n_max + 1)[:, None] * np.arctan2(xyz[:, 1], xyz[:, 0])
@@ -451,6 +477,16 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     return table
 
 
+def _sample_blocks(n_samples: int, row_bytes: int) -> np.ndarray:
+    """Bounds of near-equal blocks of samples, from `step` to `2 * step - 1` rows
+    of `row_bytes` each, so a block fits in `gegenbauer._BLOCK_BYTES`. A block
+    has at least 2 rows unless `n_samples` is 1: numpy sends a one-row product
+    down another BLAS path, whose sums differ."""
+    step = max(2, gegenbauer._BLOCK_BYTES // (2 * row_bytes))
+    blocks = max(1, n_samples // step)
+    return np.arange(blocks + 1) * n_samples // blocks
+
+
 def sample_spectral_s2(
     seq: SchoenbergSequence,
     points: SpherePointSet,
@@ -464,6 +500,12 @@ def sample_spectral_s2(
     The addition theorem makes the covariance of X exactly the kernel of
     `seq`, so this sampler and `sample_factorized` are mutual oracles.
     Kernels of the other two families raise GeometryError.
+
+    The normals z are drawn and multiplied by the harmonics table one block
+    of samples at a time, in the order of one whole draw. Working memory is
+    the (N+1)² × n table, the samples × n output and one block of normals,
+    within `gegenbauer._BLOCK_BYTES` (16 MiB) while a row of (N+1)² normals
+    fits in a quarter of it.
     """
     if point_set_type(seq) is not SpherePointSet or seq.dimensions != (2,):
         raise GeometryError(f"spectral sampler needs a sphere kernel on S^2, got {seq.label}")
@@ -471,16 +513,23 @@ def sample_spectral_s2(
     n_samples = _check_count(n_samples, "n_samples", 1)
     seed = _check_count(seed, "seed")
     n_trunc = seq.truncation
+    _check_array_bytes((n_samples, len(points)), "a sample")
 
     table = real_spherical_harmonics(n_trunc, points)
     degrees = np.arange(n_trunc + 1)
     amps = np.sqrt(seq.scale_c * seq.coeffs * 4.0 * math.pi / (2.0 * degrees + 1.0))
     stds = np.repeat(amps, 2 * degrees + 1)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, stds.size))
-    z *= stds
+    bounds = _sample_blocks(n_samples, 8 * stds.size)
+    values = np.empty((n_samples, len(points)))
+    z = np.empty((int(np.diff(bounds).max()), stds.size))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        zb = z[: stop - start]
+        rng.standard_normal(out=zb)
+        zb *= stds
+        np.matmul(zb, table, out=values[start:stop])
     return FieldSample(
-        values=z @ table,
+        values=values,
         seed=seed,
         kernel_id=f"spectral[{seq.label}]",
     )

@@ -104,7 +104,8 @@ class QuadratureRule:
 
 
 def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
+    # `< math.inf` rejects inf and NaN, and unlike math.isfinite takes any int.
+    if not 0 <= n < math.inf or n != int(n):
         raise DomainError(f"degree must be a nonnegative integer, got {n}")
     if n > MAX_DEGREE:
         raise DomainError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
@@ -238,7 +239,7 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     """
     if lam < 0:
         raise DomainError(f"lam must be nonnegative, got {lam}")
-    if not math.isfinite(order) or order < 1 or order != int(order):
+    if not 1 <= order < math.inf or order != int(order):
         raise DomainError(f"order must be a positive integer, got {order}")
     # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
     # largest rule `certify` or the default `coeffs` asks for.

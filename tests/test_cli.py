@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import cli_env, run_cli
-from spherecov import GegenbauerBasis, multiquadric_kernel, multiquadric_sequence
+from spherecov import GegenbauerBasis, fields, multiquadric_kernel, multiquadric_sequence
 from spherecov.cli import main
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -656,6 +656,30 @@ class TestSpectralGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256
 
 
+class TestMemoryBound:
+    """A request whose output alone would exceed `fields._MAX_ARRAY_BYTES`
+    exits 3 before it allocates. The bound is patched down to 16 KiB or
+    1 MiB and there are at most 1000 points, so a missing guard costs
+    megabytes, not the machine's memory."""
+
+    @pytest.mark.parametrize(
+        "extra, bound, what",
+        [
+            (["--random", "1000"], 2**14, "a point set of 1000 x 3 floats"),
+            (["--random", "1000"], 2**20, "a Gram matrix of 1000 x 1000 floats"),
+            (["--random", "100", "--samples", "2000"], 2**20, "a sample of 2000 x 100 floats"),
+            (["--random", "1000", "--samples", "200", "--method", "spectral"], 2**20, "a sample of 200 x 1000 floats"),
+        ],
+    )
+    def test_exit_3_with_no_output(self, capsys, monkeypatch, spec_file, tmp_path, extra, bound, what):
+        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", bound)
+        out_path = tmp_path / "field.csv"
+        code, out, err = run(capsys, "simulate", spec_file(SPHERE_DEGREE_ONE), *extra, "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith(what + " needs ")
+        assert not out_path.exists()
+
+
 class TestSpecOverflow:
     """An infinite or overflowing scale or coefficient mass is a spec problem:
     exit 2 with one JSON line on stderr and no numpy warning."""
@@ -811,6 +835,12 @@ class TestQuadOrderCap:
         result = run_cli(["coeffs", "--lambda", "0", "--nmax", "3", "--expr", "x", "--quad-order", "1000000"], tmp_path)
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == json.dumps({"error": 3, "message": "order 1000000 exceeds the supported cap 20002"}) + "\n"
+
+    def test_order_beyond_float_range_is_exit_3(self, capsys):
+        big = "1" + "0" * 400
+        code, out, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "3", "--expr", "x", "--quad-order", big)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": 3, "message": f"order {big} exceeds the supported cap 20002"}
 
     @pytest.mark.parametrize(
         "extra, message",

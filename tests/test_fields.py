@@ -1,6 +1,10 @@
 """Point sets, Gram matrices, the eigenvalue oracle, and field samplers."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import random_ps_kernel, random_sequence, random_st_kernel
+from helpers import cli_env, random_ps_kernel, random_sequence, random_st_kernel
 from spherecov import (
     DomainError,
     FactorizationError,
@@ -38,7 +42,8 @@ from spherecov import (
     schur_product,
     uniform_sphere_points,
 )
-from spherecov.fields import _factor
+from spherecov import fields, gegenbauer
+from spherecov.fields import _factor, _sample_blocks
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 
@@ -591,6 +596,146 @@ class TestSampleSpectralS2:
         ps_pts = ProductPointSet(first=uniform_sphere_points(2, 3, seed=85), second=uniform_sphere_points(2, 3, seed=86))
         with pytest.raises(GeometryError):
             sample_spectral_s2(ps, ps_pts, n_samples=2, seed=0)
+
+
+def _one_matmul_spectral(seq, points, n_samples, seed):
+    """The spectral sample as one draw of every normal from the seed and one
+    matmul with the harmonics table."""
+    z = np.random.default_rng(seed).standard_normal((n_samples, (seq.truncation + 1) ** 2))
+    return (z * _reference_stds(seq)) @ real_spherical_harmonics(seq.truncation, points)
+
+
+# Each case: degree, points, samples, and the block step in normal rows
+# (None keeps `gegenbauer._BLOCK_BYTES`, a step of 102 rows at degree 100).
+# Fixed steps of 102 or 205 rows would leave a one-row block at 103, 205,
+# 206 or 411 samples. On these shapes OpenBLAS 0.3.31 gives a product's rows
+# the same bits at any row count of two or more; on others (300 points, say)
+# it does not, so the bytes are pinned per BLAS build, like every sample.
+_BLAS_ONE_THREAD = """
+import numpy as np
+from unittest import mock
+from spherecov import GegenbauerBasis, gegenbauer, make_sequence, real_spherical_harmonics
+from spherecov import sample_spectral_s2, uniform_sphere_points
+
+cases = [(100, 150, n, None) for n in (1, 2, 101, 102, 103, 205, 206, 411)]
+cases += [(n_max, 40, n, step) for n_max in (0, 3, 12) for step in (2, 3, 7) for n in (1, 2, step - 1, step, step + 1, 2 * step + 1, 50)]
+for n_max, n_points, n_samples, step in cases:
+    seq = make_sequence(np.random.default_rng(n_max).uniform(0.05, 1.0, n_max + 1), GegenbauerBasis.from_dimension(2), normalize=True)
+    pts = uniform_sphere_points(2, n_points, 3)
+    rows = (n_max + 1) ** 2
+    budget = gegenbauer._BLOCK_BYTES if step is None else 16 * rows * step
+    with mock.patch.object(gegenbauer, "_BLOCK_BYTES", budget):
+        values = sample_spectral_s2(seq, pts, n_samples, 4).values
+    degrees = np.arange(n_max + 1)
+    stds = np.repeat(np.sqrt(seq.scale_c * seq.coeffs * 4.0 * np.pi / (2.0 * degrees + 1.0)), 2 * degrees + 1)
+    z = np.random.default_rng(4).standard_normal((n_samples, rows))
+    if not np.array_equal(values, (z * stds) @ real_spherical_harmonics(n_max, pts)):
+        print("differs:", n_max, n_points, n_samples, step)
+"""
+
+
+class TestSpectralBlocks:
+    """`sample_spectral_s2` draws and multiplies the normals in blocks of
+    samples; it must give what one whole draw and one matmul give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_max=st.integers(0, 12),
+        n_points=st.integers(1, 30),
+        step=st.integers(2, 9),
+        pick=st.sampled_from(["1", "2", "step-1", "step", "step+1", "2step+1", "any"]),
+        any_count=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_matmul_over_several_blocks(self, n_max, n_points, step, pick, any_count, seed):
+        n_samples = {
+            "1": 1, "2": 2, "step-1": step - 1, "step": step, "step+1": step + 1,
+            "2step+1": 2 * step + 1, "any": any_count,
+        }[pick]
+        rng = np.random.default_rng(seed)
+        seq = make_sequence(rng.uniform(0.05, 1.0, n_max + 1), LEGENDRE, normalize=True)
+        pts = uniform_sphere_points(2, n_points, seed)
+        with mock.patch.object(gegenbauer, "_BLOCK_BYTES", 16 * (n_max + 1) ** 2 * step):
+            values = sample_spectral_s2(seq, pts, n_samples, seed).values
+        expected = _one_matmul_spectral(seq, pts, n_samples, seed)
+        assert_allclose(values, expected, rtol=1e-12, atol=1e-12 * float(np.abs(expected).max()))
+
+    def test_bytes_match_one_matmul_at_one_blas_thread(self):
+        env = dict(cli_env(), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", _BLAS_ONE_THREAD], capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_samples=st.integers(1, 5000), row_bytes=st.integers(8, 2**25))
+    def test_no_block_has_one_row_unless_there_is_one_sample(self, n_samples, row_bytes):
+        sizes = np.diff(_sample_blocks(n_samples, row_bytes))
+        assert sizes.sum() == n_samples
+        assert sizes.min() >= min(2, n_samples)
+        if row_bytes <= gegenbauer._BLOCK_BYTES // 4:
+            assert sizes.max() * row_bytes <= gegenbauer._BLOCK_BYTES
+
+    def test_step_is_half_the_budget(self):
+        assert np.diff(_sample_blocks(1000, 8 * 101**2)).tolist() == [111] * 8 + [112]
+        assert np.diff(_sample_blocks(101, 8 * 101**2)).tolist() == [101]
+
+    def test_memory_is_the_table_the_output_and_one_block(self):
+        n_max, n_points, n_samples = 40, 400, 3000
+        seq = make_sequence(np.random.default_rng(5).uniform(0.05, 1.0, n_max + 1), LEGENDRE, normalize=True)
+        pts = uniform_sphere_points(2, n_points, 6)
+        table = 8 * (n_max + 1) ** 2 * n_points
+        output = 8 * n_samples * n_points
+        # FieldSample keeps its own copy of the output.
+        bound = table + 2 * output + gegenbauer._BLOCK_BYTES + 4 * 2**20
+        # All the normals at once would not fit.
+        assert table + 2 * output + 8 * n_samples * (n_max + 1) ** 2 > bound
+        tracemalloc.start()
+        try:
+            sample_spectral_s2(seq, pts, n_samples, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+class TestMemoryBound:
+    """Requests over `fields._MAX_ARRAY_BYTES` raise DomainError before they
+    allocate. The bound is patched down to 1 MiB and each request is a few
+    MiB, so a missing guard costs megabytes, not the machine."""
+
+    BOUND = 2**20
+
+    @pytest.mark.parametrize(
+        "case", ["point set", "Gram matrix", "factorized sample", "spectral sample", "harmonics table", "table alone"]
+    )
+    def test_over_the_bound_raises_before_allocating(self, monkeypatch, case):
+        seq = make_sequence([0.5, 0.5], LEGENDRE)
+        deep = make_sequence(np.ones(41), LEGENDRE, normalize=True)
+        many, few = uniform_sphere_points(2, 1000, 1), uniform_sphere_points(2, 100, 2)
+        what, call = {
+            "point set": ("a point set of 50000 x 3", lambda: uniform_sphere_points(2, 50_000, 0)),
+            "Gram matrix": ("a Gram matrix of 1000 x 1000", lambda: gram(seq, many)),
+            "factorized sample": ("a sample of 2000 x 100", lambda: sample_factorized(seq, few, 2000, 0)),
+            "spectral sample": ("a sample of 200 x 1000", lambda: sample_spectral_s2(seq, many, 200, 0)),
+            "harmonics table": ("a harmonics table of 1681 x 100", lambda: sample_spectral_s2(deep, few, 1, 0)),
+            "table alone": ("a harmonics table of 1681 x 100", lambda: real_spherical_harmonics(40, few)),
+        }[case]
+        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", self.BOUND)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"^{what} floats needs [0-9]+ bytes, over the bound of {self.BOUND}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND // 4
+
+    def test_an_array_of_exactly_the_bound_is_allowed(self, monkeypatch):
+        pts = uniform_sphere_points(2, 64, 3)
+        seq = make_sequence([0.5, 0.5], LEGENDRE)
+        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", 8 * 64 * 64)
+        assert gram(seq, pts).size == 64
+        with pytest.raises(DomainError):
+            gram(seq, uniform_sphere_points(2, 65, 3))
 
 
 class TestEmpiricalCovariance:

@@ -13,6 +13,7 @@ from spherecov import (
     GegenbauerBasis,
     eval_normalized,
     eval_sequence,
+    multiquadric_sequence,
     norm_squared,
     quadrature,
     recover_coefficients,
@@ -125,6 +126,31 @@ class TestEvaluation:
             eval_normalized(LEGENDRE, 10_001, 0.0)
 
 
+DEGREE_ENTRY_POINTS = {
+    "eval_sequence": lambda n: eval_sequence(LEGENDRE, n, 0.5),
+    "eval_normalized": lambda n: eval_normalized(LEGENDRE, n, 0.5),
+    "multiquadric_sequence": lambda n: multiquadric_sequence(0.5, LEGENDRE, n),
+    "norm_squared": lambda n: norm_squared(LEGENDRE, n),
+}
+
+
+@pytest.mark.parametrize("call", DEGREE_ENTRY_POINTS.values(), ids=DEGREE_ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (math.inf, "degree must be a nonnegative integer, got inf"),
+        (-math.inf, "degree must be a nonnegative integer, got -inf"),
+        (math.nan, "degree must be a nonnegative integer, got nan"),
+        (10**400, f"degree {10**400} exceeds the supported cap 10000"),
+    ],
+    ids=["inf", "-inf", "nan", "int-beyond-float"],
+)
+def test_degree_beyond_the_integers_is_a_domain_error(call, n, message):
+    with pytest.raises(DomainError) as info:
+        call(n)
+    assert str(info.value) == message
+
+
 class TestNorms:
     @pytest.mark.parametrize("n", range(12))
     def test_legendre_norm_closed_form(self, n):
@@ -228,6 +254,10 @@ class TestQuadrature:
     def test_rejects_non_integer_orders(self, order):
         with pytest.raises(DomainError, match=r"^order must be a positive integer, got "):
             quadrature(0.5, order)
+
+    def test_order_beyond_float_range_hits_the_cap(self):
+        with pytest.raises(DomainError, match=r"^order 1000+ exceeds the supported cap 20002$"):
+            quadrature(0.5, 10**400)
 
     def test_order_cap(self):
         # λ = 0 is the closed-form Chebyshev rule, so these orders are cheap

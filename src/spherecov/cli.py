@@ -313,29 +313,27 @@ def cmd_simulate(args) -> int:
     else:
         sample = sample_factorized(kernel, points, args.samples, seed, jitter=args.jitter)
 
-    n = sample.n_points
-    lines = [
-        f"# kernel: {kernel.label}",
-        f"# method: {args.method}",
-        f"# seed: {seed}",
-        f"# samples: {args.samples}",
-        f"# points: {n}",
-    ]
-    for i, row in enumerate(points.columns()):
-        lines.append(f"# point_{i}: " + _csv_row(row))
-    lines.append("sample," + ",".join(f"p_{i}" for i in range(n)))
-    for k, row in enumerate(sample.values):
-        lines.append(f"{k}," + _csv_row(row))
-    text = "\n".join(lines) + "\n"
+    def write(fh):
+        # One line at a time, so the text never exists whole in memory.
+        n = sample.n_points
+        fh.write(
+            f"# kernel: {kernel.label}\n# method: {args.method}\n# seed: {seed}\n"
+            f"# samples: {args.samples}\n# points: {n}\n"
+        )
+        for i, row in enumerate(points.columns()):
+            fh.write(f"# point_{i}: {_csv_row(row)}\n")
+        fh.write("sample," + ",".join(f"p_{i}" for i in range(n)) + "\n")
+        for k, row in enumerate(sample.values):
+            fh.write(f"{k},{_csv_row(row)}\n")
 
     if args.out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return 0
     out_dir = os.path.dirname(os.path.abspath(args.out))
     fd, tmp_path = tempfile.mkstemp(prefix=".spherecov-", dir=out_dir)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp_path, args.out)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
+from .gegenbauer import _frozen_floats
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, _check_count, kernel_eval  # noqa: F401
@@ -41,7 +42,7 @@ UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
 # Largest float array, in bytes, that one request may build whole. gram holds
-# about five n²-sized arrays at once, so 1 GiB keeps it within an 8 GiB machine.
+# about four n²-sized arrays at once, so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
 
 
@@ -70,20 +71,17 @@ class SpherePointSet:
     def __post_init__(self):
         if self.dimension < 1:
             raise GeometryError(f"sphere dimension must be >= 1, got {self.dimension}")
-        pts = np.array(self.points, dtype=float, copy=True)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != self.dimension + 1:
+        pts = _frozen_floats(self.points, 2, "points", GeometryError)
+        if pts.shape[1] != self.dimension + 1:
             raise GeometryError(
                 f"points must have shape (n, {self.dimension + 1}), got {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise GeometryError("point coordinates must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise GeometryError(
                 f"point {worst} has norm {norms[worst]!r}, not 1 within {UNIT_NORM_TOL}"
             )
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -124,14 +122,11 @@ class SpaceTimePointSet:
     LAYOUT = "coordinates then time"
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float, copy=True)
-        if t.ndim != 1 or t.size != len(self.space):
+        t = _frozen_floats(self.times, 1, "times", GeometryError)
+        if t.size != len(self.space):
             raise GeometryError(
                 f"times must be 1-D with one entry per point ({len(self.space)}), got shape {t.shape}"
             )
-        if not np.all(np.isfinite(t)):
-            raise GeometryError("times must be finite")
-        t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -250,13 +245,14 @@ class GramMatrix:
     provenance: str
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DomainError(f"entries must be a nonempty square matrix, got shape {m.shape}")
+        m = _frozen_floats(self.entries, 2, "entries")
+        if m.shape[0] != m.shape[1]:
+            raise DomainError(f"entries must be a square matrix, got shape {m.shape}")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
+        asymmetry = m - m.T
+        np.abs(asymmetry, out=asymmetry)
+        if float(asymmetry.max()) > SYMMETRY_TOL * scale:
             raise DomainError("entries must be symmetric")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -273,11 +269,7 @@ class FieldSample:
     kernel_id: str
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 2:
-            raise DomainError(f"values must be 2-D (n_samples, n_points), got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_floats(self.values, 2, "values"))
 
     @property
     def n_samples(self) -> int:
@@ -338,18 +330,15 @@ def gram(kernel, points) -> GramMatrix:
     entries = np.empty((n, n))
     entries[iu] = vals
     entries[iu[1], iu[0]] = vals
+    entries.setflags(write=False)
     return GramMatrix(entries=entries, provenance=f"gram({kernel.label}, n={n})")
 
 
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a symmetric matrix (GramMatrix or ndarray)."""
-    a = m.entries if isinstance(m, GramMatrix) else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"need a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-        raise DomainError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(a)[0])
+    if not isinstance(m, GramMatrix):
+        m = GramMatrix(entries=m, provenance="min_eigenvalue")
+    return float(np.linalg.eigvalsh(m.entries)[0])
 
 
 def schur_product(a: GramMatrix, b: GramMatrix) -> GramMatrix:
@@ -414,16 +403,16 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     factor = _factor(g.entries, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, g.size))
-    return FieldSample(values=z @ factor.T, seed=seed, kernel_id=kernel.label)
+    values = z @ factor.T
+    values.setflags(write=False)
+    return FieldSample(values=values, seed=seed, kernel_id=kernel.label)
 
 
 def harmonic_dimension(d: int, n: int) -> int:
     """Dimension of the space of degree-n spherical harmonics on S^d."""
     d = _check_count(d, "d", 1)
     n = _check_count(n, "n")
-    if n == 0:
-        return 1
-    return (2 * n + d - 1) * math.factorial(n + d - 2) // (math.factorial(n) * math.factorial(d - 1))
+    return 1 if n == 0 else math.comb(n + d, d) - math.comb(n + d - 2, d)
 
 
 def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
@@ -528,6 +517,7 @@ def sample_spectral_s2(
         rng.standard_normal(out=zb)
         zb *= stds
         np.matmul(zb, table, out=values[start:stop])
+    values.setflags(write=False)
     return FieldSample(
         values=values,
         seed=seed,

@@ -36,6 +36,30 @@ MAX_DEGREE = 10_000
 _BLOCK_BYTES = 16 * 2**20
 
 
+def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
+    """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
+    `error`. A read-only float64 array that owns its data is kept; anything
+    else is copied, so a caller's writeable array is never frozen or shared."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and not values.flags.writeable
+        and values.flags.owndata
+    ):
+        arr = values
+    else:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise error(f"{what} must be an array of numbers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise error(f"{what} must be a nonempty {ndim}-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GegenbauerBasis:
     """Index λ = (d−1)/2 of the zonal polynomial family on the d-sphere.
@@ -48,7 +72,8 @@ class GegenbauerBasis:
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1 or self.dimension != int(self.dimension):
+        # `< math.inf` rejects inf and NaN before int() could raise on them.
+        if not 1 <= self.dimension < math.inf or self.dimension != int(self.dimension):
             raise DomainError(f"sphere dimension must be a positive integer, got {self.dimension}")
         if self.lam != (self.dimension - 1) / 2:
             raise DomainError(
@@ -73,7 +98,7 @@ class GegenbauerBasis:
 class QuadratureRule:
     """Gauss rule for the weight (1−x²)^{λ−1/2} on [−1, 1].
 
-    `nodes` and `weights` are stored as read-only copies.
+    `nodes` and `weights` are stored read-only (see `_frozen_floats`).
     """
 
     nodes: np.ndarray
@@ -82,18 +107,16 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
-        if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
-            raise ValueError("nodes/weights must have shape (order,)")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.max(np.abs(self.nodes)) >= 1:
-            raise ValueError("nodes must lie in (-1, 1)")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
         for name in ("nodes", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_floats(getattr(self, name), 1, name))
+        if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
+            raise DomainError("nodes/weights must have shape (order,)")
+        if np.any(np.diff(self.nodes) <= 0):
+            raise DomainError("nodes must be strictly increasing")
+        if np.max(np.abs(self.nodes)) >= 1:
+            raise DomainError("nodes must lie in (-1, 1)")
+        if np.any(self.weights <= 0):
+            raise DomainError("weights must be positive")
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of function values at the nodes."""

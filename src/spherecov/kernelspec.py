@@ -83,6 +83,7 @@ def _read_terms(terms_doc, bases):
         params = cf_doc.get("params", {})
         if not isinstance(params, dict):
             raise KernelSpecError(f"terms[{i}].charfn.params must be an object")
+        params = {k: _as_number(v, f"terms[{i}].charfn.params.{k}") for k, v in params.items()}
         cf = make_charfn(str(cf_doc["family"]), params)
         terms.append((_as_number(term["a"], f"terms[{i}].a"), cf))
     return make_st_kernel(terms, *bases, normalize=True)

@@ -28,7 +28,9 @@ from .errors import (
 from .gegenbauer import (
     GegenbauerBasis,
     _block_sum,
+    _check_argument,
     _check_degree,
+    _frozen_floats,
     _sequence,
     eval_sequence,
     norm_squared,
@@ -85,13 +87,9 @@ class SchoenbergSequence:
 
 
 def _checked_weights(values, ndim: int, name: str) -> np.ndarray:
-    """A float copy of values: nonempty, `ndim`-dimensional, finite and
-    nonnegative. A negative entry is reported with its index and value."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty {ndim}-D array")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+    """values as `_frozen_floats` takes them, and nonnegative. A negative
+    entry is reported with its index and value."""
+    arr = _frozen_floats(values, ndim, name)
     flat = arr.reshape(-1)
     bad = np.flatnonzero(flat < 0)
     if bad.size:
@@ -135,7 +133,6 @@ def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
         raise NormalizationError(f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
     if not (math.isfinite(scale_c) and scale_c > 0):
         raise DomainError(f"scale_c must be a positive real, got {scale_c}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -391,9 +388,16 @@ def certify(
     return _certificate(INCONCLUSIVE, reported_eig, None)
 
 
+def _check_delta(delta: float):
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+
+
 def multiquadric_kernel(delta: float, lam: float, x):
-    """Closed form (1−δ)^{2λ} (1−2δx+δ²)^{−λ} of the multiquadric family."""
-    x = np.asarray(x, dtype=float)
+    """Closed form (1−δ)^{2λ} (1−2δx+δ²)^{−λ} of the multiquadric family,
+    for 0 < δ < 1 and x in [−1, 1]."""
+    _check_delta(delta)
+    x = _check_argument(x)
     value = (1.0 - delta) ** (2.0 * lam) / (1.0 - 2.0 * delta * x + delta * delta) ** lam
     return float(value) if value.ndim == 0 else value
 
@@ -405,8 +409,7 @@ def multiquadric_sequence(delta: float, basis: GegenbauerBasis, n_max: int) -> S
     (geometric tail δ^{n_max}); the Gegenbauer generating function makes this
     family an analytic oracle for coefficient recovery. Requires λ > 0.
     """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     lam = basis.lam
     if lam <= 0:
         raise DomainError("multiquadric sequence requires lam > 0 (d >= 2)")

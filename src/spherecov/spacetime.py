@@ -56,7 +56,10 @@ class CharFn:
                 f"unknown characteristic function family {self.family!r}; "
                 f"known: {sorted(_FAMILIES)}"
             )
-        params = tuple(sorted((str(k), float(v)) for k, v in dict(self.params).items()))
+        try:
+            params = tuple(sorted((str(k), float(v)) for k, v in dict(self.params).items()))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{self.family} parameters must be numbers: {exc}") from None
         names = [k for k, _ in params]
         expected = list(_FAMILIES[self.family][0])
         if names != expected:
@@ -170,7 +173,7 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
     weights must already sum to 1.
     """
     terms = list(terms)
-    weights, scale = _split_mass([float(a) for a, _ in terms], 1, "weights", normalize)
+    weights, scale = _split_mass([a for a, _ in terms], 1, "weights", normalize)
     return SpaceTimeKernel(weights, tuple(cf for _, cf in terms), scale, basis)
 
 

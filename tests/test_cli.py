@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -705,6 +706,57 @@ class TestSpecOverflow:
         result = run_cli(["eval", "spec.json", "--grid", "3"], tmp_path)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == json.dumps({"error": 2, "message": message}) + "\n"
+
+
+class TestCharFnParamSpecs:
+    """A characteristic-function parameter that is not a JSON number is a spec
+    problem: exit 2 with one JSON line on stderr, no traceback."""
+
+    @pytest.mark.parametrize("value", ["abc", None, [1], True], ids=["string", "null", "list", "true"])
+    def test_exit_2_with_one_json_line(self, tmp_path, value):
+        doc = {**ST_GAUSS, "terms": [{"a": 1.0, "charfn": {"family": "gaussian", "params": {"sigma": value}}}]}
+        (tmp_path / "spec.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli(["eval", "spec.json", "--x", "0.5", "--t", "0.1"], tmp_path)
+        message = f"terms[0].charfn.params.sigma must be a number, got {value!r}"
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == json.dumps({"error": 2, "message": message}) + "\n"
+
+
+class TestSimulateStreams:
+    """`simulate` writes each line as it is formatted, so the whole text is
+    never held in memory."""
+
+    def test_peak_is_a_few_samples(self, capsys, spec_file, tmp_path):
+        n_points, n_samples = 300, 2000
+        spec = spec_file(SPHERE_DEGREE_ONE)
+        out_path = tmp_path / "field.csv"
+        argv = ["simulate", spec, "--random", str(n_points), "--samples", str(n_samples), "--out", str(out_path)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out_path.read_text(encoding="utf-8").count("\n") == 5 + n_points + 1 + n_samples
+        # The text of the samples alone is about 2.5 times their float bytes.
+        assert peak < 4 * 8 * n_points * n_samples + 2 * 2**20
+
+    def test_closed_stdout_is_exit_1_without_traceback(self, tmp_path):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps(SPHERE_DEGREE_ONE), encoding="utf-8")
+        # About 2 MB of rows overflow the pipe buffer, so the child is still
+        # writing when the reader goes away.
+        argv = [sys.executable, "-m", "spherecov", "simulate", str(spec), "--random", "300", "--samples", "400"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=cli_env()
+        ) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert first == b"# kernel: sphere(d=2, n_max=1)\n"
+        assert (code, err) == (1, b"")
 
 
 class TestSimulateHeaders:

@@ -81,3 +81,45 @@ def test_guard_flags_per_family_branches():
     assert len(_charfn_family_comparisons(source)) == 4
     assert _charfn_family_comparisons('ok = family in ("stable", "gaussian")') == [1]
     assert _charfn_family_comparisons("match family:\n    case spacetime.STABLE:\n        pass") == [2]
+
+
+INTAKE_CALLS = {"array", "asarray", "setflags"}
+
+
+def _post_init_intake(source):
+    """(class, line) of each `np.array`, `np.asarray` or `.setflags` call in a
+    `__post_init__`: stored arrays must be taken in by `_frozen_floats`."""
+    sites = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                sites += [
+                    (cls.name, node.lineno)
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in INTAKE_CALLS
+                ]
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_post_init_takes_arrays_through_one_helper(module):
+    assert _post_init_intake((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_hand_written_intake():
+    source = (
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        v = np.array(self.values, dtype=float)\n"
+        "        v.setflags(write=False)\n"
+        "class B:\n"
+        "    def __post_init__(self):\n"
+        "        w = numpy.asarray(self.w)\n"
+        "    def other(self):\n"
+        "        return np.array(self.w)\n"
+    )
+    assert _post_init_intake(source) == [("A", 3), ("A", 4), ("B", 7)]

@@ -125,6 +125,93 @@ class TestFieldSampleType:
         assert s.n_samples == 7
         assert s.n_points == 3
 
+    def test_keeps_a_read_only_owned_array(self):
+        arr = np.ones((7, 3))
+        arr.setflags(write=False)
+        assert FieldSample(values=arr, seed=0, kernel_id="test").values is arr
+
+    def test_copies_a_writeable_array(self):
+        arr = np.ones((7, 3))
+        s = FieldSample(values=arr, seed=0, kernel_id="test")
+        arr[0, 0] = 5.0
+        assert arr.flags.writeable
+        assert s.values[0, 0] == 1.0
+
+
+class TestTypedIntake:
+    """Every stored or checked array goes through one intake: a non-numeric,
+    ragged, empty or non-finite input is a typed error, never a NaN result."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: min_eigenvalue([[math.nan, 0.0], [0.0, 1.0]]), DomainError),
+            (lambda: min_eigenvalue(np.empty((0, 0))), DomainError),
+            (lambda: min_eigenvalue("ab"), DomainError),
+            (lambda: GramMatrix(entries=[[None]], provenance="test"), DomainError),
+            (lambda: GramMatrix(entries=[[1.0, 0.0], [0.0]], provenance="test"), DomainError),
+            (lambda: FieldSample(values=[[0.0, math.nan]], seed=0, kernel_id="test"), DomainError),
+            (lambda: FieldSample(values="abc", seed=0, kernel_id="test"), DomainError),
+            (lambda: FieldSample(values=[[1.0], [1.0, 2.0]], seed=0, kernel_id="test"), DomainError),
+            (lambda: FieldSample(values=np.empty((0, 3)), seed=0, kernel_id="test"), DomainError),
+            (lambda: SpherePointSet(dimension=2, points="abc"), GeometryError),
+            (lambda: SpherePointSet(dimension=2, points=[[1.0, 0.0, 0.0], [1.0, 0.0]]), GeometryError),
+            (lambda: SpaceTimePointSet(space=_sphere_set(np.eye(3)), times="abc"), GeometryError),
+            (lambda: SpaceTimePointSet(space=_sphere_set(np.eye(3)), times=[[0.0, 1.0, 2.0]]), GeometryError),
+        ],
+        ids=[
+            "min-eigenvalue-nan", "min-eigenvalue-empty", "min-eigenvalue-string", "gram-none", "gram-ragged",
+            "sample-nan", "sample-string", "sample-ragged", "sample-empty", "points-string", "points-ragged",
+            "times-string", "times-2-D",
+        ],
+    )
+    def test_bad_array_is_a_typed_error(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("values", ["abc", [[1.0], [1.0, 2.0]], [[1.0, math.nan]]])
+    def test_bad_coefficients_are_domain_errors(self, values):
+        with pytest.raises(DomainError):
+            make_ps_kernel(values, LEGENDRE, LEGENDRE)
+        with pytest.raises(DomainError):
+            make_sequence(values, LEGENDRE)
+
+
+class TestHandOver:
+    """`gram` and the samplers hand their fresh output to the result instead
+    of having it copied. Each bound sits between the peak with the hand-over
+    and the peak with one more copy of the output."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_gram_holds_four_n_squared_arrays(self):
+        # Upper-triangle indices (one n² array), its cosines and values (half
+        # each) and the matrix; the kernel's block table is one more.
+        n = 500
+        seq = make_sequence([0.5, 0.5], LEGENDRE)
+        pts = uniform_sphere_points(2, n, 3)
+        assert self._peak(lambda: gram(seq, pts)) < 4.75 * 8 * n * n
+
+    @pytest.mark.parametrize("method, outputs", [("factorized", 2), ("spectral", 1)])
+    def test_sampler_holds_its_output_once(self, method, outputs):
+        # The factorized sampler also holds its normals, which are as large as
+        # the output; the spectral one holds a 9-row table and a block of normals.
+        n_points, n_samples = 100, 10_000
+        seq = make_sequence([0.2, 0.5, 0.3], LEGENDRE)
+        pts = uniform_sphere_points(2, n_points, 3)
+        sampler = sample_factorized if method == "factorized" else sample_spectral_s2
+        sample = sampler(seq, pts, n_samples, 4)
+        assert not sample.values.flags.writeable
+        peak = self._peak(lambda: sampler(seq, pts, n_samples, 4))
+        assert peak < (outputs + 0.5) * 8 * n_points * n_samples
+
 
 class TestUniformSpherePoints:
     def test_unit_norms(self):
@@ -403,6 +490,16 @@ class TestHarmonicDimension:
     def test_three_sphere(self):
         # N(3, n) = (n+1)^2.
         assert [harmonic_dimension(3, n) for n in range(4)] == [1, 4, 9, 16]
+
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_matches_the_factorial_formula(self, d):
+        # (2n + d − 1)(n + d − 2)! / (n! (d − 1)!) for n ≥ 1.
+        for n in range(1, 300):
+            expected = (2 * n + d - 1) * math.factorial(n + d - 2) // (math.factorial(n) * math.factorial(d - 1))
+            assert harmonic_dimension(d, n) == expected
+
+    def test_two_sphere_at_high_degree(self):
+        assert harmonic_dimension(2, 4 * 10**5) == 8 * 10**5 + 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -684,10 +781,9 @@ class TestSpectralBlocks:
         pts = uniform_sphere_points(2, n_points, 6)
         table = 8 * (n_max + 1) ** 2 * n_points
         output = 8 * n_samples * n_points
-        # FieldSample keeps its own copy of the output.
-        bound = table + 2 * output + gegenbauer._BLOCK_BYTES + 4 * 2**20
+        bound = table + output + gegenbauer._BLOCK_BYTES + 4 * 2**20
         # All the normals at once would not fit.
-        assert table + 2 * output + 8 * n_samples * (n_max + 1) ** 2 > bound
+        assert table + output + 8 * n_samples * (n_max + 1) ** 2 > bound
         tracemalloc.start()
         try:
             sample_spectral_s2(seq, pts, n_samples, 7)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import gammaln
 
 from spherecov import (
@@ -18,7 +18,8 @@ from spherecov import (
     quadrature,
     recover_coefficients,
 )
-from spherecov.errors import ConvergenceError
+from spherecov.errors import ConvergenceError, GeometryError
+from spherecov.gegenbauer import QuadratureRule, _frozen_floats
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 CHEBYSHEV = GegenbauerBasis.from_index(0.0)
@@ -56,9 +57,91 @@ class TestBasisConstruction:
         with pytest.raises(DomainError):
             GegenbauerBasis.from_index(lam)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 2.5])
+    def test_rejects_non_finite_dimension(self, d):
+        with pytest.raises(DomainError):
+            GegenbauerBasis.from_dimension(d)
+
     def test_rejects_mismatched_pair(self):
         with pytest.raises(DomainError):
             GegenbauerBasis(lam=1.0, dimension=2)
+
+
+class TestFrozenFloats:
+    """`_frozen_floats` is the one intake of every array a result stores."""
+
+    def test_keeps_a_read_only_owned_float_array(self):
+        arr = np.ones((2, 3))
+        arr.setflags(write=False)
+        assert _frozen_floats(arr, 2, "values") is arr
+
+    @staticmethod
+    def _read_only(arr):
+        arr.setflags(write=False)
+        return arr
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.ones((2, 3)),
+            lambda: TestFrozenFloats._read_only(np.ones((4, 3)))[::2],
+            lambda: TestFrozenFloats._read_only(np.ones((2, 3), dtype=np.float32)),
+            lambda: np.ones((2, 3), dtype=int),
+        ],
+        ids=["writeable", "read-only-view", "read-only-float32", "int"],
+    )
+    def test_copies_anything_else(self, make):
+        arr = make()
+        writeable = arr.flags.writeable
+        out = _frozen_floats(arr, 2, "values")
+        assert not np.shares_memory(out, arr)
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert arr.flags.writeable == writeable
+        assert_array_equal(out, arr)
+
+    def test_a_later_write_to_the_input_does_not_reach_the_copy(self):
+        arr = np.ones((2, 2))
+        out = _frozen_floats(arr, 2, "values")
+        arr[0, 0] = 5.0
+        assert out[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("abc", "must be an array of numbers"),
+            ([[1.0], [1.0, 2.0]], "must be an array of numbers"),
+            ([{"a": 1}], "must be an array of numbers"),
+            ([1.0, 2.0], "must be a nonempty 2-D array, got shape \\(2,\\)"),
+            (np.empty((0, 3)), "must be a nonempty 2-D array, got shape \\(0, 3\\)"),
+            ([[1.0, math.nan]], "must be finite"),
+            ([[None]], "must be finite"),
+            ([[-math.inf]], "must be finite"),
+        ],
+        ids=["string", "ragged", "dict", "1-D", "empty", "nan", "none", "inf"],
+    )
+    @pytest.mark.parametrize("error", [DomainError, GeometryError])
+    def test_bad_input_raises_the_given_error(self, values, message, error):
+        with pytest.raises(error, match=f"^values {message}"):
+            _frozen_floats(values, 2, "values", error)
+
+
+class TestQuadratureRuleChecks:
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [
+            ([0.0, 0.0], [1.0, 1.0]),
+            ([-0.5, math.nan], [1.0, 1.0]),
+            ([-1.0, 0.5], [1.0, 1.0]),
+            ([-0.5, 0.5], [1.0, 0.0]),
+            ([-0.5, 0.5], [1.0, None]),
+            ([-0.5, 0.5, 0.7], [1.0, 1.0, 1.0]),
+            ("ab", [1.0, 1.0]),
+        ],
+        ids=["repeated", "nan-node", "endpoint", "zero-weight", "none-weight", "length", "string"],
+    )
+    def test_bad_rule_is_a_domain_error(self, nodes, weights):
+        with pytest.raises(DomainError):
+            QuadratureRule(nodes=nodes, weights=weights, lam=0.5, order=2)
 
 
 class TestEvaluation:

@@ -483,6 +483,11 @@ class TestMultiquadric:
         with pytest.raises(DomainError):
             multiquadric_sequence(0.5, GegenbauerBasis.from_index(0.0), 10)
 
+    @pytest.mark.parametrize("delta, x", [(0.5, 2.0), (0.5, -1.5), (0.5, math.nan), (1.5, 0.3), (0.0, 0.3), (1.0, 0.3)])
+    def test_closed_form_rejects_out_of_domain_input(self, delta, x):
+        with pytest.raises(DomainError):
+            multiquadric_kernel(delta, 0.5, x)
+
     @pytest.mark.parametrize("n_max", [-1, 2.5, 10_001])
     def test_rejects_a_bad_truncation(self, n_max):
         with pytest.raises(DomainError):

@@ -84,6 +84,11 @@ class TestCharFnConstruction:
         with pytest.raises(DomainError):
             make_charfn("gaussian", {"rate": 1.0})
 
+    @pytest.mark.parametrize("bad", ["abc", None, [1.0]])
+    def test_rejects_non_numeric_params(self, bad):
+        with pytest.raises(DomainError, match="^gaussian parameters must be numbers: "):
+            gaussian(bad)
+
 
 KNOWN_FAMILIES = "['exponential', 'gaussian', 'point_mass_at_zero', 'stable', 'triangle_sinc']"
 BAD_POSITIVE = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"), (-0.0, "-0.0"), (-1.0, "-1.0")]
@@ -255,6 +260,11 @@ class TestMakeStKernel:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             make_st_kernel([], LEGENDRE)
+
+    @pytest.mark.parametrize("bad", ["abc", None, [1.0, 2.0]])
+    def test_rejects_non_numeric_weight(self, bad):
+        with pytest.raises(DomainError):
+            make_st_kernel([(bad, gaussian(1.0)), (1.0, gaussian(1.0))], LEGENDRE, normalize=True)
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_weight_is_domain_error_without_warning(self):

@@ -421,10 +421,7 @@ def main(argv=None) -> int:
         # flush at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _ValidationFailure as exc:
-        _print_error(2, str(exc))
-        return 2
-    except KernelSpecError as exc:
+    except (_ValidationFailure, KernelSpecError) as exc:
         _print_error(2, str(exc))
         return 2
     except SphereCovError as exc:

@@ -19,12 +19,24 @@ between thread counts. The spectral sampler multiplies in blocks of
 samples, and OpenBLAS may sum a row differently with the row count of the
 product, so its bits can also differ from those of one whole product.
 
+A point set is read as its ordered factors, one per kernel argument. A
+sphere factor S^d is a SpherePointSet: d + 1 columns of a points file,
+uniform random points and, for a pair, the cosine ⟨p_i, p_j⟩. A time
+factor is a 1-D array of times: one column, times uniform on [0, 1) and
+the lag t_i − t_j. SpherePointSet is its own single factor,
+SpaceTimePointSet is (space, times) and ProductPointSet is (first,
+second). The point-set protocol (`dimensions`, the points-file columns
+`n_columns`, `from_columns` and `columns`, seeded `random` points with
+factor k drawn from states[k], and `pair_arguments`) is written once over
+the factors.
+
 The arrays that grow with the request (a random point set, a Gram matrix,
 a samples × points matrix, a harmonics table) are checked against
 `_MAX_ARRAY_BYTES` before any of them is allocated; a larger request
 raises DomainError.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -54,27 +66,94 @@ def _check_array_bytes(shape: tuple, what: str):
         raise DomainError(f"{what} of {dims} floats needs {size} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
-@dataclass(frozen=True)
-class SpherePointSet:
-    """n unit vectors in R^{d+1}, rows of `points`.
+_SPHERE = "sphere"
+_TIME = "time"
 
-    All three point sets share `dimensions`, the points-file columns
-    (`n_columns`, `from_columns`, `columns`), seeded `random` points and the
-    kernel arguments of point pairs (`pair_arguments`).
-    """
+
+class _FactoredPointSet:
+    """The point-set protocol, written once over `FACTORS`, the kind of each
+    factor in column order (see the module docstring). A point set with one
+    factor is that factor; the factors of any other are its fields, in order."""
+
+    def __len__(self) -> int:
+        return len(self._factors()[0][1])
+
+    def _factors(self) -> list:
+        """(kind, factor) pairs: a SpherePointSet or a 1-D array of times each."""
+        values = (self,) if len(self.FACTORS) == 1 else [getattr(self, f.name) for f in dataclasses.fields(self)]
+        return list(zip(self.FACTORS, values))
+
+    @classmethod
+    def _from_factors(cls, factors):
+        return factors[0] if len(cls.FACTORS) == 1 else cls(*factors)
+
+    @classmethod
+    def _factor_dimensions(cls, dimensions) -> list:
+        """(kind, d) pairs: d is the next of `dimensions` for a sphere, None for time."""
+        dims = iter(dimensions)
+        return [(kind, next(dims) if kind == _SPHERE else None) for kind in cls.FACTORS]
+
+    @property
+    def dimensions(self) -> tuple:
+        """The dimension d of each sphere factor, in order."""
+        return tuple(f.dimension for kind, f in self._factors() if kind == _SPHERE)
+
+    @classmethod
+    def n_columns(cls, dimensions) -> int:
+        """Points-file columns: d + 1 per sphere factor, 1 per time factor."""
+        return sum(dimensions) + len(cls.FACTORS)
+
+    @classmethod
+    def from_columns(cls, dimensions, data):
+        """The point set whose factors are consecutive column blocks of `data`."""
+        if data.shape[1] != cls.n_columns(dimensions):
+            raise GeometryError(f"{cls.__name__} needs {cls.n_columns(dimensions)} columns, got {data.shape[1]}")
+        factors, start = [], 0
+        for kind, d in cls._factor_dimensions(dimensions):
+            if kind == _SPHERE:
+                factors.append(SpherePointSet(dimension=d, points=data[:, start : start + d + 1]))
+                start += d + 1
+            else:
+                factors.append(data[:, start])
+                start += 1
+        return cls._from_factors(factors)
+
+    def columns(self) -> np.ndarray:
+        """The factors' columns side by side, one row per point."""
+        return np.column_stack([f.points if kind == _SPHERE else f for kind, f in self._factors()])
+
+    @classmethod
+    def random(cls, dimensions, n: int, states):
+        """n random points, factor k seeded by states[k]."""
+        return cls._from_factors([
+            uniform_sphere_points(d, n, int(state)) if kind == _SPHERE
+            else np.random.default_rng(int(state)).uniform(0.0, 1.0, n)
+            for (kind, d), state in zip(cls._factor_dimensions(dimensions), states)
+        ])
+
+    def pair_arguments(self, pairs) -> tuple:
+        """One kernel argument per factor for the point pairs indexed by
+        `pairs`, a pair (i, j) of index arrays."""
+        i, j = pairs
+        return tuple(_cosine_matrix(f.points)[pairs] if kind == _SPHERE else f[i] - f[j] for kind, f in self._factors())
+
+
+@dataclass(frozen=True)
+class SpherePointSet(_FactoredPointSet):
+    """n unit vectors in R^{d+1}, rows of `points`: a single sphere factor."""
 
     dimension: int
     points: np.ndarray
 
+    FACTORS = (_SPHERE,)
     LAYOUT = "coordinates in R^(d+1)"
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise GeometryError(f"sphere dimension must be >= 1, got {self.dimension}")
+        d = _check_count(self.dimension, "sphere dimension", 1, GeometryError)
         pts = _frozen_floats(self.points, 2, "points", GeometryError)
-        if pts.shape[1] != self.dimension + 1:
+        if pts.shape[1] != d + 1:
             raise GeometryError(
-                f"points must have shape (n, {self.dimension + 1}), got {pts.shape}"
+                f"points must have shape (n, {d + 1}), got {pts.shape}"
             )
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
@@ -82,43 +161,21 @@ class SpherePointSet:
             raise GeometryError(
                 f"point {worst} has norm {norms[worst]!r}, not 1 within {UNIT_NORM_TOL}"
             )
+        object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dimensions(self) -> tuple:
-        return (self.dimension,)
-
-    @staticmethod
-    def n_columns(dimensions) -> int:
-        return dimensions[0] + 1
-
-    @classmethod
-    def from_columns(cls, dimensions, data) -> "SpherePointSet":
-        return cls(dimension=dimensions[0], points=data)
-
-    def columns(self) -> np.ndarray:
-        return self.points
-
-    @classmethod
-    def random(cls, dimensions, n: int, states) -> "SpherePointSet":
-        """n uniform points seeded by states[0]."""
-        return uniform_sphere_points(dimensions[0], n, int(states[0]))
-
-    def pair_arguments(self, pairs) -> tuple:
-        """(cosines,) of the point pairs indexed by `pairs`, a pair of index arrays."""
-        return (_cosine_matrix(self.points)[pairs],)
-
 
 @dataclass(frozen=True)
-class SpaceTimePointSet:
-    """Pairs (p_i, t_i) of sphere points and times."""
+class SpaceTimePointSet(_FactoredPointSet):
+    """Pairs (p_i, t_i) of sphere points and times: factors (space, times)."""
 
     space: SpherePointSet
     times: np.ndarray
 
+    FACTORS = (_SPHERE, _TIME)
     LAYOUT = "coordinates then time"
 
     def __post_init__(self):
@@ -129,43 +186,16 @@ class SpaceTimePointSet:
             )
         object.__setattr__(self, "times", t)
 
-    def __len__(self) -> int:
-        return len(self.space)
-
-    @property
-    def dimensions(self) -> tuple:
-        return self.space.dimensions
-
-    @staticmethod
-    def n_columns(dimensions) -> int:
-        return SpherePointSet.n_columns(dimensions) + 1
-
-    @classmethod
-    def from_columns(cls, dimensions, data) -> "SpaceTimePointSet":
-        return cls(space=SpherePointSet.from_columns(dimensions, data[:, :-1]), times=data[:, -1])
-
-    def columns(self) -> np.ndarray:
-        return np.column_stack([self.space.points, self.times])
-
-    @classmethod
-    def random(cls, dimensions, n: int, states) -> "SpaceTimePointSet":
-        """n uniform points seeded by states[0], times uniform on [0, 1) seeded by states[1]."""
-        space = SpherePointSet.random(dimensions, n, states)
-        return cls(space=space, times=np.random.default_rng(int(states[1])).uniform(0.0, 1.0, n))
-
-    def pair_arguments(self, pairs) -> tuple:
-        """(cosines, time lags t_i - t_j) of the point pairs indexed by `pairs`."""
-        lag = self.times[:, None] - self.times[None, :]
-        return (_cosine_matrix(self.space.points)[pairs], lag[pairs])
-
 
 @dataclass(frozen=True)
-class ProductPointSet:
-    """Pairs (p_i, q_i) with p_i on the first sphere and q_i on the second."""
+class ProductPointSet(_FactoredPointSet):
+    """Pairs (p_i, q_i) with p_i on the first sphere and q_i on the second:
+    factors (first, second)."""
 
     first: SpherePointSet
     second: SpherePointSet
 
+    FACTORS = (_SPHERE, _SPHERE)
     LAYOUT = "first factor then second"
 
     def __post_init__(self):
@@ -173,42 +203,6 @@ class ProductPointSet:
             raise GeometryError(
                 f"component point sets must have equal length, got {len(self.first)} and {len(self.second)}"
             )
-
-    def __len__(self) -> int:
-        return len(self.first)
-
-    @property
-    def dimensions(self) -> tuple:
-        return (self.first.dimension, self.second.dimension)
-
-    @staticmethod
-    def n_columns(dimensions) -> int:
-        d1, d2 = dimensions
-        return d1 + d2 + 2
-
-    @classmethod
-    def from_columns(cls, dimensions, data) -> "ProductPointSet":
-        d1, d2 = dimensions
-        return cls(
-            first=SpherePointSet(dimension=d1, points=data[:, : d1 + 1]),
-            second=SpherePointSet(dimension=d2, points=data[:, d1 + 1 :]),
-        )
-
-    def columns(self) -> np.ndarray:
-        return np.hstack([self.first.points, self.second.points])
-
-    @classmethod
-    def random(cls, dimensions, n: int, states) -> "ProductPointSet":
-        """n uniform points on each factor, seeded by states[0] and states[1]."""
-        d1, d2 = dimensions
-        return cls(
-            first=uniform_sphere_points(d1, n, int(states[0])),
-            second=uniform_sphere_points(d2, n, int(states[1])),
-        )
-
-    def pair_arguments(self, pairs) -> tuple:
-        """(first-factor cosines, second-factor cosines) of the point pairs indexed by `pairs`."""
-        return (_cosine_matrix(self.first.points)[pairs], _cosine_matrix(self.second.points)[pairs])
 
 
 # The only place that pairs a kernel family with its point geometry.
@@ -347,10 +341,9 @@ def schur_product(a: GramMatrix, b: GramMatrix) -> GramMatrix:
         raise DomainError(
             f"shape mismatch: {a.entries.shape} vs {b.entries.shape}"
         )
-    return GramMatrix(
-        entries=a.entries * b.entries,
-        provenance=f"schur({a.provenance}, {b.provenance})",
-    )
+    entries = a.entries * b.entries
+    entries.setflags(write=False)
+    return GramMatrix(entries=entries, provenance=f"schur({a.provenance}, {b.provenance})")
 
 
 def _default_jitter(entries: np.ndarray) -> float:
@@ -532,4 +525,5 @@ def empirical_covariance(s: FieldSample) -> GramMatrix:
     c = np.cov(s.values, rowvar=False, ddof=1)
     c = np.atleast_2d(c)
     c = 0.5 * (c + c.T)
+    c.setflags(write=False)
     return GramMatrix(entries=c, provenance=f"empirical({s.kernel_id}, n_samples={s.n_samples})")

@@ -173,12 +173,13 @@ def _blocks(rows: int, n: int):
         yield slice(start, min(start + step, n))
 
 
-def _block_sum(rows: int, terms, *args) -> np.ndarray:
-    """Sum of a kernel series' terms at the broadcast points of `args`: for each
-    of `_blocks(rows, ...)`, `acc += term` runs from zero over what `terms(*block)`
-    yields, so a value does not depend on its batch, block or BLAS threads. A term
-    is added before the next is made, so `terms` may reuse a buffer. Memory is the
-    output plus about `_BLOCK_BYTES` (`rows` rows of one block)."""
+def _block_sum(scale: float, rows: int, terms, *args):
+    """`scale` times the sum of a kernel series' terms at the broadcast points of
+    `args`: for each of `_blocks(rows, ...)`, `acc += term` runs from zero over
+    what `terms(*block)` yields, so a value does not depend on its batch, block or
+    BLAS threads. A term is added before the next is made, so `terms` may reuse a
+    buffer. Memory is the output plus about `_BLOCK_BYTES` (`rows` rows of one
+    block). Scalar points give a float, arrays an array of their shape."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     flat = [a.reshape(-1) for a in arrays]
     out = np.zeros(flat[0].size)
@@ -186,7 +187,8 @@ def _block_sum(rows: int, terms, *args) -> np.ndarray:
         acc = out[block]
         for term in terms(*(f[block] for f in flat)):
             acc += term
-    return out.reshape(arrays[0].shape)
+    out *= scale
+    return float(out[0]) if arrays[0].ndim == 0 else out.reshape(arrays[0].shape)
 
 
 def eval_normalized(basis: GegenbauerBasis, n: int, x):

@@ -91,8 +91,7 @@ def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
                 term *= q
                 yield term
 
-    value = kernel.scale_c * _block_sum(m_max + n_max + 2, terms, x1, x2)
-    return float(value) if value.ndim == 0 else value
+    return _block_sum(kernel.scale_c, m_max + n_max + 2, terms, x1, x2)
 
 
 @dataclass(frozen=True)

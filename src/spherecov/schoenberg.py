@@ -142,15 +142,15 @@ def _check_tol(tol: float):
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _check_count(value, name: str, least: int = 0) -> int:
+def _check_count(value, name: str, least: int = 0, error=DomainError) -> int:
     """A count, dimension or seed as an int. It must be an integer (Python or
-    numpy, not a float) of at least `least`; anything else is a DomainError."""
+    numpy, not a float) of at least `least`; anything else is an `error`."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if count < least:
-        raise DomainError(f"{name} must be >= {least}, got {count}")
+        raise error(f"{name} must be >= {least}, got {count}")
     return count
 
 
@@ -172,8 +172,7 @@ def kernel_eval(seq: SchoenbergSequence, x):
         table = eval_sequence(seq.basis, seq.truncation, block)
         return (a_n * row for a_n, row in zip(seq.coeffs, table))
 
-    value = seq.scale_c * _block_sum(seq.coeffs.size, terms, x)
-    return float(value) if value.ndim == 0 else value
+    return _block_sum(seq.scale_c, seq.coeffs.size, terms, x)
 
 
 VECTORIZED = "vectorized"
@@ -314,7 +313,7 @@ def certify(
     raises or returns another shape.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _cosine_matrix, min_eigenvalue, uniform_sphere_points
+    from .fields import min_eigenvalue, uniform_sphere_points
 
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -364,7 +363,7 @@ def certify(
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])
         pts = uniform_sphere_points(basis.dimension, n, trial_seed)
-        values, batched = _evaluate(g, _cosine_matrix(pts.points)[iu])
+        values, batched = _evaluate(g, *pts.pair_arguments(iu))
         vectorized = vectorized and batched
         evaluations += values.size
         gmat = np.empty((n, n))

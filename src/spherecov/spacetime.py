@@ -190,8 +190,7 @@ def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
             if a != 0.0:
                 yield a * charfn_eval(cf, t_block) * p
 
-    value = kernel.scale_c * _block_sum(_check_degree(kernel.truncation) + 1, terms, x, t)
-    return float(value) if value.ndim == 0 else value
+    return _block_sum(kernel.scale_c, _check_degree(kernel.truncation) + 1, terms, x, t)
 
 
 def schoenberg_functions_at(kernel: SpaceTimeKernel, t: float) -> np.ndarray:

@@ -11,10 +11,14 @@ import numpy as np
 import spherecov
 from spherecov import (
     GegenbauerBasis,
+    ProductPointSet,
+    SpaceTimePointSet,
+    SpherePointSet,
     eval_sequence,
     make_ps_kernel,
     make_sequence,
     make_st_kernel,
+    uniform_sphere_points,
 )
 from spherecov.spacetime import (
     EXPONENTIAL,
@@ -81,6 +85,117 @@ def ps_kernel_eval_one_einsum(kernel, x1, x2):
     t2 = eval_sequence(kernel.basis2, n_max, x2_b)
     value = kernel.scale_c * np.einsum("mn,m...,n...->...", kernel.coeff_matrix, t1, t2)
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _cosine_matrix(points):
+    return np.clip(points @ points.T, -1.0, 1.0)
+
+
+class SpherePointSetMethods:
+    """Reference copy of the protocol members `SpherePointSet` wrote itself
+    before the point sets shared one implementation over their factors; the
+    shared one must give the same bytes. Instance members take the point set
+    first."""
+
+    @staticmethod
+    def dimensions(ps):
+        return (ps.dimension,)
+
+    @staticmethod
+    def n_columns(dimensions):
+        return dimensions[0] + 1
+
+    @staticmethod
+    def from_columns(dimensions, data):
+        return SpherePointSet(dimension=dimensions[0], points=data)
+
+    @staticmethod
+    def columns(ps):
+        return ps.points
+
+    @staticmethod
+    def random(dimensions, n, states):
+        return uniform_sphere_points(dimensions[0], n, int(states[0]))
+
+    @staticmethod
+    def pair_arguments(ps, pairs):
+        return (_cosine_matrix(ps.points)[pairs],)
+
+
+class SpaceTimePointSetMethods:
+    """Reference copy of `SpaceTimePointSet`'s own protocol members, as for
+    `SpherePointSetMethods`."""
+
+    @staticmethod
+    def dimensions(ps):
+        return (ps.space.dimension,)
+
+    @staticmethod
+    def n_columns(dimensions):
+        return SpherePointSetMethods.n_columns(dimensions) + 1
+
+    @staticmethod
+    def from_columns(dimensions, data):
+        return SpaceTimePointSet(space=SpherePointSetMethods.from_columns(dimensions, data[:, :-1]), times=data[:, -1])
+
+    @staticmethod
+    def columns(ps):
+        return np.column_stack([ps.space.points, ps.times])
+
+    @staticmethod
+    def random(dimensions, n, states):
+        space = SpherePointSetMethods.random(dimensions, n, states)
+        return SpaceTimePointSet(space=space, times=np.random.default_rng(int(states[1])).uniform(0.0, 1.0, n))
+
+    @staticmethod
+    def pair_arguments(ps, pairs):
+        lag = ps.times[:, None] - ps.times[None, :]
+        return (_cosine_matrix(ps.space.points)[pairs], lag[pairs])
+
+
+class ProductPointSetMethods:
+    """Reference copy of `ProductPointSet`'s own protocol members, as for
+    `SpherePointSetMethods`."""
+
+    @staticmethod
+    def dimensions(ps):
+        return (ps.first.dimension, ps.second.dimension)
+
+    @staticmethod
+    def n_columns(dimensions):
+        d1, d2 = dimensions
+        return d1 + d2 + 2
+
+    @staticmethod
+    def from_columns(dimensions, data):
+        d1, d2 = dimensions
+        return ProductPointSet(
+            first=SpherePointSet(dimension=d1, points=data[:, : d1 + 1]),
+            second=SpherePointSet(dimension=d2, points=data[:, d1 + 1 :]),
+        )
+
+    @staticmethod
+    def columns(ps):
+        return np.hstack([ps.first.points, ps.second.points])
+
+    @staticmethod
+    def random(dimensions, n, states):
+        d1, d2 = dimensions
+        return ProductPointSet(
+            first=uniform_sphere_points(d1, n, int(states[0])),
+            second=uniform_sphere_points(d2, n, int(states[1])),
+        )
+
+    @staticmethod
+    def pair_arguments(ps, pairs):
+        return (_cosine_matrix(ps.first.points)[pairs], _cosine_matrix(ps.second.points)[pairs])
+
+
+REFERENCE_POINT_SET_METHODS = {
+    SpherePointSet: SpherePointSetMethods,
+    SpaceTimePointSet: SpaceTimePointSetMethods,
+    ProductPointSet: ProductPointSetMethods,
+}
 
 
 def random_st_kernel(rng, basis, n_max):

@@ -3,7 +3,8 @@ family: family facts live on the kernel classes and in kernelspec's kind
 table. Only the generic `isinstance(points, point_set_type(kernel))` check
 of fields remains, and it names no family. Likewise no module branches on
 the characteristic-function family: its facts live in spacetime's family
-table."""
+table. No point-set class writes a protocol member of its own: fields writes
+them once, over each point set's factors."""
 
 import ast
 import inspect
@@ -123,3 +124,56 @@ def test_guard_flags_hand_written_intake():
         "        return np.array(self.w)\n"
     )
     assert _post_init_intake(source) == [("A", 3), ("A", 4), ("B", 7)]
+
+
+PROTOCOL_MEMBERS = {"dimensions", "n_columns", "from_columns", "columns", "random", "pair_arguments"}
+POINT_SET_CLASSES = {cls.__name__ for cls in spherecov.fields._POINT_SET_TYPES.values()}
+
+
+def _own_protocol_members(source):
+    """(class, member) of each protocol member that a point-set class defines
+    or assigns in its own body: the protocol is written once, over factors."""
+    sites = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in POINT_SET_CLASSES:
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            sites += [(cls.name, name) for name in names if name in PROTOCOL_MEMBERS]
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_point_sets_share_one_protocol(module):
+    assert _own_protocol_members((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_per_class_protocol_members():
+    source = (
+        "class SpherePointSet(Base):\n"
+        "    @property\n"
+        "    def dimensions(self):\n"
+        "        return (self.dimension,)\n"
+        "    def __len__(self):\n"
+        "        return 1\n"
+        "class ProductPointSet:\n"
+        "    random = classmethod(draw)\n"
+        "    columns: object = None\n"
+        "class Elsewhere:\n"
+        "    def pair_arguments(self, pairs):\n"
+        "        return ()\n"
+    )
+    assert _own_protocol_members(source) == [
+        ("SpherePointSet", "dimensions"), ("ProductPointSet", "random"), ("ProductPointSet", "columns"),
+    ]
+
+
+@pytest.mark.parametrize("cls", sorted(spherecov.fields._POINT_SET_TYPES.values(), key=lambda cls: cls.__name__))
+def test_point_set_classes_inherit_the_protocol(cls):
+    assert PROTOCOL_MEMBERS.isdisjoint(vars(cls))

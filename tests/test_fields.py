@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import cli_env, random_ps_kernel, random_sequence, random_st_kernel
+from helpers import REFERENCE_POINT_SET_METHODS, cli_env, random_ps_kernel, random_sequence, random_st_kernel
 from spherecov import (
     DomainError,
     FactorizationError,
@@ -77,6 +77,11 @@ class TestPointSets:
     def test_sphere_set_rejects_bad_dimension(self):
         with pytest.raises(GeometryError):
             SpherePointSet(dimension=0, points=[[1.0]])
+
+    @pytest.mark.parametrize("dimension", ["2", None, 2.5], ids=["string", "none", "float"])
+    def test_sphere_set_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(GeometryError, match="^sphere dimension must be an integer, got "):
+            SpherePointSet(dimension=dimension, points=np.eye(3))
 
     def test_spacetime_set_pairs_points_with_times(self):
         s = _sphere_set(np.eye(3))
@@ -211,6 +216,65 @@ class TestHandOver:
         assert not sample.values.flags.writeable
         peak = self._peak(lambda: sampler(seq, pts, n_samples, 4))
         assert peak < (outputs + 0.5) * 8 * n_points * n_samples
+
+    @pytest.mark.parametrize("operation", ["schur_product", "empirical_covariance"])
+    def test_fresh_matrix_is_handed_over(self, operation):
+        # The result and the symmetry check's |G - G^T|; a copy would be a third.
+        n = 1000
+        if operation == "schur_product":
+            g = gram(make_sequence([0.5, 0.5], LEGENDRE), uniform_sphere_points(2, n, 3))
+            call = lambda: schur_product(g, g)  # noqa: E731
+        else:
+            s = FieldSample(values=np.random.default_rng(4).standard_normal((3, n)), seed=0, kernel_id="test")
+            call = lambda: empirical_covariance(s)  # noqa: E731
+        assert not call().entries.flags.writeable
+        assert self._peak(call) < 2.2 * 8 * n * n
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFactorProtocol:
+    """The point-set protocol, written once over each point set's factors,
+    gives the bytes of the members each class once wrote itself
+    (`helpers.REFERENCE_POINT_SET_METHODS`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from([SpherePointSet, SpaceTimePointSet, ProductPointSet]),
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_members_match_the_reference(self, kind, d1, d2, n, seed):
+        ref = REFERENCE_POINT_SET_METHODS[kind]
+        dims = (d1, d2) if kind is ProductPointSet else (d1,)
+        states = np.random.SeedSequence(seed).generate_state(2)
+        pts, expected = kind.random(dims, n, states), ref.random(dims, n, states)
+        assert type(pts) is kind and len(pts) == n
+        assert _same_array(ref.columns(pts), ref.columns(expected))
+        assert pts.dimensions == ref.dimensions(expected) == dims
+        assert kind.n_columns(dims) == ref.n_columns(dims)
+        data = ref.columns(expected)
+        assert _same_array(pts.columns(), data)
+        back = kind.from_columns(dims, data)
+        assert type(back) is kind
+        assert _same_array(ref.columns(back), ref.columns(ref.from_columns(dims, data)))
+        pairs = np.triu_indices(n)
+        got, want = pts.pair_arguments(pairs), ref.pair_arguments(expected, pairs)
+        assert len(got) == len(want)
+        assert all(_same_array(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind", [SpherePointSet, SpaceTimePointSet, ProductPointSet])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_from_columns_rejects_a_wrong_width(self, kind, extra):
+        dims = (2, 1) if kind is ProductPointSet else (2,)
+        data = kind.random(dims, 5, [1, 2]).columns()
+        data = np.column_stack([data, data[:, :1]]) if extra > 0 else data[:, :-1]
+        with pytest.raises(GeometryError):
+            kind.from_columns(dims, data)
 
 
 class TestUniformSpherePoints:

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .errors import KernelSpecError, SphereCovError
-from .fields import point_set_type, sample_factorized, sample_spectral_s2
+from .fields import _check_array_bytes, point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
@@ -30,6 +30,8 @@ SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
 
 EVAL_FLAGS = ("--x", "--t", "--x1", "--x2")
+# `eval --grid` rows joined per write: as fast as one join, with a bounded text.
+_LINES_PER_WRITE = 4096
 
 BUILTIN_EXPRESSIONS = {
     "x": lambda x: x,
@@ -123,12 +125,17 @@ def cmd_eval(args) -> int:
         if args.grid < 2:
             raise _ValidationFailure(f"--grid must be at least 2, got {args.grid}")
         _forbid(args, EVAL_FLAGS, "together with --grid")
+        k = len(kernel.arguments)
+        _check_array_bytes((args.grid**k, k + 1), "an eval table")
         xs = np.linspace(-1.0, 1.0, args.grid)
         ts = np.linspace(0.0, 1.0 if args.t_max is None else args.t_max, args.grid)
         axes = np.meshgrid(*(ts if name == "t" else xs for name in kernel.arguments), indexing="ij")
         columns = [axis.ravel() for axis in axes]
         table = np.column_stack([*columns, kernel.values(*columns)])
-        rows = [_csv_row(row) for row in table]
+        # A block of lines at a time, so the text never exists whole in memory.
+        for start in range(0, len(table), _LINES_PER_WRITE):
+            block = table[start : start + _LINES_PER_WRITE]
+            sys.stdout.write("".join([f"{_csv_row(row)}\n" for row in block]))
     else:
         flags = [f"--{name}" for name in kernel.arguments]
         texts = [getattr(args, name) for name in kernel.arguments]
@@ -136,8 +143,7 @@ def cmd_eval(args) -> int:
             raise _ValidationFailure(f"a {kernel.label} spec needs {' and '.join(flags)} (or --grid)")
         _forbid(args, [f for f in EVAL_FLAGS if f not in flags], f"for a {kernel.label} spec")
         value = kernel.values(*(_parse_float(text, flag) for text, flag in zip(texts, flags)))
-        rows = [",".join([*texts, _r(value)])]
-    print("\n".join(rows))
+        print(",".join([*texts, _r(value)]))
     return 0
 
 

@@ -44,10 +44,10 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _frozen_floats
+from .gegenbauer import _check_count, _frozen_floats
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
-from .schoenberg import SchoenbergSequence, _check_count, kernel_eval  # noqa: F401
+from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
 from .spacetime import SpaceTimeKernel
 
 UNIT_NORM_TOL = 1e-12

@@ -24,6 +24,7 @@ of points, not with degree × points.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
     else:
         try:
             arr = np.array(values, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise error(f"{what} must be an array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise error(f"{what} must be a nonempty {ndim}-D array, got shape {arr.shape}")
@@ -60,30 +61,52 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
     return arr
 
 
+def _check_count(value, name: str, least: int = 0, error=DomainError) -> int:
+    """A count, dimension or seed as an int. It must be an integer (Python or
+    numpy, not a float or a bool) of at least `least`; anything else is an `error`."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise error(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _index(d) -> float:
+    """λ = (d−1)/2 of the d-sphere, for an integer d >= 1 whose λ is a finite float."""
+    d = _check_count(d, "sphere dimension", 1)
+    try:
+        return (d - 1) / 2
+    except OverflowError:
+        raise DomainError("sphere dimension is too large: (d-1)/2 must be a finite float") from None
+
+
 @dataclass(frozen=True)
 class GegenbauerBasis:
     """Index λ = (d−1)/2 of the zonal polynomial family on the d-sphere.
 
     `dimension` is the sphere dimension d (the manifold dimension, so the
-    circle is d = 1 and the ordinary sphere in 3-space is d = 2).
+    circle is d = 1 and the ordinary sphere in 3-space is d = 2), stored as
+    an int.
     """
 
     lam: float
     dimension: int
 
     def __post_init__(self):
-        # `< math.inf` rejects inf and NaN before int() could raise on them.
-        if not 1 <= self.dimension < math.inf or self.dimension != int(self.dimension):
-            raise DomainError(f"sphere dimension must be a positive integer, got {self.dimension}")
-        if self.lam != (self.dimension - 1) / 2:
+        if self.lam != _index(self.dimension):
             raise DomainError(
                 f"index lam={self.lam} does not equal (d-1)/2 for d={self.dimension}"
             )
+        object.__setattr__(self, "dimension", operator.index(self.dimension))
 
     @classmethod
     def from_dimension(cls, d: int) -> "GegenbauerBasis":
         """Basis for the d-sphere, λ = (d−1)/2."""
-        return cls(lam=(d - 1) / 2, dimension=d)
+        return cls(lam=_index(d), dimension=d)
 
     @classmethod
     def from_index(cls, lam: float) -> "GegenbauerBasis":

@@ -15,10 +15,8 @@ to one. Unknown keys are rejected to catch typos early.
 import dataclasses
 import json
 
-import numpy as np
-
 from .errors import KernelSpecError, SphereCovError
-from .gegenbauer import GegenbauerBasis
+from .gegenbauer import GegenbauerBasis, _check_count
 from .product_spheres import make_ps_kernel
 from .schoenberg import make_sequence
 from .spacetime import make_charfn, make_st_kernel
@@ -34,25 +32,13 @@ def _require_keys(doc: dict, required: tuple, optional: tuple, where: str):
         raise KernelSpecError(f"{where}: unknown key(s) {unknown}")
 
 
-def _as_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise KernelSpecError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise KernelSpecError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise KernelSpecError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_scale(doc: dict) -> float:
-    scale = _as_number(doc.get("scale", 1.0), "scale")
-    if not scale > 0:
-        raise KernelSpecError(f"scale must be positive, got {scale}")
-    return scale
+    try:
+        return float(value)
+    except OverflowError:
+        raise KernelSpecError(f"{name} is an integer too large for a float") from None
 
 
 def _apply_scale(kernel, scale: float):
@@ -61,11 +47,24 @@ def _apply_scale(kernel, scale: float):
     return dataclasses.replace(kernel, scale_c=kernel.scale_c * scale)
 
 
-def _read_coeffs(coeffs, bases):
-    if not isinstance(coeffs, list) or not coeffs:
-        raise KernelSpecError("coeffs must be a nonempty array of numbers")
-    values = [_as_number(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]
-    return make_sequence(values, *bases, normalize=True)
+def _numbers(value, name: str):
+    """`value`, once `_as_number` has passed every leaf of its nested JSON
+    arrays; the kernel's intake then checks the shape. The walk keeps its own
+    stack, so it takes any depth that `json` parsed."""
+    stack = [(value, name)]
+    while stack:
+        item, path = stack.pop()
+        if isinstance(item, list):
+            stack.extend((item[i], f"{path}[{i}]") for i in reversed(range(len(item))))
+        else:
+            _as_number(item, path)
+    return value
+
+
+def _read_weights(make, key: str):
+    """Reader of a payload that is the kernel's weight array: `make` (a
+    `make_*`) normalizes the numbers and its intake checks their shape."""
+    return lambda payload, bases: make(_numbers(payload, key), *bases, normalize=True)
 
 
 def _read_terms(terms_doc, bases):
@@ -96,30 +95,14 @@ def _write_terms(kernel) -> list:
     ]
 
 
-def _read_matrix(matrix_doc, bases):
-    if not isinstance(matrix_doc, list) or not matrix_doc:
-        raise KernelSpecError("matrix must be a nonempty array of rows")
-    width = None
-    rows = []
-    for i, row in enumerate(matrix_doc):
-        if not isinstance(row, list) or not row:
-            raise KernelSpecError(f"matrix[{i}] must be a nonempty array of numbers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise KernelSpecError(
-                f"matrix rows must have equal length: row 0 has {width}, row {i} has {len(row)}"
-            )
-        rows.append([_as_number(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
-    return make_ps_kernel(np.array(rows), *bases, normalize=True)
-
-
 # kind -> (dimension keys, payload key, payload -> kernel given the bases, kernel -> payload).
 # A kernel class names its entry in its `kind` attribute.
 _KINDS = {
-    "sphere": (("d",), "coeffs", _read_coeffs, lambda kernel: kernel.coeffs.tolist()),
+    "sphere": (("d",), "coeffs", _read_weights(make_sequence, "coeffs"), lambda kernel: kernel.coeffs.tolist()),
     "sphere_time": (("d",), "terms", _read_terms, _write_terms),
-    "product_spheres": (("d1", "d2"), "matrix", _read_matrix, lambda kernel: kernel.coeff_matrix.tolist()),
+    "product_spheres": (
+        ("d1", "d2"), "matrix", _read_weights(make_ps_kernel, "matrix"), lambda kernel: kernel.coeff_matrix.tolist()
+    ),
 }
 KINDS = tuple(_KINDS)
 
@@ -134,8 +117,9 @@ def kernel_from_dict(doc: dict):
     dimension_keys, payload_key, read, _ = _KINDS[kind]
     try:
         _require_keys(doc, ("kind", *dimension_keys, payload_key), ("scale",), f"{kind} spec")
-        bases = [GegenbauerBasis.from_dimension(_as_positive_int(doc[key], key)) for key in dimension_keys]
-        return _apply_scale(read(doc[payload_key], bases), _as_scale(doc))
+        dims = [_check_count(doc[key], key, 1, KernelSpecError) for key in dimension_keys]
+        bases = [GegenbauerBasis.from_dimension(d) for d in dims]
+        return _apply_scale(read(doc[payload_key], bases), _as_number(doc.get("scale", 1.0), "scale"))
     except KernelSpecError:
         raise
     except SphereCovError as exc:
@@ -164,7 +148,9 @@ def read_kernel_file(path):
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise KernelSpecError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise KernelSpecError(f"spec file {path} nests too deeply to be read") from None
+    except ValueError as exc:  # invalid JSON, or an integer too long to convert
         raise KernelSpecError(f"spec file {path} is not valid JSON: {exc}") from exc
     return kernel_from_dict(doc)
 

@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import DegenerateZeroError
 from .gegenbauer import GegenbauerBasis, _block_sum, eval_sequence
-from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
+from .schoenberg import SchoenbergSequence, _check_tol, _Kernel, _split_mass
 
 
 @dataclass(frozen=True)
-class ProductSphereKernel:
+class ProductSphereKernel(_Kernel):
     """Coefficient matrix a_{mn} (rows: first sphere, cols: second) with
     unit total mass, plus the overall scale c."""
 
@@ -30,30 +30,8 @@ class ProductSphereKernel:
 
     kind = "product_spheres"
     arguments = ("x1", "x2")
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeff_matrix", _stored_weights(self.coeff_matrix, 2, "coeff_matrix", self.scale_c)
-        )
-
-    @property
-    def truncations(self) -> tuple:
-        """Largest retained degrees (M, N)."""
-        return (self.coeff_matrix.shape[0] - 1, self.coeff_matrix.shape[1] - 1)
-
-    @property
-    def dimensions(self) -> tuple:
-        """Sphere dimensions of the two cosine arguments, as (d1, d2)."""
-        return (self.basis1.dimension, self.basis2.dimension)
-
-    @property
-    def label(self) -> str:
-        """Short identifier used in provenance strings."""
-        m_max, n_max = self.truncations
-        return (
-            f"product_spheres(d1={self.basis1.dimension}, d2={self.basis2.dimension}, "
-            f"m_max={m_max}, n_max={n_max})"
-        )
+    WEIGHTS = "coeff_matrix"
+    BASES = ("basis1", "basis2")
 
     def values(self, x1, x2):
         """Kernel values at cosine pairs (x1, x2); see `ps_kernel_eval`."""

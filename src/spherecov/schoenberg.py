@@ -13,7 +13,6 @@ independent Gram-eigenvalue oracle.
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .gegenbauer import (
     GegenbauerBasis,
     _block_sum,
     _check_argument,
+    _check_count,
     _check_degree,
     _frozen_floats,
     _sequence,
@@ -48,8 +48,88 @@ NOT_PD = "NotPD"
 INCONCLUSIVE = "Inconclusive"
 
 
+def _checked_weights(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
+    """(weights, total): `values` as `_frozen_floats` takes them, nonnegative,
+    with a finite, nonzero total. A negative entry is reported with its index
+    and value; an overflowing total is a DomainError, not a numpy warning."""
+    arr = _frozen_floats(values, ndim, name)
+    flat = arr.reshape(-1)
+    bad = np.flatnonzero(flat < 0)
+    if bad.size:
+        i = int(bad[0])
+        index = i if arr.ndim == 1 else np.unravel_index(i, arr.shape)
+        raise NegativeCoefficientError(index, float(flat[i]))
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not math.isfinite(total):
+        raise DomainError(f"{name} must have a finite total, got {total}")
+    if total == 0.0:
+        raise ZeroMassError("all coefficients are zero")
+    return arr, total
+
+
+def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple:
+    """(weights, scale) for a kernel constructor, which checks them.
+
+    With `normalize` the weights are checked here for their total, rescaled
+    to unit mass, and the total becomes the scale; otherwise they are passed
+    on as given with scale 1.
+    """
+    if not normalize:
+        return values, 1.0
+    arr, total = _checked_weights(values, ndim, name)
+    return arr / total, total
+
+
+def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
+    """The read-only weight array a kernel stores: checked by
+    `_checked_weights`, summing to 1, and with a positive finite scale."""
+    arr, total = _checked_weights(values, ndim, name)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NormalizationError(f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+    if not (math.isfinite(scale_c) and scale_c > 0):
+        raise DomainError(f"scale_c must be a positive real, got {scale_c}")
+    return arr
+
+
+class _Kernel:
+    """The kernel protocol, written once: a kernel is a frozen dataclass of
+    nonnegative weights (the field named `WEIGHTS`, one axis per basis), the
+    Gegenbauer bases (the fields named `BASES`, in axis order) and `scale_c`."""
+
+    def __post_init__(self):
+        weights = _stored_weights(getattr(self, self.WEIGHTS), len(self.BASES), self.WEIGHTS, self.scale_c)
+        object.__setattr__(self, self.WEIGHTS, weights)
+
+    @property
+    def dimensions(self) -> tuple:
+        """Sphere dimension of each cosine argument, one per basis."""
+        return tuple(getattr(self, name).dimension for name in self.BASES)
+
+    @property
+    def truncations(self) -> tuple:
+        """Largest retained degree of each weight axis."""
+        return tuple(n - 1 for n in getattr(self, self.WEIGHTS).shape)
+
+    @property
+    def truncation(self) -> int:
+        """Largest retained degree N of a kernel with one weight axis."""
+        if len(self.BASES) != 1:
+            raise AttributeError(f"{type(self).__name__} has one truncation per axis, see `truncations`")
+        return self.truncations[0]
+
+    @property
+    def label(self) -> str:
+        """Short identifier used in provenance strings, e.g. `sphere(d=2, n_max=3)`
+        or `product_spheres(d1=2, d2=1, m_max=1, n_max=1)`."""
+        one = len(self.BASES) == 1
+        dims = [("d" if one else f"d{i}", d) for i, d in enumerate(self.dimensions, 1)]
+        degrees = zip(("n_max",) if one else ("m_max", "n_max"), self.truncations)
+        return f"{self.kind}({', '.join(f'{key}={value}' for key, value in [*dims, *degrees])})"
+
+
 @dataclass(frozen=True)
-class SchoenbergSequence:
+class SchoenbergSequence(_Kernel):
     """Truncated sequence (a_0..a_N) with Σ a_n = 1 and overall scale c.
 
     Construction through `make_sequence` normalizes the mass into `scale_c`,
@@ -62,96 +142,18 @@ class SchoenbergSequence:
 
     kind = "sphere"
     arguments = ("x",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _stored_weights(self.coeffs, 1, "coeffs", self.scale_c))
-
-    @property
-    def truncation(self) -> int:
-        """Largest retained degree N."""
-        return self.coeffs.size - 1
-
-    @property
-    def dimensions(self) -> tuple:
-        """Sphere dimension of the cosine argument, as (d,)."""
-        return (self.basis.dimension,)
-
-    @property
-    def label(self) -> str:
-        """Short identifier used in provenance strings."""
-        return f"sphere(d={self.basis.dimension}, n_max={self.truncation})"
+    WEIGHTS = "coeffs"
+    BASES = ("basis",)
 
     def values(self, x):
         """Kernel values at cosines x; see `kernel_eval`."""
         return kernel_eval(self, x)
 
 
-def _checked_weights(values, ndim: int, name: str) -> np.ndarray:
-    """values as `_frozen_floats` takes them, and nonnegative. A negative
-    entry is reported with its index and value."""
-    arr = _frozen_floats(values, ndim, name)
-    flat = arr.reshape(-1)
-    bad = np.flatnonzero(flat < 0)
-    if bad.size:
-        i = int(bad[0])
-        index = i if arr.ndim == 1 else np.unravel_index(i, arr.shape)
-        raise NegativeCoefficientError(index, float(flat[i]))
-    return arr
-
-
-def _finite_total(arr: np.ndarray, name: str) -> float:
-    """Sum of checked weights as a float; an overflowing sum is a DomainError,
-    not a numpy warning."""
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if not math.isfinite(total):
-        raise DomainError(f"{name} must have a finite total, got {total}")
-    return total
-
-
-def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple[np.ndarray, float]:
-    """(weights, scale) for a kernel constructor.
-
-    With `normalize` the weights are rescaled to unit mass and their total
-    becomes the scale; otherwise they are returned with scale 1.
-    """
-    arr = _checked_weights(values, ndim, name)
-    total = _finite_total(arr, name)
-    if total == 0.0:
-        raise ZeroMassError("all coefficients are zero")
-    if normalize:
-        return arr / total, total
-    return arr, 1.0
-
-
-def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
-    """The read-only weight array a kernel stores: checked as by
-    `_checked_weights`, summing to 1, and with a positive finite scale."""
-    arr = _checked_weights(values, ndim, name)
-    total = _finite_total(arr, name)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
-    if not (math.isfinite(scale_c) and scale_c > 0):
-        raise DomainError(f"scale_c must be a positive real, got {scale_c}")
-    return arr
-
-
 def _check_tol(tol: float):
     """A separability tolerance must be finite and nonnegative."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
-
-
-def _check_count(value, name: str, least: int = 0, error=DomainError) -> int:
-    """A count, dimension or seed as an int. It must be an integer (Python or
-    numpy, not a float) of at least `least`; anything else is an `error`."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise error(f"{name} must be >= {least}, got {count}")
-    return count
 
 
 def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> SchoenbergSequence:

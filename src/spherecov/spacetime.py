@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _sequence
-from .schoenberg import SchoenbergSequence, _check_tol, _split_mass, _stored_weights
+from .schoenberg import SchoenbergSequence, _check_tol, _Kernel, _split_mass
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -118,7 +118,7 @@ def charfn_eval(spec: CharFn, t):
 
 
 @dataclass(frozen=True)
-class SpaceTimeKernel:
+class SpaceTimeKernel(_Kernel):
     """Weights (a_n), per-degree characteristic functions, and scale c."""
 
     weights: np.ndarray
@@ -128,34 +128,21 @@ class SpaceTimeKernel:
 
     kind = "sphere_time"
     arguments = ("x", "t")
+    WEIGHTS = "weights"
+    BASES = ("basis",)
 
     def __post_init__(self):
-        weights = _stored_weights(self.weights, 1, "weights", self.scale_c)
+        super().__post_init__()
         charfns = tuple(self.charfns)
-        if len(charfns) != weights.size:
+        if len(charfns) != self.weights.size:
             raise DomainError(
-                f"need one characteristic function per weight: {weights.size} weights, "
+                f"need one characteristic function per weight: {self.weights.size} weights, "
                 f"{len(charfns)} functions"
             )
         for cf in charfns:
             if not isinstance(cf, CharFn):
                 raise DomainError(f"charfns entries must be CharFn, got {type(cf).__name__}")
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "charfns", charfns)
-
-    @property
-    def truncation(self) -> int:
-        return self.weights.size - 1
-
-    @property
-    def dimensions(self) -> tuple:
-        """Sphere dimension of the cosine argument, as (d,)."""
-        return (self.basis.dimension,)
-
-    @property
-    def label(self) -> str:
-        """Short identifier used in provenance strings."""
-        return f"sphere_time(d={self.basis.dimension}, n_max={self.truncation})"
 
     def values(self, x, t):
         """Kernel values at cosines x and time lags t; see `st_kernel_eval`."""
@@ -172,17 +159,25 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
     With `normalize` the weight mass moves into `scale_c`; otherwise the
     weights must already sum to 1.
     """
-    terms = list(terms)
+    try:
+        terms = [(a, cf) for a, cf in terms]
+    except (TypeError, ValueError):
+        raise DomainError("terms must be (weight, CharFn) pairs") from None
     weights, scale = _split_mass([a for a, _ in terms], 1, "weights", normalize)
     return SpaceTimeKernel(weights, tuple(cf for _, cf in terms), scale, basis)
+
+
+def _check_lag(t):
+    """A NaN time lag is a DomainError."""
+    if np.any(np.isnan(t)):
+        raise DomainError("time lag must not be NaN")
 
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
     `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, with
     P̃_n from the recurrence (no table). A NaN lag is a DomainError."""
-    if np.any(np.isnan(t)):
-        raise DomainError("time lag must not be NaN")
+    _check_lag(t)
 
     def terms(x_block, t_block):
         degrees = _sequence(kernel.basis.lam, kernel.truncation, _check_argument(x_block))
@@ -195,8 +190,10 @@ def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
 
 def schoenberg_functions_at(kernel: SpaceTimeKernel, t: float) -> np.ndarray:
     """The time-slice sequence n ↦ a_n φ_n(t); a Schoenberg sequence scaled
-    by factors in [−1, 1]."""
-    return np.array([a * charfn_eval(cf, float(t)) for a, cf in zip(kernel.weights, kernel.charfns)])
+    by factors in [−1, 1]. A NaN lag is a DomainError."""
+    t = float(t)
+    _check_lag(t)
+    return np.array([a * charfn_eval(cf, t) for a, cf in zip(kernel.weights, kernel.charfns)])
 
 
 def spatial_sequence(kernel: SpaceTimeKernel) -> SchoenbergSequence:

@@ -12,6 +12,9 @@ import spherecov
 from spherecov import (
     GegenbauerBasis,
     ProductPointSet,
+    ProductSphereKernel,
+    SchoenbergSequence,
+    SpaceTimeKernel,
     SpaceTimePointSet,
     SpherePointSet,
     eval_sequence,
@@ -195,6 +198,69 @@ REFERENCE_POINT_SET_METHODS = {
     SpherePointSet: SpherePointSetMethods,
     SpaceTimePointSet: SpaceTimePointSetMethods,
     ProductPointSet: ProductPointSetMethods,
+}
+
+
+class SchoenbergSequenceMembers:
+    """Reference copy of the protocol members `SchoenbergSequence` wrote itself
+    before the kernel classes shared one implementation; the shared one must
+    give the same values and label bytes. Each takes the kernel."""
+
+    @staticmethod
+    def truncation(k):
+        return k.coeffs.size - 1
+
+    @staticmethod
+    def dimensions(k):
+        return (k.basis.dimension,)
+
+    @staticmethod
+    def label(k):
+        return f"sphere(d={k.basis.dimension}, n_max={SchoenbergSequenceMembers.truncation(k)})"
+
+
+class SpaceTimeKernelMembers:
+    """Reference copy of `SpaceTimeKernel`'s own protocol members, as for
+    `SchoenbergSequenceMembers`."""
+
+    @staticmethod
+    def truncation(k):
+        return k.weights.size - 1
+
+    @staticmethod
+    def dimensions(k):
+        return (k.basis.dimension,)
+
+    @staticmethod
+    def label(k):
+        return f"sphere_time(d={k.basis.dimension}, n_max={SpaceTimeKernelMembers.truncation(k)})"
+
+
+class ProductSphereKernelMembers:
+    """Reference copy of `ProductSphereKernel`'s own protocol members, as for
+    `SchoenbergSequenceMembers`."""
+
+    @staticmethod
+    def truncations(k):
+        return (k.coeff_matrix.shape[0] - 1, k.coeff_matrix.shape[1] - 1)
+
+    @staticmethod
+    def dimensions(k):
+        return (k.basis1.dimension, k.basis2.dimension)
+
+    @staticmethod
+    def label(k):
+        m_max, n_max = ProductSphereKernelMembers.truncations(k)
+        return (
+            f"product_spheres(d1={k.basis1.dimension}, d2={k.basis2.dimension}, "
+            f"m_max={m_max}, n_max={n_max})"
+        )
+
+
+REFERENCE_KERNEL_MEMBERS = {
+    SchoenbergSequence: SchoenbergSequenceMembers,
+    SpaceTimeKernel: SpaceTimeKernelMembers,
+    ProductSphereKernel: ProductSphereKernelMembers,
 }
 
 

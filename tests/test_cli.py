@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import cli_env, run_cli
-from spherecov import GegenbauerBasis, fields, multiquadric_kernel, multiquadric_sequence
+from spherecov import GegenbauerBasis, cli, fields, multiquadric_kernel, multiquadric_sequence
 from spherecov.cli import main
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -720,6 +720,95 @@ class TestCharFnParamSpecs:
         message = f"terms[0].charfn.params.sigma must be a number, got {value!r}"
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == json.dumps({"error": 2, "message": message}) + "\n"
+
+
+class TestSpecReadingExitsTwo:
+    """A spec whose dimension no basis can take, or that nests deeper than any
+    kernel, exits 2 with one JSON line on stderr and no traceback, at a depth
+    that `json` refuses and at one that it parses."""
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind": "sphere", "d": %s, "coeffs": [1]}' % HUGE,
+             "invalid sphere spec: sphere dimension is too large: (d-1)/2 must be a finite float"),
+            ('{"kind": "product_spheres", "d1": 2, "d2": %s, "matrix": [[1]]}' % HUGE,
+             "invalid product_spheres spec: sphere dimension is too large: (d-1)/2 must be a finite float"),
+            ('{"kind": "sphere", "d": 2.0, "coeffs": [1]}', "d must be an integer, got 2.0"),
+            ('{"kind": "sphere", "d": true, "coeffs": [1]}', "d must be an integer, got True"),
+            ('{"kind": "sphere", "d": 2, "coeffs": %s}' % ("[" * 100_000 + "]" * 100_000),
+             "spec file spec.json nests too deeply to be read"),
+            ('{"kind": "sphere", "d": 2, "coeffs": %s}' % ("[" * 900 + "1" + "]" * 900),
+             "invalid sphere spec: coeffs must be an array of numbers: "),
+            ('{"kind": "product_spheres", "d1": 2, "d2": 2, "matrix": %s}' % ("[" * 900 + "1" + "]" * 900),
+             "invalid product_spheres spec: coeff_matrix must be an array of numbers: "),
+        ],
+        ids=["huge-d", "huge-d2", "float-d", "bool-d", "deep-100000", "deep-900", "deep-900-matrix"],
+    )
+    def test_exit_2_with_one_json_line(self, tmp_path, text, message):
+        (tmp_path / "spec.json").write_text(text, encoding="utf-8")
+        result = run_cli(["eval", "spec.json", "--x", "0.5"], tmp_path)
+        assert (result.returncode, result.stdout) == (2, "")
+        line, rest = result.stderr.split("\n", 1)
+        assert rest == ""
+        assert json.loads(line)["error"] == 2
+        assert json.loads(line)["message"].startswith(message)
+
+
+class TestEvalGrid:
+    """`eval --grid` checks its table of grid**k rows against
+    `fields._MAX_ARRAY_BYTES` before it allocates anything (exit 3, as for
+    `simulate`), then writes one block of lines at a time."""
+
+    @pytest.mark.parametrize(
+        "kind, grid, shape",
+        [
+            ("sphere", 10**8, "100000000 x 2"),
+            ("sphere_time", 10**6, "1000000000000 x 3"),
+            ("product_spheres", 10**6, "1000000000000 x 3"),
+        ],
+    )
+    def test_exit_3_before_any_allocation(self, capsys, monkeypatch, spec_file, kind, grid, shape):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the grid was allocated before the bound check")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        code, out, err = run(capsys, "eval", spec_file(GOLDEN_SPECS[kind]), "--grid", str(grid))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith(f"an eval table of {shape} floats needs ")
+
+    def test_huge_product_grid_exits_3_with_one_json_line(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(GOLDEN_PROD), encoding="utf-8")
+        result = run_cli(["eval", "spec.json", "--grid", "1000000"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert json.loads(result.stderr) == {
+            "error": 3,
+            "message": "an eval table of 1000000000000 x 3 floats needs 24000000000000 bytes, "
+            "over the bound of 1073741824",
+        }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SPECS))
+    def test_writes_a_block_of_lines_at_a_time(self, capsys, monkeypatch, spec_file, kind):
+        spec = spec_file(GOLDEN_SPECS[kind])
+        code, out, _ = run(capsys, "eval", spec, "--grid", "4")
+        assert code == 0
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 3)
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["eval", spec, "--grid", "4"]) == 0
+        lines = out.splitlines(keepends=True)
+        assert len(lines) == (4 if kind == "sphere" else 16)
+        assert writes == ["".join(lines[i : i + 3]) for i in range(0, len(lines), 3)]
 
 
 class TestSimulateStreams:

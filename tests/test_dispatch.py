@@ -4,17 +4,31 @@ table. Only the generic `isinstance(points, point_set_type(kernel))` check
 of fields remains, and it names no family. Likewise no module branches on
 the characteristic-function family: its facts live in spacetime's family
 table. No point-set class writes a protocol member of its own: fields writes
-them once, over each point set's factors."""
+them once, over each point set's factors. No kernel class writes its own
+`dimensions`, `label`, `truncations` or weight intake: schoenberg's `_Kernel`
+writes them once, over each kernel's weight and basis fields."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import spherecov
-from spherecov import spacetime
+from spherecov import (
+    GegenbauerBasis,
+    ProductSphereKernel,
+    SpaceTimeKernel,
+    make_ps_kernel,
+    make_sequence,
+    make_st_kernel,
+    spacetime,
+)
+from spherecov.schoenberg import _Kernel
 
 FAMILY_NAMES = {"SchoenbergSequence", "SpaceTimeKernel", "ProductSphereKernel", "Separable", "NonSeparable"}
 PACKAGE = Path(spherecov.__file__).parent
@@ -128,14 +142,16 @@ def test_guard_flags_hand_written_intake():
 
 PROTOCOL_MEMBERS = {"dimensions", "n_columns", "from_columns", "columns", "random", "pair_arguments"}
 POINT_SET_CLASSES = {cls.__name__ for cls in spherecov.fields._POINT_SET_TYPES.values()}
+KERNEL_MEMBERS = {"dimensions", "label", "truncations"}
+KERNEL_CLASSES = {cls.__name__ for cls in _Kernel.__subclasses__()}
 
 
-def _own_protocol_members(source):
-    """(class, member) of each protocol member that a point-set class defines
-    or assigns in its own body: the protocol is written once, over factors."""
+def _own_members(source, classes=POINT_SET_CLASSES, members=PROTOCOL_MEMBERS):
+    """(class, member) of each of `members` that one of `classes` defines or
+    assigns in its own body: the protocol is written once, in a shared base."""
     sites = []
     for cls in ast.walk(ast.parse(source)):
-        if not isinstance(cls, ast.ClassDef) or cls.name not in POINT_SET_CLASSES:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
             continue
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -145,13 +161,13 @@ def _own_protocol_members(source):
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            sites += [(cls.name, name) for name in names if name in PROTOCOL_MEMBERS]
+            sites += [(cls.name, name) for name in names if name in members]
     return sites
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_point_sets_share_one_protocol(module):
-    assert _own_protocol_members((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert _own_members((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_guard_flags_per_class_protocol_members():
@@ -169,7 +185,7 @@ def test_guard_flags_per_class_protocol_members():
         "    def pair_arguments(self, pairs):\n"
         "        return ()\n"
     )
-    assert _own_protocol_members(source) == [
+    assert _own_members(source) == [
         ("SpherePointSet", "dimensions"), ("ProductPointSet", "random"), ("ProductPointSet", "columns"),
     ]
 
@@ -177,3 +193,92 @@ def test_guard_flags_per_class_protocol_members():
 @pytest.mark.parametrize("cls", sorted(spherecov.fields._POINT_SET_TYPES.values(), key=lambda cls: cls.__name__))
 def test_point_set_classes_inherit_the_protocol(cls):
     assert PROTOCOL_MEMBERS.isdisjoint(vars(cls))
+
+
+def test_every_kernel_class_shares_the_kernel_protocol():
+    assert KERNEL_CLASSES == {cls.__name__ for cls in spherecov.fields._POINT_SET_TYPES}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_kernels_share_one_protocol(module):
+    assert _own_members((PACKAGE / module).read_text(encoding="utf-8"), KERNEL_CLASSES, KERNEL_MEMBERS) == []
+
+
+@pytest.mark.parametrize("cls", _Kernel.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_kernel_classes_inherit_the_protocol(cls):
+    assert KERNEL_MEMBERS.isdisjoint(vars(cls))
+
+
+def _calls(source, name):
+    """Line numbers of the calls of `name`, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_weights_are_stored_from_one_place():
+    sites = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _calls(path.read_text(encoding="utf-8"), "_stored_weights")
+    ]
+    assert [module for module, _ in sites] == ["schoenberg.py"]
+
+
+def test_guard_flags_per_class_kernel_members_and_intake():
+    source = (
+        "class SpaceTimeKernel(_Kernel):\n"
+        "    def __post_init__(self):\n"
+        "        w = _stored_weights(self.weights, 1, 'weights', self.scale_c)\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        return 'x'\n"
+        "    def values(self, x, t):\n"
+        "        return x\n"
+        "class ProductSphereKernel(_Kernel):\n"
+        "    truncations = property(lambda self: (0, 0))\n"
+        "    def __post_init__(self):\n"
+        "        schoenberg._stored_weights(self.coeff_matrix, 2, 'coeff_matrix', self.scale_c)\n"
+    )
+    assert _own_members(source, KERNEL_CLASSES, KERNEL_MEMBERS) == [
+        ("SpaceTimeKernel", "label"), ("ProductSphereKernel", "truncations"),
+    ]
+    assert _calls(source, "_stored_weights") == [3, 12]
+
+
+class TestKernelProtocol:
+    """The kernel protocol, written once over each kernel's weight and basis
+    fields, gives the values and label bytes of the members each class once
+    wrote itself (`helpers.REFERENCE_KERNEL_MEMBERS`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(helpers.REFERENCE_KERNEL_MEMBERS, key=lambda cls: cls.__name__)),
+        d1=st.integers(1, 4),
+        d2=st.integers(1, 4),
+        m=st.integers(0, 12),
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_members_match_the_reference(self, kind, d1, d2, m, n, seed):
+        rng = np.random.default_rng(seed)
+        basis1, basis2 = GegenbauerBasis.from_dimension(d1), GegenbauerBasis.from_dimension(d2)
+        if kind is ProductSphereKernel:
+            kernel = make_ps_kernel(rng.uniform(0.05, 1.0, (m + 1, n + 1)), basis1, basis2, normalize=True)
+        elif kind is SpaceTimeKernel:
+            terms = [(a, helpers.random_charfn(rng)) for a in rng.uniform(0.05, 1.0, n + 1)]
+            kernel = make_st_kernel(terms, basis1, normalize=True)
+        else:
+            kernel = make_sequence(rng.uniform(0.05, 1.0, n + 1), basis1, normalize=True)
+        ref = helpers.REFERENCE_KERNEL_MEMBERS[kind]
+        assert type(kernel) is kind
+        assert kernel.label == ref.label(kernel)
+        assert kernel.dimensions == ref.dimensions(kernel)
+        assert all(type(d) is int for d in kernel.dimensions)
+        if kind is ProductSphereKernel:
+            assert kernel.truncations == ref.truncations(kernel) == (m, n)
+            assert not hasattr(kernel, "truncation")
+        else:
+            assert kernel.truncations == (ref.truncation(kernel),) == (kernel.truncation,) == (n,)

@@ -13,13 +13,14 @@ from spherecov import (
     GegenbauerBasis,
     eval_normalized,
     eval_sequence,
+    make_sequence,
     multiquadric_sequence,
     norm_squared,
     quadrature,
     recover_coefficients,
 )
 from spherecov.errors import ConvergenceError, GeometryError
-from spherecov.gegenbauer import QuadratureRule, _frozen_floats
+from spherecov.gegenbauer import QuadratureRule, _check_count, _frozen_floats
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 CHEBYSHEV = GegenbauerBasis.from_index(0.0)
@@ -65,6 +66,31 @@ class TestBasisConstruction:
     def test_rejects_mismatched_pair(self):
         with pytest.raises(DomainError):
             GegenbauerBasis(lam=1.0, dimension=2)
+
+    @pytest.mark.parametrize("d", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+    def test_dimension_must_be_an_integer(self, d):
+        with pytest.raises(DomainError, match=r"^sphere dimension must be an integer, got "):
+            GegenbauerBasis.from_dimension(d)
+        with pytest.raises(DomainError, match=r"^sphere dimension must be an integer, got "):
+            GegenbauerBasis(lam=0.5, dimension=d)
+
+    @pytest.mark.parametrize("d", [10**400, 2**1100], ids=["1e400", "2^1100"])
+    def test_dimension_whose_index_overflows(self, d):
+        with pytest.raises(DomainError, match=r"^sphere dimension is too large: \(d-1\)/2 must be a finite float$"):
+            GegenbauerBasis.from_dimension(d)
+
+    def test_numpy_integer_dimension_is_stored_as_int(self):
+        basis = GegenbauerBasis.from_dimension(np.int64(3))
+        assert type(basis.dimension) is int and basis.dimension == 3 and basis.lam == 1.0
+        assert make_sequence([1.0], basis).label == "sphere(d=3, n_max=0)"
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "3", None])
+def test_check_count_rejects_non_integers(value):
+    """`_check_count`, the one typed check of counts, seeds and dimensions,
+    takes no bool, although `operator.index` would."""
+    with pytest.raises(DomainError, match=r"^n must be an integer, got "):
+        _check_count(value, "n")
 
 
 class TestFrozenFloats:
@@ -116,8 +142,9 @@ class TestFrozenFloats:
             ([[1.0, math.nan]], "must be finite"),
             ([[None]], "must be finite"),
             ([[-math.inf]], "must be finite"),
+            ([[10**400]], "must be an array of numbers"),
         ],
-        ids=["string", "ragged", "dict", "1-D", "empty", "nan", "none", "inf"],
+        ids=["string", "ragged", "dict", "1-D", "empty", "nan", "none", "inf", "huge-int"],
     )
     @pytest.mark.parametrize("error", [DomainError, GeometryError])
     def test_bad_input_raises_the_given_error(self, values, message, error):

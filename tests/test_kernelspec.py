@@ -1,6 +1,7 @@
 """JSON kernel specs: parse, validate, serialize, round-trip."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,43 @@ class TestSphereKind:
     def test_infinite_scale_is_spec_error(self, coeffs, scale):
         with pytest.raises(KernelSpecError, match=r"^invalid sphere spec: scale_c must be a positive real, got inf$"):
             kernel_from_dict({"kind": "sphere", "d": 2, "coeffs": coeffs, "scale": scale})
+
+
+class TestWeightPayloads:
+    """Sphere coefficients and product matrices go through one walker that
+    checks each JSON leaf is a number; the kernel's intake checks the shape
+    and the constructor the scale."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "product_spheres", "d1": 2, "d2": 2, "matrix": [[1.0, 2.0], [2.0]]},
+             "invalid product_spheres spec: coeff_matrix must be an array of numbers: "),
+            ({"kind": "sphere", "d": 2, "coeffs": []},
+             "invalid sphere spec: coeffs must be a nonempty 1-D array, got shape (0,)"),
+            ({"kind": "product_spheres", "d1": 2, "d2": 2, "matrix": [[]]},
+             "invalid product_spheres spec: coeff_matrix must be a nonempty 2-D array, got shape (1, 0)"),
+            ({"kind": "sphere", "d": 2, "coeffs": [1.0], "scale": 0},
+             "invalid sphere spec: scale_c must be a positive real, got 0.0"),
+            ({"kind": "sphere", "d": 2, "coeffs": [1.0, "x", "y"]}, "coeffs[1] must be a number, got 'x'"),
+            ({"kind": "product_spheres", "d1": 2, "d2": 2, "matrix": [[1.0, 2.0], [3.0, True]]},
+             "matrix[1][1] must be a number, got True"),
+            ({"kind": "sphere", "d": 2, "coeffs": [1.0, 10**400]}, "coeffs[1] is an integer too large for a float"),
+            ({"kind": "sphere", "d": 2, "coeffs": [1.0], "scale": 10**400}, "scale is an integer too large for a float"),
+        ],
+        ids=["ragged", "empty", "empty-row", "zero-scale", "string", "bool", "huge-int", "huge-int-scale"],
+    )
+    def test_message(self, doc, message):
+        with pytest.raises(KernelSpecError) as excinfo:
+            kernel_from_dict(doc)
+        assert str(excinfo.value).startswith(message)
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        coeffs = [1.0]
+        for _ in range(sys.getrecursionlimit() + 100):
+            coeffs = [coeffs]
+        with pytest.raises(KernelSpecError, match=r"^invalid sphere spec: coeffs must be an array of numbers: "):
+            kernel_from_dict({"kind": "sphere", "d": 2, "coeffs": coeffs})
 
 
 class TestSphereTimeKind:
@@ -250,6 +288,21 @@ class TestReadKernelFile:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(KernelSpecError):
+            read_kernel_file(path)
+
+    def test_nesting_json_cannot_parse(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "sphere", "d": 2, "coeffs": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(KernelSpecError, match=r"nests too deeply to be read$"):
+            read_kernel_file(path)
+
+    def test_integer_too_long_to_parse(self, tmp_path):
+        # Python 3.11 refuses integers of over 4300 digits with a ValueError
+        # that is not a JSONDecodeError; older versions parse it, and the
+        # dimension is then too large. Either way it is a spec error.
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "sphere", "d": 1' + "0" * 5000 + ', "coeffs": [1]}', encoding="utf-8")
         with pytest.raises(KernelSpecError):
             read_kernel_file(path)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
+from spherecov import schoenberg
 from spherecov import (
     DomainError,
     EvaluationError,
@@ -119,6 +120,31 @@ class TestOverflowingMass:
         with pytest.raises(NormalizationError) as excinfo:
             build(0.2)
         assert str(excinfo.value) == f"stored {name} must sum to 1 within 1e-12, got 0.4"
+
+    @pytest.mark.parametrize("build, name", DIRECT, ids=DIRECT_IDS)
+    def test_zero_total_is_zero_mass_on_every_path(self, build, name):
+        with pytest.raises(ZeroMassError, match="^all coefficients are zero$"):
+            build(0.0)
+
+
+class TestOneWeightCheck:
+    """Every weight array is checked by `_checked_weights`: once on a `make_*`
+    call that does not normalize (in the constructor alone), and once more
+    for the total when it does."""
+
+    MAKERS = [
+        lambda w, normalize: make_sequence(w, LEGENDRE, normalize=normalize),
+        lambda w, normalize: make_st_kernel([(a, gaussian(1.0)) for a in w], LEGENDRE, normalize=normalize),
+        lambda w, normalize: make_ps_kernel([w], LEGENDRE, LEGENDRE, normalize=normalize),
+    ]
+
+    @pytest.mark.parametrize("normalize, checks", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("make", MAKERS, ids=["make_sequence", "make_st_kernel", "make_ps_kernel"])
+    def test_check_count(self, monkeypatch, make, normalize, checks):
+        checked, calls = schoenberg._checked_weights, []
+        monkeypatch.setattr(schoenberg, "_checked_weights", lambda *args: calls.append(args) or checked(*args))
+        make([0.5, 0.5], normalize)
+        assert len(calls) == checks
 
 
 class TestKernelEval:

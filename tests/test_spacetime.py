@@ -230,6 +230,14 @@ class TestNoNumpyWarnings:
             assert schoenberg_functions_at(kernel, 1e300).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("lag", [math.nan, np.float64("nan")], ids=["float", "numpy"])
+def test_nan_lag_is_a_domain_error(lag):
+    kernel = make_st_kernel([(0.4, gaussian(1.0)), (0.6, exponential(2.0))], LEGENDRE)
+    for call in (lambda: schoenberg_functions_at(kernel, lag), lambda: st_kernel_eval(kernel, 0.5, lag)):
+        with pytest.raises(DomainError, match=r"^time lag must not be NaN$"):
+            call()
+
+
 class TestMakeStKernel:
     def test_single_term(self):
         k = make_st_kernel([(1.0, gaussian(1.0))], LEGENDRE)
@@ -260,6 +268,15 @@ class TestMakeStKernel:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             make_st_kernel([], LEGENDRE)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[1.0], 5, [(1.0, gaussian(1.0), 0.0)], [(1.0,)], None],
+        ids=["bare-weight", "number", "triple", "single", "none"],
+    )
+    def test_terms_must_be_pairs(self, terms):
+        with pytest.raises(DomainError, match=r"^terms must be \(weight, CharFn\) pairs$"):
+            make_st_kernel(terms, LEGENDRE)
 
     @pytest.mark.parametrize("bad", ["abc", None, [1.0, 2.0]])
     def test_rejects_non_numeric_weight(self, bad):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import KernelSpecError, SphereCovError
 from .fields import _check_array_bytes, point_set_type, sample_factorized, sample_spectral_s2
-from .gegenbauer import GegenbauerBasis
+from .gegenbauer import GegenbauerBasis, _check_count
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
@@ -86,15 +86,17 @@ def _parse_float(text: str, name: str) -> float:
         raise _ValidationFailure(f"argument {name}: {exc}") from None
 
 
-def _seed_flag(text: str) -> int:
-    """argparse type of --seed: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
-    return value
+def _count_flag(least: int):
+    """argparse type of an integer flag: its text as an int that `_check_count`
+    takes with this `least`."""
+
+    def count(text: str) -> int:
+        try:
+            return _check_count(int(text), "value", least)
+        except ValueError:  # not an integer's text, or a DomainError
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}") from None
+
+    return count
 
 
 def _default_seed() -> int:
@@ -103,7 +105,7 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return _seed_flag(raw)
+        return _count_flag(0)(raw)
     except argparse.ArgumentTypeError:
         raise _ValidationFailure(f"{SEED_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
 
@@ -122,19 +124,20 @@ def cmd_eval(args) -> int:
     if args.grid is None or "t" not in kernel.arguments:
         _forbid(args, ["--t-max"], "outside a --grid of a sphere_time spec")
     if args.grid is not None:
-        if args.grid < 2:
-            raise _ValidationFailure(f"--grid must be at least 2, got {args.grid}")
         _forbid(args, EVAL_FLAGS, "together with --grid")
         k = len(kernel.arguments)
         _check_array_bytes((args.grid**k, k + 1), "an eval table")
         xs = np.linspace(-1.0, 1.0, args.grid)
         ts = np.linspace(0.0, 1.0 if args.t_max is None else args.t_max, args.grid)
-        axes = np.meshgrid(*(ts if name == "t" else xs for name in kernel.arguments), indexing="ij")
-        columns = [axis.ravel() for axis in axes]
-        table = np.column_stack([*columns, kernel.values(*columns)])
-        # A block of lines at a time, so the text never exists whole in memory.
-        for start in range(0, len(table), _LINES_PER_WRITE):
-            block = table[start : start + _LINES_PER_WRITE]
+        axes = [ts if name == "t" else xs for name in kernel.arguments]
+        # One block of rows at a time, in row-major order of the axes, so neither
+        # the table nor its text exists whole in memory. A kernel value does not
+        # depend on its batch, so the bytes are those of one whole table.
+        rows = args.grid**k
+        for start in range(0, rows, _LINES_PER_WRITE):
+            index = np.unravel_index(np.arange(start, min(start + _LINES_PER_WRITE, rows)), (args.grid,) * k)
+            columns = [axis[i] for axis, i in zip(axes, index)]
+            block = np.column_stack([*columns, kernel.values(*columns)])
             sys.stdout.write("".join([f"{_csv_row(row)}\n" for row in block]))
     else:
         flags = [f"--{name}" for name in kernel.arguments]
@@ -296,8 +299,6 @@ def _read_points_file(path: str, kernel):
 
 def _random_points(kernel, n: int, seed: int):
     """Deterministic point generation with streams split off the seed."""
-    if n < 1:
-        raise _ValidationFailure(f"--random must be at least 1, got {n}")
     states = np.random.SeedSequence(seed).generate_state(2)
     return point_set_type(kernel).random(kernel.dimensions, n, states)
 
@@ -305,8 +306,6 @@ def _random_points(kernel, n: int, seed: int):
 def cmd_simulate(args) -> int:
     kernel = read_kernel_file(args.spec)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.samples < 1:
-        raise _ValidationFailure(f"--samples must be at least 1, got {args.samples}")
     if args.method == "spectral":
         _forbid(args, ["--jitter"], "with --method spectral")
     if args.points is not None:
@@ -361,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--t", help="time lag (sphere_time)")
     p_eval.add_argument("--x1", help="first cosine (product_spheres)")
     p_eval.add_argument("--x2", help="second cosine (product_spheres)")
-    p_eval.add_argument("--grid", type=int, help="emit a uniform grid with this many points per axis")
+    p_eval.add_argument("--grid", type=_count_flag(2), help="emit a uniform grid with this many points per axis")
     p_eval.add_argument("--t-max", type=_float_flag, help="sphere_time grid time range [0, t-max] (default 1)")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -387,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--gram-trials", type=int, default=DEFAULT_GRAM_TRIALS, help="random Gram point sets (default %(default)s)"
     )
-    p_cert.add_argument("--seed", type=_seed_flag, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
+    p_cert.add_argument("--seed", type=_count_flag(0), help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sep = sub.add_parser("separable", help="test a spec for separability")
@@ -399,9 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("spec", help="kernel spec JSON file")
     src = p_sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", help="CSV file of evaluation points")
-    src.add_argument("--random", type=int, help="draw this many uniform random points")
-    p_sim.add_argument("--samples", type=int, default=1, help="number of realizations (default 1)")
-    p_sim.add_argument("--seed", type=_seed_flag, help=f"seed (default ${SEED_ENV_VAR} or 0)")
+    src.add_argument("--random", type=_count_flag(1), help="draw this many uniform random points")
+    p_sim.add_argument("--samples", type=_count_flag(1), default=1, help="number of realizations (default 1)")
+    p_sim.add_argument("--seed", type=_count_flag(0), help=f"seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument(
         "--method", choices=("factorized", "spectral"), default="factorized",
         help="sampler (spectral: sphere kind with d=2 only)",

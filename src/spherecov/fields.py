@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _check_count, _frozen_floats
+from .gegenbauer import _check_count, _frozen_floats, _shown
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
@@ -62,8 +62,8 @@ def _check_array_bytes(shape: tuple, what: str):
     """DomainError if a float array of `shape` would exceed `_MAX_ARRAY_BYTES`."""
     size = 8 * math.prod(shape)
     if size > _MAX_ARRAY_BYTES:
-        dims = " x ".join(map(str, shape))
-        raise DomainError(f"{what} of {dims} floats needs {size} bytes, over the bound of {_MAX_ARRAY_BYTES}")
+        dims = " x ".join(map(_shown, shape))
+        raise DomainError(f"{what} of {dims} floats needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
 _SPHERE = "sphere"

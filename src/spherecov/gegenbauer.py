@@ -24,7 +24,9 @@ of points, not with degree × points.
 
 import functools
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +63,40 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
     return arr
 
 
-def _check_count(value, name: str, least: int = 0, error=DomainError) -> int:
-    """A count, dimension or seed as an int. It must be an integer (Python or
-    numpy, not a float or a bool) of at least `least`; anything else is an `error`."""
+def _shown(value) -> str:
+    """`repr(value)` for a message, or its type if that holds an int too long for `str`."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _check_count(value, name: str, least: int = 0, error=DomainError, most: int | None = None) -> int:
+    """The one integer rule: a count, degree, order, dimension or seed as an int.
+    It must be an integer (Python or numpy, not a float or a bool) of at least
+    `least` and, if `most` is given, at most `most`; anything else is an `error`."""
     try:
         if isinstance(value, bool):
             raise TypeError
         count = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {_shown(value)}") from None
     if count < least:
-        raise error(f"{name} must be >= {least}, got {count}")
+        raise error(f"{name} must be >= {least}, got {_shown(count)}")
+    if most is not None and count > most:
+        raise error(f"{name} {_shown(count)} exceeds the supported cap {most}")
     return count
+
+
+def _check_degree(n) -> int:
+    return _check_count(n, "degree", most=MAX_DEGREE)
+
+
+def _check_lam(lam) -> float:
+    """λ as a float: a real number, finite and nonnegative, else DomainError."""
+    if not (isinstance(lam, numbers.Real) and 0 <= lam <= sys.float_info.max):
+        raise DomainError(f"lam must be a finite nonnegative number, got {_shown(lam)}")
+    return float(lam)
 
 
 def _index(d) -> float:
@@ -97,11 +121,10 @@ class GegenbauerBasis:
     dimension: int
 
     def __post_init__(self):
-        if self.lam != _index(self.dimension):
-            raise DomainError(
-                f"index lam={self.lam} does not equal (d-1)/2 for d={self.dimension}"
-            )
-        object.__setattr__(self, "dimension", operator.index(self.dimension))
+        d = _check_count(self.dimension, "sphere dimension", 1)
+        if self.lam != _index(d):
+            raise DomainError(f"index lam={_shown(self.lam)} does not equal (d-1)/2 for d={d}")
+        object.__setattr__(self, "dimension", d)
 
     @classmethod
     def from_dimension(cls, d: int) -> "GegenbauerBasis":
@@ -111,8 +134,9 @@ class GegenbauerBasis:
     @classmethod
     def from_index(cls, lam: float) -> "GegenbauerBasis":
         """Basis with index λ; 2λ+1 must be a positive integer (the dimension)."""
+        lam = _check_lam(lam)
         d = 2 * lam + 1
-        if not math.isfinite(d) or d < 1 or d != int(round(d)):
+        if not math.isfinite(d) or d != int(round(d)):
             raise DomainError(f"lam={lam} does not correspond to a sphere dimension (d=2*lam+1)")
         return cls(lam=lam, dimension=int(round(d)))
 
@@ -147,15 +171,6 @@ class QuadratureRule:
         if values.shape != (self.order,):
             raise DomainError(f"values must have shape ({self.order},), got {values.shape}")
         return float(np.dot(self.weights, values))
-
-
-def _check_degree(n: int) -> int:
-    # `< math.inf` rejects inf and NaN, and unlike math.isfinite takes any int.
-    if not 0 <= n < math.inf or n != int(n):
-        raise DomainError(f"degree must be a nonnegative integer, got {n}")
-    if n > MAX_DEGREE:
-        raise DomainError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
-    return int(n)
 
 
 def _check_argument(x):
@@ -270,7 +285,6 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     return 1.0 / total
 
 
-@functools.lru_cache(maxsize=64)
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
@@ -283,18 +297,16 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     raise DomainError.
 
     The last 64 rules are cached by (lam, order), so repeated calls return
-    the same read-only rule object.
+    the same read-only rule object; λ and the order are checked first.
     """
-    if lam < 0:
-        raise DomainError(f"lam must be nonnegative, got {lam}")
-    if not 1 <= order < math.inf or order != int(order):
-        raise DomainError(f"order must be a positive integer, got {order}")
     # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
     # largest rule `certify` or the default `coeffs` asks for.
-    if order > 2 * MAX_DEGREE + 2:
-        raise DomainError(f"order {order} exceeds the supported cap {2 * MAX_DEGREE + 2}")
-    order = int(order)
+    return _gauss_rule(_check_lam(lam), _check_count(order, "order", 1, most=2 * MAX_DEGREE + 2))
 
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(lam: float, order: int) -> QuadratureRule:
+    """The rule of `quadrature`, for a float λ and an int order it has checked."""
     if lam == 0.0:
         k = np.arange(order, 0, -1)
         nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
@@ -321,3 +333,7 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
             f"expected total mass {mass:.16e}"
         )
     return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
+
+
+# The uncached builder, where `functools.lru_cache` would put it.
+quadrature.__wrapped__ = _gauss_rule.__wrapped__

@@ -214,9 +214,11 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
 def _check_recovery(n_max: int, quad_order: int) -> int:
     """The degree n_max as an int, once it and the Gauss order are valid for
     coefficient recovery."""
+    n_max = _check_degree(n_max)
+    quad_order = _check_count(quad_order, "order", 1)
     if quad_order < n_max + 1:
         raise DomainError(f"quad_order must be at least n_max+1 = {n_max + 1}, got {quad_order}")
-    return _check_degree(n_max)
+    return n_max
 
 
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
@@ -315,10 +317,9 @@ def certify(
     raises or returns another shape.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import min_eigenvalue, uniform_sphere_points
+    from .fields import _check_array_bytes, min_eigenvalue, uniform_sphere_points
 
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
+    n_max = _check_degree(n_max)
     if eig_tol is None:
         eig_tol = 1e-8 * CERTIFY_GRAM_POINTS
     for name, tol in (("coeff_tol", coeff_tol), ("eig_tol", eig_tol)):
@@ -327,6 +328,7 @@ def certify(
         if tol == math.inf:
             raise DomainError(f"{name} must be finite")
     gram_trials = _check_count(gram_trials, "gram_trials")
+    _check_array_bytes((gram_trials,), "the trial seeds")
     seed = _check_count(seed, "seed")
 
     quad_order = _default_quad_order(n_max)

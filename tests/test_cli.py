@@ -592,6 +592,33 @@ class TestSeeds:
         }
 
 
+class TestCountFlags:
+    """Every integer flag takes its text through one argparse type built on
+    `_check_count`: a value below the flag's least, a non-integer and an
+    integer too long for `int` all exit 2 with one JSON line."""
+
+    COMMANDS = {
+        "--grid": (2, ["eval", "{spec}"]),
+        "--random": (1, ["simulate", "{spec}"]),
+        "--samples": (1, ["simulate", "{spec}", "--random", "3"]),
+        "--seed": (0, ["simulate", "{spec}", "--random", "3"]),
+    }
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [(flag, v) for flag, (least, _) in COMMANDS.items() for v in (str(least - 1), "1.5", "-" + "9" * 5000)],
+        ids=lambda value: value if len(value) < 20 else "-5000-digits",
+    )
+    def test_bad_value_is_exit_2_with_one_json_line(self, capsys, spec_file, flag, value):
+        least, argv = self.COMMANDS[flag]
+        argv = [a.format(spec=spec_file(SPHERE_CONST)) for a in argv]
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        line, rest = err.split("\n", 1)
+        assert rest == ""
+        assert json.loads(line) == {"error": 2, "message": f"argument {flag}: must be an integer >= {least}, got {value!r}"}
+
+
 RANDOM_SPHERE_ROWS = (
     "0.41006065704279726,-0.22633659414677382,0.8835281567079049",
     "-0.10804877715796454,-0.8596556979293826,0.4993170763875541",

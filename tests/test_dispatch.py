@@ -6,7 +6,9 @@ the characteristic-function family: its facts live in spacetime's family
 table. No point-set class writes a protocol member of its own: fields writes
 them once, over each point set's factors. No kernel class writes its own
 `dimensions`, `label`, `truncations` or weight intake: schoenberg's `_Kernel`
-writes them once, over each kernel's weight and basis fields."""
+writes them once, over each kernel's weight and basis fields. Every integer
+input is checked by gegenbauer's `_check_count`, and nothing else in the
+package tests whether a value is an integer."""
 
 import ast
 import inspect
@@ -246,6 +248,70 @@ def test_guard_flags_per_class_kernel_members_and_intake():
         ("SpaceTimeKernel", "label"), ("ProductSphereKernel", "truncations"),
     ]
     assert _calls(source, "_stored_weights") == [3, 12]
+
+
+# The one integer rule, and the one real-valued integrality test: 2λ + 1 must
+# be a whole number for λ to index a sphere.
+INTEGER_CHECK_OWNERS = {"index": "_check_count", "integrality": "GegenbauerBasis.from_index"}
+
+
+def _integer_checks(source):
+    """(kind, scope, line) of each integer check outside its owner: a call of
+    `operator.index` or `__index__` (kind "index"), and an `==`/`!=` comparison
+    with an `int(...)` call or an `is_integer()` call (kind "integrality")."""
+    sites = []
+
+    def is_int_call(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        kind = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func
+            if target.attr == "__index__" or (
+                target.attr == "index" and isinstance(target.value, ast.Name) and target.value.id == "operator"
+            ):
+                kind = "index"
+            elif target.attr == "is_integer":
+                kind = "integrality"
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            if any(map(is_int_call, [node.left, *node.comparators])):
+                kind = "integrality"
+        if kind and scope != INTEGER_CHECK_OWNERS[kind]:
+            sites.append((kind, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_integers_are_checked_by_one_rule(module):
+    assert _integer_checks((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_hand_written_integer_checks():
+    source = (
+        "import operator\n"
+        "def _check_count(value):\n"
+        "    return operator.index(value)\n"
+        "def degree(n):\n"
+        "    if n != int(n):\n"
+        "        raise ValueError\n"
+        "    return operator.index(n) + n.__index__()\n"
+        "class GegenbauerBasis:\n"
+        "    def from_index(cls, lam):\n"
+        "        return 2 * lam + 1 == int(round(2 * lam + 1))\n"
+        "    def order(self, k):\n"
+        "        return k.is_integer() and [k].index(k) == 0 and int(k) < 3\n"
+    )
+    assert _integer_checks(source) == [
+        ("integrality", "degree", 5), ("index", "degree", 7), ("index", "degree", 7),
+        ("integrality", "GegenbauerBasis.order", 12),
+    ]
 
 
 class TestKernelProtocol:

@@ -23,7 +23,9 @@ from spherecov import (
     ProductPointSet,
     SpherePointSet,
     SpaceTimePointSet,
+    certify,
     empirical_covariance,
+    eval_normalized,
     eval_sequence,
     gaussian,
     geodesic_cosine,
@@ -35,8 +37,11 @@ from spherecov import (
     make_sequence,
     make_st_kernel,
     min_eigenvalue,
+    multiquadric_sequence,
+    norm_squared,
     quadrature,
     real_spherical_harmonics,
+    recover_coefficients,
     sample_factorized,
     sample_spectral_s2,
     schur_product,
@@ -303,9 +308,13 @@ class TestUniformSpherePoints:
             uniform_sphere_points(2, 0, seed=0)
 
 
+def _square(x):
+    return x * x
+
+
 class TestIntegerArguments:
-    """Counts, dimensions and seeds must be integers (Python or numpy) in
-    range; a float, a negative seed or a non-number is a DomainError."""
+    """Counts, degrees, orders, dimensions and seeds must be integers (Python or
+    numpy, not a float or a bool) in range; anything else is a DomainError."""
 
     POINTS = uniform_sphere_points(2, 4, 0)
     SEQ = make_sequence([0.5, 0.5], LEGENDRE)
@@ -320,17 +329,55 @@ class TestIntegerArguments:
         "harmonic-d": lambda v: harmonic_dimension(v, 2),
         "harmonic-n": lambda v: harmonic_dimension(2, v),
         "harmonics-n_max": lambda v: real_spherical_harmonics(v, TestIntegerArguments.POINTS),
+        "eval_sequence-n_max": lambda v: eval_sequence(LEGENDRE, v, 0.5),
+        "eval_normalized-n": lambda v: eval_normalized(LEGENDRE, v, 0.5),
+        "norm_squared-n": lambda v: norm_squared(LEGENDRE, v),
+        "quadrature-order": lambda v: quadrature(0.5, v),
+        "recover-n_max": lambda v: recover_coefficients(_square, LEGENDRE, v, 8),
+        "recover-quad_order": lambda v: recover_coefficients(_square, LEGENDRE, 1, v),
+        "certify-n_max": lambda v: certify(_square, LEGENDRE, n_max=v, gram_trials=1),
+        "certify-gram_trials": lambda v: certify(_square, LEGENDRE, n_max=4, gram_trials=v),
+        "certify-seed": lambda v: certify(_square, LEGENDRE, n_max=4, gram_trials=1, seed=v),
+        "multiquadric-n_max": lambda v: multiquadric_sequence(0.5, LEGENDRE, v),
     }
+    # Values with no cap, for which 10**5000 is a valid integer like any other.
+    UNCAPPED = {"points-seed", "factorized-seed", "spectral-seed", "certify-seed", "harmonic-d", "harmonic-n"}
 
-    @pytest.mark.parametrize("value", [2.5, 2.0, -1, "2", None], ids=repr)
+    @pytest.mark.parametrize(
+        "value", [2.5, 2.0, -1, "2", None, True, [2], pytest.param(-(10**5000), id="-10**5000")], ids=repr
+    )
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_bad_value_is_domain_error(self, call, value):
         with pytest.raises(DomainError):
             self.CALLS[call](value)
 
     @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_integer_beyond_str_is_over_the_cap_or_valid(self, call):
+        # 10**5000 has too many digits for `str`, so no message may print it.
+        if call in self.UNCAPPED:
+            self.CALLS[call](10**5000)
+        else:
+            with pytest.raises(DomainError, match="<int too long to print>"):
+                self.CALLS[call](10**5000)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
     def test_numpy_integer_is_accepted(self, call):
         self.CALLS[call](np.uint32(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.integers() | st.integers(4300, 5000).map(lambda k: 10**k) | st.integers(4300, 5000).map(lambda k: -(10**k)),
+        least=st.integers(-3, 3),
+        most=st.none() | st.integers(-3, 10**6),
+    )
+    def test_check_count_returns_the_value_or_raises_domain_error(self, value, least, most):
+        valid = least <= value and (most is None or value <= most)
+        try:
+            count = gegenbauer._check_count(value, "n", least, most=most)
+        except DomainError as exc:
+            assert not valid and len(str(exc)) < 200
+        else:
+            assert valid and type(count) is int and count == value
 
 
 class TestGeodesicCosine:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spherecov import (
     recover_coefficients,
 )
 from spherecov.errors import ConvergenceError, GeometryError
-from spherecov.gegenbauer import QuadratureRule, _check_count, _frozen_floats
+from spherecov.gegenbauer import QuadratureRule, _check_count, _frozen_floats, _shown
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 CHEBYSHEV = GegenbauerBasis.from_index(0.0)
@@ -248,9 +249,9 @@ DEGREE_ENTRY_POINTS = {
 @pytest.mark.parametrize(
     "n, message",
     [
-        (math.inf, "degree must be a nonnegative integer, got inf"),
-        (-math.inf, "degree must be a nonnegative integer, got -inf"),
-        (math.nan, "degree must be a nonnegative integer, got nan"),
+        (math.inf, "degree must be an integer, got inf"),
+        (-math.inf, "degree must be an integer, got -inf"),
+        (math.nan, "degree must be an integer, got nan"),
         (10**400, f"degree {10**400} exceeds the supported cap 10000"),
     ],
     ids=["inf", "-inf", "nan", "int-beyond-float"],
@@ -362,8 +363,22 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("order", [math.inf, math.nan, 2.5], ids=str)
     def test_rejects_non_integer_orders(self, order):
-        with pytest.raises(DomainError, match=r"^order must be a positive integer, got "):
+        with pytest.raises(DomainError, match=r"^order must be an integer, got "):
             quadrature(0.5, order)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5, 10**5000, "0.5", None, [0.5]], ids=_shown)
+    def test_rejects_bad_lam_before_scipy(self, lam):
+        with mock.patch("scipy.special.roots_gegenbauer", side_effect=AssertionError("scipy was called")):
+            with pytest.raises(DomainError, match=r"^lam must be a finite nonnegative number, got "):
+                quadrature(lam, 8)
+            with pytest.raises(DomainError, match=r"^lam must be a finite nonnegative number, got "):
+                GegenbauerBasis.from_index(lam)
+
+    @pytest.mark.parametrize("valid, invalid", [(8, 8.0), (1, True), (2, np.float64(2.0))], ids=str)
+    def test_cache_never_answers_an_unchecked_order(self, valid, invalid):
+        quadrature(0.5, valid)
+        with pytest.raises(DomainError, match=r"^order must be an integer, got "):
+            quadrature(0.5, invalid)
 
     def test_order_beyond_float_range_hits_the_cap(self):
         with pytest.raises(DomainError, match=r"^order 1000+ exceeds the supported cap 20002$"):

@@ -18,9 +18,9 @@ import tempfile
 
 import numpy as np
 
-from .errors import KernelSpecError, SphereCovError
+from .errors import DomainError, KernelSpecError, SphereCovError
 from .fields import _check_array_bytes, point_set_type, sample_factorized, sample_spectral_s2
-from .gegenbauer import GegenbauerBasis, _check_count
+from .gegenbauer import GegenbauerBasis, _check_count, _check_seed
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
@@ -99,15 +99,25 @@ def _count_flag(least: int):
     return count
 
 
+def _seed_flag(text: str) -> int:
+    """argparse type of --seed: `_count_flag(0)`, then the cap of `_check_seed`."""
+    seed = _count_flag(0)(text)
+    try:
+        return _check_seed(seed)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _default_seed() -> int:
     """The seed in SPHERECOV_SEED, read as --seed is, else 0."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
-        return _count_flag(0)(raw)
+        seed = _count_flag(0)(raw)
     except argparse.ArgumentTypeError:
         raise _ValidationFailure(f"{SEED_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
+    return _check_seed(seed, _ValidationFailure)
 
 
 def _forbid(args, names, reason):
@@ -175,7 +185,7 @@ def _read_rows(path: str, what: str) -> list:
 def _load_table_function(path: str, n_max: int, cover: tuple):
     """Monotone piecewise-cubic interpolant of a two-column CSV table.
 
-    The table needs at least 2*n_max nodes; `cover` is the (lo, hi) range
+    The table needs at least 2 and 2*n_max nodes; `cover` is the (lo, hi) range
     the nodes must span so the interpolant is never extrapolated.
     """
     xs, ys = [], []
@@ -189,9 +199,9 @@ def _load_table_function(path: str, n_max: int, cover: tuple):
             raise _ValidationFailure(f"{path}:{lineno}: x must lie in [-1, 1], got {x!r}")
         xs.append(x)
         ys.append(y)
-    if len(xs) < 2 * n_max:
+    if len(xs) < max(2, 2 * n_max):
         raise _ValidationFailure(
-            f"table needs at least 2*n_max = {2 * n_max} nodes, got {len(xs)}"
+            f"table needs at least 2 and 2*n_max = {2 * n_max} nodes, got {len(xs)}"
         )
     order = np.argsort(xs)
     xs = np.asarray(xs)[order]
@@ -202,9 +212,57 @@ def _load_table_function(path: str, n_max: int, cover: tuple):
         raise _ValidationFailure(
             f"table spans [{xs[0]!r}, {xs[-1]!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
         )
-    from scipy.interpolate import PchipInterpolator
+    return _pchip(xs, ys)
 
-    return PchipInterpolator(xs, ys, extrapolate=False)
+
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    """End derivative of `_pchip`: the one-sided three-point estimate, set to 0
+    if its sign differs from the end slope m0, and limited to 3·m0 if the
+    slopes change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(xs: np.ndarray, ys: np.ndarray):
+    """The monotone piecewise-cubic Hermite interpolant (PCHIP) through points
+    with strictly increasing `xs`, NaN outside [xs[0], xs[-1]].
+
+    Derivatives follow Fritsch & Carlson (1980) and Fritsch & Butland (1984):
+    0 at a knot where the slopes on either side differ in sign or one is 0,
+    else their weighted harmonic mean; `_pchip_end` at the ends; the slope
+    itself for two points. Each step is written in the order of operations of
+    scipy's `PchipInterpolator(xs, ys, extrapolate=False)`, so both give the
+    same values."""
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    if xs.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros(xs.size)
+        smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][smooth] = 1.0 / whmean[smooth]
+        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    # Power-form coefficients of each interval's cubic in s = x - xs[i].
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]
+
+    def interpolant(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        s = np.where((xs[0] <= x) & (x <= xs[-1]), x - xs[i], np.nan)
+        s2 = s * s
+        return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+    return interpolant
 
 
 def _function_from_args(args, n_max: int, cover: tuple | None):
@@ -386,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--gram-trials", type=int, default=DEFAULT_GRAM_TRIALS, help="random Gram point sets (default %(default)s)"
     )
-    p_cert.add_argument("--seed", type=_count_flag(0), help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
+    p_cert.add_argument("--seed", type=_seed_flag, help=f"trial seed (default ${SEED_ENV_VAR} or 0)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sep = sub.add_parser("separable", help="test a spec for separability")
@@ -400,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--points", help="CSV file of evaluation points")
     src.add_argument("--random", type=_count_flag(1), help="draw this many uniform random points")
     p_sim.add_argument("--samples", type=_count_flag(1), default=1, help="number of realizations (default 1)")
-    p_sim.add_argument("--seed", type=_count_flag(0), help=f"seed (default ${SEED_ENV_VAR} or 0)")
+    p_sim.add_argument("--seed", type=_seed_flag, help=f"seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument(
         "--method", choices=("factorized", "spectral"), default="factorized",
         help="sampler (spectral: sphere kind with d=2 only)",

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _check_count, _frozen_floats, _shown
+from .gegenbauer import _check_count, _check_seed, _frozen_floats, _shown
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
@@ -279,7 +279,7 @@ def uniform_sphere_points(d: int, n: int, seed: int) -> SpherePointSet:
     d = _check_count(d, "d", 1)
     n = _check_count(n, "n", 1)
     _check_array_bytes((n, d + 1), "a point set")
-    rng = np.random.default_rng(_check_count(seed, "seed"))
+    rng = np.random.default_rng(_check_seed(seed))
     v = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     # A zero draw has probability 0; redraw those rows to keep the map total.
@@ -383,7 +383,7 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     matrix exactly (rank-deficient covariances then take the eigen route).
     """
     n_samples = _check_count(n_samples, "n_samples", 1)
-    seed = _check_count(seed, "seed")
+    seed = _check_seed(seed)
     _check_points(kernel, points)
     _check_array_bytes((n_samples, len(points)), "a sample")
     g = gram(kernel, points)
@@ -493,7 +493,7 @@ def sample_spectral_s2(
         raise GeometryError(f"spectral sampler needs a sphere kernel on S^2, got {seq.label}")
     _check_points(seq, points)
     n_samples = _check_count(n_samples, "n_samples", 1)
-    seed = _check_count(seed, "seed")
+    seed = _check_seed(seed)
     n_trunc = seq.truncation
     _check_array_bytes((n_samples, len(points)), "a sample")
 

@@ -13,13 +13,17 @@ The three-term recurrence is rewritten for the normalized family,
 which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
 
-Gauss nodes for λ > 0 come from `scipy.special.roots_gegenbauer` (the
-Golub–Welsch eigenvalue method), imported only when a rule is built, so
-evaluating polynomials never loads scipy. The weights are Christoffel
-numbers from the recurrence above, which are more accurate than scipy's at
-high order. Like coefficient recovery and the sphere × time kernel, they
-read the recurrence one degree at a time, so memory grows with the number
-of points, not with degree × points.
+Gauss nodes for λ > 0 are found with numpy alone (the package does not use
+scipy): Newton's method on the recurrence from asymptotic guesses, each root
+proven alone in its own interval by Sturm counts of the zero-diagonal
+Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub & Welsch 1969), and
+bisection on those counts for any root the fast path cannot prove. Both run
+on the ratios of consecutive polynomials, so no value under- or overflows.
+The weights are Christoffel numbers from the recurrence above, which are
+more accurate than the Golub–Welsch eigenvector weights at high order. Like
+coefficient recovery and the sphere × time kernel, they read the recurrence
+one degree at a time, so memory grows with the number of points, not with
+degree × points.
 """
 
 import functools
@@ -34,9 +38,17 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 MAX_DEGREE = 10_000
+MAX_SEED = 2**128 - 1
 
 # Largest degree × point table, in bytes, that a kernel sum builds at once.
 _BLOCK_BYTES = 16 * 2**20
+
+# Newton passes over the recurrence before the fast path gives up on a root.
+_NEWTON_STEPS = 8
+
+# Largest λ with a Gauss rule: the log-gamma form of h_n cancels to an absolute
+# error of about 4e-11 at λ = 1e4 and 1e-9 at 1e5, the mass check's tolerance.
+_MAX_RULE_LAM = 1e4
 
 
 def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
@@ -86,6 +98,12 @@ def _check_count(value, name: str, least: int = 0, error=DomainError, most: int 
     if most is not None and count > most:
         raise error(f"{name} {_shown(count)} exceeds the supported cap {most}")
     return count
+
+
+def _check_seed(seed, error=DomainError) -> int:
+    """A seed as an int in [0, MAX_SEED]: 128 bits, the size of the pool numpy's
+    `SeedSequence` mixes every seed into, and short enough to print and serialize."""
+    return _check_count(seed, "seed", error=error, most=MAX_SEED)
 
 
 def _check_degree(n) -> int:
@@ -285,16 +303,135 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     return 1.0 / total
 
 
+def _monic_betas(lam: float, order: int) -> list:
+    """β_1, ..., β_{order−1} of the monic recurrence p_n = x·p_{n−1} − β_{n−1}·p_{n−2}
+    (the zero-diagonal Jacobi matrix), whose p_n are positive multiples of P̃_n.
+    Each β_n = n(n+2λ−1) / (4(n+λ)(n+λ−1)) is formed as two bounded ratios from
+    the exact k = n − 1, so no factor overflows at a large λ and β_1 = 1/(2(1+λ))
+    stays exact at a tiny one."""
+    k = np.arange(order - 1.0)
+    return ((k + 1.0) / (4.0 * (k + 1.0 + lam)) * ((k + 2.0 * lam) / (k + lam))).tolist()
+
+
+def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """p_N(x)/p_{N−1}(x), N = len(betas) + 1, from the ratios q_1 = x and
+    q_n = x − β_{n−1}/q_{n−1}: the recurrence rescaled at every step, so no value
+    under- or overflows however large λ is. A zero ratio gives an infinite next
+    one and a finite one after, so run it under `np.errstate(all="ignore")`.
+
+    If `counts` is given, the number of negative ratios at each point is added
+    to it: the sign changes of p_0(x), ..., p_N(x), which by Sturm's theorem is
+    the number of roots of P̃_N above x."""
+    q, quotient = x.copy(), np.empty_like(x)
+    if counts is not None:
+        counts += np.signbit(q)
+    for beta in betas:
+        np.divide(beta, q, out=quotient)
+        np.subtract(x, quotient, out=q)
+        if counts is not None:
+            counts += np.signbit(q)
+    return q
+
+
+def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.ndarray]:
+    """The fast path: the order // 2 positive roots of P̃_order, ascending, by
+    Newton's method from x_k = cos θ_k, and for each root whether it is proven.
+
+    θ_k = φ_k + λ(1−λ)·cot φ_k / (2(N+λ)²) with φ_k = (k + λ/2 − 1/2)π/(N+λ):
+    the Jacobi-root asymptotics of Gatteschi & Pittaluga (1985) for
+    α = β = λ − 1/2, to their first correction term. Without that term Newton
+    needs one more pass at λ <= 2.5 and misses roots from λ = 5 on; with it,
+    it proves every root up to λ = 10.5; from λ = 11 on it misses some (3 at
+    λ = 20, about half at λ = 200, all from λ = 1000).
+
+    A Newton step is P̃_N/P̃_N′ = (1−x²)·r / (N(1 − x·r)) with r = P̃_N/P̃_{N−1},
+    from (1−x²)P̃_N′ = N(P̃_{N−1} − x·P̃_N). An iterate has converged when its last
+    step is below 1e-8 of the gap to its nearest neighbour. It is proven when it
+    has converged and the Sturm counts at the midpoints on either side of it
+    show exactly one root between them: its own."""
+    m = order // 2
+    phi = (np.arange(m, 0, -1) + 0.5 * lam - 0.5) * (np.pi / (order + lam))
+    x = np.cos(phi + lam * (1.0 - lam) / (2.0 * (order + lam) ** 2 * np.tan(phi)))
+    if m == 0:
+        return x, np.ones(0, dtype=bool)
+    a = (order + lam - 1.0) / (0.5 * order + lam - 0.5)  # P̃_N/P̃_{N−1} = a·p_N/p_{N−1}
+    for _ in range(_NEWTON_STEPS):
+        step = (1.0 - x * x) / (order * (1.0 / (a * _ratio(betas, x)) - x))
+        x = x - step
+        lowest = 0.0 if order % 2 else -x[0]  # the node below x_1: 0, or the mirror of x_1
+        gaps = np.diff(np.concatenate(([lowest], x, [1.0])))
+        converged = np.abs(step) < 1e-8 * np.minimum(gaps[:-1], gaps[1:])
+        if converged.all():
+            break
+    counts = np.zeros(m - 1, dtype=np.int64)
+    _ratio(betas, 0.5 * (x[1:] + x[:-1]), counts)
+    alone = counts == np.arange(m - 1, 0, -1)
+    return x, converged & np.concatenate(([True], alone)) & np.concatenate((alone, [True]))
+
+
+def _bisect(betas: list, above: np.ndarray) -> np.ndarray:
+    """The fallback: for each entry of `above`, the root of P̃_N in (0, 1) with
+    exactly that many roots at or above it, by bisection on Sturm counts,
+    vectorized over the roots, until each bracket is two adjacent floats."""
+    lo, hi = np.zeros(above.size), np.ones(above.size)
+    active = np.arange(above.size)
+    while True:
+        mid = 0.5 * (lo[active] + hi[active])
+        split = (lo[active] < mid) & (mid < hi[active])
+        active, mid = active[split], mid[split]
+        if not active.size:
+            return 0.5 * (lo + hi)
+        counts = np.zeros(active.size, dtype=np.int64)
+        _ratio(betas, mid, counts)
+        under = counts >= above[active]  # the root lies above mid
+        lo[active[under]] = mid[under]
+        hi[active[~under]] = mid[~under]
+
+
+def _positive_roots(lam: float, order: int) -> tuple[np.ndarray, int]:
+    """The order // 2 positive roots of P̃_order, ascending, and how many of them
+    the fast path could not prove and bisection found instead."""
+    betas = _monic_betas(lam, order)
+    with np.errstate(all="ignore"):
+        x, proven = _newton_roots(lam, order, betas)
+        failed = np.flatnonzero(~proven)
+        if failed.size:
+            x[failed] = _bisect(betas, order // 2 - failed)
+    return x, int(failed.size)
+
+
+def _check_rule_range(lam: float, order: int) -> None:
+    """DomainError unless the norms h_0, ..., h_{order−1} that the weights and the
+    mass check divide by are accurate (λ <= `_MAX_RULE_LAM`) and large enough
+    (h_{order−1} >= order / float max, h_n falling in n) that no Christoffel sum
+    1/h_0 + ... + 1/h_{order−1} overflows."""
+    if lam > _MAX_RULE_LAM:
+        raise DomainError(
+            f"Gauss rules need lam <= {_MAX_RULE_LAM:g}, got lam={lam!r}: beyond it the "
+            f"closed-form norms h_n lose more than 1e-10 to cancellation"
+        )
+    log_last = _log_norm_squared(lam, order - 1)
+    if log_last < math.log(order / sys.float_info.max):
+        raise DomainError(
+            f"the order-{order} Gauss rule at lam={lam!r} is beyond double range: its "
+            f"norm h_{order - 1} = exp({log_last:.6g}) makes the Christoffel sums overflow"
+        )
+
+
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
-    For λ > 0 the nodes come from `scipy.special.roots_gegenbauer` and the
+    For λ > 0 the nodes come from numpy alone, without scipy: Newton's
+    method on the recurrence from asymptotic guesses, each root proven alone
+    in its own interval by Sturm counts, with bisection on Sturm counts for
+    any root the fast path cannot prove (some, from λ = 11 on). The
     weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, summed from the
-    recurrence one degree at a time over all nodes, so the working memory
-    is a few vectors of length order. λ = 0 uses the closed-form
-    Chebyshev rule. Node and weight vectors are symmetrized about 0. The
-    tests check orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002
-    raise DomainError.
+    recurrence one degree at a time over all nodes, so the working memory is
+    a few vectors of length order. λ = 0 uses the closed-form Chebyshev
+    rule. Node and weight vectors are symmetrized about 0. The tests check
+    orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise
+    DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
+    would overflow the Christoffel sums (λ = 200 from order 665 on).
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same read-only rule object; λ and the order are checked first.
@@ -314,9 +451,9 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
         weights = np.full(order, np.pi / order)
         return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
 
-    from scipy.special import roots_gegenbauer
-
-    nodes = roots_gegenbauer(order, lam)[0]
+    _check_rule_range(lam, order)
+    positive = _positive_roots(lam, order)[0]
+    nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
     nodes = 0.5 * (nodes - nodes[::-1])
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
         raise ConvergenceError(

@@ -30,6 +30,7 @@ from .gegenbauer import (
     _check_argument,
     _check_count,
     _check_degree,
+    _check_seed,
     _frozen_floats,
     _sequence,
     eval_sequence,
@@ -329,7 +330,7 @@ def certify(
             raise DomainError(f"{name} must be finite")
     gram_trials = _check_count(gram_trials, "gram_trials")
     _check_array_bytes((gram_trials,), "the trial seeds")
-    seed = _check_count(seed, "seed")
+    seed = _check_seed(seed)
 
     quad_order = _default_quad_order(n_max)
     ahat, vectorized = _recover(g, basis, n_max, quad_order)

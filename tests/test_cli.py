@@ -9,7 +9,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.interpolate import PchipInterpolator
 
 from helpers import cli_env, run_cli
 from spherecov import GegenbauerBasis, cli, fields, multiquadric_kernel, multiquadric_sequence
@@ -279,6 +282,60 @@ class TestCoeffs:
         table.write_text("\n".join(f"{x!r},1.0" for x in xs) + "\n", encoding="utf-8")
         code, _, _ = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "10", "--table", str(table))
         assert code == 2
+
+
+def _table(n, kind, rng):
+    """x knots on [-1, 1] and y values of one `kind` of table."""
+    xs = np.sort(rng.uniform(-1.0, 1.0, n))
+    ys = {
+        "random": rng.normal(size=n),
+        "increasing": np.cumsum(rng.exponential(size=n)),
+        "decreasing": -np.cumsum(rng.exponential(size=n)) * 1e4,
+        "flat runs": np.round(rng.normal(size=n)),  # equal neighbours: zero slopes
+        "zigzag": np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 2.0, n),
+    }[kind]
+    return xs, ys
+
+
+class TestPchip:
+    """`cli._pchip` gives the values of scipy's `PchipInterpolator(...,
+    extrapolate=False)`, which the CLI used before, within 1e-14 relative."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        kind=st.sampled_from(["random", "increasing", "decreasing", "flat runs", "zigzag"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, kind="random", seed=0)
+    @example(n=3, kind="zigzag", seed=1)
+    @example(n=3, kind="flat runs", seed=2)
+    def test_matches_scipy(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        xs, ys = _table(n, kind, rng)
+        if np.any(np.diff(xs) == 0):
+            return
+        # Random points, out-of-range points on both sides, and the knots themselves.
+        at = np.concatenate((rng.uniform(-1.5, 1.5, 64), [-2.0, 2.0, np.nan], xs))
+        ours = cli._pchip(xs, ys)(at)
+        theirs = PchipInterpolator(xs, ys, extrapolate=False)(at)
+        assert np.array_equal(np.isnan(ours), np.isnan(theirs))
+        assert np.all(np.isnan(ours[(at < xs[0]) | (at > xs[-1]) | np.isnan(at)]))
+        inside = ~np.isnan(theirs)
+        assert_allclose(ours[inside], theirs[inside], rtol=1e-14, atol=0)
+        # The table's own values at its knots (the last one through its cubic).
+        assert_allclose(ours[-n:], ys, rtol=1e-14, atol=1e-15 * np.abs(ys).max())
+
+    def test_scalar_point(self):
+        xs, ys = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+        assert float(cli._pchip(xs, ys)(0.5)) == float(PchipInterpolator(xs, ys, extrapolate=False)(0.5))
+
+    def test_single_row_table_is_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "one.csv"
+        table.write_text("0,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "0", "--quad-order", "1", "--table", str(table))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": "table needs at least 2 and 2*n_max = 0 nodes, got 1"}
 
 
 class TestCertify:
@@ -590,6 +647,35 @@ class TestSeeds:
             "error": 2,
             "message": f"SPHERECOV_SEED must be a nonnegative integer, got {value!r}",
         }
+
+
+class TestSeedCap:
+    """`--seed` and SPHERECOV_SEED take seeds up to 2**128 - 1, the library's
+    MAX_SEED; one more exits 2 with the JSON error line."""
+
+    COMMANDS = TestSeeds.COMMANDS
+    CAP = 2**128 - 1
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_cap_runs_and_one_more_is_exit_2(self, capsys, spec_file, command):
+        argv = [a.format(spec=spec_file(SPHERE_CONST)) for a in self.COMMANDS[command]]
+        assert run(capsys, *argv, f"--seed={self.CAP}")[0] == 0
+        code, out, err = run(capsys, *argv, f"--seed={self.CAP + 1}")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": 2,
+            "message": f"argument --seed: seed {self.CAP + 1} exceeds the supported cap {self.CAP}",
+        }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_env_cap_runs_and_one_more_is_exit_2(self, capsys, spec_file, monkeypatch, command):
+        argv = [a.format(spec=spec_file(SPHERE_CONST)) for a in self.COMMANDS[command]]
+        monkeypatch.setenv("SPHERECOV_SEED", str(self.CAP))
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("SPHERECOV_SEED", str(self.CAP + 1))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": f"seed {self.CAP + 1} exceeds the supported cap {self.CAP}"}
 
 
 class TestCountFlags:
@@ -1074,24 +1160,47 @@ class TestEntryPoints:
         payload = json.loads(result.stderr)
         assert payload["error"] == 2
 
-    def test_eval_separable_simulate_never_import_scipy(self, tmp_path):
+    # One run of each of the five commands, `coeffs` once per input kind.
+    ALL_COMMANDS = (
+        "runs = [['eval', 'sphere.json', '--x', '0.3'], ['eval', 'sphere.json', '--grid', '5'],\n"
+        "        ['coeffs', '--lambda', '0.5', '--nmax', '6', '--expr', 'legendre3'],\n"
+        "        ['coeffs', '--lambda', '1', '--nmax', '6', '--table', 'table.csv'],\n"
+        "        ['certify', '--lambda', '0.5', '--nmax', '30', '--expr', 'expcos'],\n"
+        "        ['separable', 'product.json'], ['simulate', 'sphere.json', '--random', '4'],\n"
+        "        ['simulate', 'sphere.json', '--random', '4', '--method', 'spectral']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+    )
+
+    def _run_all_commands(self, tmp_path, prelude):
         (tmp_path / "sphere.json").write_text(json.dumps(SPHERE_DEGREE_ONE), encoding="utf-8")
         (tmp_path / "product.json").write_text(json.dumps(PROD_OUTER), encoding="utf-8")
-        script = (
-            "import contextlib, io, sys\n"
-            "import spherecov.cli as cli\n"
-            "runs = [['eval', 'sphere.json', '--x', '0.3'], ['eval', 'sphere.json', '--grid', '5'],\n"
-            "        ['separable', 'product.json'], ['simulate', 'sphere.json', '--random', '4'],\n"
-            "        ['simulate', 'sphere.json', '--random', '4', '--method', 'spectral']]\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [cli.main(argv) for argv in runs]\n"
+        xs = np.linspace(-1.0, 1.0, 41)
+        table = "".join(f"{x!r},{math.exp(x)!r}\n" for x in xs.tolist())
+        (tmp_path / "table.csv").write_text(table, encoding="utf-8")
+        script = prelude + "import contextlib, io, sys\nimport spherecov.cli as cli\n" + self.ALL_COMMANDS + (
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env()
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[0, 0, 0, 0, 0] []\n"
+        return result.stdout
+
+    def test_eval_separable_simulate_never_import_scipy(self, tmp_path):
+        # The name predates it: now no command imports scipy, coeffs and certify included.
+        assert self._run_all_commands(tmp_path, "") == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
+
+    def test_all_commands_run_where_scipy_cannot_be_imported(self, tmp_path):
+        refuse_scipy = (
+            "import sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy is refused in this process')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+        )
+        assert self._run_all_commands(tmp_path, refuse_scipy) == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
 
     def test_closed_stdout_is_exit_1_without_traceback(self, tmp_path):
         spec = tmp_path / "product.json"

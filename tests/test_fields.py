@@ -1,5 +1,6 @@
 """Point sets, Gram matrices, the eigenvalue oracle, and field samplers."""
 
+import json
 import math
 import subprocess
 import sys
@@ -48,6 +49,7 @@ from spherecov import (
     uniform_sphere_points,
 )
 from spherecov import fields, gegenbauer
+from spherecov.gegenbauer import MAX_SEED
 from spherecov.fields import _factor, _sample_blocks
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -341,7 +343,8 @@ class TestIntegerArguments:
         "multiquadric-n_max": lambda v: multiquadric_sequence(0.5, LEGENDRE, v),
     }
     # Values with no cap, for which 10**5000 is a valid integer like any other.
-    UNCAPPED = {"points-seed", "factorized-seed", "spectral-seed", "certify-seed", "harmonic-d", "harmonic-n"}
+    # Seeds have one (`MAX_SEED`, tested in `TestSeedCap`).
+    UNCAPPED = {"harmonic-d", "harmonic-n"}
 
     @pytest.mark.parametrize(
         "value", [2.5, 2.0, -1, "2", None, True, [2], pytest.param(-(10**5000), id="-10**5000")], ids=repr
@@ -378,6 +381,30 @@ class TestIntegerArguments:
             assert not valid and len(str(exc)) < 200
         else:
             assert valid and type(count) is int and count == value
+
+
+class TestSeedCap:
+    """Every seed intake takes seeds up to MAX_SEED = 2**128 - 1 and no more."""
+
+    SEQ = make_sequence([0.5, 0.5], LEGENDRE)
+    POINTS = uniform_sphere_points(2, 4, 0)
+    CALLS = {
+        "points": lambda s: uniform_sphere_points(2, 3, s),
+        "factorized": lambda s: sample_factorized(TestSeedCap.SEQ, TestSeedCap.POINTS, 2, s),
+        "spectral": lambda s: sample_spectral_s2(TestSeedCap.SEQ, TestSeedCap.POINTS, 2, s),
+        "certify": lambda s: certify(_square, LEGENDRE, n_max=4, gram_trials=1, seed=s),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_cap_is_accepted_and_one_more_is_a_domain_error(self, call):
+        assert MAX_SEED == 2**128 - 1
+        self.CALLS[call](MAX_SEED)
+        with pytest.raises(DomainError, match=rf"^seed {MAX_SEED + 1} exceeds the supported cap {MAX_SEED}$"):
+            self.CALLS[call](MAX_SEED + 1)
+
+    def test_certificate_at_the_cap_serializes(self):
+        cert = certify(_square, LEGENDRE, n_max=4, gram_trials=1, seed=MAX_SEED)
+        assert json.loads(json.dumps(cert.to_dict()))["seed"] == MAX_SEED
 
 
 class TestGeodesicCosine:

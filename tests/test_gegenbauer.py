@@ -4,10 +4,13 @@ import math
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_gegenbauer
 
 from spherecov import (
     DomainError,
@@ -20,6 +23,7 @@ from spherecov import (
     quadrature,
     recover_coefficients,
 )
+from spherecov import gegenbauer
 from spherecov.errors import ConvergenceError, GeometryError
 from spherecov.gegenbauer import QuadratureRule, _check_count, _frozen_floats, _shown
 
@@ -344,8 +348,10 @@ class TestQuadrature:
 
     def test_weight_memory_is_linear_in_order(self):
         # An order x order recurrence table and its square would take 137 MiB here.
+        # The Newton, Sturm and bisection passes hold a few vectors of length
+        # order; a dense order x order Jacobi matrix would take 69 MiB here.
         build = quadrature.__wrapped__
-        build(0.5, 4)  # loads scipy.special outside the measurement
+        build(0.5, 4)  # one-time first-call costs stay outside the measurement
         tracemalloc.start()
         try:
             rule = build(0.5, 3000)
@@ -368,7 +374,11 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5, 10**5000, "0.5", None, [0.5]], ids=_shown)
     def test_rejects_bad_lam_before_scipy(self, lam):
-        with mock.patch("scipy.special.roots_gegenbauer", side_effect=AssertionError("scipy was called")):
+        # The name is kept from when scipy built the nodes; the node finder is
+        # now `_positive_roots`, and a bad λ must not reach it.
+        with mock.patch(
+            "spherecov.gegenbauer._positive_roots", side_effect=AssertionError("the node finder was called")
+        ):
             with pytest.raises(DomainError, match=r"^lam must be a finite nonnegative number, got "):
                 quadrature(lam, 8)
             with pytest.raises(DomainError, match=r"^lam must be a finite nonnegative number, got "):
@@ -395,6 +405,129 @@ class TestQuadrature:
         rule = quadrature(0.5, 8)
         with pytest.raises(DomainError):
             rule.integrate(np.ones(7))
+
+
+def _mp_node_and_weight(lam, order, x0):
+    """40-digit Gauss node next to `x0` and its weight: two Newton steps on the
+    monic recurrence p_n = x·p_{n−1} − β_{n−1}·p_{n−2} in mpmath, and
+    w = ‖p_{N−1}‖² / (p_N′(x)·p_{N−1}(x)) from the values of the last step."""
+    lam = mpmath.mpf(lam)
+    betas = [n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)) for n in range(1, order)]
+    x = mpmath.mpf(float(x0))
+    for _ in range(2):
+        before, last, d_before, d_last = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
+        for beta in betas:
+            before, last, d_before, d_last = last, x * last - beta * before, d_last, last + x * d_last - beta * d_before
+        weight_at = x
+        x -= last / d_last
+    norm = mpmath.sqrt(mpmath.pi) * mpmath.gamma(lam + 0.5) / mpmath.gamma(lam + 1)
+    for beta in betas:
+        norm *= beta
+    assert abs(x - weight_at) < mpmath.mpf(10) ** -25
+    return x, norm / (d_last * before)
+
+
+class TestGaussNodes:
+    """The numpy node finder: Newton from asymptotic guesses, each root proven
+    alone by Sturm counts, bisection on Sturm counts for the rest."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 5.0, 20.0])
+    def test_no_further_from_mpmath_than_scipy(self, lam):
+        # Sampled nodes (the two largest, where the nodes crowd, and two inner
+        # ones) against a 40-digit reference. An error at the rounding floor
+        # (2^-53 for a node in [-1, 1], 1e-14 relative for a weight) ties.
+        with mpmath.workdps(40):
+            for order in (8, 41, 1024):
+                rule = quadrature(lam, order)
+                nodes, weights = roots_gegenbauer(order, lam)
+                ours, theirs = np.zeros(2), np.zeros(2)  # (node error, relative weight error)
+                for i in sorted({order - 1, order - 2, (3 * order) // 4, order // 2 + 1}):
+                    x, w = _mp_node_and_weight(lam, order, rule.nodes[i])
+                    ours = np.maximum(ours, [abs(float(rule.nodes[i] - x)), abs(float(rule.weights[i] / w - 1))])
+                    theirs = np.maximum(theirs, [abs(float(nodes[i] - x)), abs(float(weights[i] / w - 1))])
+                assert np.all(ours <= np.maximum(theirs, [2.0**-53, 1e-14])), (order, ours, theirs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 5.0, 7.5, 12.0, 20.0, 40.0]),
+        order=st.integers(2, 120),
+    )
+    @example(lam=20.0, order=41)
+    @example(lam=40.0, order=120)
+    def test_fast_path_agrees_with_bisection(self, lam, order):
+        betas = gegenbauer._monic_betas(lam, order)
+        with np.errstate(all="ignore"):
+            fast, proven = gegenbauer._newton_roots(lam, order, betas)
+            full = gegenbauer._bisect(betas, np.arange(order // 2, 0, -1))
+        roots, bisected = gegenbauer._positive_roots(lam, order)
+        # Every root the Sturm check proved is the one bisection finds; every
+        # other root, and only those, went to the fallback.
+        assert_allclose(fast[proven], full[proven], rtol=0, atol=2.0**-51)
+        assert bisected == np.count_nonzero(~proven)
+        assert_allclose(roots, full, rtol=0, atol=2.0**-51)
+        assert np.all(np.diff(roots) > 0) and 0 < roots[0] and roots[-1] < 1
+
+    @pytest.mark.parametrize("lam, order", [(0.5, 1024), (2.5, 1024), (5.0, 41), (10.0, 200)])
+    def test_fast_path_proves_every_root_up_to_lambda_ten(self, lam, order):
+        assert gegenbauer._positive_roots(lam, order)[1] == 0
+
+    @pytest.mark.parametrize("lam, order", [(20.0, 41), (40.0, 64), (200.0, 64)])
+    def test_fallback_runs_where_the_check_fails(self, lam, order):
+        betas = gegenbauer._monic_betas(lam, order)
+        with np.errstate(all="ignore"):
+            proven = gegenbauer._newton_roots(lam, order, betas)[1]
+        assert not proven.all()
+        assert gegenbauer._positive_roots(lam, order)[1] == np.count_nonzero(~proven)
+        sx = roots_gegenbauer(order, lam)[0]
+        assert_allclose(quadrature(lam, order).nodes, sx, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [8, 9])
+    def test_exact_zero_ratios_keep_the_count(self, order):
+        # At x = 0 every odd-degree ratio is exactly 0 and the next one infinite;
+        # each such pair is still one sign change, so the count is the 4 roots
+        # above 0 (at order 9, 0 itself is a root and its ratio is +0).
+        counts = np.zeros(1, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            gegenbauer._ratio(gegenbauer._monic_betas(0.5, order), np.zeros(1), counts)
+        assert counts[0] == 4
+
+    @pytest.mark.parametrize("lam", [20.0, 200.0, 1e10, 1e300], ids=str)
+    def test_large_lambda_gets_a_rule_or_a_domain_error(self, lam):
+        # One rule: a rule is built while λ <= 1e4 and every norm h_n, n < order,
+        # keeps the Christoffel sums finite; otherwise DomainError says which.
+        # pytest turns any RuntimeWarning into an error.
+        basis = GegenbauerBasis.from_index(lam)
+        for order in (8, 64, 1024):
+            if lam > 1e4:
+                with pytest.raises(DomainError, match=r"^Gauss rules need lam <= 10000, got lam="):
+                    quadrature(basis.lam, order)
+            elif lam == 200.0 and order == 1024:
+                with pytest.raises(DomainError, match=r"^the order-1024 Gauss rule at lam=200.0 is beyond double"):
+                    quadrature(basis.lam, order)
+            else:
+                rule = quadrature(basis.lam, order)
+                assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+                assert_allclose(rule.integrate(np.ones(order)), math.exp(gegenbauer._log_norm_squared(lam, 0)), rtol=1e-12)
+                for j in (1, 2):
+                    assert_allclose(rule.integrate(rule.nodes ** (2 * j)), _even_moment(lam, j), rtol=1e-10)
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-300, 1e-20], ids=str)
+    def test_tiny_lambda_gets_the_chebyshev_limit(self, lam):
+        # β_1 = 2λ/(4λ(1+λ)) must not cancel to 0/0; as λ → 0 the rule tends to
+        # the Chebyshev rule (weights π/N at the roots of T_N).
+        for order in (1, 2, 8, 64):
+            rule = quadrature(lam, order)
+            chebyshev = quadrature(0.0, order)
+            assert_allclose(rule.nodes, chebyshev.nodes, rtol=0, atol=1e-14)
+            assert_allclose(rule.weights, chebyshev.weights, rtol=1e-12)
+
+    def test_largest_orders_at_the_cap_build(self):
+        # Just inside the range rule: the smallest norm is near the double floor.
+        for lam, order in ((200.0, 664), (1e4, 115)):
+            rule = quadrature(lam, order)
+            assert rule.order == order and np.all(rule.weights > 0)
+            with pytest.raises(DomainError, match="beyond double range"):
+                quadrature(lam, order + 1)
 
 
 class TestQuadratureCache:

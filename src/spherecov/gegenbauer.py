@@ -21,9 +21,10 @@ bisection on those counts for any root the fast path cannot prove. Both run
 on the ratios of consecutive polynomials, so no value under- or overflows.
 The weights are Christoffel numbers from the recurrence above, which are
 more accurate than the Golub–Welsch eigenvector weights at high order. Like
-coefficient recovery and the sphere × time kernel, they read the recurrence
-one degree at a time, so memory grows with the number of points, not with
-degree × points.
+the sphere × time kernel, they read the recurrence one degree at a time, so
+memory grows with the number of points, not with degree × points.
+Coefficient recovery does too once its degree × node table is over 256 KiB;
+smaller tables are cached (`_degree_table`).
 """
 
 import functools
@@ -42,6 +43,10 @@ MAX_SEED = 2**128 - 1
 
 # Largest degree × point table, in bytes, that a kernel sum builds at once.
 _BLOCK_BYTES = 16 * 2**20
+
+# Largest degree × node table, in bytes, that coefficient recovery caches.
+# `_degree_table` keeps 16, so the cache never holds more than 4 MiB.
+_TABLE_CACHE_BYTES = 256 * 2**10
 
 # Newton passes over the recurrence before the fast path gives up on a root.
 _NEWTON_STEPS = 8
@@ -259,14 +264,19 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
     return float(value) if value.ndim == 0 else value
 
 
+def _table(lam: float, n_max: int, x: np.ndarray) -> np.ndarray:
+    """The rows P̃_0(x), ..., P̃_{n_max}(x) of `_sequence` as one array of shape
+    (n_max+1,) + x.shape; degree and argument are not checked."""
+    out = np.empty((n_max + 1,) + x.shape)
+    for n, values in enumerate(_sequence(lam, n_max, x)):
+        out[n] = values
+    return out
+
+
 def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
     """Vector [P̃_0(x), ..., P̃_{n_max}(x)] from a single recurrence pass."""
     n_max = _check_degree(n_max)
-    x = _check_argument(x)
-    out = np.empty((n_max + 1,) + x.shape)
-    for n, values in enumerate(_sequence(basis.lam, n_max, x)):
-        out[n] = values
-    return out
+    return _table(basis.lam, n_max, _check_argument(x))
 
 
 def _log_norm_squared(lam: float, n: int) -> float:
@@ -295,12 +305,41 @@ def norm_squared(basis: GegenbauerBasis, n: int) -> float:
     return _norm_squared(basis.lam, n)
 
 
+@functools.lru_cache(maxsize=32)
+def _norms(lam: float, count: int) -> tuple:
+    """h_0, ..., h_{count−1} at λ, cached by (λ, count)."""
+    return tuple(_norm_squared(lam, n) for n in range(count))
+
+
+@functools.lru_cache(maxsize=16)
+def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
+    """The read-only (n_max+1) × order table of P̃_0, ..., P̃_{n_max} at the nodes
+    of the order-`order` Gauss rule, cached by (λ, order, n_max). Only
+    `_degree_rows` calls it, for tables of at most `_TABLE_CACHE_BYTES`."""
+    table = _table(lam, n_max, _gauss_rule(lam, order).nodes)
+    table.setflags(write=False)
+    return table
+
+
+def _degree_rows(lam: float, order: int, n_max: int):
+    """P̃_0, ..., P̃_{n_max} at the nodes of the cached order-`order` Gauss rule,
+    one row per degree: the rows of the cached `_degree_table` when it fits
+    `_TABLE_CACHE_BYTES`, else streamed from `_sequence`. Both give the same
+    bytes in each row."""
+    if 8 * (n_max + 1) * order <= _TABLE_CACHE_BYTES:
+        return _degree_table(lam, order, n_max)
+    return _sequence(lam, n_max, _gauss_rule(lam, order).nodes)
+
+
 def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
-    """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node."""
-    total = np.zeros(nodes.size)
-    for n, values in enumerate(_sequence(lam, nodes.size - 1, nodes)):
-        total += np.square(values) / _norm_squared(lam, n)
-    return 1.0 / total
+    """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node. The
+    nodes are antisymmetric and P̃_k(−x) = (−1)^k P̃_k(x) holds exactly in the
+    recurrence, so the sums run over the nonnegative half and are mirrored."""
+    half = nodes.size // 2
+    total = np.zeros(nodes.size - half)
+    for values, h in zip(_sequence(lam, nodes.size - 1, nodes[half:]), _norms(lam, nodes.size)):
+        total += np.square(values) / h
+    return 1.0 / np.concatenate((total[::-1][:half], total))
 
 
 def _monic_betas(lam: float, order: int) -> list:
@@ -426,9 +465,10 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     in its own interval by Sturm counts, with bisection on Sturm counts for
     any root the fast path cannot prove (some, from λ = 11 on). The
     weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, summed from the
-    recurrence one degree at a time over all nodes, so the working memory is
-    a few vectors of length order. λ = 0 uses the closed-form Chebyshev
-    rule. Node and weight vectors are symmetrized about 0. The tests check
+    recurrence one degree at a time over the nonnegative nodes and mirrored,
+    so the working memory is a few vectors of length order. λ = 0 uses the
+    closed-form Chebyshev rule. The nodes are symmetrized about 0, so the
+    weights are symmetric too. The tests check
     orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise
     DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
     would overflow the Christoffel sums (λ = 200 from order 665 on).
@@ -461,7 +501,6 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
         )
 
     weights = _christoffel_weights(lam, nodes)
-    weights = 0.5 * (weights + weights[::-1])
 
     mass = math.exp(_log_norm_squared(lam, 0))
     if not math.isclose(weights.sum(), mass, rel_tol=1e-9):

@@ -31,10 +31,10 @@ from .gegenbauer import (
     _check_count,
     _check_degree,
     _check_seed,
+    _degree_rows,
     _frozen_floats,
-    _sequence,
+    _norms,
     eval_sequence,
-    norm_squared,
     quadrature,
 )
 
@@ -187,9 +187,10 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
 
     xs is made read-only, then g is called once on the whole array. Only if
     that call raises or does not return a real array of xs's shape is g
-    called point by point on Python floats, so a scalar-only callback works
-    and a failure names its point. A non-finite value raises at the first
-    point that produced one.
+    called point by point on Python floats, in one `np.fromiter` loop, so a
+    scalar-only callback works and a failure names its point. That loop
+    cannot keep a StopIteration that g raises, so the error's cause is a new
+    one. A non-finite value raises at the first point that produced one.
     """
     xs.setflags(write=False)
     try:
@@ -200,12 +201,16 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     if vectorized:
         values = values.astype(float)
     else:
-        values = np.empty(xs.size)
-        for i, x in enumerate(xs.tolist()):
-            try:
-                values[i] = g(x)
-            except Exception as exc:  # noqa: BLE001 - attribute the failing point
-                raise EvaluationError(x, exc) from exc
+        points = xs.tolist()
+        rest = iter(points)
+        try:
+            values = np.fromiter(map(g, rest), float)
+        except Exception as exc:  # noqa: BLE001 - attribute the failing point
+            # `map` has taken every point up to and including the failing one.
+            raise EvaluationError(points[len(points) - len(list(rest)) - 1], exc) from exc
+        if values.size < len(points):  # a StopIteration from g ends `map` early
+            stop = StopIteration()
+            raise EvaluationError(points[values.size], stop) from stop
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise EvaluationError(float(xs[bad[0]]), "non-finite function value")
@@ -227,8 +232,8 @@ def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
     weighted = rule.weights * values
-    degrees = enumerate(_sequence(basis.lam, n_max, rule.nodes))
-    return np.array([p @ weighted / norm_squared(basis, n) for n, p in degrees]), vectorized
+    rows = _degree_rows(rule.lam, rule.order, n_max)
+    return np.array([p @ weighted / h for p, h in zip(rows, _norms(rule.lam, n_max + 1))]), vectorized
 
 
 def _default_quad_order(n_max: int) -> int:
@@ -254,6 +259,12 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
     or returns another shape is g called once per node with a float, so
     scalar-only functions still work. A failing or non-finite evaluation
     raises EvaluationError naming the node.
+
+    The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
+    (λ, quad_order, n_max) when it is at most 256 KiB (the last 16 tables,
+    so at most 4 MiB), and streamed one degree at a time when larger; the
+    coefficients have the same bytes either way. The cache lives in the
+    process, so a fresh CLI process gains nothing from it.
     """
     return _recover(g, basis, n_max, quad_order)[0]
 
@@ -315,7 +326,9 @@ def certify(
     g is called as in `recover_coefficients`: first once with a read-only
     1-D float array (the quadrature nodes, then the upper triangle of each
     trial's cosine matrix), and point by point with floats only if that call
-    raises or returns another shape.
+    raises or returns another shape. The coefficients read the degree × node
+    table that `recover_coefficients` caches: repeated calls with the same
+    basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
     from .fields import _check_array_bytes, min_eigenvalue, uniform_sphere_points

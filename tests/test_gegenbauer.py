@@ -346,6 +346,21 @@ class TestQuadrature:
         reference = 1.0 / (inv_norms @ eval_sequence(basis, order - 1, rule.nodes) ** 2)
         assert_allclose(rule.weights, 0.5 * (reference + reference[::-1]), rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.5, 20.0])
+    def test_half_node_weights_equal_the_full_node_sum(self, lam):
+        # Reference: the Christoffel sum over every node, in the order the
+        # rule adds its terms, then symmetrized. Summing over the nonnegative
+        # half and mirroring must give the same bytes.
+        for order in (1, 2, 3, 4, 5, 64, 65, 255, 512, 1023, 1024):
+            rule = quadrature(lam, order)
+            total = np.zeros(order)
+            values = eval_sequence(GegenbauerBasis.from_index(lam), order - 1, rule.nodes)
+            for n in range(order):
+                total += np.square(values[n]) / gegenbauer._norm_squared(lam, n)
+            reference = 1.0 / total
+            reference = 0.5 * (reference + reference[::-1])
+            assert rule.weights.tobytes() == reference.tobytes(), order
+
     def test_weight_memory_is_linear_in_order(self):
         # An order x order recurrence table and its square would take 137 MiB here.
         # The Newton, Sturm and bisection passes hold a few vectors of length
@@ -554,6 +569,64 @@ class TestQuadratureCache:
         rule = quadrature(0.5, 24)
         assert_allclose(rule.nodes, before, rtol=0, atol=0)
         assert_allclose(rule.integrate(rule.nodes**2), 2.0 / 3.0, rtol=1e-14)
+
+
+class TestDegreeTableCache:
+    """Coefficient recovery's cached degree x node tables and norms."""
+
+    CAP_SHAPES = ((32, 1024), (64, 512), (128, 256), (256, 128))  # rows x order at the cap
+
+    def test_table_is_cached_read_only_and_equals_the_recurrence(self):
+        table = gegenbauer._degree_table(1.5, 40, 12)
+        assert gegenbauer._degree_table(1.5, 40, 12) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        expect = eval_sequence(GegenbauerBasis.from_index(1.5), 12, quadrature(1.5, 40).nodes)
+        assert table.tobytes() == expect.tobytes()
+
+    def test_norms_are_the_closed_form(self):
+        for lam in (0.0, 0.5, 2.5):
+            norms = gegenbauer._norms(lam, 30)
+            assert isinstance(norms, tuple) and gegenbauer._norms(lam, 30) is norms
+            assert norms == tuple(gegenbauer._norm_squared(lam, n) for n in range(30))
+
+    def test_cache_holds_at_most_sixteen_tables_at_the_cap(self):
+        cap = gegenbauer._TABLE_CACHE_BYTES
+        assert all(8 * rows * order == cap for rows, order in self.CAP_SHAPES)
+        lams = (0.0, 0.5, 1.0, 1.5, 2.0)
+        keys = [(lam, order, rows - 1) for lam in lams for rows, order in self.CAP_SHAPES]
+        for lam, order, _ in keys:
+            quadrature(lam, order)  # the rules are built outside the measurement
+        gegenbauer._degree_table.cache_clear()
+        tracemalloc.start()
+        try:
+            for key in keys:
+                assert isinstance(gegenbauer._degree_rows(*key), np.ndarray)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gegenbauer._degree_table.cache_info().currsize == 16
+        # 16 tables of 256 KiB; at the peak a new table is built before the
+        # oldest is dropped. The slack covers the norms and the recurrence rows.
+        assert current <= 16 * cap + 2**18
+        assert peak <= 17 * cap + 2**18
+
+    def test_table_over_the_cap_is_streamed_and_not_cached(self):
+        order = 1024
+        rows = gegenbauer._TABLE_CACHE_BYTES // (8 * order)
+        quadrature(0.5, order)
+        before = gegenbauer._degree_table.cache_info()
+        streamed = gegenbauer._degree_rows(0.5, order, rows)  # one row over the cap
+        assert not isinstance(streamed, np.ndarray)
+        streamed = [row.tobytes() for row in streamed]
+        coeffs = recover_coefficients(lambda x: x, LEGENDRE, rows, order)
+        assert gegenbauer._degree_table.cache_info() == before
+        assert_allclose(coeffs[:3], [0.0, 1.0, 0.0], atol=1e-14)
+        at_cap = gegenbauer._degree_rows(0.5, order, rows - 1)
+        assert isinstance(at_cap, np.ndarray)
+        assert len(streamed) == rows + 1
+        assert b"".join(streamed[:rows]) == at_cap.tobytes()
 
 
 class TestRegressionValues:

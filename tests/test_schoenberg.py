@@ -5,15 +5,18 @@ import json
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
-from spherecov import schoenberg
+from spherecov import gegenbauer, schoenberg
 from spherecov import (
     DomainError,
     EvaluationError,
@@ -297,6 +300,122 @@ def test_recovery_matches_table_formula(d, n_max, extra, frequency, phase):
     reference = np.array([math.fsum(row * weighted) for row in table]) / norms
     ahat = recover_coefficients(g, basis, n_max, quad_order)
     assert np.max(np.abs(ahat - reference) * norms / norms[0]) <= 1e-15
+
+
+def _scalar_only(g):
+    def call(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalars only")
+        return g(x)
+
+    return call
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(0, 200),
+    st.integers(0, 300),
+    st.floats(-8.0, 8.0),
+    st.booleans(),
+)
+@example(2, 200, 300, 1.5, False)  # both tables over the cap
+@example(3, 10, 20, -2.0, True)  # both tables under it
+def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, pointwise):
+    # Each call runs twice, cold and then warm, and must give the bytes of
+    # the streamed path, which a cap of 0 forces for every table.
+    basis = GegenbauerBasis.from_dimension(d)
+    order = n_max + 1 + extra
+    g = lambda x: np.cos(frequency * x + 0.25)
+    if pointwise:
+        g = _scalar_only(g)
+
+    def run():
+        coeffs = recover_coefficients(g, basis, n_max, order).tobytes()
+        return coeffs, json.dumps(certify(g, basis, n_max=n_max, seed=n_max).to_dict())
+
+    gegenbauer._degree_table.cache_clear()
+    cold, warm = run(), run()
+    if 8 * (n_max + 1) * order <= gegenbauer._TABLE_CACHE_BYTES:
+        table = gegenbauer._degree_table(basis.lam, order, n_max)
+        assert table.shape == (n_max + 1, order) and not table.flags.writeable
+    with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", 0):
+        before = gegenbauer._degree_table.cache_info()
+        streamed = run()
+        assert gegenbauer._degree_table.cache_info() == before
+    assert cold == warm == streamed
+
+
+def _old_pointwise(g, xs):
+    """The point-by-point loop that `_evaluate` ran before its one `np.fromiter`."""
+    values = np.empty(xs.size)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            values[i] = g(x)
+        except Exception as exc:
+            raise EvaluationError(x, exc) from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EvaluationError(float(xs[bad[0]]), "non-finite function value")
+    return values
+
+
+def _new_pointwise(g, xs):
+    values, vectorized = schoenberg._evaluate(g, xs)
+    assert not vectorized
+    return values
+
+
+def _outcome_of(run, g, xs):
+    try:
+        return "values", run(g, xs.copy()).tobytes()
+    except EvaluationError as exc:
+        return "error", str(exc), exc.point, type(exc.__cause__)
+
+
+class TestPointwiseLoop:
+    XS = np.linspace(-0.9, 0.9, 7)
+    RETURNS = {
+        "float": 2.5,
+        "int": 3,
+        "bool": True,
+        "float32": np.float32(1.5),
+        "0-d array": np.array(2.0),
+        "list": [1.0],
+        "None": None,
+        "numeric string": "1.5",
+        "string": "abc",
+        "complex": 1 + 2j,
+        "Decimal": Decimal("1.5"),
+        "Fraction": Fraction(1, 3),
+        "huge int": 10**400,
+    }
+
+    @pytest.mark.parametrize("value", RETURNS.values(), ids=RETURNS.keys())
+    def test_matches_the_old_loop(self, value):
+        # Points before the third return a float, so a failure must name the third.
+        third = self.XS[2]
+        g = _scalar_only(lambda x: 0.5 if x < third else value)
+        assert _outcome_of(_new_pointwise, g, self.XS) == _outcome_of(_old_pointwise, g, self.XS)
+
+    @pytest.mark.parametrize("error", [RuntimeError, StopIteration])
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_failure_at_point_k_makes_k_plus_one_calls(self, k, error):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            if len(calls) == k + 1:
+                raise error("boom")
+            return x
+
+        with pytest.raises(EvaluationError) as info:
+            _new_pointwise(_scalar_only(g), self.XS.copy())
+        assert len(calls) == k + 1
+        point = float(self.XS[k])
+        assert type(info.value.point) is float and info.value.point == point
+        assert isinstance(info.value.__cause__, error)
+        assert str(info.value).startswith(f"function evaluation failed at x={point!r}:")
 
 
 class TestCertify:

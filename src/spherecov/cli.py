@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, KernelSpecError, SphereCovError
 from .fields import _check_array_bytes, point_set_type, sample_factorized, sample_spectral_s2
-from .gegenbauer import GegenbauerBasis, _check_count, _check_seed
+from .gegenbauer import GegenbauerBasis, _check_count, _check_real, _check_seed
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
@@ -68,14 +68,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_flag(text: str) -> float:
-    """argparse type of every float flag: a finite float."""
+    """argparse type of every float flag: its text as a float that
+    `_check_real` takes, so finite."""
     try:
-        value = float(text)
-    except ValueError:
+        return _check_real(float(text), "value")
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}") from None
+    except ValueError:  # the text of no float
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
 
 
 def _parse_float(text: str, name: str) -> float:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _check_count, _check_seed, _frozen_floats, _shown
+from .gegenbauer import _check_count, _check_real, _check_seed, _frozen_floats, _shown
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
@@ -297,7 +297,7 @@ def geodesic_cosine(p, q) -> float:
     for name, v in (("p", p), ("q", q)):
         if v.ndim != 1:
             raise DomainError(f"{name} must be a vector")
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
             raise DomainError(f"{name} has norm {np.linalg.norm(v)!r}, not 1 within {UNIT_NORM_TOL}")
     if p.shape != q.shape:
         raise DomainError("p and q must have the same length")
@@ -314,16 +314,22 @@ def _cosine_matrix(points: np.ndarray) -> np.ndarray:
     return np.clip(points @ points.T, -1.0, 1.0)
 
 
+def _symmetric(values: np.ndarray, iu: tuple, n: int) -> np.ndarray:
+    """The n × n matrix with `values` on the upper triangle `iu`
+    (`np.triu_indices(n)`) and mirrored below it."""
+    entries = np.empty((n, n))
+    entries[iu] = values
+    entries[iu[1], iu[0]] = values
+    return entries
+
+
 def gram(kernel, points) -> GramMatrix:
     """Matrix of kernel values over all point pairs (upper triangle mirrored)."""
     _check_points(kernel, points)
     n = len(points)
     _check_array_bytes((n, n), "a Gram matrix")
     iu = np.triu_indices(n)
-    vals = kernel.values(*points.pair_arguments(iu))
-    entries = np.empty((n, n))
-    entries[iu] = vals
-    entries[iu[1], iu[0]] = vals
+    entries = _symmetric(kernel.values(*points.pair_arguments(iu)), iu, n)
     entries.setflags(write=False)
     return GramMatrix(entries=entries, provenance=f"gram({kernel.label}, n={n})")
 
@@ -381,18 +387,14 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
 
     `jitter` defaults to 1e-10 * trace(G)/dim; pass 0.0 to factor the Gram
     matrix exactly (rank-deficient covariances then take the eigen route).
+    It is a real number in [0, inf) (see `gegenbauer._check_real`).
     """
     n_samples = _check_count(n_samples, "n_samples", 1)
     seed = _check_seed(seed)
     _check_points(kernel, points)
     _check_array_bytes((n_samples, len(points)), "a sample")
     g = gram(kernel, points)
-    if jitter is None:
-        jitter = _default_jitter(g.entries)
-    if not math.isfinite(jitter):
-        raise DomainError(f"jitter must be finite, got {jitter}")
-    if jitter < 0:
-        raise DomainError(f"jitter must be nonnegative, got {jitter}")
+    jitter = _check_real(_default_jitter(g.entries) if jitter is None else jitter, "jitter", "[0, inf)")
     factor = _factor(g.entries, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, g.size))

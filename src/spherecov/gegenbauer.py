@@ -105,6 +105,33 @@ def _check_count(value, name: str, least: int = 0, error=DomainError, most: int 
     return count
 
 
+# How `_check_real` words an interval; any other reads "must lie in (0, 2]".
+_REAL_WORDING = {"(0, inf)": "be a positive real", "[0, inf)": "be a finite nonnegative number"}
+
+
+def _check_real(value, name: str, interval: str = "(-inf, inf)", error=DomainError, type_error=None) -> float:
+    """The one real-number rule: a tolerance, scale, index or parameter as a
+    Python float. It must be a real number (a Python or numpy int or float, or
+    a Fraction; not a bool, a string, a Decimal or a complex) whose float lies
+    in `interval`, written like "(0, 2]". NaN lies in no interval and ±inf in
+    none in use, whose infinite ends are open; an int too large for a float
+    is out of range too. Anything else is an `error` (`type_error`, if given,
+    for a value that is not a real number), whose message is worded from the
+    interval and shows the value with `_shown`."""
+    real = math.nan
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        error = type_error or error
+    else:
+        try:
+            real = float(value)
+        except OverflowError:
+            pass
+    low, high = map(float, interval[1:-1].split(","))
+    if (low < real if interval[0] == "(" else low <= real) and (real < high if interval[-1] == ")" else real <= high):
+        return real
+    raise error(f"{name} must {_REAL_WORDING.get(interval, 'lie in ' + interval)}, got {_shown(value)}")
+
+
 def _check_seed(seed, error=DomainError) -> int:
     """A seed as an int in [0, MAX_SEED]: 128 bits, the size of the pool numpy's
     `SeedSequence` mixes every seed into, and short enough to print and serialize."""
@@ -116,10 +143,8 @@ def _check_degree(n) -> int:
 
 
 def _check_lam(lam) -> float:
-    """λ as a float: a real number, finite and nonnegative, else DomainError."""
-    if not (isinstance(lam, numbers.Real) and 0 <= lam <= sys.float_info.max):
-        raise DomainError(f"lam must be a finite nonnegative number, got {_shown(lam)}")
-    return float(lam)
+    """λ as a float in [0, inf) by `_check_real`, else DomainError."""
+    return _check_real(lam, "lam", "[0, inf)")
 
 
 def _index(d) -> float:
@@ -137,7 +162,8 @@ class GegenbauerBasis:
 
     `dimension` is the sphere dimension d (the manifold dimension, so the
     circle is d = 1 and the ordinary sphere in 3-space is d = 2), stored as
-    an int.
+    an int. `lam` is a real number in [0, inf) (see `_check_real`; not a
+    bool or a string), stored as a float.
     """
 
     lam: float
@@ -145,6 +171,7 @@ class GegenbauerBasis:
 
     def __post_init__(self):
         d = _check_count(self.dimension, "sphere dimension", 1)
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         if self.lam != _index(d):
             raise DomainError(f"index lam={_shown(self.lam)} does not equal (d-1)/2 for d={d}")
         object.__setattr__(self, "dimension", d)
@@ -156,19 +183,21 @@ class GegenbauerBasis:
 
     @classmethod
     def from_index(cls, lam: float) -> "GegenbauerBasis":
-        """Basis with index λ; 2λ+1 must be a positive integer (the dimension)."""
+        """Basis with index λ, a real number in [0, inf) (see `_check_real`);
+        2λ+1 must be a positive integer (the dimension)."""
         lam = _check_lam(lam)
         d = 2 * lam + 1
-        if not math.isfinite(d) or d != int(round(d)):
+        if not d.is_integer():  # False at an overflowing inf, too
             raise DomainError(f"lam={lam} does not correspond to a sphere dimension (d=2*lam+1)")
-        return cls(lam=lam, dimension=int(round(d)))
+        return cls(lam=lam, dimension=int(d))
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule for the weight (1−x²)^{λ−1/2} on [−1, 1].
 
-    `nodes` and `weights` are stored read-only (see `_frozen_floats`).
+    `nodes` and `weights` are stored read-only (see `_frozen_floats`), `lam`
+    as a float in [0, inf) (see `_check_real`) and `order` as an int.
     """
 
     nodes: np.ndarray
@@ -177,6 +206,8 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _check_lam(self.lam))
+        object.__setattr__(self, "order", _check_count(self.order, "order", 1))
         for name in ("nodes", "weights"):
             object.__setattr__(self, name, _frozen_floats(getattr(self, name), 1, name))
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
@@ -189,15 +220,24 @@ class QuadratureRule:
             raise DomainError("weights must be positive")
 
     def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of function values at the nodes."""
-        values = np.asarray(values, dtype=float)
+        """Weighted sum of function values at the nodes, which must be finite
+        (see `_frozen_floats`)."""
+        values = _frozen_floats(values, 1, "values")
         if values.shape != (self.order,):
             raise DomainError(f"values must have shape ({self.order},), got {values.shape}")
         return float(np.dot(self.weights, values))
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """`values` as a float array, not copied if it is one, else DomainError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be numbers: {exc}") from None
+
+
 def _check_argument(x):
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, "argument")
     if np.any(np.isnan(x)) or np.any(np.abs(x) > 1.0):
         raise DomainError("argument must lie in [-1, 1]")
     return x
@@ -240,8 +280,13 @@ def _block_sum(scale: float, rows: int, terms, *args):
     what `terms(*block)` yields, so a value does not depend on its batch, block or
     BLAS threads. A term is added before the next is made, so `terms` may reuse a
     buffer. Memory is the output plus about `_BLOCK_BYTES` (`rows` rows of one
-    block). Scalar points give a float, arrays an array of their shape."""
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    block). Scalar points give a float, arrays an array of their shape.
+    Arguments that are not numbers or do not broadcast are a DomainError."""
+    floats = [_float_array(a, "kernel arguments") for a in args]
+    try:
+        arrays = np.broadcast_arrays(*floats)
+    except ValueError as exc:
+        raise DomainError(f"kernel arguments must broadcast together: {exc}") from None
     flat = [a.reshape(-1) for a in arrays]
     out = np.zeros(flat[0].size)
     for block in _blocks(rows, out.size):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateZeroError
-from .gegenbauer import GegenbauerBasis, _block_sum, eval_sequence
-from .schoenberg import SchoenbergSequence, _check_tol, _Kernel, _split_mass
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_real, eval_sequence
+from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,10 @@ def separability_test(kernel: ProductSphereKernel, tol: float = 1e-9):
     All 2×2 minors a_{mn} a_{m'n'} − a_{mn'} a_{m'n} must vanish within
     tol · (max entry)². Returns Separable with nonnegative factors whose
     outer product reconstructs the matrix, or NonSeparable with the first
-    violating minor in row-pair-major order.
+    violating minor in row-pair-major order. `tol` is a real number in
+    [0, inf) (see `gegenbauer._check_real`).
     """
-    _check_tol(tol)
+    tol = _check_real(tol, "tol", "[0, inf)")
     a = kernel.coeff_matrix
     a_max = float(a.max())
     if a_max == 0.0:

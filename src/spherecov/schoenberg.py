@@ -30,6 +30,8 @@ from .gegenbauer import (
     _check_argument,
     _check_count,
     _check_degree,
+    _check_lam,
+    _check_real,
     _check_seed,
     _degree_rows,
     _frozen_floats,
@@ -82,25 +84,26 @@ def _split_mass(values, ndim: int, name: str, normalize: bool) -> tuple:
     return arr / total, total
 
 
-def _stored_weights(values, ndim: int, name: str, scale_c: float) -> np.ndarray:
-    """The read-only weight array a kernel stores: checked by
-    `_checked_weights`, summing to 1, and with a positive finite scale."""
+def _stored_weights(values, ndim: int, name: str, scale_c) -> tuple[np.ndarray, float]:
+    """(weights, scale) a kernel stores: the read-only weight array, checked
+    by `_checked_weights` and summing to 1, and `scale_c` as a float in
+    (0, inf) by `_check_real`."""
     arr, total = _checked_weights(values, ndim, name)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(f"stored {name} must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
-    if not (math.isfinite(scale_c) and scale_c > 0):
-        raise DomainError(f"scale_c must be a positive real, got {scale_c}")
-    return arr
+    return arr, _check_real(scale_c, "scale_c", "(0, inf)")
 
 
 class _Kernel:
     """The kernel protocol, written once: a kernel is a frozen dataclass of
     nonnegative weights (the field named `WEIGHTS`, one axis per basis), the
-    Gegenbauer bases (the fields named `BASES`, in axis order) and `scale_c`."""
+    Gegenbauer bases (the fields named `BASES`, in axis order) and `scale_c`,
+    a real number in (0, inf) stored as a float."""
 
     def __post_init__(self):
-        weights = _stored_weights(getattr(self, self.WEIGHTS), len(self.BASES), self.WEIGHTS, self.scale_c)
+        weights, scale = _stored_weights(getattr(self, self.WEIGHTS), len(self.BASES), self.WEIGHTS, self.scale_c)
         object.__setattr__(self, self.WEIGHTS, weights)
+        object.__setattr__(self, "scale_c", scale)
 
     @property
     def dimensions(self) -> tuple:
@@ -149,12 +152,6 @@ class SchoenbergSequence(_Kernel):
     def values(self, x):
         """Kernel values at cosines x; see `kernel_eval`."""
         return kernel_eval(self, x)
-
-
-def _check_tol(tol: float):
-    """A separability tolerance must be finite and nonnegative."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> SchoenbergSequence:
@@ -320,8 +317,10 @@ def certify(
     Otherwise the verdict is PD when the recovered coefficient mass beyond
     degree n_max/2 is below coeff_tol (the truncation saw the whole
     function), else Inconclusive. `eig_tol` defaults to 1e−8 times the Gram
-    dimension. Trial point-set seeds are derived from `seed` through
-    numpy's SeedSequence, so results are reproducible.
+    dimension. Both tolerances are real numbers in (0, inf), stored in the
+    certificate as floats (see `gegenbauer._check_real`). Trial point-set
+    seeds are derived from `seed` through numpy's SeedSequence, so results
+    are reproducible.
 
     g is called as in `recover_coefficients`: first once with a read-only
     1-D float array (the quadrature nodes, then the upper triangle of each
@@ -331,16 +330,11 @@ def certify(
     basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _check_array_bytes, min_eigenvalue, uniform_sphere_points
+    from .fields import _check_array_bytes, _symmetric, min_eigenvalue, uniform_sphere_points
 
     n_max = _check_degree(n_max)
-    if eig_tol is None:
-        eig_tol = 1e-8 * CERTIFY_GRAM_POINTS
-    for name, tol in (("coeff_tol", coeff_tol), ("eig_tol", eig_tol)):
-        if not tol > 0:
-            raise DomainError(f"{name} must be positive")
-        if tol == math.inf:
-            raise DomainError(f"{name} must be finite")
+    coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
+    eig_tol = _check_real(1e-8 * CERTIFY_GRAM_POINTS if eig_tol is None else eig_tol, "eig_tol", "(0, inf)")
     gram_trials = _check_count(gram_trials, "gram_trials")
     _check_array_bytes((gram_trials,), "the trial seeds")
     seed = _check_seed(seed)
@@ -384,10 +378,7 @@ def certify(
         values, batched = _evaluate(g, *pts.pair_arguments(iu))
         vectorized = vectorized and batched
         evaluations += values.size
-        gmat = np.empty((n, n))
-        gmat[iu] = values
-        gmat[iu[1], iu[0]] = values
-        eig = min_eigenvalue(gmat)
+        eig = min_eigenvalue(_symmetric(values, iu, n))
         min_eig = min(min_eig, eig)
         if eig < -eig_tol:
             witness = {
@@ -405,17 +396,15 @@ def certify(
     return _certificate(INCONCLUSIVE, reported_eig, None)
 
 
-def _check_delta(delta: float):
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-
-
 def multiquadric_kernel(delta: float, lam: float, x):
-    """Closed form (1−δ)^{2λ} (1−2δx+δ²)^{−λ} of the multiquadric family,
-    for 0 < δ < 1 and x in [−1, 1]."""
-    _check_delta(delta)
+    """Closed form (1−δ)^{2λ} (1−2δx+δ²)^{−λ} of the multiquadric family, for
+    δ in (0, 1), λ in [0, inf) (real numbers, see `gegenbauer._check_real`)
+    and x in [−1, 1]. It is evaluated as ((1−δ)² / (1−2δx+δ²))^λ, a power of
+    a ratio in (0, 1], so no factor over- or underflows alone at a large λ."""
+    delta = _check_real(delta, "delta", "(0, 1)")
+    lam = _check_lam(lam)
     x = _check_argument(x)
-    value = (1.0 - delta) ** (2.0 * lam) / (1.0 - 2.0 * delta * x + delta * delta) ** lam
+    value = ((1.0 - delta) ** 2 / (1.0 - 2.0 * delta * x + delta * delta)) ** lam
     return float(value) if value.ndim == 0 else value
 
 
@@ -424,9 +413,10 @@ def multiquadric_sequence(delta: float, basis: GegenbauerBasis, n_max: int) -> S
 
     The synthesized kernel converges to `multiquadric_kernel` as n_max grows
     (geometric tail δ^{n_max}); the Gegenbauer generating function makes this
-    family an analytic oracle for coefficient recovery. Requires λ > 0.
+    family an analytic oracle for coefficient recovery. Requires λ > 0 and
+    δ in (0, 1), a real number (see `gegenbauer._check_real`).
     """
-    _check_delta(delta)
+    delta = _check_real(delta, "delta", "(0, 1)")
     lam = basis.lam
     if lam <= 0:
         raise DomainError("multiquadric sequence requires lam > 0 (d >= 2)")

@@ -9,14 +9,14 @@ where each φ_n is a real even characteristic function with φ_n(0) = 1 and
 definite factors keep every truncation positive definite.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _sequence
-from .schoenberg import SchoenbergSequence, _check_tol, _Kernel, _split_mass
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _sequence
+from .gegenbauer import _float_array
+from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
@@ -32,20 +32,25 @@ def _sinc(u):
     return np.where(huge, 0.0, np.sinc(np.where(huge, 0.0, u) / np.pi))
 
 
-# family name -> (its parameter names, sorted; φ(t; params)). The formulas'
-# operation order fixes the bits of every sphere × time kernel value.
+# family name -> (each parameter's interval for `_check_real`, in the order
+# they are checked; φ(t; params)). The formulas' operation order fixes the
+# bits of every sphere × time kernel value.
 _FAMILIES = {
-    GAUSSIAN: (("sigma",), lambda t, sigma: np.exp(-0.5 * (sigma * t) ** 2)),
-    EXPONENTIAL: (("rate",), lambda t, rate: np.exp(-rate * np.abs(t))),
-    STABLE: (("alpha", "scale"), lambda t, alpha, scale: np.exp(-scale * np.abs(t) ** alpha)),
-    TRIANGLE_SINC: (("width",), lambda t, width: _sinc(width * t)),
-    POINT_MASS_AT_ZERO: ((), np.ones_like),
+    GAUSSIAN: ({"sigma": "(0, inf)"}, lambda t, sigma: np.exp(-0.5 * (sigma * t) ** 2)),
+    EXPONENTIAL: ({"rate": "(0, inf)"}, lambda t, rate: np.exp(-rate * np.abs(t))),
+    STABLE: ({"scale": "(0, inf)", "alpha": "(0, 2]"}, lambda t, alpha, scale: np.exp(-scale * np.abs(t) ** alpha)),
+    TRIANGLE_SINC: ({"width": "(0, inf)"}, lambda t, width: _sinc(width * t)),
+    POINT_MASS_AT_ZERO: ({}, np.ones_like),
 }
 
 
 @dataclass(frozen=True)
 class CharFn:
-    """A parametric characteristic function: real, even, φ(0) = 1, |φ| ≤ 1."""
+    """A parametric characteristic function: real, even, φ(0) = 1, |φ| ≤ 1.
+
+    Each parameter is a real number (see `gegenbauer._check_real`) stored as
+    a float: the stable index alpha in (0, 2], every other in (0, inf).
+    """
 
     family: str
     params: tuple
@@ -57,21 +62,19 @@ class CharFn:
                 f"known: {sorted(_FAMILIES)}"
             )
         try:
-            params = tuple(sorted((str(k), float(v)) for k, v in dict(self.params).items()))
+            params = {str(k): v for k, v in dict(self.params).items()}
         except (TypeError, ValueError) as exc:
             raise DomainError(f"{self.family} parameters must be numbers: {exc}") from None
-        names = [k for k, _ in params]
-        expected = list(_FAMILIES[self.family][0])
-        if names != expected:
-            raise DomainError(f"family {self.family!r} takes parameters {expected}, got {names}")
-        # Every parameter is a finite positive real except the stable index alpha.
-        for name, value in params:
-            if name != "alpha" and not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be a positive real, got {value}")
-        values = dict(params)
-        if "alpha" in values and not 0.0 < values["alpha"] <= 2.0:
-            raise DomainError(f"alpha must lie in (0, 2], got {values['alpha']}")
-        object.__setattr__(self, "params", params)
+        intervals = _FAMILIES[self.family][0]
+        if sorted(params) != sorted(intervals):
+            raise DomainError(f"family {self.family!r} takes parameters {sorted(intervals)}, got {sorted(params)}")
+
+        def not_a_number(message):
+            return DomainError(f"{self.family} parameters must be numbers: {message}")
+
+        for name, interval in intervals.items():
+            params[name] = _check_real(params[name], name, interval, type_error=not_a_number)
+        object.__setattr__(self, "params", tuple(sorted(params.items())))
 
     @property
     def param_dict(self) -> dict:
@@ -109,8 +112,9 @@ def make_charfn(family: str, params: dict) -> CharFn:
 
 
 def charfn_eval(spec: CharFn, t):
-    """Evaluate φ at scalar or array t. Even in t, exactly 1 at t = 0."""
-    t = np.asarray(t, dtype=float)
+    """Evaluate φ at scalar or array t. Even in t, exactly 1 at t = 0. A lag
+    that is not a number is a DomainError; a NaN lag gives NaN."""
+    t = _float_array(t, "time lag")
     # At huge lags σt, rate·|t| or |t|^α overflow to inf, and exp(−inf) = 0.
     with np.errstate(over="ignore"):
         value = _FAMILIES[spec.family][1](t, **spec.param_dict)
@@ -167,17 +171,19 @@ def make_st_kernel(terms, basis: GegenbauerBasis, normalize: bool = False) -> Sp
     return SpaceTimeKernel(weights, tuple(cf for _, cf in terms), scale, basis)
 
 
-def _check_lag(t):
-    """A NaN time lag is a DomainError."""
-    if np.any(np.isnan(t)):
+def _lags(t) -> np.ndarray:
+    """Time lags as a float array (see `gegenbauer._float_array`); a NaN lag
+    is a DomainError."""
+    t = _float_array(t, "time lag")
+    if np.isnan(t).any():
         raise DomainError("time lag must not be NaN")
+    return t
 
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
     `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, with
     P̃_n from the recurrence (no table). A NaN lag is a DomainError."""
-    _check_lag(t)
 
     def terms(x_block, t_block):
         degrees = _sequence(kernel.basis.lam, kernel.truncation, _check_argument(x_block))
@@ -185,14 +191,16 @@ def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
             if a != 0.0:
                 yield a * charfn_eval(cf, t_block) * p
 
-    return _block_sum(kernel.scale_c, _check_degree(kernel.truncation) + 1, terms, x, t)
+    return _block_sum(kernel.scale_c, _check_degree(kernel.truncation) + 1, terms, x, _lags(t))
 
 
 def schoenberg_functions_at(kernel: SpaceTimeKernel, t: float) -> np.ndarray:
     """The time-slice sequence n ↦ a_n φ_n(t); a Schoenberg sequence scaled
-    by factors in [−1, 1]. A NaN lag is a DomainError."""
+    by factors in [−1, 1]. A NaN lag, or more than one lag, is a DomainError."""
+    t = _lags(t)
+    if t.ndim:
+        raise DomainError(f"t must be one time lag, got shape {t.shape}")
     t = float(t)
-    _check_lag(t)
     return np.array([a * charfn_eval(cf, t) for a, cf in zip(kernel.weights, kernel.charfns)])
 
 
@@ -211,8 +219,9 @@ def _charfns_match(a: CharFn, b: CharFn, tol: float) -> bool:
 def is_separable(kernel: SpaceTimeKernel, tol: float = 1e-12) -> bool:
     """True when all terms with weight above tol share one characteristic
     function (same family, parameters equal within tol), i.e. k(x, t) =
-    c·φ(t)·k_space(x)."""
-    _check_tol(tol)
+    c·φ(t)·k_space(x). `tol` is a real number in [0, inf) (see
+    `gegenbauer._check_real`)."""
+    tol = _check_real(tol, "tol", "[0, inf)")
     active = [cf for a, cf in zip(kernel.weights, kernel.charfns) if a > tol]
     if len(active) <= 1:
         return True

@@ -1019,6 +1019,44 @@ class TestFloatFlags:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": 2, "message": f"argument {flag}: must be finite, got {value!r}"}
 
+    @staticmethod
+    def _command(spec_file, argv):
+        specs = {
+            "st": spec_file(ST_MIXED, "st.json"),
+            "prod": spec_file(PROD_IDENTITY, "prod.json"),
+            "sphere": spec_file(SPHERE_DEGREE_ONE, "sphere.json"),
+        }
+        return [a.format(**specs) for a in argv]
+
+    @pytest.mark.parametrize("argv, flag", FLAGS, ids=[f"{argv[0]}{flag}" for argv, flag in FLAGS])
+    @pytest.mark.parametrize("value", ["True", "None", "1j", "Decimal('1')", "0x1p3", "1,5"])
+    def test_non_number_is_exit_2(self, capsys, spec_file, argv, flag, value):
+        code, out, err = run(capsys, *self._command(spec_file, argv), f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": f"argument {flag}: invalid float value: {value!r}"}
+
+    # A finite value out of the parameter's interval is the library's DomainError, exit 3.
+    OUT_OF_RANGE = [
+        (["coeffs", "--nmax", "5", "--expr", "x"], "--lambda", "-1",
+         "lam must be a finite nonnegative number, got -1.0"),
+        (["certify", "--lambda", "0.5", "--nmax", "5", "--expr", "x"], "--coeff-tol", "0",
+         "coeff_tol must be a positive real, got 0.0"),
+        (["certify", "--lambda", "0.5", "--nmax", "5", "--expr", "x"], "--eig-tol", "-1e-3",
+         "eig_tol must be a positive real, got -0.001"),
+        (["separable", "{prod}"], "--tol", "-1", "tol must be a finite nonnegative number, got -1.0"),
+        (["separable", "{st}"], "--tol", "-0.5", "tol must be a finite nonnegative number, got -0.5"),
+        (["simulate", "{sphere}", "--random", "3"], "--jitter", "-2",
+         "jitter must be a finite nonnegative number, got -2.0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value, message", OUT_OF_RANGE, ids=[f"{argv[0]}{flag}" for argv, flag, _, _ in OUT_OF_RANGE]
+    )
+    def test_out_of_range_is_exit_3(self, capsys, spec_file, argv, flag, value, message):
+        code, out, err = run(capsys, *self._command(spec_file, argv), f"{flag}={value}")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": 3, "message": message}
+
     def test_non_number_message_is_unchanged(self, capsys):
         code, _, err = run(capsys, "coeffs", "--lambda", "half", "--expr", "x")
         assert code == 2

@@ -8,7 +8,9 @@ them once, over each point set's factors. No kernel class writes its own
 `dimensions`, `label`, `truncations` or weight intake: schoenberg's `_Kernel`
 writes them once, over each kernel's weight and basis fields. Every integer
 input is checked by gegenbauer's `_check_count`, and nothing else in the
-package tests whether a value is an integer."""
+package tests whether a value is an integer. Every real-number parameter is
+checked by gegenbauer's `_check_real`, and only the owners named in
+`REAL_CHECK_OWNERS` test a float for finiteness or a value for realness."""
 
 import ast
 import inspect
@@ -311,6 +313,63 @@ def test_guard_flags_hand_written_integer_checks():
     assert _integer_checks(source) == [
         ("integrality", "degree", 5), ("index", "degree", 7), ("index", "degree", 7),
         ("integrality", "GegenbauerBasis.order", 12),
+    ]
+
+
+# Who may test a float for finiteness or a value for realness, and why.
+REAL_CHECK_OWNERS = {
+    "_check_real": "the one real-number rule",
+    "_checked_weights": "the computed total of a weight array, which is not an input",
+    "_load_table_function": "the rows of a table file: data, not a parameter, each reported with its line number",
+}
+REAL_CHECKS = {("math", "isfinite"), ("math", "isnan"), ("math", "isinf"), ("numbers", "Real")}
+
+
+def _real_checks(source):
+    """(name, scope, line) of each `math.isfinite`, `math.isnan`, `math.isinf` or
+    `numbers.Real`, used or imported by name, outside the function that owns it."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        found = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom):
+            found = [(node.module, alias.name) for alias in node.names]
+        for module, name in found:
+            if (module, name) in REAL_CHECKS and scope not in REAL_CHECK_OWNERS:
+                sites.append((f"{module}.{name}", scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_reals_are_checked_by_one_rule(module):
+    assert _real_checks((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_hand_written_real_checks():
+    source = (
+        "import math, numbers\n"
+        "from math import isnan\n"
+        "def _check_real(value):\n"
+        "    return isinstance(value, numbers.Real) and math.isfinite(value)\n"
+        "def tolerance(tol):\n"
+        "    if not math.isfinite(tol) or math.isinf(tol):\n"
+        "        raise ValueError\n"
+        "    return isinstance(tol, numbers.Real) and math.exp(tol) > 0\n"
+        "class Kernel:\n"
+        "    def scale(self, c):\n"
+        "        return math.isnan(c) or np.isfinite(c)\n"
+    )
+    assert _real_checks(source) == [
+        ("math.isnan", "", 2), ("math.isfinite", "tolerance", 6), ("math.isinf", "tolerance", 6),
+        ("numbers.Real", "tolerance", 8), ("math.isnan", "Kernel.scale", 11),
     ]
 
 

@@ -54,8 +54,14 @@ UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
 # Largest float array, in bytes, that one request may build whole. gram holds
-# about four n²-sized arrays at once, so 1 GiB keeps it within an 8 GiB machine.
+# the matrix and one n² cosine matrix per sphere factor (three n²-sized arrays
+# on a product of spheres), so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
+
+# Most upper-triangle entries per kernel call of `gram`. Of 4096 to 65536, 16384
+# ran the S², sphere × time and product Gram matrices of 800-1000 points
+# fastest or within 5 % of the fastest; 4096 was 28-34 % slower.
+_GRAM_BLOCK_ENTRIES = 16384
 
 
 def _check_array_bytes(shape: tuple, what: str):
@@ -131,11 +137,16 @@ class _FactoredPointSet:
             for (kind, d), state in zip(cls._factor_dimensions(dimensions), states)
         ])
 
+    def _row_factors(self) -> list:
+        """Per factor, what its kernel arguments are read from: the n × n
+        cosine matrix of a sphere, the times of a time factor."""
+        return [_cosine_matrix(f.points) if kind == _SPHERE else f for kind, f in self._factors()]
+
     def pair_arguments(self, pairs) -> tuple:
         """One kernel argument per factor for the point pairs indexed by
-        `pairs`, a pair (i, j) of index arrays."""
+        `pairs`, a pair (i, j) of index arrays: ⟨p_i, p_j⟩ or t_i − t_j."""
         i, j = pairs
-        return tuple(_cosine_matrix(f.points)[pairs] if kind == _SPHERE else f[i] - f[j] for kind, f in self._factors())
+        return tuple(f[pairs] if f.ndim == 2 else f[i] - f[j] for f in self._row_factors())
 
 
 @dataclass(frozen=True)
@@ -311,25 +322,64 @@ def kernel_label(kernel) -> str:
 
 
 def _cosine_matrix(points: np.ndarray) -> np.ndarray:
-    return np.clip(points @ points.T, -1.0, 1.0)
+    cosines = points @ points.T
+    return np.clip(cosines, -1.0, 1.0, out=cosines)
 
 
-def _symmetric(values: np.ndarray, iu: tuple, n: int) -> np.ndarray:
-    """The n × n matrix with `values` on the upper triangle `iu`
-    (`np.triu_indices(n)`) and mirrored below it."""
-    entries = np.empty((n, n))
-    entries[iu] = values
-    entries[iu[1], iu[0]] = values
-    return entries
+def _row_blocks(n: int):
+    """Yield slices of consecutive rows of an n × n matrix whose upper-triangle
+    parts hold at most `_GRAM_BLOCK_ENTRIES` entries together, or one row."""
+    start = 0
+    while start < n:
+        stop, size = start + 1, n - start
+        while stop < n and size + n - stop <= _GRAM_BLOCK_ENTRIES:
+            size, stop = size + n - stop, stop + 1
+        yield slice(start, stop)
+        start = stop
+
+
+def _upper(rows: slice, n: int) -> np.ndarray:
+    """Mask of the pairs (i, j), j >= i, over `rows` × columns rows.start..n−1."""
+    return np.arange(rows.start, n) >= np.arange(rows.start, rows.stop)[:, None]
+
+
+def _row_arguments(factors: list, rows: slice) -> tuple:
+    """One kernel argument per factor of `_row_factors` for the upper-triangle
+    pairs (i, j), j >= i, of `rows` in row-major order: the order of
+    `np.triu_indices`, whose triangle is the concatenation of its rows."""
+    upper, start = _upper(rows, len(factors[0])), rows.start
+    return tuple(
+        f[rows, start:][upper] if f.ndim == 2 else np.subtract.outer(f[rows], f[start:])[upper] for f in factors
+    )
+
+
+def _mirror_rows(entries: np.ndarray, rows: slice, values: np.ndarray) -> None:
+    """Write `values`, ordered as `_row_arguments`, to the upper triangle of
+    `rows` of the square `entries`, and the same values to the mirrored places
+    below the diagonal."""
+    upper = _upper(rows, entries.shape[0])
+    entries[rows, rows.start :][upper] = values
+    entries[rows.start :, rows].T[upper] = values
 
 
 def gram(kernel, points) -> GramMatrix:
-    """Matrix of kernel values over all point pairs (upper triangle mirrored)."""
+    """Matrix of kernel values over all point pairs, exactly symmetric.
+
+    The upper triangle is evaluated one block of rows at a time, at most
+    `_GRAM_BLOCK_ENTRIES` pairs per kernel call, and mirrored as it goes. A
+    kernel value depends only on its own pair, so the blocks do not change a
+    bit. Working memory is the matrix, one n × n cosine matrix per sphere
+    factor and one block's kernel table (at most (N+1) × 16384 floats for a
+    sphere kernel of degree N).
+    """
     _check_points(kernel, points)
     n = len(points)
     _check_array_bytes((n, n), "a Gram matrix")
-    iu = np.triu_indices(n)
-    entries = _symmetric(kernel.values(*points.pair_arguments(iu)), iu, n)
+    factors = points._row_factors()
+    entries = np.empty((n, n))
+    for rows in _row_blocks(n):
+        _mirror_rows(entries, rows, kernel.values(*_row_arguments(factors, rows)))
+    del factors  # before the symmetry check allocates its own n × n array
     entries.setflags(write=False)
     return GramMatrix(entries=entries, provenance=f"gram({kernel.label}, n={n})")
 
@@ -363,7 +413,8 @@ def _factor(entries: np.ndarray, jitter: float) -> np.ndarray:
     negative eigenvalues clipped at zero; genuinely indefinite input errors.
     """
     n = entries.shape[0]
-    m = entries + jitter * np.eye(n)
+    m = entries.copy()
+    m.flat[:: n + 1] += jitter
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -421,9 +472,11 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
 
     The P̄_n^m are built one degree at a time (Holmes & Featherstone 2002,
     J. Geodesy 76:279-299): n_max Python-level steps, each vectorized
-    over m and the points. Working memory is the output plus the rows of
-    the last two degrees and the cos(mφ), sin(mφ) tables. An output over
-    `_MAX_ARRAY_BYTES` raises DomainError before it is allocated.
+    over m and the points, written with `out=` ufuncs into three rotating
+    (n_max+1) × n row buffers (degrees n−2, n−1 and n) and one scratch
+    buffer, and from there straight into the output. Working memory is the
+    output, those four buffers and the cos(mφ), sin(mφ) tables. An output
+    over `_MAX_ARRAY_BYTES` raises DomainError before it is allocated.
     """
     if points.dimension != 2:
         raise GeometryError(f"spherical harmonics need points on S^2, got S^{points.dimension}")
@@ -437,9 +490,12 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     cos_mphi, sin_mphi = np.cos(mphi), np.sin(mphi)
     sqrt2 = math.sqrt(2.0)
 
-    # rows[m] = P̄_n^m(θ), ∫ P̄² sinθ dθ = 1/(2π); `last`, `before`: degrees n-1, n-2.
+    # rows[m] = P̄_n^m(θ), ∫ P̄² sinθ dθ = 1/(2π); `last`, `before`: degrees n-1, n-2
+    # (`before` is not read at n = 1).
     table = np.empty(((n_max + 1) ** 2, npts))
-    before = last = np.full((1, npts), math.sqrt(1.0 / (4.0 * math.pi)))
+    before, last, rows = np.empty((3, n_max + 1, npts))
+    scratch = np.empty((n_max + 1, npts))
+    last[0] = math.sqrt(1.0 / (4.0 * math.pi))
     table[0] = last[0]
     for n in range(1, n_max + 1):
         m = np.arange(n - 1)[:, None]
@@ -448,16 +504,21 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
             (2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)
             / ((2.0 * n - 3.0) * (n - m) * (n + m))
         )
-        rows = np.empty((n + 1, npts))
-        rows[: n - 1] = a * cos_t * last[: n - 1] - b * before[: n - 1]
-        rows[n - 1] = math.sqrt(2.0 * n + 1.0) * cos_t * last[n - 1]
-        rows[n] = math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * last[n - 1]
-        before, last = last, rows
+        low, part = rows[: n - 1], scratch[: n - 1]
+        np.multiply(a, cos_t, out=low)
+        np.multiply(low, last[: n - 1], out=low)
+        np.multiply(b, before[: n - 1], out=part)
+        np.subtract(low, part, out=low)
+        np.multiply(math.sqrt(2.0 * n + 1.0), cos_t, out=rows[n - 1])
+        np.multiply(rows[n - 1], last[n - 1], out=rows[n - 1])
+        np.multiply(math.sqrt((2.0 * n + 1.0) / (2.0 * n)), sin_t, out=rows[n])
+        np.multiply(rows[n], last[n - 1], out=rows[n])
         base = n * n + n
         table[base] = rows[0]
-        scaled = sqrt2 * rows[1:]
-        table[base + 1 : base + n + 1] = scaled * cos_mphi[:n]
-        table[n * n : base] = (scaled * sin_mphi[:n])[::-1]
+        scaled = np.multiply(sqrt2, rows[1 : n + 1], out=scratch[:n])
+        np.multiply(scaled, cos_mphi[:n], out=table[base + 1 : base + n + 1])
+        np.multiply(scaled, sin_mphi[:n], out=table[n * n : base][::-1])
+        before, last, rows = last, rows, before
     return table
 
 

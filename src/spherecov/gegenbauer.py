@@ -243,26 +243,35 @@ def _check_argument(x):
     return x
 
 
-def _sequence(lam: float, n_max: int, x):
-    """Yield P̃_0(x), ..., P̃_{n_max}(x) one degree at a time, keeping only
-    the last two; degree and argument are not checked.
+def _step(lam: float, n: int, x, last, before, out, scratch) -> np.ndarray:
+    """Write P̃_n(x) into `out` from `last` = P̃_{n−1}(x) and `before` = P̃_{n−2}(x),
+    n >= 2, and return it: the recurrence of the module docstring, one ufunc per
+    operation in the order the formula reads, so the bits do not depend on where
+    it writes. `scratch` is a buffer of x's shape (unused at λ = 0, where the
+    Chebyshev recurrence T_n = 2x·T_{n−1} − T_{n−2} runs directly)."""
+    if lam == 0.0:
+        np.multiply(2.0, x, out=out)
+        np.multiply(out, last, out=out)
+        return np.subtract(out, before, out=out)
+    np.multiply(n - 1.0, before, out=scratch)
+    np.multiply(2.0 * (n + lam - 1.0), x, out=out)
+    np.multiply(out, last, out=out)
+    np.subtract(out, scratch, out=out)
+    return np.divide(out, n + 2.0 * lam - 1.0, out=out)
 
-    The λ = 0 case runs the Chebyshev recurrence T_n = 2x·T_{n−1} − T_{n−2}
-    directly.
-    """
+
+def _sequence(lam: float, n_max: int, x):
+    """Yield P̃_0(x), ..., P̃_{n_max}(x) one degree at a time, each a fresh array
+    made by `_step` from the last two; degree and argument are not checked."""
     x = np.asarray(x, dtype=float)
     before, last = np.ones(x.shape), x.copy()
     yield before
     if n_max == 0:
         return
     yield last
+    scratch = np.empty(x.shape)
     for n in range(2, n_max + 1):
-        if lam == 0.0:
-            before, last = last, 2.0 * x * last - before
-        else:
-            before, last = last, (2.0 * (n + lam - 1.0) * x * last - (n - 1.0) * before) / (
-                n + 2.0 * lam - 1.0
-            )
+        before, last = last, _step(lam, n, x, last, before, np.empty(x.shape), scratch)
         yield last
 
 
@@ -311,15 +320,23 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
 
 def _table(lam: float, n_max: int, x: np.ndarray) -> np.ndarray:
     """The rows P̃_0(x), ..., P̃_{n_max}(x) of `_sequence` as one array of shape
-    (n_max+1,) + x.shape; degree and argument are not checked."""
+    (n_max+1,) + x.shape; degree and argument are not checked. `_step` writes
+    each row in place from the two before it, so the working memory is the
+    table and one scratch row."""
     out = np.empty((n_max + 1,) + x.shape)
-    for n, values in enumerate(_sequence(lam, n_max, x)):
-        out[n] = values
+    out[0, ...] = 1.0
+    if n_max:
+        out[1, ...] = x
+        rows, scratch = [out[n, ...] for n in range(n_max + 1)], np.empty(x.shape)
+        for n in range(2, n_max + 1):
+            _step(lam, n, x, rows[n - 1], rows[n - 2], rows[n], scratch)
     return out
 
 
 def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
-    """Vector [P̃_0(x), ..., P̃_{n_max}(x)] from a single recurrence pass."""
+    """Vector [P̃_0(x), ..., P̃_{n_max}(x)] from a single recurrence pass, filled
+    in place (see `_table`): the working memory is the (n_max+1) × x.size
+    output and one scratch row."""
     n_max = _check_degree(n_max)
     return _table(basis.lam, n_max, _check_argument(x))
 

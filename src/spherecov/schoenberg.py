@@ -165,12 +165,14 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
 
 
 def kernel_eval(seq: SchoenbergSequence, x):
-    """k(x) = c · Σ_n a_n P̃_n(x), summed by `_block_sum`. Scalar in, float
-    out; an array gives an array of its shape."""
+    """k(x) = c · Σ_n a_n P̃_n(x), summed by `_block_sum` over the rows of one
+    `eval_sequence` table per block, each term a_n P̃_n made in one reused
+    buffer. Scalar in, float out; an array gives an array of its shape."""
 
     def terms(block):
         table = eval_sequence(seq.basis, seq.truncation, block)
-        return (a_n * row for a_n, row in zip(seq.coeffs, table))
+        term = np.empty(block.size)
+        return (np.multiply(a_n, row, out=term) for a_n, row in zip(seq.coeffs, table))
 
     return _block_sum(seq.scale_c, seq.coeffs.size, terms, x)
 
@@ -330,7 +332,7 @@ def certify(
     basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _check_array_bytes, _symmetric, min_eigenvalue, uniform_sphere_points
+    from .fields import _check_array_bytes, _mirror_rows, _row_arguments, min_eigenvalue, uniform_sphere_points
 
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
@@ -369,16 +371,18 @@ def certify(
         return _certificate(NOT_PD, None, {"kind": "coefficient", "index": i_min, "value": a_min})
 
     n = CERTIFY_GRAM_POINTS
-    iu = np.triu_indices(n)
+    rows = slice(0, n)
     trial_seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])
         pts = uniform_sphere_points(basis.dimension, n, trial_seed)
-        values, batched = _evaluate(g, *pts.pair_arguments(iu))
+        values, batched = _evaluate(g, *_row_arguments(pts._row_factors(), rows))
         vectorized = vectorized and batched
         evaluations += values.size
-        eig = min_eigenvalue(_symmetric(values, iu, n))
+        entries = np.empty((n, n))
+        _mirror_rows(entries, rows, values)
+        eig = min_eigenvalue(entries)
         min_eig = min(min_eig, eig)
         if eig < -eig_tol:
             witness = {

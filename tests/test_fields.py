@@ -211,6 +211,17 @@ class TestHandOver:
         pts = uniform_sphere_points(2, n, 3)
         assert self._peak(lambda: gram(seq, pts)) < 4.75 * 8 * n * n
 
+    def test_gram_holds_the_matrix_the_cosines_and_one_block_table(self):
+        # The matrix, the n × n cosine matrix and the (N+1)-row degree table of
+        # one block of `_GRAM_BLOCK_ENTRIES` pairs, plus 1 MiB for the block's
+        # arguments, mask and sums. A one-call triangle fill peaks at 32.2 MiB
+        # here, over the bound.
+        n, n_max = 1000, 100
+        seq = random_sequence(np.random.default_rng(5), LEGENDRE, n_max)
+        pts = uniform_sphere_points(2, n, 3)
+        table = 8 * (n_max + 1) * fields._GRAM_BLOCK_ENTRIES
+        assert self._peak(lambda: gram(seq, pts)) < 2 * 8 * n * n + table + 2**20
+
     @pytest.mark.parametrize("method, outputs", [("factorized", 2), ("spectral", 1)])
     def test_sampler_holds_its_output_once(self, method, outputs):
         # The factorized sampler also holds its normals, which are as large as
@@ -490,6 +501,72 @@ class TestGram:
             kernel_label("not a kernel")
 
 
+CIRCLE = GegenbauerBasis.from_index(0.0)
+
+
+def _triangle_gram(kernel, points) -> np.ndarray:
+    """The fill `gram` used before row blocks: every upper-triangle pair of
+    `np.triu_indices` in one kernel call, scattered to both triangles."""
+    n = len(points)
+    iu = np.triu_indices(n)
+    values = kernel.values(*REFERENCE_POINT_SET_METHODS[type(points)].pair_arguments(points, iu))
+    entries = np.empty((n, n))
+    entries[iu] = values
+    entries[iu[1], iu[0]] = values
+    return entries
+
+
+def _kernel_and_points(family, n, seed):
+    rng = np.random.default_rng(seed)
+    space = uniform_sphere_points(2, n, seed)
+    if family == "sphere":
+        return random_sequence(rng, LEGENDRE, 12), space
+    if family == "sphere_time":
+        return random_st_kernel(rng, LEGENDRE, 8), SpaceTimePointSet(space=space, times=rng.uniform(0.0, 2.0, n))
+    second = uniform_sphere_points(1, n, seed + 1)
+    return random_ps_kernel(rng, LEGENDRE, CIRCLE, 4, 3), ProductPointSet(first=space, second=second)
+
+
+_FAMILIES = ["sphere", "sphere_time", "product"]
+
+
+class TestGramRowBlocks:
+    """`gram` evaluates the upper triangle one block of rows at a time and
+    mirrors it; the matrix must have the bytes of the one-call triangle fill."""
+
+    # The most points whose n(n+1)/2 pairs fit one block (180 for 16384 pairs).
+    ONE_BLOCK = (math.isqrt(8 * fields._GRAM_BLOCK_ENTRIES + 1) - 1) // 2
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, ONE_BLOCK, ONE_BLOCK + 1])
+    def test_bytes_match_the_triangle_fill(self, family, n):
+        assert len(list(fields._row_blocks(n))) == (2 if n > self.ONE_BLOCK else 1)
+        kernel, points = _kernel_and_points(family, n, 40 + n)
+        assert gram(kernel, points).entries.tobytes() == _triangle_gram(kernel, points).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(_FAMILIES), n=st.integers(1, 40), budget=st.integers(1, 80), seed=st.integers(0, 2**16)
+    )
+    def test_bytes_do_not_depend_on_the_block_size(self, family, n, budget, seed):
+        kernel, points = _kernel_and_points(family, n, seed)
+        with mock.patch.object(fields, "_GRAM_BLOCK_ENTRIES", budget):
+            entries = gram(kernel, points).entries
+        assert entries.tobytes() == _triangle_gram(kernel, points).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 300), budget=st.integers(1, 2000))
+    def test_blocks_are_the_fewest_within_the_budget(self, n, budget):
+        with mock.patch.object(fields, "_GRAM_BLOCK_ENTRIES", budget):
+            blocks = list(fields._row_blocks(n))
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        for rows, after in zip(blocks, blocks[1:] + [None]):
+            pairs = sum(n - i for i in range(rows.start, rows.stop))
+            assert pairs <= budget or rows.stop - rows.start == 1
+            # Taking the next row as well would go over the budget.
+            assert after is None or pairs + n - rows.stop > budget
+
+
 class TestMinEigenvalue:
     def test_identity(self):
         assert_allclose(min_eigenvalue(np.eye(3)), 1.0, rtol=1e-12)
@@ -557,6 +634,22 @@ class TestFactor:
         with pytest.raises(FactorizationError) as info:
             _factor(np.diag([1.0, -0.5]), 0.0)
         assert_allclose(info.value.min_eigenvalue, -0.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @pytest.mark.parametrize("jitter", [None, 0.0, 1e-3])
+    def test_jitter_on_the_diagonal_equals_adding_a_scaled_identity(self, family, jitter):
+        # 200 points are more than the ranks of the sphere kernel (169) and the
+        # product kernel (175), so jitter 0.0 takes the eigen route there; the
+        # other cases take Cholesky.
+        g = gram(*_kernel_and_points(family, 200, 7)).entries
+        jitter = fields._default_jitter(g) if jitter is None else jitter
+        m = g + jitter * np.eye(len(g))
+        try:
+            expected = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(m)
+            expected = v * np.sqrt(np.clip(w, 0.0, None))
+        assert _factor(g, jitter).tobytes() == expected.tobytes()
 
 
 class TestSampleFactorized:
@@ -709,6 +802,11 @@ class TestRealSphericalHarmonics:
         v = np.array(directions, dtype=float)
         pts = SpherePointSet(dimension=2, points=v / np.linalg.norm(v, axis=1, keepdims=True))
         assert np.array_equal(real_spherical_harmonics(n_max, pts), _reference_harmonics(n_max, pts))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 30])
+    def test_bytes_match_the_triple_loop_table_on_random_points(self, n_max):
+        pts = uniform_sphere_points(2, 200, seed=63)
+        assert real_spherical_harmonics(n_max, pts).tobytes() == _reference_harmonics(n_max, pts).tobytes()
 
     def test_addition_theorem(self):
         n_max = 12

@@ -644,3 +644,41 @@ class TestRegressionValues:
         # Degree 2: (2(lam+1)x^2 - 1)/(2 lam + 1) at lam=3.
         x = 0.6
         assert_allclose(eval_normalized(basis, 2, x), (8 * x * x - 1) / 7, rtol=1e-13)
+
+
+def _reference_sequence(lam, n_max, x):
+    """The recurrence as one expression per degree, a fresh array each: the
+    operation order that `_step` must keep bit for bit."""
+    before, last = np.ones(x.shape), x.copy()
+    rows = [before, last][: n_max + 1]
+    for n in range(2, n_max + 1):
+        if lam == 0.0:
+            before, last = last, 2.0 * x * last - before
+        else:
+            before, last = last, (2.0 * (n + lam - 1.0) * x * last - (n - 1.0) * before) / (n + 2.0 * lam - 1.0)
+        rows.append(last)
+    return np.stack(rows)
+
+
+class TestInPlaceTable:
+    """`_table` writes each degree into its row from the two before it; the
+    rows of `_sequence` and the expression-per-degree recurrence must have
+    the same bytes, for every argument shape including a 0-d one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.sampled_from([0.0, 0.5, 1.0, 20.0]),
+        n_max=st.sampled_from([0, 1, 2, 100]),
+        shape=st.sampled_from([(), (1,), (7,), (3, 4)]),
+        data=st.data(),
+    )
+    def test_table_equals_the_stacked_sequence(self, lam, n_max, shape, data):
+        size = math.prod(shape)
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        x = np.array(values, dtype=float).reshape(shape)
+        table = gegenbauer._table(lam, n_max, x)
+        stacked = np.stack(list(gegenbauer._sequence(lam, n_max, x)))
+        reference = _reference_sequence(lam, n_max, x)
+        assert table.shape == stacked.shape == reference.shape == (n_max + 1,) + shape
+        assert table.tobytes() == stacked.tobytes() == reference.tobytes()
+        assert eval_sequence(GegenbauerBasis.from_index(lam), n_max, x).tobytes() == table.tobytes()

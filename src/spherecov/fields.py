@@ -37,6 +37,7 @@ raises DomainError.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -351,6 +352,18 @@ def _row_arguments(factors: list, rows: slice) -> tuple:
     return tuple(
         f[rows, start:][upper] if f.ndim == 2 else np.subtract.outer(f[rows], f[start:])[upper] for f in factors
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
+    """The upper-triangle cosines of `uniform_sphere_points(d, n, seed)` in
+    the row-major order of `_row_arguments`: the arguments of one `certify`
+    Gram trial, cached by (d, n, seed). The last 64 are kept, n(n+1)/2
+    floats each (about 170 KB at n = 25). The vector is a read-only view of
+    an immutable bytes object, so no caller can make it writeable and
+    change a later trial."""
+    (cosines,) = _row_arguments(uniform_sphere_points(d, n, seed)._row_factors(), slice(0, n))
+    return np.frombuffer(cosines.tobytes())
 
 
 def _mirror_rows(entries: np.ndarray, rows: slice, values: np.ndarray) -> None:

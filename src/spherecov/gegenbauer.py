@@ -80,12 +80,23 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
     return arr
 
 
+# Most digits of an int that a message shows in full: enough for any seed up
+# to and just past `MAX_SEED` (39 digits), so a seed cap message stays exact.
+_SHOWN_DIGITS = 40
+
+
 def _shown(value) -> str:
-    """`repr(value)` for a message, or its type if that holds an int too long for `str`."""
+    """`repr(value)` for a message. An int of more than `_SHOWN_DIGITS` digits
+    is shown as its first 12 digits and its digit count, and a value whose repr
+    holds an int too long for `str` as its type."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+    digits = len(text.lstrip("-")) if type(value) is int else 0
+    if digits > _SHOWN_DIGITS:  # the sign, if any, and the first 12 digits
+        return f"{text[: len(text) - digits + 12]}... ({digits} digits)"
+    return text
 
 
 def _check_count(value, name: str, least: int = 0, error=DomainError, most: int | None = None) -> int:

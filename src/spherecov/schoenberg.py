@@ -330,9 +330,13 @@ def certify(
     raises or returns another shape. The coefficients read the degree × node
     table that `recover_coefficients` caches: repeated calls with the same
     basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence.
+    Each trial's cosines are cached by (d, 25, trial seed), the last 64 (about
+    170 KB), so a repeated seed skips drawing the points but still calls g on
+    every trial. Both caches live in the process: a fresh CLI process gains
+    nothing from them.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _check_array_bytes, _mirror_rows, _row_arguments, min_eigenvalue, uniform_sphere_points
+    from .fields import _check_array_bytes, _mirror_rows, _trial_arguments, min_eigenvalue
 
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
@@ -376,8 +380,7 @@ def certify(
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])
-        pts = uniform_sphere_points(basis.dimension, n, trial_seed)
-        values, batched = _evaluate(g, *_row_arguments(pts._row_factors(), rows))
+        values, batched = _evaluate(g, _trial_arguments(basis.dimension, n, trial_seed))
         vectorized = vectorized and batched
         evaluations += values.size
         entries = np.empty((n, n))

@@ -113,8 +113,8 @@ def make_charfn(family: str, params: dict) -> CharFn:
 
 def charfn_eval(spec: CharFn, t):
     """Evaluate φ at scalar or array t. Even in t, exactly 1 at t = 0. A lag
-    that is not a number is a DomainError; a NaN lag gives NaN."""
-    t = _float_array(t, "time lag")
+    that is not a number, or a NaN lag, is a DomainError."""
+    t = _lags(t)
     # At huge lags σt, rate·|t| or |t|^α overflow to inf, and exp(−inf) = 0.
     with np.errstate(over="ignore"):
         value = _FAMILIES[spec.family][1](t, **spec.param_dict)

@@ -10,7 +10,9 @@ writes them once, over each kernel's weight and basis fields. Every integer
 input is checked by gegenbauer's `_check_count`, and nothing else in the
 package tests whether a value is an integer. Every real-number parameter is
 checked by gegenbauer's `_check_real`, and only the owners named in
-`REAL_CHECK_OWNERS` test a float for finiteness or a value for realness."""
+`REAL_CHECK_OWNERS` test a float for finiteness or a value for realness.
+Every `functools.lru_cache` has an explicit int `maxsize`, so no cache in the
+package grows without bound."""
 
 import ast
 import inspect
@@ -371,6 +373,64 @@ def test_guard_flags_hand_written_real_checks():
         ("math.isnan", "", 2), ("math.isfinite", "tolerance", 6), ("math.isinf", "tolerance", 6),
         ("numbers.Real", "tolerance", 8), ("math.isnan", "Kernel.scale", 11),
     ]
+
+
+def _unbounded_caches(source):
+    """Lines of each `functools.cache`, and of each `functools.lru_cache` not
+    called with an int literal as its maxsize, used as `functools.<name>` or
+    imported by name."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+
+    def cache_name(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            return node.attr
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and cache_name(node.func) == "lru_cache":
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(node.func)
+    return sorted(
+        node.lineno for node in ast.walk(tree) if cache_name(node) in {"lru_cache", "cache"} and node not in bounded
+    )
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_every_cache_has_an_explicit_bound(module):
+    assert _unbounded_caches((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_unbounded_caches():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache as memo\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def bounded(x): ...\n"
+        "@functools.lru_cache\n"
+        "def bare(x): ...\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def unbounded(x): ...\n"
+        "@functools.cache\n"
+        "def cached(x): ...\n"
+        "@cache\n"
+        "def imported(x): ...\n"
+        "@memo()\n"
+        "def default_size(x): ...\n"
+        "@memo(16, typed=True)\n"
+        "def positional(x): ...\n"
+        "@functools.lru_cache(maxsize=SIZE)\n"
+        "def named_size(x): ...\n"
+        "table = functools.lru_cache()(len)\n"
+    )
+    assert _unbounded_caches(source) == [5, 7, 9, 11, 13, 17, 19]
 
 
 class TestKernelProtocol:

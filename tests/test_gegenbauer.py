@@ -17,11 +17,14 @@ from spherecov import (
     GegenbauerBasis,
     eval_normalized,
     eval_sequence,
+    gaussian,
+    make_ps_kernel,
     make_sequence,
     multiquadric_sequence,
     norm_squared,
     quadrature,
     recover_coefficients,
+    separability_test,
 )
 from spherecov import gegenbauer
 from spherecov.errors import ConvergenceError, GeometryError
@@ -256,7 +259,7 @@ DEGREE_ENTRY_POINTS = {
         (math.inf, "degree must be an integer, got inf"),
         (-math.inf, "degree must be an integer, got -inf"),
         (math.nan, "degree must be an integer, got nan"),
-        (10**400, f"degree {10**400} exceeds the supported cap 10000"),
+        (10**400, "degree 100000000000... (401 digits) exceeds the supported cap 10000"),
     ],
     ids=["inf", "-inf", "nan", "int-beyond-float"],
 )
@@ -264,6 +267,32 @@ def test_degree_beyond_the_integers_is_a_domain_error(call, n, message):
     with pytest.raises(DomainError) as info:
         call(n)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**39, str(10**39)),
+        (-(10**39), str(-(10**39))),
+        (10**40, "100000000000... (41 digits)"),
+        (-(10**400) - 7, "-100000000000... (401 digits)"),
+        (10**5000, "<int too long to print>"),
+        (np.uint64(2**64 - 1), repr(np.uint64(2**64 - 1))),
+        (True, "True"),
+        (1e300, "1e+300"),
+    ],
+    ids=["40 digits", "-40 digits", "41 digits", "-401 digits", "beyond str", "uint64", "bool", "float"],
+)
+def test_shown_abbreviates_long_ints(value, shown):
+    assert _shown(value) == shown
+
+
+def test_messages_of_huge_ints_stay_short():
+    kernel = make_ps_kernel([[0.5, 0.5]], LEGENDRE, CHEBYSHEV)
+    for call in (lambda: gaussian(10**400), lambda: separability_test(kernel, 10**400)):
+        with pytest.raises(DomainError, match=r"got 100000000000\.\.\. \(401 digits\)$") as info:
+            call()
+        assert len(str(info.value)) < 120
 
 
 class TestNorms:
@@ -406,7 +435,7 @@ class TestQuadrature:
             quadrature(0.5, invalid)
 
     def test_order_beyond_float_range_hits_the_cap(self):
-        with pytest.raises(DomainError, match=r"^order 1000+ exceeds the supported cap 20002$"):
+        with pytest.raises(DomainError, match=r"^order 100000000000\.\.\. \(401 digits\) exceeds the supported cap 20002$"):
             quadrature(0.5, 10**400)
 
     def test_order_cap(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
-from spherecov import gegenbauer, schoenberg
+from spherecov import fields, gegenbauer, schoenberg
 from spherecov import (
     DomainError,
     EvaluationError,
@@ -40,6 +40,7 @@ from spherecov import (
     norm_squared,
     quadrature,
     recover_coefficients,
+    uniform_sphere_points,
 )
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -539,6 +540,77 @@ class TestCertify:
     def test_coefficient_witness_counts_only_quadrature_values(self):
         cert = certify(lambda x: -x, LEGENDRE, n_max=10, seed=1)
         assert (cert.evaluations, cert.callback_path) == (64, "vectorized")
+
+
+class TestTrialCache:
+    """Gram trials read their cosines from `fields._trial_arguments`, cached by
+    (d, 25, trial seed); a cold and a warm cache give the same certificate."""
+
+    CALLBACKS = {
+        "vector": lambda basis: lambda x: np.exp(x - 1.0),
+        "scalar": lambda basis: _scalar_only(lambda x: math.exp(x - 1.0)),
+        "indefinite": lambda basis: lambda x: -eval_normalized(basis, 50, x),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, gegenbauer.MAX_SEED),
+        trials=st.integers(0, 6),
+        kind=st.sampled_from(sorted(CALLBACKS)),
+    )
+    def test_cold_and_warm_cache_give_the_same_certificate(self, d, seed, trials, kind):
+        basis = GegenbauerBasis.from_dimension(d)
+        g = self.CALLBACKS[kind](basis)
+
+        def run():
+            return json.dumps(certify(g, basis, n_max=10, gram_trials=trials, seed=seed).to_dict())
+
+        fields._trial_arguments.cache_clear()
+        cold, warm = run(), run()
+        assert cold == warm
+        cert = json.loads(cold)
+        assert cert["callback_path"] == ("pointwise" if kind == "scalar" else "vectorized")
+        if kind == "indefinite" and trials:
+            assert cert["witness"]["kind"] == "eigenvalue" and cert["evaluations"] == 64 + 325
+        else:
+            assert cert["evaluations"] == 64 + 325 * trials
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 7, gegenbauer.MAX_SEED])
+    def test_cached_vector_is_the_read_only_upper_triangle(self, d, seed):
+        fields._trial_arguments.cache_clear()
+        cached = fields._trial_arguments(d, 25, seed)
+        (reference,) = fields._row_arguments(uniform_sphere_points(d, 25, seed)._row_factors(), slice(0, 25))
+        assert cached.shape == (325,) and cached.tobytes() == reference.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached.setflags(write=True)
+        assert fields._trial_arguments(d, 25, seed) is cached
+
+    def test_a_callback_that_writes_cannot_change_a_later_certificate(self):
+        attempts = []
+
+        def vandal(x):
+            if x.size == 325:  # a trial's cosines, not the quadrature nodes
+                for attempt in (lambda: x.setflags(write=True), lambda: x.fill(0.0), lambda: np.negative(x, out=x)):
+                    with pytest.raises(ValueError):
+                        attempt()
+                    attempts.append(attempt)
+            return x * x
+
+        fields._trial_arguments.cache_clear()
+        before = json.dumps(certify(lambda x: x * x, LEGENDRE, n_max=10, seed=3).to_dict())
+        assert certify(vandal, LEGENDRE, n_max=10, seed=3).verdict == "PD"
+        assert len(attempts) == 3 * 5
+        assert json.dumps(certify(lambda x: x * x, LEGENDRE, n_max=10, seed=3).to_dict()) == before
+
+    def test_the_cache_keeps_at_most_64_trials(self):
+        fields._trial_arguments.cache_clear()
+        for seed in range(100):
+            certify(lambda x: x * x, LEGENDRE, n_max=4, gram_trials=1, seed=seed)
+        info = fields._trial_arguments.cache_info()
+        assert info.maxsize == 64 and info.misses == 100 and info.currsize <= 64
 
 
 @st.composite

@@ -134,7 +134,7 @@ CHARFNS = st.one_of(
     st.builds(triangle_sinc, POSITIVE),
     st.just(point_mass_at_zero()),
 )
-LAGS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e200, 1e300, -1e300]), st.floats())
+LAGS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e200, 1e300, -1e300]), st.floats(allow_nan=False))
 
 
 @settings(max_examples=400, deadline=None)
@@ -236,6 +236,15 @@ def test_nan_lag_is_a_domain_error(lag):
     for call in (lambda: schoenberg_functions_at(kernel, lag), lambda: st_kernel_eval(kernel, 0.5, lag)):
         with pytest.raises(DomainError, match=r"^time lag must not be NaN$"):
             call()
+
+
+@pytest.mark.parametrize("cf", ALL_FAMILIES, ids=lambda c: c.family)
+@pytest.mark.parametrize(
+    "lag", [math.nan, [0.0, 1.0, math.nan], np.array([[0.0, math.nan], [1.0, 2.0]])], ids=["scalar", "list", "2-D"]
+)
+def test_charfn_eval_nan_lag_is_a_domain_error(cf, lag):
+    with pytest.raises(DomainError, match=r"^time lag must not be NaN$"):
+        charfn_eval(cf, lag)
 
 
 class TestMakeStKernel:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _check_count, _check_real, _check_seed, _frozen_floats, _shown
+from .gegenbauer import _check_count, _check_real, _check_seed, _frozen_floats, _immutable, _shown
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
@@ -245,7 +245,14 @@ def _check_points(kernel, points):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of kernel evaluations plus a provenance string."""
+    """Symmetric matrix of kernel evaluations plus a provenance string.
+
+    `entries` are taken in by `_frozen_floats` and must be square and
+    symmetric: no |m_ij − m_ji| may exceed `SYMMETRY_TOL` times max(1, max |m_ij|).
+    An exactly symmetric matrix (`m == m.T`, as `gram` and `certify` build
+    them) passes that test by definition, so it is checked with one
+    comparison, and only a matrix that fails it pays for the tolerance test.
+    """
 
     entries: np.ndarray
     provenance: str
@@ -254,11 +261,12 @@ class GramMatrix:
         m = _frozen_floats(self.entries, 2, "entries")
         if m.shape[0] != m.shape[1]:
             raise DomainError(f"entries must be a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
-        asymmetry = m - m.T
-        np.abs(asymmetry, out=asymmetry)
-        if float(asymmetry.max()) > SYMMETRY_TOL * scale:
-            raise DomainError("entries must be symmetric")
+        if not (m == m.T).all():
+            scale = max(1.0, float(np.abs(m).max()))
+            asymmetry = m - m.T
+            np.abs(asymmetry, out=asymmetry)
+            if float(asymmetry.max()) > SYMMETRY_TOL * scale:
+                raise DomainError("entries must be symmetric")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -359,11 +367,10 @@ def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
     """The upper-triangle cosines of `uniform_sphere_points(d, n, seed)` in
     the row-major order of `_row_arguments`: the arguments of one `certify`
     Gram trial, cached by (d, n, seed). The last 64 are kept, n(n+1)/2
-    floats each (about 170 KB at n = 25). The vector is a read-only view of
-    an immutable bytes object, so no caller can make it writeable and
-    change a later trial."""
+    floats each (about 170 KB at n = 25). The vector is `_immutable`, so no
+    caller can make it writeable and change a later trial."""
     (cosines,) = _row_arguments(uniform_sphere_points(d, n, seed)._row_factors(), slice(0, n))
-    return np.frombuffer(cosines.tobytes())
+    return _immutable(cosines)
 
 
 def _mirror_rows(entries: np.ndarray, rows: slice, values: np.ndarray) -> None:

@@ -28,6 +28,7 @@ smaller tables are cached (`_degree_table`).
 """
 
 import functools
+import io
 import math
 import numbers
 import operator
@@ -56,15 +57,23 @@ _NEWTON_STEPS = 8
 _MAX_RULE_LAM = 1e4
 
 
+def _immutable(arr: np.ndarray) -> np.ndarray:
+    """A copy of the float64 array `arr` that views an immutable `bytes` object:
+    no caller can make it writeable again (`setflags(write=True)` raises
+    ValueError), so a cached array cannot be changed through it."""
+    return np.ndarray(arr.shape, dtype=np.float64, buffer=arr.tobytes())
+
+
 def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
     """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
-    `error`. A read-only float64 array that owns its data is kept; anything
-    else is copied, so a caller's writeable array is never frozen or shared."""
+    `error`. A read-only float64 array that owns its data, or that views an
+    immutable `bytes` object (see `_immutable`), is kept; anything else is
+    copied, so a caller's writeable array is never frozen or shared."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and not values.flags.writeable
-        and values.flags.owndata
+        and (values.flags.owndata or isinstance(values.base, bytes))
     ):
         arr = values
     else:
@@ -248,8 +257,10 @@ def _float_array(values, what: str) -> np.ndarray:
 
 
 def _check_argument(x):
+    """`x` as a float array (see `_float_array`) whose entries all lie in
+    [−1, 1], else DomainError. One pass: a NaN fails `|x| <= 1` too."""
     x = _float_array(x, "argument")
-    if np.any(np.isnan(x)) or np.any(np.abs(x) > 1.0):
+    if not (np.abs(x) <= 1.0).all():
         raise DomainError("argument must lie in [-1, 1]")
     return x
 
@@ -386,12 +397,19 @@ def _norms(lam: float, count: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
-    """The read-only (n_max+1) × order table of P̃_0, ..., P̃_{n_max} at the nodes
-    of the order-`order` Gauss rule, cached by (λ, order, n_max). Only
-    `_degree_rows` calls it, for tables of at most `_TABLE_CACHE_BYTES`."""
-    table = _table(lam, n_max, _gauss_rule(lam, order).nodes)
-    table.setflags(write=False)
-    return table
+    """The (n_max+1) × order table of P̃_0, ..., P̃_{n_max} at the nodes of the
+    order-`order` Gauss rule, cached by (λ, order, n_max). Only `_degree_rows`
+    calls it, for tables of at most `_TABLE_CACHE_BYTES`.
+
+    Like an `_immutable` array it views a bytes object, so no caller can make
+    it writeable. The rows of `_sequence` are written to a BytesIO one at a
+    time, and CPython's `getvalue` hands over the buffer's own bytes object,
+    so a build holds one table (and at most an eighth more), not a table and
+    its copy."""
+    buffer = io.BytesIO()
+    for row in _sequence(lam, n_max, _gauss_rule(lam, order).nodes):
+        buffer.write(row)
+    return np.ndarray((n_max + 1, order), dtype=np.float64, buffer=buffer.getvalue())
 
 
 def _degree_rows(lam: float, order: int, n_max: int):
@@ -547,7 +565,9 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     would overflow the Christoffel sums (λ = 200 from order 665 on).
 
     The last 64 rules are cached by (lam, order), so repeated calls return
-    the same read-only rule object; λ and the order are checked first.
+    the same rule object; λ and the order are checked first. Its nodes and
+    weights are `_immutable`: no caller, callback included, can make them
+    writeable and change a later call's rule.
     """
     # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
     # largest rule `certify` or the default `coeffs` asks for.
@@ -562,7 +582,7 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
         nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = np.full(order, np.pi / order)
-        return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
+        return QuadratureRule(nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order)
 
     _check_rule_range(lam, order)
     positive = _positive_roots(lam, order)[0]
@@ -581,7 +601,7 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
             f"Gauss weights (lam={lam}, order={order}) sum to {weights.sum():.16e}, "
             f"expected total mass {mass:.16e}"
         )
-    return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
+    return QuadratureRule(nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order)
 
 
 # The uncached builder, where `functools.lru_cache` would put it.

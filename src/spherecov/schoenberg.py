@@ -198,7 +198,7 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     except Exception:  # noqa: BLE001 - any failure selects the pointwise path
         vectorized = False
     if vectorized:
-        values = values.astype(float)
+        values = np.asarray(values, dtype=float)  # a float64 result is not copied
     else:
         points = xs.tolist()
         rest = iter(points)
@@ -210,8 +210,8 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
         if values.size < len(points):  # a StopIteration from g ends `map` early
             stop = StopIteration()
             raise EvaluationError(points[values.size], stop) from stop
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))
         raise EvaluationError(float(xs[bad[0]]), "non-finite function value")
     return values, vectorized
 
@@ -227,12 +227,20 @@ def _check_recovery(n_max: int, quad_order: int) -> int:
 
 
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
+    """(â_0, ..., â_n_max, whether g ran vectorized): each â_n is one BLAS dot
+    product of the weighted values with row n of `_degree_rows`, over h_n.
+    A cached table takes all rows in one `np.vecdot`, which runs that same dot
+    per row (unlike `table @ weighted`, a gemv that can change last bits), so
+    both paths give the same bytes."""
     n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
     weighted = rule.weights * values
     rows = _degree_rows(rule.lam, rule.order, n_max)
-    return np.array([p @ weighted / h for p, h in zip(rows, _norms(rule.lam, n_max + 1))]), vectorized
+    norms = _norms(rule.lam, n_max + 1)
+    if isinstance(rows, np.ndarray):
+        return np.vecdot(rows, weighted) / norms, vectorized
+    return np.array([p @ weighted / h for p, h in zip(rows, norms)]), vectorized
 
 
 def _default_quad_order(n_max: int) -> int:
@@ -261,9 +269,11 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
 
     The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
     (λ, quad_order, n_max) when it is at most 256 KiB (the last 16 tables,
-    so at most 4 MiB), and streamed one degree at a time when larger; the
-    coefficients have the same bytes either way. The cache lives in the
-    process, so a fresh CLI process gains nothing from it.
+    so at most 4 MiB), and all coefficients come from one `np.vecdot` of its
+    rows with the weighted values; a larger table is streamed one degree at
+    a time, one dot product per degree. vecdot runs that same BLAS dot on
+    each row, so the coefficients have the same bytes either way. The cache
+    lives in the process, so a fresh CLI process gains nothing from it.
     """
     return _recover(g, basis, n_max, quad_order)[0]
 
@@ -329,7 +339,10 @@ def certify(
     trial's cosine matrix), and point by point with floats only if that call
     raises or returns another shape. The coefficients read the degree × node
     table that `recover_coefficients` caches: repeated calls with the same
-    basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence.
+    basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence
+    and project onto all degrees in one `np.vecdot`. Each trial's Gram
+    matrix is built exactly symmetric and read-only, so `min_eigenvalue`
+    takes it without a copy and checks its symmetry with one comparison.
     Each trial's cosines are cached by (d, 25, trial seed), the last 64 (about
     170 KB), so a repeated seed skips drawing the points but still calls g on
     every trial. Both caches live in the process: a fresh CLI process gains
@@ -385,6 +398,7 @@ def certify(
         evaluations += values.size
         entries = np.empty((n, n))
         _mirror_rows(entries, rows, values)
+        entries.setflags(write=False)  # so GramMatrix keeps it without a copy
         eig = min_eigenvalue(entries)
         min_eig = min(min_eig, eig)
         if eig < -eig_tol:

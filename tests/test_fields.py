@@ -127,6 +127,53 @@ class TestGramMatrixType:
         GramMatrix(entries=big, provenance="test")
 
 
+def _symmetric_within_tolerance(m: np.ndarray) -> bool:
+    """The tolerance-only test that GramMatrix ran before its exact-symmetry
+    short cut: square, and no |m_ij - m_ji| over SYMMETRY_TOL · max(1, max |m_ij|)."""
+    if m.shape[0] != m.shape[1]:
+        return False
+    scale = max(1.0, float(np.abs(m).max()))
+    return float(np.abs(m - m.T).max()) <= fields.SYMMETRY_TOL * scale
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """A symmetric matrix with ±0.0 mixed across the diagonal, one entry of
+    which is then moved by a multiple of the tolerance near 1, or a matrix
+    with one column too many."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6))
+    m = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    m = np.triu(m) + np.triu(m, 1).T
+    lower = np.tril_indices(n, -1)
+    flips = np.array(draw(st.lists(st.booleans(), min_size=lower[0].size, max_size=lower[0].size)), dtype=bool)
+    m[lower] = np.where(flips & (m[lower] == 0.0), -m[lower], m[lower])
+    if n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        factor = draw(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 2.0, -1.0]))
+        m[i, j] = m[j, i] + factor * fields.SYMMETRY_TOL * max(1.0, float(np.abs(m).max()))
+    if draw(st.booleans()):
+        m = np.hstack((m, m[:, :1]))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_symmetric_matrices())
+@example(np.array([[1.0, 0.0], [1e-12, 1.0]]))  # asymmetry exactly at the tolerance
+@example(np.array([[1.0, 0.0], [np.nextafter(1e-12, 1.0), 1.0]]))  # one ulp beyond it
+@example(np.array([[2e6, -0.0], [0.0, 1.0]]))
+@example(np.array([[1.0, 2e-6], [0.0, 2e6]]))  # at a tolerance scaled by the largest entry
+@example(np.ones((2, 3)))
+def test_exact_symmetry_short_cut_accepts_what_the_tolerance_test_accepts(entries):
+    expect = _symmetric_within_tolerance(entries)
+    try:
+        GramMatrix(entries=entries, provenance="test")
+    except DomainError:
+        assert not expect
+    else:
+        assert expect
+
+
 class TestFieldSampleType:
     def test_rejects_non_2d(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from scipy.special import gammaln, roots_gegenbauer
 from spherecov import (
     DomainError,
     GegenbauerBasis,
+    certify,
     eval_normalized,
     eval_sequence,
     gaussian,
@@ -133,6 +134,20 @@ class TestFrozenFloats:
         assert arr.flags.writeable == writeable
         assert_array_equal(out, arr)
 
+    def test_keeps_an_immutable_array(self):
+        arr = gegenbauer._immutable(np.arange(6.0).reshape(2, 3))
+        assert isinstance(arr.base, bytes) and not arr.flags.writeable
+        assert _frozen_floats(arr, 2, "values") is arr
+
+    def test_copies_a_read_only_view_of_a_mutable_buffer(self):
+        buffer = bytearray(np.arange(6.0).tobytes())
+        arr = np.frombuffer(buffer).reshape(2, 3)
+        arr.setflags(write=False)
+        out = _frozen_floats(arr, 2, "values")
+        assert not np.shares_memory(out, arr)
+        buffer[:8] = np.float64(5.0).tobytes()
+        assert out[0, 0] == 0.0
+
     def test_a_later_write_to_the_input_does_not_reach_the_copy(self):
         arr = np.ones((2, 2))
         out = _frozen_floats(arr, 2, "values")
@@ -158,6 +173,27 @@ class TestFrozenFloats:
     def test_bad_input_raises_the_given_error(self, values, message, error):
         with pytest.raises(error, match=f"^values {message}"):
             _frozen_floats(values, 2, "values", error)
+
+
+ARGUMENT_MESSAGE = r"^argument must lie in \[-1, 1\]$"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), max_size=8),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1.0000000000000002, -1.5, 1e300]),
+    st.integers(0, 8),
+)
+def test_check_argument_rejects_nan_inf_and_beyond_one(inside, bad, where):
+    # One pass of |x| <= 1 must reject what the NaN check and the |x| > 1
+    # check rejected together, with the same message, wherever the value is.
+    assert_array_equal(gegenbauer._check_argument(inside), np.array(inside, dtype=float))
+    values = inside[:where] + [bad] + inside[where:]
+    for x in (bad, values, np.array(values), np.array(values)[None, :]):
+        with pytest.raises(DomainError, match=ARGUMENT_MESSAGE):
+            gegenbauer._check_argument(x)
+    with pytest.raises(DomainError, match=ARGUMENT_MESSAGE):
+        eval_sequence(LEGENDRE, 2, values)
 
 
 class TestQuadratureRuleChecks:
@@ -586,6 +622,33 @@ class TestQuadratureCache:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.5])
+    def test_rule_arrays_cannot_be_made_writeable(self, lam):
+        rule = quadrature(lam, 64)
+        for arr in (rule.nodes, rule.weights):
+            assert isinstance(arr.base, bytes)
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    def test_a_callback_that_writes_to_the_nodes_leaves_the_rule_unchanged(self):
+        rule = quadrature(0.5, 64)
+        before = (rule.nodes.tobytes(), rule.weights.tobytes())
+        attempts = []
+
+        def vandal(x):
+            if isinstance(x, np.ndarray) and x.size == 64:  # the nodes, not a trial's cosines
+                for attempt in (lambda: x.setflags(write=True), lambda: x.fill(0.0), lambda: np.negative(x, out=x)):
+                    with pytest.raises(ValueError):
+                        attempt()
+                    attempts.append(attempt)
+            return x * x
+
+        recover_coefficients(vandal, LEGENDRE, 10, 64)
+        certify(vandal, LEGENDRE, n_max=31, gram_trials=1)  # its default Gauss order is 64
+        assert len(attempts) == 2 * 3
+        after = quadrature(0.5, 64)
+        assert after is rule and (after.nodes.tobytes(), after.weights.tobytes()) == before
+
     def test_in_place_callback_leaves_later_rules_unchanged(self):
         before = quadrature(0.5, 24).nodes.copy()
 
@@ -613,6 +676,13 @@ class TestDegreeTableCache:
             table[0, 0] = 0.0
         expect = eval_sequence(GegenbauerBasis.from_index(1.5), 12, quadrature(1.5, 40).nodes)
         assert table.tobytes() == expect.tobytes()
+
+    def test_table_cannot_be_made_writeable(self):
+        table = gegenbauer._degree_table(0.5, 64, 20)
+        assert isinstance(table.base, bytes) and table.shape == (21, 64)
+        for arr in (table, table[3]):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
 
     def test_norms_are_the_closed_form(self):
         for lam in (0.0, 0.5, 2.5):

@@ -347,6 +347,47 @@ def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, 
     assert cold == warm == streamed
 
 
+def _loop_projection(g, basis, n_max, order, pointwise):
+    """The coefficients by the per-degree loop `_recover` ran before its one
+    `np.vecdot`: a dot product and a division for each row of the table."""
+    rule = quadrature(basis.lam, order)
+    if pointwise:
+        values = np.array([g(x) for x in rule.nodes.tolist()])
+    else:
+        values = np.asarray(g(rule.nodes), dtype=float)
+    weighted = rule.weights * values
+    rows = eval_sequence(basis, n_max, rule.nodes)
+    return np.array([p @ weighted / norm_squared(basis, n) for n, p in enumerate(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 20.0]),
+    st.integers(0, 200),
+    st.integers(0, 100),
+    st.floats(-8.0, 8.0),
+    st.booleans(),
+    st.booleans(),
+)
+@example(0.5, 127, 128, 1.5, False, False)  # the largest cached table: 127 + 1 rows of 256 nodes
+@example(1.0, 127, 129, 1.5, False, False)  # one node more: streamed
+@example(20.0, 150, 0, -3.0, True, False)
+@example(0.0, 0, 0, 0.5, False, True)
+def test_one_vecdot_equals_the_per_degree_loop(lam, n_max, extra, frequency, pointwise, no_cache):
+    # Both sides of the cache cap, and with a cap of 0 every table streams.
+    basis = GegenbauerBasis.from_index(lam)
+    order = n_max + 1 + extra
+    g = lambda x: np.cos(frequency * x + 0.25)
+    if pointwise:
+        g = _scalar_only(g)
+    reference = _loop_projection(g, basis, n_max, order, pointwise)
+    cap = 0 if no_cache else gegenbauer._TABLE_CACHE_BYTES
+    with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", cap):
+        ahat, vectorized = schoenberg._recover(g, basis, n_max, order)
+    assert vectorized is not pointwise
+    assert ahat.shape == (n_max + 1,) and ahat.tobytes() == reference.tobytes()
+
+
 def _old_pointwise(g, xs):
     """The point-by-point loop that `_evaluate` ran before its one `np.fromiter`."""
     values = np.empty(xs.size)

@@ -26,9 +26,8 @@ factor is a 1-D array of times: one column, times uniform on [0, 1) and
 the lag t_i − t_j. SpherePointSet is its own single factor,
 SpaceTimePointSet is (space, times) and ProductPointSet is (first,
 second). The point-set protocol (`dimensions`, the points-file columns
-`n_columns`, `from_columns` and `columns`, seeded `random` points with
-factor k drawn from states[k], and `pair_arguments`) is written once over
-the factors.
+`n_columns`, `from_columns` and `columns`, and seeded `random` points with
+factor k drawn from states[k]) is written once over the factors.
 
 The arrays that grow with the request (a random point set, a Gram matrix,
 a samples × points matrix, a harmonics table) are checked against
@@ -142,12 +141,6 @@ class _FactoredPointSet:
         """Per factor, what its kernel arguments are read from: the n × n
         cosine matrix of a sphere, the times of a time factor."""
         return [_cosine_matrix(f.points) if kind == _SPHERE else f for kind, f in self._factors()]
-
-    def pair_arguments(self, pairs) -> tuple:
-        """One kernel argument per factor for the point pairs indexed by
-        `pairs`, a pair (i, j) of index arrays: ⟨p_i, p_j⟩ or t_i − t_j."""
-        i, j = pairs
-        return tuple(f[pairs] if f.ndim == 2 else f[i] - f[j] for f in self._row_factors())
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,13 @@ Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub & Welsch 1969), and
 bisection on those counts for any root the fast path cannot prove. Both run
 on the ratios of consecutive polynomials, so no value under- or overflows.
 The weights are Christoffel numbers from the recurrence above, which are
-more accurate than the Golub–Welsch eigenvector weights at high order. Like
-the sphere × time kernel, they read the recurrence one degree at a time, so
-memory grows with the number of points, not with degree × points.
-Coefficient recovery does too once its degree × node table is over 256 KiB;
-smaller tables are cached (`_degree_table`).
+more accurate than the Golub–Welsch eigenvector weights at high order. The
+weights and the Sturm counts fill chunks of recurrence rows of at most
+`_CHUNK_BYTES` and reduce each chunk with one ufunc per operation, in the
+order of the one-degree-at-a-time loop, so memory grows with the number of
+points, not with degree × points. Coefficient recovery does too once its
+degree × node table is over 256 KiB; smaller tables are cached
+(`_degree_table`).
 """
 
 import functools
@@ -48,6 +50,10 @@ _BLOCK_BYTES = 16 * 2**20
 # Largest degree × node table, in bytes, that coefficient recovery caches.
 # `_degree_table` keeps 16, so the cache never holds more than 4 MiB.
 _TABLE_CACHE_BYTES = 256 * 2**10
+
+# Largest chunk of recurrence rows, in bytes, that a Gauss rule build fills
+# before it squares or sign-counts them all at once: it stays in L2 cache.
+_CHUNK_BYTES = 256 * 2**10
 
 # Newton passes over the recurrence before the fast path gives up on a root.
 _NEWTON_STEPS = 8
@@ -218,16 +224,21 @@ class QuadratureRule:
 
     `nodes` and `weights` are stored read-only (see `_frozen_floats`), `lam`
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
+    `bisected` is the node route: how many of the positive nodes the Newton
+    fast path could not prove and bisection found instead, an int (0 for
+    every rule up to λ = 10.5 and for the closed-form Chebyshev rule).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     lam: float
     order: int
+    bisected: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_lam(self.lam))
         object.__setattr__(self, "order", _check_count(self.order, "order", 1))
+        object.__setattr__(self, "bisected", _check_count(self.bisected, "bisected"))
         for name in ("nodes", "weights"):
             object.__setattr__(self, name, _frozen_floats(getattr(self, name), 1, name))
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
@@ -363,18 +374,17 @@ def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
     return _table(basis.lam, n_max, _check_argument(x))
 
 
+def _log_norm_constant(lam: float) -> float:
+    """The terms of log h_n that do not depend on n, summed left to right."""
+    return (
+        math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0) + 2.0 * math.lgamma(2.0 * lam) - 2.0 * math.lgamma(lam)
+    )
+
+
 def _log_norm_squared(lam: float, n: int) -> float:
     # ∫ P̃_n² (1−x²)^{λ−1/2} dx in closed form via Gamma functions:
     #   h_n = π·2^{1−2λ}·Γ(2λ)²·n! / [(n+λ)·Γ(λ)²·Γ(n+2λ)]
-    return (
-        math.log(math.pi)
-        + (1.0 - 2.0 * lam) * math.log(2.0)
-        + 2.0 * math.lgamma(2.0 * lam)
-        - 2.0 * math.lgamma(lam)
-        + math.lgamma(n + 1.0)
-        - math.lgamma(n + 2.0 * lam)
-        - math.log(n + lam)
-    )
+    return _log_norm_constant(lam) + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam) - math.log(n + lam)
 
 
 def _norm_squared(lam: float, n: int) -> float:
@@ -389,10 +399,27 @@ def norm_squared(basis: GegenbauerBasis, n: int) -> float:
     return _norm_squared(basis.lam, n)
 
 
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    """`function` (a `math` function) of each entry of the 1-D `values`."""
+    return np.fromiter(map(function, values.tolist()), dtype=float, count=values.size)
+
+
 @functools.lru_cache(maxsize=32)
 def _norms(lam: float, count: int) -> tuple:
-    """h_0, ..., h_{count−1} at λ, cached by (λ, count)."""
-    return tuple(_norm_squared(lam, n) for n in range(count))
+    """h_0, ..., h_{count−1} at λ, cached by (λ, count), with the bits of
+    `_norm_squared`: one pass of each `math` function over all degrees, the
+    terms added in the order `_log_norm_squared` adds them. The working memory
+    is a few vectors of length count."""
+    if lam == 0.0:
+        return tuple(_norm_squared(lam, n) for n in range(count))
+    n = np.arange(float(count))
+    log_norms = (
+        _log_norm_constant(lam)
+        + _mapped(math.lgamma, n + 1.0)
+        - _mapped(math.lgamma, n + 2.0 * lam)
+        - _mapped(math.log, n + lam)
+    )
+    return tuple(map(math.exp, log_norms.tolist()))
 
 
 @functools.lru_cache(maxsize=16)
@@ -422,14 +449,47 @@ def _degree_rows(lam: float, order: int, n_max: int):
     return _sequence(lam, n_max, _gauss_rule(lam, order).nodes)
 
 
+def _chunk_rows(width: int, least: int) -> int:
+    """Rows of `width` floats in a chunk of at most `_CHUNK_BYTES`, but at least `least`."""
+    return max(least, _CHUNK_BYTES // (8 * max(width, 1)))
+
+
 def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node. The
     nodes are antisymmetric and P̃_k(−x) = (−1)^k P̃_k(x) holds exactly in the
-    recurrence, so the sums run over the nonnegative half and are mirrored."""
+    recurrence, so the sums run over the nonnegative half and are mirrored.
+
+    `_step` fills the rows of a chunk with the next degrees in place. The
+    chunk is then squared and divided by its norms, and `np.add.reduce` over
+    its rows, with the running total in row 0, adds the terms in degree
+    order: the bits of `total += np.square(P̃_k) / h_k` one degree at a time.
+    The working memory is a few vectors of half the order plus one chunk of
+    at most `_CHUNK_BYTES`."""
     half = nodes.size // 2
-    total = np.zeros(nodes.size - half)
-    for values, h in zip(_sequence(lam, nodes.size - 1, nodes[half:]), _norms(lam, nodes.size)):
-        total += np.square(values) / h
+    x = nodes[half:]
+    norms = np.array(_norms(lam, nodes.size))
+    chunk = np.zeros((min(_chunk_rows(x.size, 3), nodes.size + 1), x.size))  # the total, then degrees
+    rows, carry, scratch = list(chunk), np.empty((2, x.size)), np.empty(x.size)
+    before = last = None
+    for start in range(0, nodes.size, len(rows) - 1):
+        stop = min(start + len(rows) - 1, nodes.size)
+        for n, out in zip(range(start, stop), rows[1:]):
+            if n >= 2:
+                _step(lam, n, x, last, before, out, scratch)
+            else:
+                out[...] = x if n else 1.0
+            before, last = last, out
+        terms = chunk[1 : stop - start + 1]
+        if stop < nodes.size:  # the next chunk's recurrence starts from the last two rows
+            np.copyto(carry, terms[-2:])
+            before, last = carry
+        np.square(terms, out=terms)
+        np.divide(terms, norms[start:stop, None], out=terms)
+        # Across rows numpy adds row after row; pairwise summation runs only
+        # along a contiguous axis, here a width of 1, which is order <= 2 and
+        # at most three rows, still added in order.
+        chunk[0] = np.add.reduce(chunk[: stop - start + 1], axis=0)
+    total = chunk[0]
     return 1.0 / np.concatenate((total[::-1][:half], total))
 
 
@@ -438,9 +498,12 @@ def _monic_betas(lam: float, order: int) -> list:
     (the zero-diagonal Jacobi matrix), whose p_n are positive multiples of P̃_n.
     Each β_n = n(n+2λ−1) / (4(n+λ)(n+λ−1)) is formed as two bounded ratios from
     the exact k = n − 1, so no factor overflows at a large λ and β_1 = 1/(2(1+λ))
-    stays exact at a tiny one."""
+    stays exact at a tiny one. Each β is a 0-d array: a ufunc takes it with
+    less overhead than a Python float (about 0.2 µs per call on a 2-core Xeon
+    VM) and gives the same bits."""
     k = np.arange(order - 1.0)
-    return ((k + 1.0) / (4.0 * (k + 1.0 + lam)) * ((k + 2.0 * lam) / (k + lam))).tolist()
+    betas = (k + 1.0) / (4.0 * (k + 1.0 + lam)) * ((k + 2.0 * lam) / (k + lam))
+    return [betas[i, ...] for i in range(betas.size)]
 
 
 def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
@@ -451,16 +514,31 @@ def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.n
 
     If `counts` is given, the number of negative ratios at each point is added
     to it: the sign changes of p_0(x), ..., p_N(x), which by Sturm's theorem is
-    the number of roots of P̃_N above x."""
-    q, quotient = x.copy(), np.empty_like(x)
-    if counts is not None:
-        counts += np.signbit(q)
+    the number of roots of P̃_N above x. The ratios are then written to the rows
+    of a chunk of at most `_CHUNK_BYTES` and their sign bits counted once per
+    chunk, not once per ratio; the working memory is a few vectors of x's
+    length plus one chunk."""
+    quotient = np.empty_like(x)
+    if counts is None:
+        q = x.copy()
+        for beta in betas:
+            np.divide(beta, q, out=quotient)
+            np.subtract(x, quotient, out=q)
+        return q
+    chunk = np.empty((min(_chunk_rows(x.size, 1), len(betas) + 1), x.size))
+    rows, signs = list(chunk), np.empty(chunk.shape, dtype=bool)
+    q = rows[0]
+    np.copyto(q, x)
+    filled = 1
     for beta in betas:
+        if filled == len(rows):
+            counts += np.count_nonzero(np.signbit(chunk, out=signs), axis=0)
+            filled = 0
         np.divide(beta, q, out=quotient)
-        np.subtract(x, quotient, out=q)
-        if counts is not None:
-            counts += np.signbit(q)
-    return q
+        q = np.subtract(x, quotient, out=rows[filled])
+        filled += 1
+    counts += np.count_nonzero(np.signbit(chunk[:filled], out=signs[:filled]), axis=0)
+    return q.copy()
 
 
 def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.ndarray]:
@@ -554,12 +632,14 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     For λ > 0 the nodes come from numpy alone, without scipy: Newton's
     method on the recurrence from asymptotic guesses, each root proven alone
     in its own interval by Sturm counts, with bisection on Sturm counts for
-    any root the fast path cannot prove (some, from λ = 11 on). The
-    weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, summed from the
-    recurrence one degree at a time over the nonnegative nodes and mirrored,
-    so the working memory is a few vectors of length order. λ = 0 uses the
-    closed-form Chebyshev rule. The nodes are symmetrized about 0, so the
-    weights are symmetric too. The tests check
+    any root the fast path cannot prove (some, from λ = 11 on); the rule's
+    `bisected` says how many. The weights are Christoffel numbers
+    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes
+    and mirrored. The Sturm counts and the weights fill chunks of recurrence
+    rows and reduce each chunk at once, so the working memory is a few
+    vectors of length order plus one chunk of at most `_CHUNK_BYTES`
+    (256 KiB). λ = 0 uses the closed-form Chebyshev rule. The nodes are
+    symmetrized about 0, so the weights are symmetric too. The tests check
     orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise
     DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
     would overflow the Christoffel sums (λ = 200 from order 665 on).
@@ -585,7 +665,7 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
         return QuadratureRule(nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order)
 
     _check_rule_range(lam, order)
-    positive = _positive_roots(lam, order)[0]
+    positive, bisected = _positive_roots(lam, order)
     nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
     nodes = 0.5 * (nodes - nodes[::-1])
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
@@ -601,7 +681,9 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
             f"Gauss weights (lam={lam}, order={order}) sum to {weights.sum():.16e}, "
             f"expected total mass {mass:.16e}"
         )
-    return QuadratureRule(nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order)
+    return QuadratureRule(
+        nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order, bisected=bisected
+    )
 
 
 # The uncached builder, where `functools.lru_cache` would put it.

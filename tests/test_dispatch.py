@@ -146,7 +146,7 @@ def test_guard_flags_hand_written_intake():
     assert _post_init_intake(source) == [("A", 3), ("A", 4), ("B", 7)]
 
 
-PROTOCOL_MEMBERS = {"dimensions", "n_columns", "from_columns", "columns", "random", "pair_arguments"}
+PROTOCOL_MEMBERS = {"dimensions", "n_columns", "from_columns", "columns", "random"}
 POINT_SET_CLASSES = {cls.__name__ for cls in spherecov.fields._POINT_SET_TYPES.values()}
 KERNEL_MEMBERS = {"dimensions", "label", "truncations"}
 KERNEL_CLASSES = {cls.__name__ for cls in _Kernel.__subclasses__()}

@@ -50,7 +50,7 @@ from spherecov import (
 )
 from spherecov import fields, gegenbauer
 from spherecov.gegenbauer import MAX_SEED
-from spherecov.fields import _factor, _sample_blocks
+from spherecov.fields import _factor, _row_arguments, _sample_blocks
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 
@@ -327,8 +327,10 @@ class TestFactorProtocol:
         back = kind.from_columns(dims, data)
         assert type(back) is kind
         assert _same_array(ref.columns(back), ref.columns(ref.from_columns(dims, data)))
-        pairs = np.triu_indices(n)
-        got, want = pts.pair_arguments(pairs), ref.pair_arguments(expected, pairs)
+        # The kernel arguments `gram` reads, one block of all n rows: the
+        # upper-triangle pairs in `np.triu_indices` order.
+        got = _row_arguments(pts._row_factors(), slice(0, n))
+        want = ref.pair_arguments(expected, np.triu_indices(n))
         assert len(got) == len(want)
         assert all(_same_array(g, w) for g, w in zip(got, want))
 

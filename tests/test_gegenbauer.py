@@ -781,3 +781,137 @@ class TestInPlaceTable:
         assert table.shape == stacked.shape == reference.shape == (n_max + 1,) + shape
         assert table.tobytes() == stacked.tobytes() == reference.tobytes()
         assert eval_sequence(GegenbauerBasis.from_index(lam), n_max, x).tobytes() == table.tobytes()
+
+
+def _reference_christoffel_weights(lam, nodes):
+    """The Christoffel weights as one loop over degrees: `total += np.square(P̃_k) / h_k`
+    over the nonnegative half of `nodes`, each h_k from `_norm_squared`, mirrored."""
+    half = nodes.size // 2
+    total = np.zeros(nodes.size - half)
+    for n, values in enumerate(gegenbauer._sequence(lam, nodes.size - 1, nodes[half:])):
+        total += np.square(values) / gegenbauer._norm_squared(lam, n)
+    return 1.0 / np.concatenate((total[::-1][:half], total))
+
+
+def _reference_ratio(betas, x, counts=None):
+    """The ratio recurrence as one loop over β, the sign bits counted after each step."""
+    q, quotient = x.copy(), np.empty_like(x)
+    if counts is not None:
+        counts += np.signbit(q)
+    for beta in betas:
+        np.divide(beta, q, out=quotient)
+        np.subtract(x, quotient, out=q)
+        if counts is not None:
+            counts += np.signbit(q)
+    return q
+
+
+def _betas(lam, order):
+    """`_monic_betas`, or at λ = 0 its limit, the monic Chebyshev β (1/2, then 1/4)."""
+    if lam > 0.0:
+        return gegenbauer._monic_betas(lam, order)
+    return [0.5, *[0.25] * (order - 2)][: order - 1]
+
+
+CHUNK_LAMS = [0.0, 0.25, 0.5, 1.0, 20.0, 1e4]
+# Arguments with exact zeros: at x = 0 every odd-degree ratio is 0 and the next infinite.
+CHUNK_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+class TestChunkedRuleBuild:
+    """A cold Gauss rule fills chunks of recurrence rows and reduces each chunk
+    at once. Each chunked path must give the bits of the per-degree loop it
+    replaces, at every chunk edge: a count of rows one short of a chunk,
+    exactly one, one over, and two chunks (`_CHUNK_BYTES` is patched to set
+    the rows per chunk)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lam=st.sampled_from(CHUNK_LAMS),
+        degrees=st.integers(2, 24),
+        edge=st.sampled_from(["short", "exact", "over", "twice"]),
+        data=st.data(),
+    )
+    @example(lam=0.5, degrees=2, edge="short", data=None)
+    def test_christoffel_sums_match_the_per_degree_loop(self, lam, degrees, edge, data):
+        order = {"short": degrees - 1, "exact": degrees, "over": degrees + 1, "twice": 2 * degrees}[edge]
+        if data is None:
+            nodes = quadrature(lam, order).nodes
+        else:
+            nodes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order)))
+        width = order - order // 2
+        # A chunk of degrees + 1 rows: the running total and `degrees` degree rows.
+        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * (degrees + 1)):
+            assert gegenbauer._chunk_rows(width, 3) == degrees + 1
+            got = gegenbauer._christoffel_weights(lam, nodes)
+        assert got.tobytes() == _reference_christoffel_weights(lam, nodes).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lam=st.sampled_from(CHUNK_LAMS),
+        rows=st.integers(1, 24),
+        edge=st.sampled_from(["short", "exact", "over", "twice"]),
+        points=st.lists(CHUNK_POINTS, min_size=1, max_size=9),
+    )
+    @example(lam=0.5, rows=4, edge="twice", points=[0.0, 0.5])
+    @example(lam=0.5, rows=3, edge="short", points=[0.0])
+    def test_sturm_counts_match_the_per_beta_loop(self, lam, rows, edge, points):
+        ratios = {"short": rows - 1, "exact": rows, "over": rows + 1, "twice": 2 * rows}[edge]
+        betas, x = _betas(lam, max(ratios, 1)), np.array(points)
+        counts, expect = np.arange(x.size), np.arange(x.size)  # counts are added to
+        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * x.size * rows), np.errstate(all="ignore"):
+            assert gegenbauer._chunk_rows(x.size, 1) == rows
+            q = gegenbauer._ratio(betas, x, counts)
+            fast = gegenbauer._ratio(betas, x)
+            want = _reference_ratio(betas, x, expect)
+            assert fast.tobytes() == _reference_ratio(betas, x).tobytes() == want.tobytes()
+        assert q.tobytes() == want.tobytes()
+        assert counts.dtype == expect.dtype and np.array_equal(counts, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.sampled_from([*CHUNK_LAMS, 3.7, 10.5]), count=st.integers(0, 3000))
+    @example(lam=0.5, count=0)
+    @example(lam=1e4, count=3000)
+    def test_norms_match_the_per_degree_closed_form(self, lam, count):
+        got = gegenbauer._norms.__wrapped__(lam, count)
+        want = tuple(gegenbauer._norm_squared(lam, n) for n in range(count))
+        assert isinstance(got, tuple) and len(got) == count
+        assert all(type(h) is float for h in got)
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lam_order=st.sampled_from([(20.0, 41), (20.0, 120), (40.0, 64), (200.0, 64)]),
+        chunk_bytes=st.integers(8, 4096),
+    )
+    def test_bisection_path_matches_the_per_beta_loop(self, lam_order, chunk_bytes):
+        lam, order = lam_order
+        with mock.patch.object(gegenbauer, "_ratio", _reference_ratio):
+            want, want_bisected = gegenbauer._positive_roots(lam, order)
+        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", chunk_bytes):
+            got, bisected = gegenbauer._positive_roots(lam, order)
+        assert bisected == want_bisected > 0
+        assert got.tobytes() == want.tobytes()
+
+
+class TestNodeRoute:
+    """`QuadratureRule.bisected` records how many positive nodes bisection found."""
+
+    def test_a_bisected_rule_reports_its_count(self):
+        rule = quadrature.__wrapped__(20.0, 41)
+        assert type(rule.bisected) is int
+        assert rule.bisected == gegenbauer._positive_roots(20.0, 41)[1] > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5, 10.0, 10.5])
+    def test_rules_up_to_lambda_ten_report_none(self, lam):
+        for order in (1, 2, 41, 200):
+            assert quadrature(lam, order).bisected == 0
+
+    @pytest.mark.parametrize("bisected", [-1, 1.5, True, "1", None], ids=str)
+    def test_bisected_goes_through_the_integer_rule(self, bisected):
+        with pytest.raises(DomainError, match=r"^bisected must be "):
+            QuadratureRule(nodes=[-0.5, 0.5], weights=[1.0, 1.0], lam=0.5, order=2, bisected=bisected)
+
+    def test_bisected_is_stored_as_an_int(self):
+        rule = QuadratureRule(nodes=[-0.5, 0.5], weights=[1.0, 1.0], lam=0.5, order=2, bisected=np.int64(1))
+        assert type(rule.bisected) is int and rule.bisected == 1

@@ -12,6 +12,8 @@ The three-term recurrence is rewritten for the normalized family,
 
 which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
+`_step` is that formula and `_fill` the one loop that runs it, into a
+caller's buffer of rows, so every table and chunk of rows has the same bits.
 
 Gauss nodes for λ > 0 are found with numpy alone (the package does not use
 scipy): Newton's method on the recurrence from asymptotic guesses, each root
@@ -24,8 +26,8 @@ more accurate than the Golub–Welsch eigenvector weights at high order. The
 weights and the Sturm counts fill chunks of recurrence rows of at most
 `_CHUNK_BYTES` and reduce each chunk with one ufunc per operation, in the
 order of the one-degree-at-a-time loop, so memory grows with the number of
-points, not with degree × points. Coefficient recovery does too once its
-degree × node table is over 256 KiB; smaller tables are cached
+points, not with degree × points. Coefficient recovery projects onto one
+chunk at a time too, and caches a degree × node table that is one chunk
 (`_degree_table`).
 """
 
@@ -47,12 +49,10 @@ MAX_SEED = 2**128 - 1
 # Largest degree × point table, in bytes, that a kernel sum builds at once.
 _BLOCK_BYTES = 16 * 2**20
 
-# Largest degree × node table, in bytes, that coefficient recovery caches.
-# `_degree_table` keeps 16, so the cache never holds more than 4 MiB.
-_TABLE_CACHE_BYTES = 256 * 2**10
-
-# Largest chunk of recurrence rows, in bytes, that a Gauss rule build fills
-# before it squares or sign-counts them all at once: it stays in L2 cache.
+# Largest chunk of recurrence rows, in bytes, that a Gauss rule build or a
+# coefficient recovery fills before it reduces them all at once: it stays in
+# L2 cache. Recovery caches a degree × node table of one chunk; `_degree_table`
+# keeps 16, so that cache never holds more than 4 MiB.
 _CHUNK_BYTES = 256 * 2**10
 
 # Newton passes over the recurrence before the fast path gives up on a root.
@@ -293,19 +293,27 @@ def _step(lam: float, n: int, x, last, before, out, scratch) -> np.ndarray:
     return np.divide(out, n + 2.0 * lam - 1.0, out=out)
 
 
-def _sequence(lam: float, n_max: int, x):
-    """Yield P̃_0(x), ..., P̃_{n_max}(x) one degree at a time, each a fresh array
-    made by `_step` from the last two; degree and argument are not checked."""
-    x = np.asarray(x, dtype=float)
-    before, last = np.ones(x.shape), x.copy()
-    yield before
-    if n_max == 0:
-        return
-    yield last
-    scratch = np.empty(x.shape)
-    for n in range(2, n_max + 1):
-        before, last = last, _step(lam, n, x, last, before, np.empty(x.shape), scratch)
-        yield last
+def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray):
+    """Fill `buffer`, of shape (rows,) + x.shape, with P̃_0(x), ..., P̃_{n_max}(x),
+    as many degrees at a time as it holds, and yield (start, chunk): `chunk` is
+    buffer[:k], degrees start to start+k−1, whose last two rows are copied aside
+    first, so the caller may overwrite it. `buffer` needs two rows, or one if it
+    holds every degree; degree and argument are not checked."""
+    rows = [buffer[i, ...] for i in range(len(buffer))]
+    carry = np.empty((2,) + x.shape) if len(rows) <= n_max else None  # only a second chunk needs it
+    scratch, before, last = np.empty(x.shape), None, None
+    for start in range(0, n_max + 1, len(rows)):
+        stop = min(start + len(rows), n_max + 1)
+        for n, out in zip(range(start, stop), rows):
+            if n >= 2:
+                _step(lam, n, x, last, before, out, scratch)
+            else:
+                out[...] = x if n else 1.0
+            before, last = last, out
+        if stop <= n_max:  # the next chunk starts from the last two rows
+            np.copyto(carry, buffer[stop - start - 2 : stop - start])
+            before, last = carry
+        yield start, buffer[: stop - start]
 
 
 def _blocks(rows: int, n: int):
@@ -346,23 +354,19 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
     """
     n = _check_degree(n)
     x = _check_argument(x)
-    for value in _sequence(basis.lam, n, x):
+    buffer = np.empty((min(_chunk_rows(x.size, 2), n + 1),) + x.shape)
+    for _, chunk in _fill(basis.lam, n, x, buffer):
         pass  # only the last degree is kept
-    return float(value) if value.ndim == 0 else value
+    return float(chunk[-1]) if x.ndim == 0 else chunk[-1].copy()
 
 
 def _table(lam: float, n_max: int, x: np.ndarray) -> np.ndarray:
-    """The rows P̃_0(x), ..., P̃_{n_max}(x) of `_sequence` as one array of shape
-    (n_max+1,) + x.shape; degree and argument are not checked. `_step` writes
-    each row in place from the two before it, so the working memory is the
-    table and one scratch row."""
+    """The rows P̃_0(x), ..., P̃_{n_max}(x) as one array of shape (n_max+1,) +
+    x.shape, one `_fill` of the whole table; degree and argument are not
+    checked. The working memory is the table and one scratch row."""
     out = np.empty((n_max + 1,) + x.shape)
-    out[0, ...] = 1.0
-    if n_max:
-        out[1, ...] = x
-        rows, scratch = [out[n, ...] for n in range(n_max + 1)], np.empty(x.shape)
-        for n in range(2, n_max + 1):
-            _step(lam, n, x, rows[n - 1], rows[n - 2], rows[n], scratch)
+    for _ in _fill(lam, n_max, x, out):
+        pass
     return out
 
 
@@ -426,27 +430,27 @@ def _norms(lam: float, count: int) -> tuple:
 def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
     """The (n_max+1) × order table of P̃_0, ..., P̃_{n_max} at the nodes of the
     order-`order` Gauss rule, cached by (λ, order, n_max). Only `_degree_rows`
-    calls it, for tables of at most `_TABLE_CACHE_BYTES`.
+    calls it, for tables of at most one chunk, `_CHUNK_BYTES`.
 
     Like an `_immutable` array it views a bytes object, so no caller can make
-    it writeable. The rows of `_sequence` are written to a BytesIO one at a
-    time, and CPython's `getvalue` hands over the buffer's own bytes object,
-    so a build holds one table (and at most an eighth more), not a table and
-    its copy."""
+    it writeable. `_fill` writes two rows at a time to a BytesIO, and
+    CPython's `getvalue` hands over the buffer's own bytes object, so a build
+    holds one table (and at most an eighth more), not a table and its copy."""
     buffer = io.BytesIO()
-    for row in _sequence(lam, n_max, _gauss_rule(lam, order).nodes):
-        buffer.write(row)
+    for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes, np.empty((2, order))):
+        buffer.write(rows)
     return np.ndarray((n_max + 1, order), dtype=np.float64, buffer=buffer.getvalue())
 
 
 def _degree_rows(lam: float, order: int, n_max: int):
     """P̃_0, ..., P̃_{n_max} at the nodes of the cached order-`order` Gauss rule,
-    one row per degree: the rows of the cached `_degree_table` when it fits
-    `_TABLE_CACHE_BYTES`, else streamed from `_sequence`. Both give the same
-    bytes in each row."""
-    if 8 * (n_max + 1) * order <= _TABLE_CACHE_BYTES:
-        return _degree_table(lam, order, n_max)
-    return _sequence(lam, n_max, _gauss_rule(lam, order).nodes)
+    as blocks of rows, one row per degree: the cached `_degree_table` as one
+    block when it is one chunk (`_CHUNK_BYTES`), else the chunks of `_fill`,
+    each overwritten by the next. Both give the same bytes in each row."""
+    if 8 * (n_max + 1) * order <= _CHUNK_BYTES:
+        return [_degree_table(lam, order, n_max)]
+    buffer = np.empty((min(_chunk_rows(order, 2), n_max + 1), order))
+    return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes, buffer))
 
 
 def _chunk_rows(width: int, least: int) -> int:
@@ -459,9 +463,9 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     nodes are antisymmetric and P̃_k(−x) = (−1)^k P̃_k(x) holds exactly in the
     recurrence, so the sums run over the nonnegative half and are mirrored.
 
-    `_step` fills the rows of a chunk with the next degrees in place. The
-    chunk is then squared and divided by its norms, and `np.add.reduce` over
-    its rows, with the running total in row 0, adds the terms in degree
+    `_fill` writes the next degrees to the rows of a chunk after its row 0.
+    The chunk is then squared and divided by its norms, and `np.add.reduce`
+    over its rows, with the running total in row 0, adds the terms in degree
     order: the bits of `total += np.square(P̃_k) / h_k` one degree at a time.
     The working memory is a few vectors of half the order plus one chunk of
     at most `_CHUNK_BYTES`."""
@@ -469,26 +473,13 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     x = nodes[half:]
     norms = np.array(_norms(lam, nodes.size))
     chunk = np.zeros((min(_chunk_rows(x.size, 3), nodes.size + 1), x.size))  # the total, then degrees
-    rows, carry, scratch = list(chunk), np.empty((2, x.size)), np.empty(x.size)
-    before = last = None
-    for start in range(0, nodes.size, len(rows) - 1):
-        stop = min(start + len(rows) - 1, nodes.size)
-        for n, out in zip(range(start, stop), rows[1:]):
-            if n >= 2:
-                _step(lam, n, x, last, before, out, scratch)
-            else:
-                out[...] = x if n else 1.0
-            before, last = last, out
-        terms = chunk[1 : stop - start + 1]
-        if stop < nodes.size:  # the next chunk's recurrence starts from the last two rows
-            np.copyto(carry, terms[-2:])
-            before, last = carry
+    for start, terms in _fill(lam, nodes.size - 1, x, chunk[1:]):
         np.square(terms, out=terms)
-        np.divide(terms, norms[start:stop, None], out=terms)
+        np.divide(terms, norms[start : start + len(terms), None], out=terms)
         # Across rows numpy adds row after row; pairwise summation runs only
         # along a contiguous axis, here a width of 1, which is order <= 2 and
         # at most three rows, still added in order.
-        chunk[0] = np.add.reduce(chunk[: stop - start + 1], axis=0)
+        chunk[0] = np.add.reduce(chunk[: len(terms) + 1], axis=0)
     total = chunk[0]
     return 1.0 / np.concatenate((total[::-1][:half], total))
 

@@ -229,18 +229,15 @@ def _check_recovery(n_max: int, quad_order: int) -> int:
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
     """(â_0, ..., â_n_max, whether g ran vectorized): each â_n is one BLAS dot
     product of the weighted values with row n of `_degree_rows`, over h_n.
-    A cached table takes all rows in one `np.vecdot`, which runs that same dot
-    per row (unlike `table @ weighted`, a gemv that can change last bits), so
-    both paths give the same bytes."""
+    Each block of rows takes one `np.vecdot`, which runs that same dot per row
+    (unlike `table @ weighted`, a gemv that can change last bits), so a cached
+    table and a streamed one give the same bytes."""
     n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
     weighted = rule.weights * values
-    rows = _degree_rows(rule.lam, rule.order, n_max)
-    norms = _norms(rule.lam, n_max + 1)
-    if isinstance(rows, np.ndarray):
-        return np.vecdot(rows, weighted) / norms, vectorized
-    return np.array([p @ weighted / h for p, h in zip(rows, norms)]), vectorized
+    ahat = np.concatenate([np.vecdot(rows, weighted) for rows in _degree_rows(rule.lam, rule.order, n_max)])
+    return ahat / _norms(rule.lam, n_max + 1), vectorized
 
 
 def _default_quad_order(n_max: int) -> int:
@@ -268,12 +265,11 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
     raises EvaluationError naming the node.
 
     The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
-    (λ, quad_order, n_max) when it is at most 256 KiB (the last 16 tables,
-    so at most 4 MiB), and all coefficients come from one `np.vecdot` of its
-    rows with the weighted values; a larger table is streamed one degree at
-    a time, one dot product per degree. vecdot runs that same BLAS dot on
-    each row, so the coefficients have the same bytes either way. The cache
-    lives in the process, so a fresh CLI process gains nothing from it.
+    (λ, quad_order, n_max) when it is one chunk of at most 256 KiB (the last
+    16, so at most 4 MiB); a larger one is streamed in such chunks. Each
+    table or chunk takes one `np.vecdot` with the weighted values, the same
+    BLAS dot on each row, so the coefficients have the same bytes either
+    way. The cache lives in the process: a fresh CLI process gains nothing.
     """
     return _recover(g, basis, n_max, quad_order)[0]
 
@@ -338,10 +334,10 @@ def certify(
     1-D float array (the quadrature nodes, then the upper triangle of each
     trial's cosine matrix), and point by point with floats only if that call
     raises or returns another shape. The coefficients read the degree × node
-    table that `recover_coefficients` caches: repeated calls with the same
-    basis and n_max <= 127 (a table of at most 256 KiB) skip the recurrence
-    and project onto all degrees in one `np.vecdot`. Each trial's Gram
-    matrix is built exactly symmetric and read-only, so `min_eigenvalue`
+    table that `recover_coefficients` caches when it is one chunk: repeated
+    calls with the same basis and n_max <= 127 (at most 256 KiB) skip the
+    recurrence and project onto all degrees in one `np.vecdot`. Each trial's
+    Gram matrix is built exactly symmetric and read-only, so `min_eigenvalue`
     takes it without a copy and checks its symmetry with one comparison.
     Each trial's cosines are cached by (d, 25, trial seed), the last 64 (about
     170 KB), so a repeated seed skips drawing the points but still calls g on

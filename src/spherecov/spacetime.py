@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _sequence
-from .gegenbauer import _float_array
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _chunk_rows
+from .gegenbauer import _fill, _float_array
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 GAUSSIAN = "gaussian"
@@ -114,11 +114,15 @@ def make_charfn(family: str, params: dict) -> CharFn:
 def charfn_eval(spec: CharFn, t):
     """Evaluate φ at scalar or array t. Even in t, exactly 1 at t = 0. A lag
     that is not a number, or a NaN lag, is a DomainError."""
-    t = _lags(t)
+    value = _charfn_values(spec, _lags(t))
+    return float(value) if value.ndim == 0 else value
+
+
+def _charfn_values(spec: CharFn, t: np.ndarray) -> np.ndarray:
+    """φ at the float array t of checked lags (see `_lags`), of t's shape."""
     # At huge lags σt, rate·|t| or |t|^α overflow to inf, and exp(−inf) = 0.
     with np.errstate(over="ignore"):
-        value = _FAMILIES[spec.family][1](t, **spec.param_dict)
-    return float(value) if value.ndim == 0 else value
+        return _FAMILIES[spec.family][1](t, **spec.param_dict)
 
 
 @dataclass(frozen=True)
@@ -182,14 +186,17 @@ def _lags(t) -> np.ndarray:
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
-    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, with
-    P̃_n from the recurrence (no table). A NaN lag is a DomainError."""
+    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, P̃_n from
+    `_fill` in chunks of at most 256 KiB (no table). The lags are checked once,
+    for all terms: a NaN lag is a DomainError."""
 
     def terms(x_block, t_block):
-        degrees = _sequence(kernel.basis.lam, kernel.truncation, _check_argument(x_block))
-        for a, cf, p in zip(kernel.weights, kernel.charfns, degrees):
-            if a != 0.0:
-                yield a * charfn_eval(cf, t_block) * p
+        x_block = _check_argument(x_block)
+        buffer = np.empty((min(_chunk_rows(x_block.size, 2), kernel.truncation + 1), x_block.size))
+        for start, chunk in _fill(kernel.basis.lam, kernel.truncation, x_block, buffer):
+            for a, cf, p in zip(kernel.weights[start:], kernel.charfns[start:], chunk):
+                if a != 0.0:
+                    yield a * _charfn_values(cf, t_block) * p
 
     return _block_sum(kernel.scale_c, _check_degree(kernel.truncation) + 1, terms, x, _lags(t))
 

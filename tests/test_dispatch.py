@@ -12,7 +12,8 @@ package tests whether a value is an integer. Every real-number parameter is
 checked by gegenbauer's `_check_real`, and only the owners named in
 `REAL_CHECK_OWNERS` test a float for finiteness or a value for realness.
 Every `functools.lru_cache` has an explicit int `maxsize`, so no cache in the
-package grows without bound."""
+package grows without bound. Only gegenbauer's `_fill` runs the recurrence
+step `_step`, so every degree table comes from one loop."""
 
 import ast
 import inspect
@@ -431,6 +432,48 @@ def test_guard_flags_unbounded_caches():
         "table = functools.lru_cache()(len)\n"
     )
     assert _unbounded_caches(source) == [5, 7, 9, 11, 13, 17, 19]
+
+
+def _step_uses(source):
+    """(enclosing function, line) of each use of the name `_step` other than its
+    definition, bare or as an attribute: a call, or an alias that could call it."""
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == "_step") or (
+            isinstance(node, ast.Attribute) and node.attr == "_step"
+        ):
+            uses.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return uses
+
+
+def test_one_loop_runs_the_recurrence_step():
+    sites = [
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, _ in _step_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == [("gegenbauer.py", "_fill")]
+
+
+def test_guard_flags_a_second_recurrence_loop():
+    source = (
+        "def _step(lam, n, x, last, before, out, scratch):\n"
+        "    return out\n"
+        "def _fill(lam, n_max, x, buffer):\n"
+        "    _step(lam, 2, x, x, x, buffer[0], buffer[1])\n"
+        "def _table(lam, n_max, x):\n"
+        "    for n in range(2, n_max + 1):\n"
+        "        gegenbauer._step(lam, n, x, x, x, x, x)\n"
+        "step = _step\n"
+    )
+    assert _step_uses(source) == [("_fill", 4), ("_table", 7), ("", 8)]
 
 
 class TestKernelProtocol:

@@ -691,7 +691,7 @@ class TestDegreeTableCache:
             assert norms == tuple(gegenbauer._norm_squared(lam, n) for n in range(30))
 
     def test_cache_holds_at_most_sixteen_tables_at_the_cap(self):
-        cap = gegenbauer._TABLE_CACHE_BYTES
+        cap = gegenbauer._CHUNK_BYTES
         assert all(8 * rows * order == cap for rows, order in self.CAP_SHAPES)
         lams = (0.0, 0.5, 1.0, 1.5, 2.0)
         keys = [(lam, order, rows - 1) for lam in lams for rows, order in self.CAP_SHAPES]
@@ -701,7 +701,8 @@ class TestDegreeTableCache:
         tracemalloc.start()
         try:
             for key in keys:
-                assert isinstance(gegenbauer._degree_rows(*key), np.ndarray)
+                (block,) = gegenbauer._degree_rows(*key)  # the cached table, as one block
+                assert block is gegenbauer._degree_table(*key)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -713,19 +714,20 @@ class TestDegreeTableCache:
 
     def test_table_over_the_cap_is_streamed_and_not_cached(self):
         order = 1024
-        rows = gegenbauer._TABLE_CACHE_BYTES // (8 * order)
+        rows = gegenbauer._CHUNK_BYTES // (8 * order)
         quadrature(0.5, order)
         before = gegenbauer._degree_table.cache_info()
-        streamed = gegenbauer._degree_rows(0.5, order, rows)  # one row over the cap
-        assert not isinstance(streamed, np.ndarray)
-        streamed = [row.tobytes() for row in streamed]
+        # One row over the cap: each block is overwritten by the next, so read it at once.
+        streamed = [block.tobytes() for block in gegenbauer._degree_rows(0.5, order, rows)]
         coeffs = recover_coefficients(lambda x: x, LEGENDRE, rows, order)
         assert gegenbauer._degree_table.cache_info() == before
         assert_allclose(coeffs[:3], [0.0, 1.0, 0.0], atol=1e-14)
-        at_cap = gegenbauer._degree_rows(0.5, order, rows - 1)
-        assert isinstance(at_cap, np.ndarray)
-        assert len(streamed) == rows + 1
-        assert b"".join(streamed[:rows]) == at_cap.tobytes()
+        (at_cap,) = gegenbauer._degree_rows(0.5, order, rows - 1)
+        assert at_cap is gegenbauer._degree_table(0.5, order, rows - 1)
+        assert len(streamed) > 1
+        streamed = b"".join(streamed)
+        assert len(streamed) == 8 * (rows + 1) * order
+        assert streamed[: 8 * rows * order] == at_cap.tobytes()
 
 
 class TestRegressionValues:
@@ -760,9 +762,9 @@ def _reference_sequence(lam, n_max, x):
 
 
 class TestInPlaceTable:
-    """`_table` writes each degree into its row from the two before it; the
-    rows of `_sequence` and the expression-per-degree recurrence must have
-    the same bytes, for every argument shape including a 0-d one."""
+    """`_table` writes each degree into its row from the two before it; it and
+    the expression-per-degree recurrence must have the same bytes, for every
+    argument shape including a 0-d one."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -776,11 +778,50 @@ class TestInPlaceTable:
         values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
         x = np.array(values, dtype=float).reshape(shape)
         table = gegenbauer._table(lam, n_max, x)
-        stacked = np.stack(list(gegenbauer._sequence(lam, n_max, x)))
         reference = _reference_sequence(lam, n_max, x)
-        assert table.shape == stacked.shape == reference.shape == (n_max + 1,) + shape
-        assert table.tobytes() == stacked.tobytes() == reference.tobytes()
+        assert table.shape == reference.shape == (n_max + 1,) + shape
+        assert table.tobytes() == reference.tobytes()
         assert eval_sequence(GegenbauerBasis.from_index(lam), n_max, x).tobytes() == table.tobytes()
+        last = eval_normalized(GegenbauerBasis.from_index(lam), n_max, x)
+        assert np.asarray(last).tobytes() == reference[-1].tobytes()
+
+
+class TestFill:
+    """`_fill` is the one loop over `_step`. Whatever the buffer's row count,
+    the chunks it yields must hold the expression-per-degree recurrence bit
+    for bit, even when the caller overwrites each chunk before the next."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lam=st.sampled_from([0.0, 0.5, 1.0, 20.0]),
+        n_max=st.integers(0, 40),
+        rows=st.sampled_from(["two", "short", "exact", "over", "twice"]),
+        shape=st.sampled_from([(), (7,), (3, 4)]),
+        overwrite=st.booleans(),
+        data=st.data(),
+    )
+    @example(lam=0.5, n_max=5, rows="two", shape=(7,), overwrite=True, data=None)
+    @example(lam=0.0, n_max=0, rows="exact", shape=(), overwrite=True, data=None)
+    def test_chunks_equal_the_reference_recurrence(self, lam, n_max, rows, shape, overwrite, data):
+        count = {"two": 2, "short": n_max, "exact": n_max + 1, "over": n_max + 2, "twice": 2 * (n_max + 1)}[rows]
+        count = max(count, min(2, n_max + 1))  # two rows at least, unless one holds every degree
+        size = math.prod(shape)
+        if data is None:
+            values = np.linspace(-1.0, 1.0, size).tolist()
+        else:
+            values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        x = np.array(values, dtype=float).reshape(shape)
+        reference = _reference_sequence(lam, n_max, x)
+        buffer = np.empty((count,) + shape)
+        expect_start = 0
+        for start, chunk in gegenbauer._fill(lam, n_max, x, buffer):
+            assert start == expect_start and np.shares_memory(chunk, buffer)
+            assert chunk.shape == (min(count, n_max + 1 - start),) + shape
+            assert chunk.tobytes() == reference[start : start + len(chunk)].tobytes()
+            if overwrite:
+                chunk[...] = np.nan
+            expect_start += len(chunk)
+        assert expect_start == n_max + 1
 
 
 def _reference_christoffel_weights(lam, nodes):
@@ -788,7 +829,7 @@ def _reference_christoffel_weights(lam, nodes):
     over the nonnegative half of `nodes`, each h_k from `_norm_squared`, mirrored."""
     half = nodes.size // 2
     total = np.zeros(nodes.size - half)
-    for n, values in enumerate(gegenbauer._sequence(lam, nodes.size - 1, nodes[half:])):
+    for n, values in enumerate(_reference_sequence(lam, nodes.size - 1, nodes[half:])):
         total += np.square(values) / gegenbauer._norm_squared(lam, n)
     return 1.0 / np.concatenate((total[::-1][:half], total))
 

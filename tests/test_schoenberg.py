@@ -337,10 +337,10 @@ def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, 
 
     gegenbauer._degree_table.cache_clear()
     cold, warm = run(), run()
-    if 8 * (n_max + 1) * order <= gegenbauer._TABLE_CACHE_BYTES:
+    if 8 * (n_max + 1) * order <= gegenbauer._CHUNK_BYTES:
         table = gegenbauer._degree_table(basis.lam, order, n_max)
         assert table.shape == (n_max + 1, order) and not table.flags.writeable
-    with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", 0):
+    with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 0):
         before = gegenbauer._degree_table.cache_info()
         streamed = run()
         assert gegenbauer._degree_table.cache_info() == before
@@ -381,8 +381,8 @@ def test_one_vecdot_equals_the_per_degree_loop(lam, n_max, extra, frequency, poi
     if pointwise:
         g = _scalar_only(g)
     reference = _loop_projection(g, basis, n_max, order, pointwise)
-    cap = 0 if no_cache else gegenbauer._TABLE_CACHE_BYTES
-    with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", cap):
+    cap = 0 if no_cache else gegenbauer._CHUNK_BYTES
+    with mock.patch.object(gegenbauer, "_CHUNK_BYTES", cap):
         ahat, vectorized = schoenberg._recover(g, basis, n_max, order)
     assert vectorized is not pointwise
     assert ahat.shape == (n_max + 1,) and ahat.tobytes() == reference.tobytes()

@@ -19,8 +19,8 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError, KernelSpecError, SphereCovError
-from .fields import _check_array_bytes, point_set_type, sample_factorized, sample_spectral_s2
-from .gegenbauer import GegenbauerBasis, _check_count, _check_real, _check_seed
+from .fields import point_set_type, sample_factorized, sample_spectral_s2
+from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401

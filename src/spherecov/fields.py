@@ -31,8 +31,8 @@ factor k drawn from states[k]) is written once over the factors.
 
 The arrays that grow with the request (a random point set, a Gram matrix,
 a samples × points matrix, a harmonics table) are checked against
-`_MAX_ARRAY_BYTES` before any of them is allocated; a larger request
-raises DomainError.
+`gegenbauer._MAX_ARRAY_BYTES`, as the degree tables of `eval_sequence` are,
+before any of them is allocated; a larger request raises DomainError.
 """
 
 import dataclasses
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
-from .gegenbauer import _check_count, _check_real, _check_seed, _frozen_floats, _immutable, _shown
+from .gegenbauer import _check_array_bytes, _check_count, _check_real, _check_seed, _frozen_floats, _immutable
 from .product_spheres import ProductSphereKernel
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
@@ -53,23 +53,10 @@ from .spacetime import SpaceTimeKernel
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
-# Largest float array, in bytes, that one request may build whole. gram holds
-# the matrix and one n² cosine matrix per sphere factor (three n²-sized arrays
-# on a product of spheres), so 1 GiB keeps it within an 8 GiB machine.
-_MAX_ARRAY_BYTES = 2**30
-
 # Most upper-triangle entries per kernel call of `gram`. Of 4096 to 65536, 16384
 # ran the S², sphere × time and product Gram matrices of 800-1000 points
 # fastest or within 5 % of the fastest; 4096 was 28-34 % slower.
 _GRAM_BLOCK_ENTRIES = 16384
-
-
-def _check_array_bytes(shape: tuple, what: str):
-    """DomainError if a float array of `shape` would exceed `_MAX_ARRAY_BYTES`."""
-    size = 8 * math.prod(shape)
-    if size > _MAX_ARRAY_BYTES:
-        dims = " x ".join(map(_shown, shape))
-        raise DomainError(f"{what} of {dims} floats needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
 _SPHERE = "sphere"
@@ -366,6 +353,19 @@ def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
     return _immutable(cosines)
 
 
+@functools.lru_cache(maxsize=4)
+def _trial_index(n: int) -> np.ndarray:
+    """The n × n map from (i, j) to the place of the pair (min, max) in the
+    row-major upper triangle of `_row_arguments`, so that `values[index]` is
+    the exactly symmetric matrix that `_mirror_rows` writes from those
+    values, in one gather. Cached by n, the last 4; `_immutable`, so no
+    caller can make it writeable."""
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return _immutable(index)
+
+
 def _mirror_rows(entries: np.ndarray, rows: slice, values: np.ndarray) -> None:
     """Write `values`, ordered as `_row_arguments`, to the upper triangle of
     `rows` of the square `entries`, and the same values to the mirrored places
@@ -489,7 +489,7 @@ def real_spherical_harmonics(n_max: int, points: SpherePointSet) -> np.ndarray:
     (n_max+1) × n row buffers (degrees n−2, n−1 and n) and one scratch
     buffer, and from there straight into the output. Working memory is the
     output, those four buffers and the cos(mφ), sin(mφ) tables. An output
-    over `_MAX_ARRAY_BYTES` raises DomainError before it is allocated.
+    over `gegenbauer._MAX_ARRAY_BYTES` raises DomainError before it is allocated.
     """
     if points.dimension != 2:
         raise GeometryError(f"spherical harmonics need points on S^2, got S^{points.dimension}")

@@ -49,6 +49,13 @@ MAX_SEED = 2**128 - 1
 # Largest degree × point table, in bytes, that a kernel sum builds at once.
 _BLOCK_BYTES = 16 * 2**20
 
+# Largest float array, in bytes, that one request may build whole: an
+# `eval_sequence` table here; a point set, a Gram matrix, a sample or an output
+# table in `fields` and `cli`. gram holds the matrix and one n² cosine matrix
+# per sphere factor (three n²-sized arrays on a product of spheres), so 1 GiB
+# keeps it within an 8 GiB machine.
+_MAX_ARRAY_BYTES = 2**30
+
 # Largest chunk of recurrence rows, in bytes, that a Gauss rule build or a
 # coefficient recovery fills before it reduces them all at once: it stays in
 # L2 cache. Recovery caches a degree × node table of one chunk; `_degree_table`
@@ -64,22 +71,24 @@ _MAX_RULE_LAM = 1e4
 
 
 def _immutable(arr: np.ndarray) -> np.ndarray:
-    """A copy of the float64 array `arr` that views an immutable `bytes` object:
-    no caller can make it writeable again (`setflags(write=True)` raises
+    """A copy of the array `arr` that views an immutable `bytes` object: no
+    caller can make it writeable again (`setflags(write=True)` raises
     ValueError), so a cached array cannot be changed through it."""
-    return np.ndarray(arr.shape, dtype=np.float64, buffer=arr.tobytes())
+    return np.ndarray(arr.shape, dtype=arr.dtype, buffer=arr.tobytes())
 
 
-def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
+def _frozen_floats(values, ndim: int, what: str, error=DomainError, private: bool = False) -> np.ndarray:
     """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
-    `error`. A read-only float64 array that owns its data, or that views an
-    immutable `bytes` object (see `_immutable`), is kept; anything else is
-    copied, so a caller's writeable array is never frozen or shared."""
+    `error`. A float64 array that views an immutable `bytes` object (see
+    `_immutable`) is kept, and so is a read-only float64 array that owns its
+    data unless `private` is set: its owner could make it writeable again, so
+    a result that must never change takes a copy. Anything else is copied, so
+    a caller's writeable array is never frozen or shared."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and not values.flags.writeable
-        and (values.flags.owndata or isinstance(values.base, bytes))
+        and (isinstance(values.base, bytes) or (values.flags.owndata and not private))
     ):
         arr = values
     else:
@@ -162,6 +171,14 @@ def _check_seed(seed, error=DomainError) -> int:
     """A seed as an int in [0, MAX_SEED]: 128 bits, the size of the pool numpy's
     `SeedSequence` mixes every seed into, and short enough to print and serialize."""
     return _check_count(seed, "seed", error=error, most=MAX_SEED)
+
+
+def _check_array_bytes(shape: tuple, what: str):
+    """DomainError if a float array of `shape` would exceed `_MAX_ARRAY_BYTES`."""
+    size = 8 * math.prod(shape)
+    if size > _MAX_ARRAY_BYTES:
+        dims = " x ".join(map(_shown, shape))
+        raise DomainError(f"{what} of {dims} floats needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
 def _check_degree(n) -> int:
@@ -318,8 +335,10 @@ def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray):
 
 def _blocks(rows: int, n: int):
     """Yield slices covering range(n) in steps of `_BLOCK_BYTES // (8 * rows)`
-    points (at least 1), so a float table of `rows` rows over one fits."""
-    step = max(1, _BLOCK_BYTES // (8 * rows))
+    points (at least 1), so a float table of `rows` rows over one fits. A
+    lower `_MAX_ARRAY_BYTES` sets the step instead, so a kernel sum's
+    `eval_sequence` tables stay within the bound that it checks."""
+    step = max(1, min(_BLOCK_BYTES, _MAX_ARRAY_BYTES) // (8 * rows))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -373,8 +392,11 @@ def _table(lam: float, n_max: int, x: np.ndarray) -> np.ndarray:
 def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
     """Vector [P̃_0(x), ..., P̃_{n_max}(x)] from a single recurrence pass, filled
     in place (see `_table`): the working memory is the (n_max+1) × x.size
-    output and one scratch row."""
+    output and one scratch row. An output over `_MAX_ARRAY_BYTES` raises
+    DomainError before anything of x's size is allocated."""
     n_max = _check_degree(n_max)
+    x = _float_array(x, "argument")
+    _check_array_bytes((n_max + 1,) + x.shape, "a degree table")
     return _table(basis.lam, n_max, _check_argument(x))
 
 

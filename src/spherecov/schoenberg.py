@@ -28,6 +28,7 @@ from .gegenbauer import (
     GegenbauerBasis,
     _block_sum,
     _check_argument,
+    _check_array_bytes,
     _check_count,
     _check_degree,
     _check_lam,
@@ -53,9 +54,11 @@ INCONCLUSIVE = "Inconclusive"
 
 def _checked_weights(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     """(weights, total): `values` as `_frozen_floats` takes them, nonnegative,
-    with a finite, nonzero total. A negative entry is reported with its index
-    and value; an overflowing total is a DomainError, not a numpy warning."""
-    arr = _frozen_floats(values, ndim, name)
+    with a finite, nonzero total. A caller's read-only array is copied too
+    (`private`), so no one can edit the weights once they are checked. A
+    negative entry is reported with its index and value; an overflowing
+    total is a DomainError, not a numpy warning."""
+    arr = _frozen_floats(values, ndim, name, private=True)
     flat = arr.reshape(-1)
     bad = np.flatnonzero(flat < 0)
     if bad.size:
@@ -166,13 +169,15 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
 
 def kernel_eval(seq: SchoenbergSequence, x):
     """k(x) = c · Σ_n a_n P̃_n(x), summed by `_block_sum` over the rows of one
-    `eval_sequence` table per block, each term a_n P̃_n made in one reused
-    buffer. Scalar in, float out; an array gives an array of its shape."""
+    `eval_sequence` table per block. Each term a_n P̃_n is made in the table
+    itself, by one multiply of the whole table by the column of a_n, and the
+    rows are then added in degree order: N + 2 ufunc calls per block. Scalar
+    in, float out; an array gives an array of its shape."""
+    coeffs = seq.coeffs[:, None]
 
     def terms(block):
         table = eval_sequence(seq.basis, seq.truncation, block)
-        term = np.empty(block.size)
-        return (np.multiply(a_n, row, out=term) for a_n, row in zip(seq.coeffs, table))
+        return np.multiply(table, coeffs, out=table)
 
     return _block_sum(seq.scale_c, seq.coeffs.size, terms, x)
 
@@ -248,7 +253,7 @@ def _default_quad_order(n_max: int) -> int:
 def _tail_mass(ahat: np.ndarray) -> float:
     """Σ|â_n| over n > n_max/2 of â_0..â_n_max: mass the truncation has barely resolved."""
     n_max = ahat.size - 1
-    return float(np.sum(np.abs(ahat[np.arange(ahat.size) > n_max / 2])))
+    return float(np.sum(np.abs(ahat[n_max // 2 + 1 :])))
 
 
 def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> np.ndarray:
@@ -337,15 +342,16 @@ def certify(
     table that `recover_coefficients` caches when it is one chunk: repeated
     calls with the same basis and n_max <= 127 (at most 256 KiB) skip the
     recurrence and project onto all degrees in one `np.vecdot`. Each trial's
-    Gram matrix is built exactly symmetric and read-only, so `min_eigenvalue`
-    takes it without a copy and checks its symmetry with one comparison.
-    Each trial's cosines are cached by (d, 25, trial seed), the last 64 (about
-    170 KB), so a repeated seed skips drawing the points but still calls g on
-    every trial. Both caches live in the process: a fresh CLI process gains
-    nothing from them.
+    Gram matrix is one gather of g's values through a cached index map, so it
+    is exactly symmetric by construction, and g's values were checked finite:
+    it goes to `np.linalg.eigvalsh` directly, without the checks that
+    `min_eigenvalue` runs on a caller's matrix. Each trial's cosines are
+    cached by (d, 25, trial seed), the last 64 (about 170 KB), so a repeated
+    seed skips drawing the points but still calls g on every trial. These
+    caches live in the process: a fresh CLI process gains nothing from them.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _check_array_bytes, _mirror_rows, _trial_arguments, min_eigenvalue
+    from .fields import _trial_arguments, _trial_index
 
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
@@ -384,7 +390,7 @@ def certify(
         return _certificate(NOT_PD, None, {"kind": "coefficient", "index": i_min, "value": a_min})
 
     n = CERTIFY_GRAM_POINTS
-    rows = slice(0, n)
+    index = _trial_index(n)
     trial_seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
@@ -392,10 +398,7 @@ def certify(
         values, batched = _evaluate(g, _trial_arguments(basis.dimension, n, trial_seed))
         vectorized = vectorized and batched
         evaluations += values.size
-        entries = np.empty((n, n))
-        _mirror_rows(entries, rows, values)
-        entries.setflags(write=False)  # so GramMatrix keeps it without a copy
-        eig = min_eigenvalue(entries)
+        eig = float(np.linalg.eigvalsh(values[index])[0])
         min_eig = min(min_eig, eig)
         if eig < -eig_tol:
             witness = {

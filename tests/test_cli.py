@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import PchipInterpolator
 
 from helpers import cli_env, run_cli
-from spherecov import GegenbauerBasis, cli, fields, multiquadric_kernel, multiquadric_sequence
+from spherecov import GegenbauerBasis, cli, gegenbauer, multiquadric_kernel, multiquadric_sequence
 from spherecov.cli import main
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
@@ -771,7 +771,7 @@ class TestSpectralGoldenBytes:
 
 
 class TestMemoryBound:
-    """A request whose output alone would exceed `fields._MAX_ARRAY_BYTES`
+    """A request whose output alone would exceed `gegenbauer._MAX_ARRAY_BYTES`
     exits 3 before it allocates. The bound is patched down to 16 KiB or
     1 MiB and there are at most 1000 points, so a missing guard costs
     megabytes, not the machine's memory."""
@@ -786,7 +786,7 @@ class TestMemoryBound:
         ],
     )
     def test_exit_3_with_no_output(self, capsys, monkeypatch, spec_file, tmp_path, extra, bound, what):
-        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", bound)
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", bound)
         out_path = tmp_path / "field.csv"
         code, out, err = run(capsys, "simulate", spec_file(SPHERE_DEGREE_ONE), *extra, "--out", str(out_path))
         assert (code, out) == (3, "")
@@ -872,7 +872,7 @@ class TestSpecReadingExitsTwo:
 
 class TestEvalGrid:
     """`eval --grid` checks its table of grid**k rows against
-    `fields._MAX_ARRAY_BYTES` before it allocates anything (exit 3, as for
+    `gegenbauer._MAX_ARRAY_BYTES` before it allocates anything (exit 3, as for
     `simulate`), then writes one block of lines at a time."""
 
     @pytest.mark.parametrize(

@@ -1079,7 +1079,7 @@ class TestSpectralBlocks:
 
 
 class TestMemoryBound:
-    """Requests over `fields._MAX_ARRAY_BYTES` raise DomainError before they
+    """Requests over `gegenbauer._MAX_ARRAY_BYTES` raise DomainError before they
     allocate. The bound is patched down to 1 MiB and each request is a few
     MiB, so a missing guard costs megabytes, not the machine."""
 
@@ -1100,7 +1100,7 @@ class TestMemoryBound:
             "harmonics table": ("a harmonics table of 1681 x 100", lambda: sample_spectral_s2(deep, few, 1, 0)),
             "table alone": ("a harmonics table of 1681 x 100", lambda: real_spherical_harmonics(40, few)),
         }[case]
-        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", self.BOUND)
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", self.BOUND)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=f"^{what} floats needs [0-9]+ bytes, over the bound of {self.BOUND}$"):
@@ -1113,7 +1113,7 @@ class TestMemoryBound:
     def test_an_array_of_exactly_the_bound_is_allowed(self, monkeypatch):
         pts = uniform_sphere_points(2, 64, 3)
         seq = make_sequence([0.5, 0.5], LEGENDRE)
-        monkeypatch.setattr(fields, "_MAX_ARRAY_BYTES", 8 * 64 * 64)
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", 8 * 64 * 64)
         assert gram(seq, pts).size == 64
         with pytest.raises(DomainError):
             gram(seq, uniform_sphere_points(2, 65, 3))

@@ -19,6 +19,7 @@ from spherecov import (
     eval_normalized,
     eval_sequence,
     gaussian,
+    kernel_eval,
     make_ps_kernel,
     make_sequence,
     multiquadric_sequence,
@@ -147,6 +148,14 @@ class TestFrozenFloats:
         assert not np.shares_memory(out, arr)
         buffer[:8] = np.float64(5.0).tobytes()
         assert out[0, 0] == 0.0
+
+    def test_private_copies_a_read_only_owned_array_but_keeps_an_immutable_one(self):
+        arr = np.ones((2, 3))
+        arr.setflags(write=False)
+        out = _frozen_floats(arr, 2, "values", private=True)
+        assert not np.shares_memory(out, arr) and not out.flags.writeable
+        kept = gegenbauer._immutable(arr)
+        assert _frozen_floats(kept, 2, "values", private=True) is kept
 
     def test_a_later_write_to_the_input_does_not_reach_the_copy(self):
         arr = np.ones((2, 2))
@@ -759,6 +768,38 @@ def _reference_sequence(lam, n_max, x):
             before, last = last, (2.0 * (n + lam - 1.0) * x * last - (n - 1.0) * before) / (n + 2.0 * lam - 1.0)
         rows.append(last)
     return np.stack(rows)
+
+
+class TestTableBound:
+    """`eval_sequence` checks its table against `_MAX_ARRAY_BYTES` before it
+    allocates anything of the argument's size."""
+
+    def test_an_oversized_table_raises_before_allocating(self, monkeypatch):
+        x = np.linspace(-1.0, 1.0, 100_000)  # 800 KB; the table would be 7.45 GiB
+        message = "^a degree table of 10001 x 100000 floats needs 8000800000 bytes, over the bound of 1073741824$"
+        # Without the check the table builder would run; it fails the test instead of allocating.
+        monkeypatch.setattr(gegenbauer, "_table", lambda *args: pytest.fail("the table was built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                eval_sequence(GegenbauerBasis.from_dimension(2), 10_000, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_a_table_of_exactly_the_bound_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", 8 * 3 * 64)
+        assert eval_sequence(LEGENDRE, 2, np.zeros(64)).shape == (3, 64)
+        with pytest.raises(DomainError):
+            eval_sequence(LEGENDRE, 2, np.zeros(65))
+
+    def test_a_kernel_sum_keeps_its_blocks_within_a_lower_bound(self, monkeypatch):
+        seq = make_sequence([0.5, 0.3, 0.2], LEGENDRE)
+        x = np.linspace(-1.0, 1.0, 1000)
+        whole = kernel_eval(seq, x)
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", 8 * 3 * 64)
+        assert kernel_eval(seq, x).tobytes() == whole.tobytes()
 
 
 class TestInPlaceTable:

@@ -1,6 +1,7 @@
 """Schoenberg sequences: synthesis, recovery, certification, multiquadric."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -149,6 +150,36 @@ class TestOneWeightCheck:
         monkeypatch.setattr(schoenberg, "_checked_weights", lambda *args: calls.append(args) or checked(*args))
         make([0.5, 0.5], normalize)
         assert len(calls) == checks
+
+
+class TestPrivateWeights:
+    """A kernel keeps its own copy of a caller's read-only weight array: the
+    caller could make that array writeable again and edit checked weights."""
+
+    def test_the_caller_cannot_edit_checked_coefficients(self):
+        c = np.array([0.5, 0.5])
+        c.setflags(write=False)
+        seq = make_sequence(c, GegenbauerBasis.from_dimension(2))
+        c.setflags(write=True)
+        c[:] = [-2, -0.5]
+        assert kernel_eval(seq, 1.0) == 1.0
+
+    BUILDERS = {
+        "sphere": lambda w: SchoenbergSequence(coeffs=w, scale_c=1.0, basis=LEGENDRE),
+        "sphere_time": lambda w: SpaceTimeKernel(weights=w, charfns=(gaussian(1.0),) * 2, scale_c=1.0, basis=LEGENDRE),
+        "product": lambda w: ProductSphereKernel(coeff_matrix=w, scale_c=1.0, basis1=LEGENDRE, basis2=LEGENDRE),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_every_family_stores_a_read_only_copy(self, kind):
+        w = np.array([[0.25, 0.75]] if kind == "product" else [0.25, 0.75])
+        w.setflags(write=False)
+        kernel = self.BUILDERS[kind](w)
+        stored = getattr(kernel, kernel.WEIGHTS)
+        assert not np.shares_memory(stored, w) and not stored.flags.writeable
+        w.setflags(write=True)
+        w[...] = -1.0
+        assert stored.reshape(-1).tolist() == [0.25, 0.75]
 
 
 class TestKernelEval:
@@ -652,6 +683,120 @@ class TestTrialCache:
             certify(lambda x: x * x, LEGENDRE, n_max=4, gram_trials=1, seed=seed)
         info = fields._trial_arguments.cache_info()
         assert info.maxsize == 64 and info.misses == 100 and info.currsize <= 64
+
+
+def _reference_certificate(g, basis, n_max, gram_trials, seed):
+    """The certificate of `certify` with each Gram trial built the way it was
+    before the gather: `fields._mirror_rows` into an empty matrix, then
+    `min_eigenvalue` of a `GramMatrix`, with all of its checks."""
+    doc = certify(g, basis, n_max=n_max, gram_trials=0, seed=seed).to_dict()
+    doc["gram_trials"] = gram_trials
+    if doc["verdict"] == "NotPD":  # a coefficient witness: no trial runs
+        return doc
+    n = schoenberg.CERTIFY_GRAM_POINTS
+    seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
+    min_eig = math.inf
+    for trial in range(gram_trials):
+        values, batched = schoenberg._evaluate(g, fields._trial_arguments(basis.dimension, n, int(seeds[trial])))
+        if not batched:
+            doc["callback_path"] = "pointwise"
+        doc["evaluations"] += values.size
+        entries = np.empty((n, n))
+        fields._mirror_rows(entries, slice(0, n), values)
+        eig = fields.min_eigenvalue(fields.GramMatrix(entries=entries, provenance="reference"))
+        min_eig = min(min_eig, eig)
+        if eig < -doc["eig_tol"]:
+            witness = {"kind": "eigenvalue", "gram_size": n, "eigenvalue": eig, "seed": int(seeds[trial]), "trial": trial}
+            doc.update(verdict="NotPD", min_gram_eigenvalue=eig, witness=witness)
+            return doc
+    doc["min_gram_eigenvalue"] = min_eig if gram_trials else None
+    return doc
+
+
+class TestTrialGather:
+    """Each Gram trial is `values[fields._trial_index(25)]`, handed to
+    `eigvalsh` unchecked; its certificates equal those of the mirrored,
+    checked route kept in `_reference_certificate`."""
+
+    CALLBACKS = {
+        "vector": lambda basis, amp: lambda x: kernel_eval(make_sequence([0.5, 0.3, 0.2], basis), x),
+        "pointwise": lambda basis, amp: _scalar_only(lambda x: math.exp(x - 1.0)),
+        # Coefficients up to n_max = 10 are those of the constant 1; only the
+        # Gram trials can see the degree-11 term, indefinite for a large amp.
+        "indefinite": lambda basis, amp: lambda x: 1.0 - amp * eval_normalized(basis, 11, x),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        trials=st.integers(0, 6),
+        kind=st.sampled_from(sorted(CALLBACKS)),
+        amp=st.floats(0.0, 2.0),
+        seed=st.integers(0, gegenbauer.MAX_SEED),
+    )
+    def test_certificate_equals_the_mirrored_route(self, d, trials, kind, amp, seed):
+        basis = GegenbauerBasis.from_dimension(d)
+        g = self.CALLBACKS[kind](basis, amp)
+        got = json.dumps(certify(g, basis, n_max=10, gram_trials=trials, seed=seed).to_dict())
+        assert got == json.dumps(_reference_certificate(g, basis, 10, trials, seed))
+
+    def test_the_indefinite_callback_reaches_an_eigenvalue_witness(self):
+        g = self.CALLBACKS["indefinite"](LEGENDRE, 2.0)
+        cert = certify(g, LEGENDRE, n_max=10, seed=0)
+        assert (cert.verdict, cert.witness["kind"]) == ("NotPD", "eigenvalue")
+        assert cert.to_dict() == _reference_certificate(g, LEGENDRE, 10, 5, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    def test_the_gather_is_the_mirrored_matrix(self, n):
+        values = np.random.default_rng(n).standard_normal(n * (n + 1) // 2)
+        mirrored = np.empty((n, n))
+        fields._mirror_rows(mirrored, slice(0, n), values)
+        gathered = values[fields._trial_index(n)]
+        assert gathered.tobytes() == mirrored.tobytes() and (gathered == gathered.T).all()
+
+    def test_the_index_is_cached_and_cannot_be_made_writeable(self):
+        index = fields._trial_index(25)
+        assert fields._trial_index(25) is index and not index.flags.writeable
+        with pytest.raises(ValueError):
+            index.setflags(write=True)
+
+    def test_a_nan_on_a_trial_raises_evaluation_error(self):
+        def g(x):
+            values = np.exp(x - 1.0)
+            if x.size == 325:  # a trial's cosines, not the 64 quadrature nodes
+                values[7] = math.nan
+            return values
+
+        with pytest.raises(EvaluationError, match="non-finite function value") as info:
+            certify(g, LEGENDRE, n_max=10, seed=0)
+        seed = int(np.random.SeedSequence(0).generate_state(1)[0])
+        assert info.value.point == float(fields._trial_arguments(2, 25, seed)[7])
+
+
+class TestCertifyGoldenBytes:
+    """The certificates of a fixed grid, one JSON document per line, pinned by
+    sha256: d in {1, 2, 3}, n_max in {10, 40}, a `kernel_eval` callback (PD),
+    a scalar-only `math.exp` callback (pointwise) and an indefinite one (an
+    eigenvalue witness), all at seed 7. Recorded with OpenBLAS 0.3.31 on
+    x86-64, 1 and 2 threads alike; a change that moves one bit of a coefficient, an eigenvalue or a
+    witness changes the hash."""
+
+    CALLBACKS = {
+        "vector": lambda basis: lambda x: kernel_eval(make_sequence([0.4, 0.3, 0.2, 0.1], basis), x),
+        "scalar": lambda basis: _scalar_only(lambda x: math.exp(x - 1.0)),
+        "indefinite": lambda basis: lambda x: -eval_normalized(basis, 50, x),
+    }
+    SHA256 = "aedd96f79b3a0a9e8d688001b7a5683f0886523f22cdd09b1d05b8a8a084fd29"
+
+    def test_certificates(self):
+        lines = []
+        for d in (1, 2, 3):
+            basis = GegenbauerBasis.from_dimension(d)
+            for n_max in (10, 40):
+                for kind in sorted(self.CALLBACKS):
+                    cert = certify(self.CALLBACKS[kind](basis), basis, n_max=n_max, seed=7)
+                    lines.append(json.dumps(cert.to_dict()))
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == self.SHA256
 
 
 @st.composite

@@ -15,12 +15,14 @@ is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
 `_step` is that formula and `_fill` the one loop that runs it, into a
 caller's buffer of rows, so every table and chunk of rows has the same bits.
 
-Gauss nodes for λ > 0 are found with numpy alone (the package does not use
-scipy): Newton's method on the recurrence from asymptotic guesses, each root
-proven alone in its own interval by Sturm counts of the zero-diagonal
-Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub & Welsch 1969), and
-bisection on those counts for any root the fast path cannot prove. Both run
-on the ratios of consecutive polynomials, so no value under- or overflows.
+Gauss nodes are found with numpy alone (the package does not use scipy). At
+λ = 0 and λ = 1 they are the closed-form roots of the Chebyshev polynomials
+T_N and U_N. Every other λ uses Newton's method on the recurrence from
+asymptotic guesses, each root proven alone in its own interval by Sturm
+counts of the zero-diagonal Jacobi matrix (Barth, Martin & Wilkinson 1967;
+Golub & Welsch 1969), and bisection on those counts for any root the fast
+path cannot prove. Both run on the ratios of consecutive polynomials, so no
+value under- or overflows.
 The weights are Christoffel numbers from the recurrence above, which are
 more accurate than the Golub–Welsch eigenvector weights at high order. The
 weights and the Sturm counts fill chunks of recurrence rows of at most
@@ -243,7 +245,8 @@ class QuadratureRule:
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
     `bisected` is the node route: how many of the positive nodes the Newton
     fast path could not prove and bisection found instead, an int (0 for
-    every rule up to λ = 10.5 and for the closed-form Chebyshev rule).
+    every rule up to λ = 10.5 and for the closed-form Chebyshev rules, λ = 0
+    and λ = 1).
     """
 
     nodes: np.ndarray
@@ -611,7 +614,13 @@ def _bisect(betas: list, above: np.ndarray) -> np.ndarray:
 
 def _positive_roots(lam: float, order: int) -> tuple[np.ndarray, int]:
     """The order // 2 positive roots of P̃_order, ascending, and how many of them
-    the fast path could not prove and bisection found instead."""
+    the fast path could not prove and bisection found instead.
+
+    At λ = 1, P̃_N is U_N/(N+1), whose roots are cos(kπ/(N+1)) (Abramowitz &
+    Stegun 25.4.40); they are taken as sin((N+1−2k)π/(2(N+1))), the same angle
+    measured from π/2, so small roots keep full relative accuracy."""
+    if lam == 1.0:
+        return np.sin(np.arange(order % 2 + 1, order, 2) * (np.pi / (2 * (order + 1)))), 0
     betas = _monic_betas(lam, order)
     with np.errstate(all="ignore"):
         x, proven = _newton_roots(lam, order, betas)
@@ -642,20 +651,22 @@ def _check_rule_range(lam: float, order: int) -> None:
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
-    For λ > 0 the nodes come from numpy alone, without scipy: Newton's
-    method on the recurrence from asymptotic guesses, each root proven alone
-    in its own interval by Sturm counts, with bisection on Sturm counts for
-    any root the fast path cannot prove (some, from λ = 11 on); the rule's
+    The nodes come from numpy alone, without scipy. λ = 0 uses the
+    closed-form Chebyshev rule, and at λ = 1 the nodes are the closed-form
+    roots cos(kπ/(N+1)) of U_N. Every other λ uses Newton's method on the
+    recurrence from asymptotic guesses, each root proven alone in its own
+    interval by Sturm counts, with bisection on Sturm counts for any root
+    the fast path cannot prove (some, from λ = 11 on); the rule's
     `bisected` says how many. The weights are Christoffel numbers
     1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes
     and mirrored. The Sturm counts and the weights fill chunks of recurrence
     rows and reduce each chunk at once, so the working memory is a few
     vectors of length order plus one chunk of at most `_CHUNK_BYTES`
-    (256 KiB). λ = 0 uses the closed-form Chebyshev rule. The nodes are
-    symmetrized about 0, so the weights are symmetric too. The tests check
-    orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise
-    DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
-    would overflow the Christoffel sums (λ = 200 from order 665 on).
+    (256 KiB). The nodes are symmetrized about 0, so the weights are
+    symmetric too. The tests check orders up to 1024; orders above
+    2·MAX_DEGREE + 2 = 20002 raise DomainError, and so do λ > 1e4 and an
+    order whose smallest norm h_{N−1} would overflow the Christoffel sums
+    (λ = 200 from order 665 on).
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same rule object; λ and the order are checked first. Its nodes and

@@ -619,6 +619,37 @@ class TestGaussNodes:
                 quadrature(lam, order + 1)
 
 
+class TestChebyshevURoots:
+    """At λ = 1 the nodes are the closed-form roots cos(kπ/(N+1)) of U_N; no
+    Newton or Sturm pass runs."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 1024])
+    def test_nodes_are_the_closed_form_roots(self, order):
+        rule = quadrature(1.0, order)
+        expected = np.cos(np.arange(order, 0, -1) * np.pi / (order + 1))
+        assert_allclose(rule.nodes, expected, rtol=0, atol=1e-15)
+        # Exactly antisymmetric; + 0.0 turns the mirrored middle node -0.0 into 0.0.
+        assert rule.nodes.tobytes() == (-rule.nodes[::-1] + 0.0).tobytes()
+        assert rule.bisected == 0
+
+    def test_no_recurrence_ratio_runs(self):
+        with mock.patch.object(gegenbauer, "_ratio", side_effect=AssertionError("a Newton or Sturm pass ran")):
+            rule = quadrature.__wrapped__(1.0, 1024)
+        assert rule.order == 1024 and rule.bisected == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(1, 400))
+    @example(order=1)
+    @example(order=400)
+    def test_closed_form_agrees_with_the_newton_path(self, order):
+        with np.errstate(all="ignore"):
+            newton, proven = gegenbauer._newton_roots(1.0, order, gegenbauer._monic_betas(1.0, order))
+        roots, bisected = gegenbauer._positive_roots(1.0, order)
+        assert proven.all() and bisected == 0
+        assert roots.shape == (order // 2,)
+        assert_allclose(roots, newton, rtol=0, atol=2.0**-51)
+
+
 class TestQuadratureCache:
     def test_repeated_call_returns_same_rule(self):
         assert quadrature(1.5, 33) is quadrature(1.5, 33)

@@ -775,28 +775,36 @@ class TestTrialGather:
 
 class TestCertifyGoldenBytes:
     """The certificates of a fixed grid, one JSON document per line, pinned by
-    sha256: d in {1, 2, 3}, n_max in {10, 40}, a `kernel_eval` callback (PD),
-    a scalar-only `math.exp` callback (pointwise) and an indefinite one (an
-    eigenvalue witness), all at seed 7. Recorded with OpenBLAS 0.3.31 on
-    x86-64, 1 and 2 threads alike; a change that moves one bit of a coefficient, an eigenvalue or a
-    witness changes the hash."""
+    one sha256 per dimension: d in {1, 2, 3}, n_max in {10, 40}, a
+    `kernel_eval` callback (PD), a scalar-only `math.exp` callback (pointwise)
+    and an indefinite one (an eigenvalue witness), all at seed 7. Recorded
+    with OpenBLAS 0.3.31 on x86-64, 1 and 2 threads alike; a change that moves
+    one bit of a coefficient, an eigenvalue or a witness changes the hash of
+    its dimension, so a change to one Gauss rule family shows which d it
+    moved."""
 
     CALLBACKS = {
         "vector": lambda basis: lambda x: kernel_eval(make_sequence([0.4, 0.3, 0.2, 0.1], basis), x),
         "scalar": lambda basis: _scalar_only(lambda x: math.exp(x - 1.0)),
         "indefinite": lambda basis: lambda x: -eval_normalized(basis, 50, x),
     }
-    SHA256 = "aedd96f79b3a0a9e8d688001b7a5683f0886523f22cdd09b1d05b8a8a084fd29"
+    SHA256 = {
+        1: "85d1d358fb463ce81ae6c95ec34e89138b0397328cb0e551b9432b3396a730a1",
+        2: "9558fe8f970a85023161d9870693e89e9facb7fb8583d31722e085cfb1cb8f05",
+        3: "f0064f6b5ce4f00443eb430018ba44c8ceded1c8baf652349906ce3b4db68918",
+    }
 
     def test_certificates(self):
-        lines = []
+        hashes = {}
         for d in (1, 2, 3):
             basis = GegenbauerBasis.from_dimension(d)
+            lines = []
             for n_max in (10, 40):
                 for kind in sorted(self.CALLBACKS):
                     cert = certify(self.CALLBACKS[kind](basis), basis, n_max=n_max, seed=7)
                     lines.append(json.dumps(cert.to_dict()))
-        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == self.SHA256
+            hashes[d] = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert hashes == self.SHA256
 
 
 @st.composite
@@ -876,6 +884,14 @@ class TestMultiquadric:
         seq = multiquadric_sequence(delta, LEGENDRE, 60)
         ahat = recover_coefficients(lambda x: kernel_eval(seq, x), LEGENDRE, 20, 64)
         assert_allclose(ahat, seq.coeffs[:21], atol=1e-10)
+
+    @pytest.mark.parametrize("order", [512, 1024])
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    def test_closed_form_recovery_on_the_three_sphere(self, delta, order):
+        # The closed-form λ = 1 Gauss rule against the generating function.
+        seq = multiquadric_sequence(delta, LAMBDA_ONE, 64)
+        ahat = recover_coefficients(lambda x: multiquadric_kernel(delta, 1.0, x), LAMBDA_ONE, 64, order)
+        assert_allclose(ahat, seq.coeffs * seq.scale_c, rtol=0, atol=1e-13)
 
     def test_rejects_delta_outside_unit_interval(self):
         for bad in (0.0, 1.0, -0.2, 1.3):

@@ -17,12 +17,12 @@ caller's buffer of rows, so every table and chunk of rows has the same bits.
 
 Gauss nodes are found with numpy alone (the package does not use scipy). At
 λ = 0 and λ = 1 they are the closed-form roots of the Chebyshev polynomials
-T_N and U_N. Every other λ uses Newton's method on the recurrence from
-asymptotic guesses, each root proven alone in its own interval by Sturm
-counts of the zero-diagonal Jacobi matrix (Barth, Martin & Wilkinson 1967;
-Golub & Welsch 1969), and bisection on those counts for any root the fast
-path cannot prove. Both run on the ratios of consecutive polynomials, so no
-value under- or overflows.
+T_N and U_N. Every other λ uses rounds of Newton passes on the recurrence
+from asymptotic guesses, each round ending in one pass of Sturm counts of
+the zero-diagonal Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub &
+Welsch 1969) that proves each root alone in its own interval and brackets
+the rest, which restart inside their brackets. Both passes run on the ratios
+of consecutive polynomials, so no value under- or overflows.
 The weights are Christoffel numbers from the recurrence above, which are
 more accurate than the Golub–Welsch eigenvector weights at high order. The
 weights and the Sturm counts fill chunks of recurrence rows of at most
@@ -64,7 +64,7 @@ _MAX_ARRAY_BYTES = 2**30
 # keeps 16, so that cache never holds more than 4 MiB.
 _CHUNK_BYTES = 256 * 2**10
 
-# Newton passes over the recurrence before the fast path gives up on a root.
+# Most Newton passes over the recurrence in one round of `_newton_roots`.
 _NEWTON_STEPS = 8
 
 # Largest λ with a Gauss rule: the log-gamma form of h_n cancels to an absolute
@@ -243,10 +243,9 @@ class QuadratureRule:
 
     `nodes` and `weights` are stored read-only (see `_frozen_floats`), `lam`
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
-    `bisected` is the node route: how many of the positive nodes the Newton
-    fast path could not prove and bisection found instead, an int (0 for
-    every rule up to λ = 10.5 and for the closed-form Chebyshev rules, λ = 0
-    and λ = 1).
+    `bisected` is the node route: how many of the positive nodes the first
+    Newton–Sturm round could not prove, an int (0 for every rule up to
+    λ = 10.5 and for the closed-form Chebyshev rules, λ = 0 and λ = 1).
     """
 
     nodes: np.ndarray
@@ -558,76 +557,77 @@ def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.n
 
 
 def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.ndarray]:
-    """The fast path: the order // 2 positive roots of P̃_order, ascending, by
-    Newton's method from x_k = cos θ_k, and for each root whether it is proven.
+    """The order // 2 positive roots of P̃_order, ascending, by Newton's method
+    from x_k = cos θ_k, and for each root whether the first round proved it.
 
     θ_k = φ_k + λ(1−λ)·cot φ_k / (2(N+λ)²) with φ_k = (k + λ/2 − 1/2)π/(N+λ):
     the Jacobi-root asymptotics of Gatteschi & Pittaluga (1985) for
     α = β = λ − 1/2, to their first correction term. Without that term Newton
     needs one more pass at λ <= 2.5 and misses roots from λ = 5 on; with it,
-    it proves every root up to λ = 10.5; from λ = 11 on it misses some (3 at
-    λ = 20, about half at λ = 200, all from λ = 1000).
+    the first round proves every root up to λ = 10.5; from λ = 11 on it misses
+    some (3 at λ = 20, about half at λ = 200, all from λ = 1000).
 
     A Newton step is P̃_N/P̃_N′ = (1−x²)·r / (N(1 − x·r)) with r = P̃_N/P̃_{N−1},
-    from (1−x²)P̃_N′ = N(P̃_{N−1} − x·P̃_N). An iterate has converged when its last
-    step is below 1e-8 of the gap to its nearest neighbour. It is proven when it
-    has converged and the Sturm counts at the midpoints on either side of it
-    show exactly one root between them: its own."""
+    from (1−x²)P̃_N′ = N(P̃_{N−1} − x·P̃_N). Each round runs up to `_NEWTON_STEPS`
+    Newton passes over the unproven roots and one Sturm pass at the midpoints
+    between the iterates and at the last restart points. An iterate has
+    converged when its last step is below 1e-8 of the gap to its nearest
+    neighbour, and is proven when the counts at the midpoints on either side
+    also show exactly one root between them: its own. The counts bracket every
+    root (a point with c roots above it lies at or above all but the c largest);
+    unproven roots restart evenly spaced in the bracket they share, which the
+    next counts at least halve, and end once it is two adjacent floats."""
     m = order // 2
     phi = (np.arange(m, 0, -1) + 0.5 * lam - 0.5) * (np.pi / (order + lam))
     x = np.cos(phi + lam * (1.0 - lam) / (2.0 * (order + lam) ** 2 * np.tan(phi)))
     if m == 0:
         return x, np.ones(0, dtype=bool)
     a = (order + lam - 1.0) / (0.5 * order + lam - 0.5)  # P̃_N/P̃_{N−1} = a·p_N/p_{N−1}
-    for _ in range(_NEWTON_STEPS):
-        step = (1.0 - x * x) / (order * (1.0 / (a * _ratio(betas, x)) - x))
-        x = x - step
-        lowest = 0.0 if order % 2 else -x[0]  # the node below x_1: 0, or the mirror of x_1
-        gaps = np.diff(np.concatenate(([lowest], x, [1.0])))
-        converged = np.abs(step) < 1e-8 * np.minimum(gaps[:-1], gaps[1:])
-        if converged.all():
-            break
-    counts = np.zeros(m - 1, dtype=np.int64)
-    _ratio(betas, 0.5 * (x[1:] + x[:-1]), counts)
-    alone = counts == np.arange(m - 1, 0, -1)
-    return x, converged & np.concatenate(([True], alone)) & np.concatenate((alone, [True]))
-
-
-def _bisect(betas: list, above: np.ndarray) -> np.ndarray:
-    """The fallback: for each entry of `above`, the root of P̃_N in (0, 1) with
-    exactly that many roots at or above it, by bisection on Sturm counts,
-    vectorized over the roots, until each bracket is two adjacent floats."""
-    lo, hi = np.zeros(above.size), np.ones(above.size)
-    active = np.arange(above.size)
-    while True:
-        mid = 0.5 * (lo[active] + hi[active])
-        split = (lo[active] < mid) & (mid < hi[active])
-        active, mid = active[split], mid[split]
-        if not active.size:
-            return 0.5 * (lo + hi)
-        counts = np.zeros(active.size, dtype=np.int64)
-        _ratio(betas, mid, counts)
-        under = counts >= above[active]  # the root lies above mid
-        lo[active[under]] = mid[under]
-        hi[active[~under]] = mid[~under]
+    lo, hi = np.zeros(m + 1), np.ones(m + 1)  # root k lies in (lo[k], hi[k + 1]]
+    active, restart, first = np.arange(m), np.empty(0), None
+    while active.size:
+        for _ in range(_NEWTON_STEPS):
+            y = x[active]
+            step = (1.0 - y * y) / (order * (1.0 / (a * _ratio(betas, y)) - y))
+            x[active] = y - step
+            lowest = 0.0 if order % 2 else -x[0]  # the node below x_1: 0, or the mirror of x_1
+            gaps = np.diff(np.concatenate(([lowest], x, [1.0])))
+            converged = np.abs(step) < 1e-8 * np.minimum(gaps[:-1], gaps[1:])[active]
+            if converged.all():
+                break
+        points = np.concatenate((0.5 * (x[1:] + x[:-1]), restart))
+        counts = np.zeros(points.size, dtype=np.int64)
+        _ratio(betas, points, counts)
+        alone = counts[: m - 1] == np.arange(m - 1, 0, -1)
+        proven = converged & (np.concatenate(([True], alone)) & np.concatenate((alone, [True])))[active]
+        first = proven if first is None else first
+        above = np.maximum(m - counts, 0)  # the lowest root above each point; one below 0 counts over m
+        np.fmax.at(lo, above, points)
+        np.fmin.at(hi, above, points)
+        np.maximum.accumulate(lo, out=lo)
+        np.minimum.accumulate(hi[::-1], out=hi[::-1])
+        active = active[~proven]
+        low = np.searchsorted(lo[:m], lo[active])  # the lowest root in each bracket
+        share = np.searchsorted(hi[1:], hi[active + 1], "right") - low  # and how many it holds
+        restart = lo[active] + (hi[active + 1] - lo[active]) * ((active - low + 1) / (share + 1))
+        x[active] = restart
+        split = (lo[active] < restart) & (restart < hi[active + 1])
+        active, restart = active[split], restart[split]
+    return x, first
 
 
 def _positive_roots(lam: float, order: int) -> tuple[np.ndarray, int]:
     """The order // 2 positive roots of P̃_order, ascending, and how many of them
-    the fast path could not prove and bisection found instead.
+    the first round of `_newton_roots` could not prove.
 
     At λ = 1, P̃_N is U_N/(N+1), whose roots are cos(kπ/(N+1)) (Abramowitz &
     Stegun 25.4.40); they are taken as sin((N+1−2k)π/(2(N+1))), the same angle
     measured from π/2, so small roots keep full relative accuracy."""
     if lam == 1.0:
         return np.sin(np.arange(order % 2 + 1, order, 2) * (np.pi / (2 * (order + 1)))), 0
-    betas = _monic_betas(lam, order)
     with np.errstate(all="ignore"):
-        x, proven = _newton_roots(lam, order, betas)
-        failed = np.flatnonzero(~proven)
-        if failed.size:
-            x[failed] = _bisect(betas, order // 2 - failed)
-    return x, int(failed.size)
+        x, proven = _newton_roots(lam, order, _monic_betas(lam, order))
+    return x, int(np.count_nonzero(~proven))
 
 
 def _check_rule_range(lam: float, order: int) -> None:
@@ -651,22 +651,21 @@ def _check_rule_range(lam: float, order: int) -> None:
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
-    The nodes come from numpy alone, without scipy. λ = 0 uses the
-    closed-form Chebyshev rule, and at λ = 1 the nodes are the closed-form
-    roots cos(kπ/(N+1)) of U_N. Every other λ uses Newton's method on the
-    recurrence from asymptotic guesses, each root proven alone in its own
-    interval by Sturm counts, with bisection on Sturm counts for any root
-    the fast path cannot prove (some, from λ = 11 on); the rule's
-    `bisected` says how many. The weights are Christoffel numbers
-    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes
-    and mirrored. The Sturm counts and the weights fill chunks of recurrence
-    rows and reduce each chunk at once, so the working memory is a few
-    vectors of length order plus one chunk of at most `_CHUNK_BYTES`
-    (256 KiB). The nodes are symmetrized about 0, so the weights are
-    symmetric too. The tests check orders up to 1024; orders above
-    2·MAX_DEGREE + 2 = 20002 raise DomainError, and so do λ > 1e4 and an
-    order whose smallest norm h_{N−1} would overflow the Christoffel sums
-    (λ = 200 from order 665 on).
+    The nodes come from numpy alone, without scipy. λ = 0 uses the closed-form
+    Chebyshev rule, and at λ = 1 the nodes are the closed-form roots
+    cos(kπ/(N+1)) of U_N. Every other λ uses rounds of Newton passes on the
+    recurrence from asymptotic guesses, each ending in one pass of Sturm counts
+    that proves each root alone in its own interval and restarts the rest
+    inside their brackets (from λ = 11 on the first round misses some; the
+    rule's `bisected` says how many). The weights are Christoffel numbers
+    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes and
+    mirrored. The Sturm counts and the weights fill chunks of recurrence rows
+    and reduce each chunk at once, so the working memory is a few vectors of
+    length order plus one chunk of at most `_CHUNK_BYTES` (256 KiB). The nodes
+    are symmetrized about 0, so the weights are symmetric too. The tests check
+    orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise DomainError,
+    and so do λ > 1e4 and an order whose smallest norm h_{N−1} would overflow
+    the Christoffel sums (λ = 200 from order 665 on).
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same rule object; λ and the order are checked first. Its nodes and

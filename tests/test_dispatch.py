@@ -13,7 +13,9 @@ checked by gegenbauer's `_check_real`, and only the owners named in
 `REAL_CHECK_OWNERS` test a float for finiteness or a value for realness.
 Every `functools.lru_cache` has an explicit int `maxsize`, so no cache in the
 package grows without bound. Only gegenbauer's `_fill` runs the recurrence
-step `_step`, so every degree table comes from one loop."""
+step `_step`, so every degree table comes from one loop, and only its
+`_newton_roots` runs the ratio recurrence `_ratio`, so every Gauss root that
+is not in closed form comes from one loop too."""
 
 import ast
 import inspect
@@ -434,16 +436,16 @@ def test_guard_flags_unbounded_caches():
     assert _unbounded_caches(source) == [5, 7, 9, 11, 13, 17, 19]
 
 
-def _step_uses(source):
-    """(enclosing function, line) of each use of the name `_step` other than its
+def _uses(source, name):
+    """(enclosing function, line) of each use of `name` other than its
     definition, bare or as an attribute: a call, or an alias that could call it."""
     uses = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Name) and node.id == "_step") or (
-            isinstance(node, ast.Attribute) and node.attr == "_step"
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
         ):
             uses.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -457,7 +459,7 @@ def test_one_loop_runs_the_recurrence_step():
     sites = [
         (path.name, owner)
         for path in sorted(PACKAGE.glob("*.py"))
-        for owner, _ in _step_uses(path.read_text(encoding="utf-8"))
+        for owner, _ in _uses(path.read_text(encoding="utf-8"), "_step")
     ]
     assert sites == [("gegenbauer.py", "_fill")]
 
@@ -473,7 +475,31 @@ def test_guard_flags_a_second_recurrence_loop():
         "        gegenbauer._step(lam, n, x, x, x, x, x)\n"
         "step = _step\n"
     )
-    assert _step_uses(source) == [("_fill", 4), ("_table", 7), ("", 8)]
+    assert _uses(source, "_step") == [("_fill", 4), ("_table", 7), ("", 8)]
+
+
+def test_one_loop_finds_the_gauss_roots():
+    source = (PACKAGE / "gegenbauer.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert "_bisect" not in defined and "_newton_roots" in defined
+    callers = {
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, _ in _uses(path.read_text(encoding="utf-8"), "_ratio")
+    }
+    assert callers == {("gegenbauer.py", "_newton_roots")}
+
+
+def test_guard_flags_a_second_root_route():
+    source = (
+        "def _ratio(betas, x, counts=None):\n"
+        "    return x\n"
+        "def _newton_roots(lam, order, betas):\n"
+        "    _ratio(betas, x)\n"
+        "def _bisect(betas, above):\n"
+        "    gegenbauer._ratio(betas, above, counts)\n"
+    )
+    assert _uses(source, "_ratio") == [("_newton_roots", 4), ("_bisect", 6)]
 
 
 class TestKernelProtocol:

@@ -1,5 +1,6 @@
 """Gegenbauer evaluation and quadrature against closed-form oracles."""
 
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -437,7 +438,7 @@ class TestQuadrature:
 
     def test_weight_memory_is_linear_in_order(self):
         # An order x order recurrence table and its square would take 137 MiB here.
-        # The Newton, Sturm and bisection passes hold a few vectors of length
+        # The rounds of Newton and Sturm passes hold a few vectors of length
         # order; a dense order x order Jacobi matrix would take 69 MiB here.
         build = quadrature.__wrapped__
         build(0.5, 4)  # one-time first-call costs stay outside the measurement
@@ -516,9 +517,44 @@ def _mp_node_and_weight(lam, order, x0):
     return x, norm / (d_last * before)
 
 
+def _reference_bisection(betas, above):
+    """For each entry of `above`, the root of P̃_N in (0, 1) with exactly that
+    many roots at or above it: bisection from (0, 1) on the Sturm counts of
+    `gegenbauer._ratio`, vectorized over the roots, until each bracket is two
+    adjacent floats. Run it under `np.errstate(all="ignore")`."""
+    lo, hi = np.zeros(above.size), np.ones(above.size)
+    active = np.arange(above.size)
+    while True:
+        mid = 0.5 * (lo[active] + hi[active])
+        split = (lo[active] < mid) & (mid < hi[active])
+        active, mid = active[split], mid[split]
+        if not active.size:
+            return 0.5 * (lo + hi)
+        counts = np.zeros(active.size, dtype=np.int64)
+        gegenbauer._ratio(betas, mid, counts)
+        under = counts >= above[active]  # the root lies above mid
+        lo[active[under]] = mid[under]
+        hi[active[~under]] = mid[~under]
+
+
+def _counted_build(lam, order):
+    """`quadrature.__wrapped__(lam, order)` and its (Newton, Sturm) pass counts:
+    the `_ratio` calls without and with Sturm counts."""
+    passes = [0, 0]
+    ratio = gegenbauer._ratio
+
+    def spy(betas, x, counts=None):
+        passes[counts is not None] += 1
+        return ratio(betas, x, counts)
+
+    with mock.patch.object(gegenbauer, "_ratio", spy):
+        return quadrature.__wrapped__(lam, order), tuple(passes)
+
+
 class TestGaussNodes:
-    """The numpy node finder: Newton from asymptotic guesses, each root proven
-    alone by Sturm counts, bisection on Sturm counts for the rest."""
+    """The numpy node finder: rounds of Newton passes from asymptotic guesses,
+    each ending in a Sturm pass that proves each root alone and brackets the
+    rest, checked against plain bisection on Sturm counts."""
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5, 5.0, 20.0])
     def test_no_further_from_mpmath_than_scipy(self, lam):
@@ -538,19 +574,22 @@ class TestGaussNodes:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        lam=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 5.0, 7.5, 12.0, 20.0, 40.0]),
+        lam=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 5.0, 7.5, 12.0, 20.0, 40.0, 200.0, 1e3, 1e4]),
         order=st.integers(2, 120),
     )
     @example(lam=20.0, order=41)
     @example(lam=40.0, order=120)
+    @example(lam=1e4, order=2)
+    @example(lam=1e4, order=120)
     def test_fast_path_agrees_with_bisection(self, lam, order):
         betas = gegenbauer._monic_betas(lam, order)
         with np.errstate(all="ignore"):
             fast, proven = gegenbauer._newton_roots(lam, order, betas)
-            full = gegenbauer._bisect(betas, np.arange(order // 2, 0, -1))
+            full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
         roots, bisected = gegenbauer._positive_roots(lam, order)
-        # Every root the Sturm check proved is the one bisection finds; every
-        # other root, and only those, went to the fallback.
+        # Every root the first round proved is the one bisection finds; every
+        # other root, and only those, is counted as bisected, and the later
+        # rounds find it too.
         assert_allclose(fast[proven], full[proven], rtol=0, atol=2.0**-51)
         assert bisected == np.count_nonzero(~proven)
         assert_allclose(roots, full, rtol=0, atol=2.0**-51)
@@ -565,8 +604,11 @@ class TestGaussNodes:
         betas = gegenbauer._monic_betas(lam, order)
         with np.errstate(all="ignore"):
             proven = gegenbauer._newton_roots(lam, order, betas)[1]
+            full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
         assert not proven.all()
-        assert gegenbauer._positive_roots(lam, order)[1] == np.count_nonzero(~proven)
+        roots, bisected = gegenbauer._positive_roots(lam, order)
+        assert bisected == np.count_nonzero(~proven)
+        assert_allclose(roots, full, rtol=0, atol=2.0**-51)
         sx = roots_gegenbauer(order, lam)[0]
         assert_allclose(quadrature(lam, order).nodes, sx, rtol=0, atol=1e-15)
 
@@ -619,6 +661,71 @@ class TestGaussNodes:
                 quadrature(lam, order + 1)
 
 
+class TestRootRounds:
+    """One loop finds every Gauss root that is not in closed form. Its first
+    round is the Newton-and-proof path every rule up to λ = 10.5 takes, with
+    the same bytes and passes; later rounds restart the roots it leaves
+    unproven inside their Sturm brackets."""
+
+    @pytest.mark.parametrize(
+        "lam, digest",
+        [
+            (2.5, "01e0c2647b93bb93fdf6897f0a2b3824c506fed31e030fc1fc27e6da3a5e7833"),
+            (10.5, "2bdf14f18f62bc5712c546953acd13a2f25e1da6b3b51b79e56989609103d0fa"),
+        ],
+    )
+    def test_first_round_rule_bytes(self, lam, digest):
+        rule = quadrature.__wrapped__(lam, 1024)
+        assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("lam, passes", [(0.5, (3, 1)), (10.5, (8, 1))])
+    def test_first_round_passes(self, lam, passes):
+        # (Newton passes, Sturm passes) of a cold order-1024 build.
+        assert _counted_build(lam, 1024)[1] == passes
+
+    @pytest.mark.parametrize("lam, order, most", [(20.0, 41, 62), (200.0, 64, 67), (1e4, 40, 71)])
+    def test_no_more_passes_than_bisection(self, lam, order, most):
+        # `most` is what a first round plus bisection from (0, 1), about 60
+        # Sturm passes, of every root it left unproven took.
+        rule, passes = _counted_build(lam, order)
+        assert rule.bisected > 0 and sum(passes) <= most
+
+    @pytest.mark.parametrize(
+        "lam, order, bisected",
+        [
+            (11.0, 1024, 1),
+            (12.0, 100, 1),
+            (20.0, 41, 3),
+            (20.0, 120, 3),
+            (40.0, 64, 11),
+            (40.0, 120, 13),
+            (200.0, 64, 31),
+            (200.0, 600, 155),
+            (1e3, 100, 49),
+            (1e4, 8, 4),
+            (1e4, 40, 20),
+        ],
+    )
+    def test_later_rounds_find_the_bisection_roots(self, lam, order, bisected):
+        # `bisected` is the count the first round leaves, as recorded when the
+        # unproven roots went to plain bisection instead.
+        rule = quadrature.__wrapped__(lam, order)
+        assert rule.bisected == bisected
+        betas = gegenbauer._monic_betas(lam, order)
+        with np.errstate(all="ignore"):
+            full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
+        assert_allclose(rule.nodes[order - order // 2 :], full, rtol=0, atol=2.0**-51)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_one_root_is_bracketed_by_its_restart_points(self, order):
+        # One positive root and no midpoint between iterates: only the counts
+        # at the restart points bracket it. The build runs the mass check.
+        rule = quadrature.__wrapped__(1e4, order)
+        assert rule.bisected == 1
+        assert_allclose(rule.nodes, roots_gegenbauer(order, 1e4)[0], rtol=0, atol=1e-15)
+        assert_allclose(rule.integrate(np.ones(order)), math.exp(gegenbauer._log_norm_squared(1e4, 0)), rtol=1e-9)
+
+
 class TestChebyshevURoots:
     """At λ = 1 the nodes are the closed-form roots cos(kπ/(N+1)) of U_N; no
     Newton or Sturm pass runs."""
@@ -642,12 +749,15 @@ class TestChebyshevURoots:
     @example(order=1)
     @example(order=400)
     def test_closed_form_agrees_with_the_newton_path(self, order):
+        betas = gegenbauer._monic_betas(1.0, order)
         with np.errstate(all="ignore"):
-            newton, proven = gegenbauer._newton_roots(1.0, order, gegenbauer._monic_betas(1.0, order))
+            newton, proven = gegenbauer._newton_roots(1.0, order, betas)
+            full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
         roots, bisected = gegenbauer._positive_roots(1.0, order)
         assert proven.all() and bisected == 0
         assert roots.shape == (order // 2,)
         assert_allclose(roots, newton, rtol=0, atol=2.0**-51)
+        assert_allclose(roots, full, rtol=0, atol=2.0**-51)
 
 
 class TestQuadratureCache:
@@ -1008,7 +1118,8 @@ class TestChunkedRuleBuild:
 
 
 class TestNodeRoute:
-    """`QuadratureRule.bisected` records how many positive nodes bisection found."""
+    """`QuadratureRule.bisected` records how many positive nodes the first
+    Newton–Sturm round could not prove."""
 
     def test_a_bisected_rule_reports_its_count(self):
         rule = quadrature.__wrapped__(20.0, 41)

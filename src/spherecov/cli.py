@@ -392,16 +392,17 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         write(sys.stdout)
         return 0
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp_path = tempfile.mkstemp(prefix=".spherecov-", dir=out_dir)
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(prefix=".spherecov-", dir=os.path.dirname(os.path.abspath(args.out)))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp_path, args.out)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise _ValidationFailure(f"cannot write {args.out}: {exc}") from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
     return 0
 
 

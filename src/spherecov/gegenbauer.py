@@ -21,8 +21,8 @@ T_N and U_N. Every other λ uses rounds of Newton passes on the recurrence
 from asymptotic guesses, each round ending in one pass of Sturm counts of
 the zero-diagonal Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub &
 Welsch 1969) that proves each root alone in its own interval and brackets
-the rest, which restart inside their brackets. Both passes run on the ratios
-of consecutive polynomials, so no value under- or overflows.
+the rest, which restart inside their brackets. Both passes are one loop,
+`_ratio`, over ratios of consecutive polynomials: none under- or overflows.
 The weights are Christoffel numbers from the recurrence above, which are
 more accurate than the Golub–Welsch eigenvector weights at high order. The
 weights and the Sturm counts fill chunks of recurrence rows of at most
@@ -312,12 +312,15 @@ def _step(lam: float, n: int, x, last, before, out, scratch) -> np.ndarray:
     return np.divide(out, n + 2.0 * lam - 1.0, out=out)
 
 
-def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray):
+def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray | None = None):
     """Fill `buffer`, of shape (rows,) + x.shape, with P̃_0(x), ..., P̃_{n_max}(x),
     as many degrees at a time as it holds, and yield (start, chunk): `chunk` is
     buffer[:k], degrees start to start+k−1, whose last two rows are copied aside
     first, so the caller may overwrite it. `buffer` needs two rows, or one if it
-    holds every degree; degree and argument are not checked."""
+    holds every degree; by default it is one chunk of at most `_CHUNK_BYTES`
+    (two rows at least). Degree and argument are not checked."""
+    if buffer is None:
+        buffer = np.empty((min(_chunk_rows(x.size, 2), n_max + 1),) + x.shape)
     rows = [buffer[i, ...] for i in range(len(buffer))]
     carry = np.empty((2,) + x.shape) if len(rows) <= n_max else None  # only a second chunk needs it
     scratch, before, last = np.empty(x.shape), None, None
@@ -375,8 +378,7 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
     """
     n = _check_degree(n)
     x = _check_argument(x)
-    buffer = np.empty((min(_chunk_rows(x.size, 2), n + 1),) + x.shape)
-    for _, chunk in _fill(basis.lam, n, x, buffer):
+    for _, chunk in _fill(basis.lam, n, x):
         pass  # only the last degree is kept
     return float(chunk[-1]) if x.ndim == 0 else chunk[-1].copy()
 
@@ -473,8 +475,7 @@ def _degree_rows(lam: float, order: int, n_max: int):
     each overwritten by the next. Both give the same bytes in each row."""
     if 8 * (n_max + 1) * order <= _CHUNK_BYTES:
         return [_degree_table(lam, order, n_max)]
-    buffer = np.empty((min(_chunk_rows(order, 2), n_max + 1), order))
-    return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes, buffer))
+    return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
 
 
 def _chunk_rows(width: int, least: int) -> int:
@@ -527,33 +528,29 @@ def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.n
     under- or overflows however large λ is. A zero ratio gives an infinite next
     one and a finite one after, so run it under `np.errstate(all="ignore")`.
 
-    If `counts` is given, the number of negative ratios at each point is added
-    to it: the sign changes of p_0(x), ..., p_N(x), which by Sturm's theorem is
-    the number of roots of P̃_N above x. The ratios are then written to the rows
-    of a chunk of at most `_CHUNK_BYTES` and their sign bits counted once per
-    chunk, not once per ratio; the working memory is a few vectors of x's
+    One loop over the βs runs both kinds of pass, two ufuncs per β, writing
+    q_2, ..., q_N to the next row of a buffer: a Newton pass (no `counts`)
+    overwrites one row. If `counts` is given, the number of negative ratios at
+    each point is added to it: the sign changes of p_0(x), ..., p_N(x), which
+    by Sturm's theorem is the number of roots of P̃_N above x. The buffer is
+    then a chunk of at most `_CHUNK_BYTES`, whose sign bits are counted once
+    per chunk, not once per ratio; the working memory is a few vectors of x's
     length plus one chunk."""
-    quotient = np.empty_like(x)
+    q = x
     if counts is None:
-        q = x.copy()
-        for beta in betas:
-            np.divide(beta, q, out=quotient)
-            np.subtract(x, quotient, out=q)
-        return q
-    chunk = np.empty((min(_chunk_rows(x.size, 1), len(betas) + 1), x.size))
-    rows, signs = list(chunk), np.empty(chunk.shape, dtype=bool)
-    q = rows[0]
-    np.copyto(q, x)
-    filled = 1
-    for beta in betas:
-        if filled == len(rows):
-            counts += np.count_nonzero(np.signbit(chunk, out=signs), axis=0)
-            filled = 0
-        np.divide(beta, q, out=quotient)
-        q = np.subtract(x, quotient, out=rows[filled])
-        filled += 1
-    counts += np.count_nonzero(np.signbit(chunk[:filled], out=signs[:filled]), axis=0)
-    return q.copy()
+        rows = [np.empty_like(x)] * (len(betas) + 1)  # one row, listed once per β and at least once
+    else:
+        chunk = np.empty((min(_chunk_rows(x.size, 1), len(betas) + 1), x.size))
+        rows, signs = list(chunk), np.empty(chunk.shape, dtype=bool)
+        counts += np.signbit(x)
+    for start in range(0, len(betas), len(rows)):
+        for beta, out in zip(betas[start : start + len(rows)], rows):
+            np.divide(beta, q, out=out)
+            q = np.subtract(x, out, out=out)
+        if counts is not None:
+            filled = min(len(rows), len(betas) - start)
+            counts += np.count_nonzero(np.signbit(chunk[:filled], out=signs[:filled]), axis=0)
+    return q
 
 
 def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.ndarray]:
@@ -576,7 +573,8 @@ def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.n
     also show exactly one root between them: its own. The counts bracket every
     root (a point with c roots above it lies at or above all but the c largest);
     unproven roots restart evenly spaced in the bracket they share, which the
-    next counts at least halve, and end once it is two adjacent floats."""
+    next counts at least halve, and end once it is two adjacent floats. The
+    loop returns after the first round that leaves no root unproven."""
     m = order // 2
     phi = (np.arange(m, 0, -1) + 0.5 * lam - 0.5) * (np.pi / (order + lam))
     x = np.cos(phi + lam * (1.0 - lam) / (2.0 * (order + lam) ** 2 * np.tan(phi)))
@@ -601,6 +599,8 @@ def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.n
         alone = counts[: m - 1] == np.arange(m - 1, 0, -1)
         proven = converged & (np.concatenate(([True], alone)) & np.concatenate((alone, [True])))[active]
         first = proven if first is None else first
+        if proven.all():
+            return x, first
         above = np.maximum(m - counts, 0)  # the lowest root above each point; one below 0 counts over m
         np.fmax.at(lo, above, points)
         np.fmin.at(hi, above, points)
@@ -662,7 +662,7 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     mirrored. The Sturm counts and the weights fill chunks of recurrence rows
     and reduce each chunk at once, so the working memory is a few vectors of
     length order plus one chunk of at most `_CHUNK_BYTES` (256 KiB). The nodes
-    are symmetrized about 0, so the weights are symmetric too. The tests check
+    are exactly symmetric about 0, so the weights are too. The tests check
     orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise DomainError,
     and so do λ > 1e4 and an order whose smallest norm h_{N−1} would overflow
     the Christoffel sums (λ = 200 from order 665 on).
@@ -690,7 +690,6 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
     _check_rule_range(lam, order)
     positive, bisected = _positive_roots(lam, order)
     nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
-    nodes = 0.5 * (nodes - nodes[::-1])
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
         raise ConvergenceError(
             f"Gauss nodes (lam={lam}, order={order}) are not distinct and inside (-1, 1)"

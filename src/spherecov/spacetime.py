@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _chunk_rows
-from .gegenbauer import _fill, _float_array
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _fill, _float_array
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 GAUSSIAN = "gaussian"
@@ -192,8 +191,7 @@ def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
 
     def terms(x_block, t_block):
         x_block = _check_argument(x_block)
-        buffer = np.empty((min(_chunk_rows(x_block.size, 2), kernel.truncation + 1), x_block.size))
-        for start, chunk in _fill(kernel.basis.lam, kernel.truncation, x_block, buffer):
+        for start, chunk in _fill(kernel.basis.lam, kernel.truncation, x_block):
             for a, cf, p in zip(kernel.weights[start:], kernel.charfns[start:], chunk):
                 if a != 0.0:
                     yield a * _charfn_values(cf, t_block) * p

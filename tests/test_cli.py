@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,13 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "1", "--table", str(table))
         assert code == 2
         assert json.loads(err)["message"] == message.format(path=table)
+
+    def test_duplicate_x_is_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "dup.csv"
+        table.write_text("-1.0,0.5\n0.25,1.0\n1.0,2.0\n0.25,1.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "1", "--table", str(table))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": "table has duplicate x values"}
 
     def test_missing_table_message(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"
@@ -550,6 +558,52 @@ class TestSimulate:
         assert code == 3
         assert not out.exists()
         assert list(tmp_path.glob(".spherecov-*")) == []
+
+    @staticmethod
+    def _write_error(err, out):
+        """The message of the one JSON line on stderr, which names the --out path."""
+        line, rest = err.split("\n", 1)
+        assert rest == ""
+        error = json.loads(line)
+        assert error["error"] == 2 and error["message"].startswith(f"cannot write {out}: ")
+        return error["message"]
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_exit_2(self, capsys, spec_file, tmp_path, target):
+        spec = spec_file(SPHERE_CONST)
+        out = tmp_path / "missing" / "field.csv" if target == "missing-directory" else tmp_path / "field.csv"
+        if target == "directory":
+            out.mkdir()
+        code, stdout, err = run(capsys, "simulate", spec, "--random", "3", "--seed", "0", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        self._write_error(err, out)
+        assert out.is_dir() == (target == "directory")
+        assert not (tmp_path / "missing").exists()
+        assert list(tmp_path.rglob(".spherecov-*")) == []
+
+    def test_failed_rename_keeps_the_old_file(self, capsys, spec_file, tmp_path, monkeypatch):
+        out = tmp_path / "field.csv"
+        out.write_text("old contents\n", encoding="utf-8")
+
+        def fail(src, dst):
+            assert Path(src).name.startswith(".spherecov-") and Path(src).exists()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        code, stdout, err = run(
+            capsys, "simulate", spec_file(SPHERE_CONST), "--random", "3", "--seed", "0", "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert self._write_error(err, out) == f"cannot write {out}: [Errno 28] No space left on device"
+        assert out.read_text(encoding="utf-8") == "old contents\n"
+        assert list(tmp_path.glob(".spherecov-*")) == []
+
+    def test_points_file_of_comments_only_is_exit_2(self, capsys, spec_file, tmp_path):
+        points = tmp_path / "comments.csv"
+        points.write_text("# x,y,z\n\n# no points\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "simulate", spec_file(SPHERE_CONST), "--points", str(points))
+        assert (code, stdout) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": f"points file {points} is empty"}
 
     def test_wrong_column_count(self, capsys, spec_file, tmp_path):
         bad = tmp_path / "narrow.csv"

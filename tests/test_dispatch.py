@@ -15,7 +15,8 @@ Every `functools.lru_cache` has an explicit int `maxsize`, so no cache in the
 package grows without bound. Only gegenbauer's `_fill` runs the recurrence
 step `_step`, so every degree table comes from one loop, and only its
 `_newton_roots` runs the ratio recurrence `_ratio`, so every Gauss root that
-is not in closed form comes from one loop too."""
+is not in closed form comes from one loop too; `_ratio` itself steps through
+its βs in one loop, for Newton and Sturm passes alike."""
 
 import ast
 import inspect
@@ -500,6 +501,58 @@ def test_guard_flags_a_second_root_route():
         "    gegenbauer._ratio(betas, above, counts)\n"
     )
     assert _uses(source, "_ratio") == [("_newton_roots", 4), ("_bisect", 6)]
+
+
+# Nodes that run their body more than once.
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _reads_betas(node, top=True):
+    """Whether `node` reads `betas` other than as `len(betas)`, without looking
+    inside the loops nested in it."""
+    if not top and isinstance(node, _LOOPS):
+        return False
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len":
+        return False
+    if isinstance(node, ast.Name) and node.id == "betas":
+        return True
+    return any(_reads_betas(child, False) for child in ast.iter_child_nodes(node))
+
+
+def _beta_loops(source):
+    """Lines of the loops of `_ratio` that step through its βs: a loop whose
+    own header or body (not a nested loop's) reads `betas`. A loop over chunks
+    that only reads `len(betas)` does not count."""
+    function = next(
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef) and node.name == "_ratio"
+    )
+    assert function.args.args[0].arg == "betas"
+    return sorted(node.lineno for node in ast.walk(function) if isinstance(node, _LOOPS) and _reads_betas(node))
+
+
+def test_one_loop_runs_the_ratio_recurrence():
+    # Newton and Sturm passes share it; they differ only in the rows they write.
+    assert len(_beta_loops((PACKAGE / "gegenbauer.py").read_text(encoding="utf-8"))) == 1
+
+
+def test_guard_flags_a_second_ratio_loop():
+    source = (
+        "def _ratio(betas, x, counts=None):\n"
+        "    q = x\n"
+        "    for start in range(0, len(betas), 4):\n"
+        "        for beta in betas[start : start + 4]:\n"
+        "            q = x - beta / q\n"
+        "    if counts is not None:\n"
+        "        i = 0\n"
+        "        while i < len(betas):\n"
+        "            q = x - betas[i] / q\n"
+        "            i += 1\n"
+        "    return [x - b for b in betas]\n"
+        "def _newton_roots(lam, order, betas):\n"
+        "    for beta in betas:\n"
+        "        pass\n"
+    )
+    assert _beta_loops(source) == [4, 8, 11]
 
 
 class TestKernelProtocol:

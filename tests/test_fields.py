@@ -363,6 +363,22 @@ class TestUniformSpherePoints:
         b = uniform_sphere_points(2, 10, seed=1)
         assert not np.array_equal(a.points, b.points)
 
+    def test_redraws_a_zero_draw(self, monkeypatch):
+        # A stub generator whose first draw has a zero row: that row alone is
+        # drawn again, and the rest keep their first values.
+        draws = iter([np.array([[3.0, 0.0, 4.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.array([[0.0, 0.0, -5.0]])])
+
+        class Stub:
+            def standard_normal(self, shape):
+                draw = next(draws)
+                assert draw.shape == shape
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Stub())
+        s = uniform_sphere_points(2, 3, seed=0)
+        assert_array_equal(s.points, [[0.6, 0.0, 0.8], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        assert next(draws, None) is None
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             uniform_sphere_points(0, 5, seed=0)
@@ -482,6 +498,20 @@ class TestGeodesicCosine:
     def test_clamps_rounding(self):
         p = uniform_sphere_points(2, 1, seed=3).points[0]
         assert abs(geodesic_cosine(p, p)) <= 1.0
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (1.0, [1.0, 0.0], "p must be a vector"),
+            ([1.0, 0.0], [[1.0, 0.0]], "q must be a vector"),
+            ([1.0, 0.0], [0.0, 0.0, 1.0], "p and q must have the same length"),
+        ],
+        ids=["scalar-p", "matrix-q", "unequal-lengths"],
+    )
+    def test_rejects_non_vectors_and_unequal_lengths(self, p, q, message):
+        with pytest.raises(DomainError) as excinfo:
+            geodesic_cosine(p, q)
+        assert str(excinfo.value) == message
 
     def test_rejects_norm_violation(self):
         with pytest.raises(DomainError):
@@ -683,6 +713,17 @@ class TestFactor:
         with pytest.raises(FactorizationError) as info:
             _factor(np.diag([1.0, -0.5]), 0.0)
         assert_allclose(info.value.min_eigenvalue, -0.5, rtol=1e-12)
+
+    def test_eigen_failure_is_a_factorization_error(self, monkeypatch):
+        # Cholesky fails on a rank-deficient matrix; then eigh fails too.
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(FactorizationError) as excinfo:
+            _factor(np.ones((3, 3)), 0.0)
+        assert str(excinfo.value) == "eigen-decomposition failed: Eigenvalues did not converge"
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("jitter", [None, 0.0, 1e-3])

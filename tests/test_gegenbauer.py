@@ -726,6 +726,38 @@ class TestRootRounds:
         assert_allclose(rule.integrate(np.ones(order)), math.exp(gegenbauer._log_norm_squared(1e4, 0)), rtol=1e-9)
 
 
+class TestRuleChecks:
+    """Before it builds a rule, `_gauss_rule` checks the nodes that the root
+    loop returns and the mass of the weights; either failing is a
+    ConvergenceError, not a rule."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("fault", ["repeated", "at-one"])
+    def test_nodes_must_be_distinct_and_inside(self, lam, fault):
+        positive, bisected = gegenbauer._positive_roots(lam, 8)
+        positive = positive.copy()
+        if fault == "repeated":
+            positive[1] = positive[0]
+        else:
+            positive[-1] = 1.0
+        with mock.patch.object(gegenbauer, "_positive_roots", return_value=(positive, bisected)):
+            with pytest.raises(ConvergenceError) as excinfo:
+                quadrature.__wrapped__(lam, 8)
+        assert str(excinfo.value) == f"Gauss nodes (lam={lam}, order=8) are not distinct and inside (-1, 1)"
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 20.0])
+    def test_weights_must_sum_to_the_mass(self, lam):
+        weights = gegenbauer._christoffel_weights
+
+        def scaled(factor):
+            return mock.patch.object(gegenbauer, "_christoffel_weights", lambda *args: weights(*args) * factor)
+
+        with scaled(1.0 + 1e-6), pytest.raises(ConvergenceError, match=r"^Gauss weights \(lam=.*, order=8\) sum to "):
+            quadrature.__wrapped__(lam, 8)
+        with scaled(1.0 + 1e-11):  # within the check's relative 1e-9
+            assert quadrature.__wrapped__(lam, 8).order == 8
+
+
 class TestChebyshevURoots:
     """At λ = 1 the nodes are the closed-form roots cos(kπ/(N+1)) of U_N; no
     Newton or Sturm pass runs."""
@@ -1078,7 +1110,11 @@ class TestChunkedRuleBuild:
     )
     @example(lam=0.5, rows=4, edge="twice", points=[0.0, 0.5])
     @example(lam=0.5, rows=3, edge="short", points=[0.0])
+    @example(lam=20.0, rows=3, edge="over", points=[-0.0, 0.25])
+    @example(lam=0.5, rows=2, edge="twice", points=[0.0, -0.5])
     def test_sturm_counts_match_the_per_beta_loop(self, lam, rows, edge, points):
+        # The chunk holds q_2, ..., q_N, one row per β: "over" fills it exactly
+        # and "twice" at two rows runs one ratio into a second chunk.
         ratios = {"short": rows - 1, "exact": rows, "over": rows + 1, "twice": 2 * rows}[edge]
         betas, x = _betas(lam, max(ratios, 1)), np.array(points)
         counts, expect = np.arange(x.size), np.arange(x.size)  # counts are added to

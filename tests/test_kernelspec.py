@@ -163,6 +163,22 @@ class TestSphereTimeKind:
         with pytest.raises(KernelSpecError):
             kernel_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "charfn, message",
+        [
+            ("gaussian", "terms[1].charfn must be an object"),
+            ([{"family": "gaussian"}], "terms[1].charfn must be an object"),
+            ({"family": "gaussian", "params": [1.0]}, "terms[1].charfn.params must be an object"),
+            ({"family": "gaussian", "params": "sigma"}, "terms[1].charfn.params must be an object"),
+        ],
+        ids=["charfn-string", "charfn-array", "params-array", "params-string"],
+    )
+    def test_rejects_charfn_and_params_that_are_not_objects(self, charfn, message):
+        terms = [{"a": 0.5, "charfn": {"family": "point_mass_at_zero"}}, {"a": 0.5, "charfn": charfn}]
+        with pytest.raises(KernelSpecError) as excinfo:
+            kernel_from_dict({"kind": "sphere_time", "d": 2, "terms": terms})
+        assert str(excinfo.value) == message
+
     def test_wraps_unknown_family(self):
         doc = {
             "kind": "sphere_time",

@@ -12,10 +12,12 @@ from numpy.testing import assert_allclose
 
 from helpers import charfn_eval_branches, random_charfn, random_st_kernel
 from spherecov import (
+    CharFn,
     DomainError,
     GegenbauerBasis,
     NegativeCoefficientError,
     NormalizationError,
+    SpaceTimeKernel,
     ZeroMassError,
     charfn_eval,
     eval_sequence,
@@ -83,6 +85,11 @@ class TestCharFnConstruction:
     def test_rejects_wrong_param_names(self):
         with pytest.raises(DomainError):
             make_charfn("gaussian", {"rate": 1.0})
+
+    @pytest.mark.parametrize("params", [5, None, [1.0], "ab"], ids=["int", "none", "list", "str"])
+    def test_rejects_params_that_are_not_a_mapping(self, params):
+        with pytest.raises(DomainError, match="^gaussian parameters must be numbers: "):
+            CharFn("gaussian", params)
 
     @pytest.mark.parametrize("bad", ["abc", None, [1.0]])
     def test_rejects_non_numeric_params(self, bad):
@@ -277,6 +284,12 @@ class TestMakeStKernel:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             make_st_kernel([], LEGENDRE)
+
+    @pytest.mark.parametrize("charfns", [(gaussian(1.0),), (gaussian(1.0),) * 3], ids=["fewer", "more"])
+    def test_needs_one_charfn_per_weight(self, charfns):
+        message = f"^need one characteristic function per weight: 2 weights, {len(charfns)} functions$"
+        with pytest.raises(DomainError, match=message):
+            SpaceTimeKernel(np.array([0.5, 0.5]), charfns, 1.0, LEGENDRE)
 
     @pytest.mark.parametrize(
         "terms",

@@ -353,6 +353,15 @@ def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
     return _immutable(cosines)
 
 
+@functools.lru_cache(maxsize=64)
+def _trial_seeds(seed: int, count: int) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(count)`: the point-set seeds of
+    `certify`'s first `count` Gram trials, cached by (seed, count). The last 64
+    are kept, 4 bytes per trial each; `_immutable`, so no caller can make them
+    writeable."""
+    return _immutable(np.random.SeedSequence(seed).generate_state(count))
+
+
 @functools.lru_cache(maxsize=4)
 def _trial_index(n: int) -> np.ndarray:
     """The n × n map from (i, j) to the place of the pair (min, max) in the

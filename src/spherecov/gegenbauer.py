@@ -15,22 +15,23 @@ is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
 `_step` is that formula and `_fill` the one loop that runs it, into a
 caller's buffer of rows, so every table and chunk of rows has the same bits.
 
-Gauss nodes are found with numpy alone (the package does not use scipy). At
-λ = 0 and λ = 1 they are the closed-form roots of the Chebyshev polynomials
-T_N and U_N. Every other λ uses rounds of Newton passes on the recurrence
-from asymptotic guesses, each round ending in one pass of Sturm counts of
-the zero-diagonal Jacobi matrix (Barth, Martin & Wilkinson 1967; Golub &
-Welsch 1969) that proves each root alone in its own interval and brackets
-the rest, which restart inside their brackets. Both passes are one loop,
-`_ratio`, over ratios of consecutive polynomials: none under- or overflows.
-The weights are Christoffel numbers from the recurrence above, which are
-more accurate than the Golub–Welsch eigenvector weights at high order. The
-weights and the Sturm counts fill chunks of recurrence rows of at most
-`_CHUNK_BYTES` and reduce each chunk with one ufunc per operation, in the
-order of the one-degree-at-a-time loop, so memory grows with the number of
-points, not with degree × points. Coefficient recovery projects onto one
-chunk at a time too, and caches a degree × node table that is one chunk
-(`_degree_table`).
+Gauss rules are built with numpy alone (the package does not use scipy). At
+λ = 0 and λ = 1 they are the Gauss–Chebyshev rules of the first and second
+kind, nodes and weights in closed form from angles (`_chebyshev_rule`), in
+time linear in the order. Every other λ finds its nodes by rounds of Newton
+passes on the recurrence from asymptotic guesses, each round ending in one
+pass of Sturm counts of the zero-diagonal Jacobi matrix (Barth, Martin &
+Wilkinson 1967; Golub & Welsch 1969) that proves each root alone in its own
+interval and brackets the rest, which go on inside their brackets. Both
+passes are one loop, `_ratio`, over ratios of consecutive polynomials: none
+under- or overflows. Its weights are Christoffel numbers from the recurrence
+above, which are more accurate than the Golub–Welsch eigenvector weights at
+high order. Those weights and the Sturm counts fill chunks of recurrence
+rows of at most `_CHUNK_BYTES` and reduce each chunk with one ufunc per
+operation, in the order of the one-degree-at-a-time loop, so memory grows
+with the number of points, not with degree × points. Coefficient recovery
+projects onto one chunk at a time too, and caches a degree × node table that
+is one chunk (`_degree_table`).
 """
 
 import functools
@@ -245,7 +246,8 @@ class QuadratureRule:
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
     `bisected` is the node route: how many of the positive nodes the first
     Newton–Sturm round could not prove, an int (0 for every rule up to
-    λ = 10.5 and for the closed-form Chebyshev rules, λ = 0 and λ = 1).
+    λ = 10.5 and for the closed-form Gauss–Chebyshev rules, λ = 0 and λ = 1,
+    which run no round).
     """
 
     nodes: np.ndarray
@@ -435,13 +437,13 @@ def _mapped(function, values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _norms(lam: float, count: int) -> tuple:
-    """h_0, ..., h_{count−1} at λ, cached by (λ, count), with the bits of
-    `_norm_squared`: one pass of each `math` function over all degrees, the
-    terms added in the order `_log_norm_squared` adds them. The working memory
-    is a few vectors of length count."""
+def _norms(lam: float, count: int) -> np.ndarray:
+    """h_0, ..., h_{count−1} at λ as an `_immutable` float array, cached by
+    (λ, count), with the bits of `_norm_squared`: one pass of each `math`
+    function over all degrees, the terms added in the order `_log_norm_squared`
+    adds them. The working memory is a few vectors of length count."""
     if lam == 0.0:
-        return tuple(_norm_squared(lam, n) for n in range(count))
+        return _immutable(np.array([_norm_squared(lam, n) for n in range(count)], dtype=float))
     n = np.arange(float(count))
     log_norms = (
         _log_norm_constant(lam)
@@ -449,7 +451,7 @@ def _norms(lam: float, count: int) -> tuple:
         - _mapped(math.lgamma, n + 2.0 * lam)
         - _mapped(math.log, n + lam)
     )
-    return tuple(map(math.exp, log_norms.tolist()))
+    return _immutable(_mapped(math.exp, log_norms))
 
 
 @functools.lru_cache(maxsize=16)
@@ -496,7 +498,7 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     at most `_CHUNK_BYTES`."""
     half = nodes.size // 2
     x = nodes[half:]
-    norms = np.array(_norms(lam, nodes.size))
+    norms = _norms(lam, nodes.size)
     chunk = np.zeros((min(_chunk_rows(x.size, 3), nodes.size + 1), x.size))  # the total, then degrees
     for start, terms in _fill(lam, nodes.size - 1, x, chunk[1:]):
         np.square(terms, out=terms)
@@ -571,10 +573,13 @@ def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.n
     converged when its last step is below 1e-8 of the gap to its nearest
     neighbour, and is proven when the counts at the midpoints on either side
     also show exactly one root between them: its own. The counts bracket every
-    root (a point with c roots above it lies at or above all but the c largest);
-    unproven roots restart evenly spaced in the bracket they share, which the
-    next counts at least halve, and end once it is two adjacent floats. The
-    loop returns after the first round that leaves no root unproven."""
+    root (a point with c roots above it lies at or above all but the c largest).
+    An unproven root keeps its iterate if that lies inside its bracket, and
+    otherwise restarts at its point evenly spaced in the bracket it shares;
+    the next counts run at those spaced points either way, so they at least
+    halve every bracket, and a root ends once its bracket is two adjacent
+    floats. The loop returns after the first round that leaves no root
+    unproven."""
     m = order // 2
     phi = (np.arange(m, 0, -1) + 0.5 * lam - 0.5) * (np.pi / (order + lam))
     x = np.cos(phi + lam * (1.0 - lam) / (2.0 * (order + lam) ** 2 * np.tan(phi)))
@@ -610,7 +615,8 @@ def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.n
         low = np.searchsorted(lo[:m], lo[active])  # the lowest root in each bracket
         share = np.searchsorted(hi[1:], hi[active + 1], "right") - low  # and how many it holds
         restart = lo[active] + (hi[active + 1] - lo[active]) * ((active - low + 1) / (share + 1))
-        x[active] = restart
+        y = x[active]
+        x[active] = np.where((lo[active] < y) & (y < hi[active + 1]), y, restart)
         split = (lo[active] < restart) & (restart < hi[active + 1])
         active, restart = active[split], restart[split]
     return x, first
@@ -618,16 +624,34 @@ def _newton_roots(lam: float, order: int, betas: list) -> tuple[np.ndarray, np.n
 
 def _positive_roots(lam: float, order: int) -> tuple[np.ndarray, int]:
     """The order // 2 positive roots of P̃_order, ascending, and how many of them
-    the first round of `_newton_roots` could not prove.
-
-    At λ = 1, P̃_N is U_N/(N+1), whose roots are cos(kπ/(N+1)) (Abramowitz &
-    Stegun 25.4.40); they are taken as sin((N+1−2k)π/(2(N+1))), the same angle
-    measured from π/2, so small roots keep full relative accuracy."""
-    if lam == 1.0:
-        return np.sin(np.arange(order % 2 + 1, order, 2) * (np.pi / (2 * (order + 1)))), 0
+    the first round of `_newton_roots` could not prove."""
     with np.errstate(all="ignore"):
         x, proven = _newton_roots(lam, order, _monic_betas(lam, order))
     return x, int(np.count_nonzero(~proven))
+
+
+def _chebyshev_rule(lam: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss–Chebyshev rule at λ = 0 or λ = 1, from
+    angles alone, with no recurrence (Abramowitz & Stegun 25.4.38, 25.4.40).
+
+    λ = 0, the first kind: nodes cos((2k−1)π/(2N)), made exactly antisymmetric,
+    and weights π/N. λ = 1, the second kind: P̃_N is U_N/(N+1), whose roots
+    cos(kπ/(N+1)) are taken as sin((N+1−2k)π/(2(N+1))), the same angle measured
+    from π/2, so small roots keep full relative accuracy. The weights
+    π/(N+1)·sin²(kπ/(N+1)) are formed for k <= N/2, where the angle is at most
+    π/2 and sin keeps full relative accuracy (cos² of the complementary angle
+    would not), then mirrored, with π/(N+1) in the middle at odd N."""
+    if lam == 0.0:
+        k = np.arange(order, 0, -1)
+        nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
+        return 0.5 * (nodes - nodes[::-1]), np.full(order, np.pi / order)
+    step = np.pi / (2 * (order + 1))
+    positive = np.sin(np.arange(order % 2 + 1, order, 2) * step)
+    low = np.pi / (order + 1) * np.square(np.sin(np.arange(2, order + 1, 2) * step))
+    return (
+        np.concatenate((-positive[::-1], np.zeros(order % 2), positive)),
+        np.concatenate((low, np.full(order % 2, np.pi / (order + 1)), low[::-1])),
+    )
 
 
 def _check_rule_range(lam: float, order: int) -> None:
@@ -651,53 +675,56 @@ def _check_rule_range(lam: float, order: int) -> None:
 def quadrature(lam: float, order: int) -> QuadratureRule:
     """Gauss rule whose nodes are the roots of the order-N polynomial.
 
-    The nodes come from numpy alone, without scipy. λ = 0 uses the closed-form
-    Chebyshev rule, and at λ = 1 the nodes are the closed-form roots
-    cos(kπ/(N+1)) of U_N. Every other λ uses rounds of Newton passes on the
-    recurrence from asymptotic guesses, each ending in one pass of Sturm counts
-    that proves each root alone in its own interval and restarts the rest
+    The rule comes from numpy alone, without scipy. λ = 0 and λ = 1 take the
+    closed-form Gauss–Chebyshev rules: nodes cos((2k−1)π/(2N)) and weights
+    π/N, and nodes cos(kπ/(N+1)) (the roots of U_N) and weights
+    π/(N+1)·sin²(kπ/(N+1)), exact to a few ulp, in time linear in the order.
+    Every other λ uses rounds of Newton passes on the recurrence from
+    asymptotic guesses, each ending in one pass of Sturm counts that proves
+    each root alone in its own interval and brackets the rest, which go on
     inside their brackets (from λ = 11 on the first round misses some; the
-    rule's `bisected` says how many). The weights are Christoffel numbers
+    rule's `bisected` says how many). Its weights are Christoffel numbers
     1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes and
-    mirrored. The Sturm counts and the weights fill chunks of recurrence rows
-    and reduce each chunk at once, so the working memory is a few vectors of
-    length order plus one chunk of at most `_CHUNK_BYTES` (256 KiB). The nodes
-    are exactly symmetric about 0, so the weights are too. The tests check
-    orders up to 1024; orders above 2·MAX_DEGREE + 2 = 20002 raise DomainError,
-    and so do λ > 1e4 and an order whose smallest norm h_{N−1} would overflow
-    the Christoffel sums (λ = 200 from order 665 on).
+    mirrored, in time quadratic in the order. The Sturm counts and the weights
+    fill chunks of recurrence rows and reduce each chunk at once, so the
+    working memory is a few vectors of length order plus one chunk of at most
+    `_CHUNK_BYTES` (256 KiB). The nodes are exactly symmetric about 0, and so
+    are the weights. Every rule must pass the same checks: distinct nodes
+    inside (−1, 1) and weights that sum to h_0. The tests check orders up to
+    1024 (20002 at λ = 1); orders above 2·MAX_DEGREE + 2 = 20002 raise
+    DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
+    would overflow the Christoffel sums (λ = 200 from order 665 on).
 
     The last 64 rules are cached by (lam, order), so repeated calls return
     the same rule object; λ and the order are checked first. Its nodes and
     weights are `_immutable`: no caller, callback included, can make them
     writeable and change a later call's rule.
     """
-    # The weights take time quadratic in the order. 2·MAX_DEGREE + 2 is the
-    # largest rule `certify` or the default `coeffs` asks for.
+    # Christoffel weights take time quadratic in the order (the closed-form
+    # rules at λ = 0 and 1, linear). 2·MAX_DEGREE + 2 is the largest rule
+    # `certify` or the default `coeffs` asks for.
     return _gauss_rule(_check_lam(lam), _check_count(order, "order", 1, most=2 * MAX_DEGREE + 2))
 
 
 @functools.lru_cache(maxsize=64)
 def _gauss_rule(lam: float, order: int) -> QuadratureRule:
     """The rule of `quadrature`, for a float λ and an int order it has checked."""
-    if lam == 0.0:
-        k = np.arange(order, 0, -1)
-        nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
-        nodes = 0.5 * (nodes - nodes[::-1])
-        weights = np.full(order, np.pi / order)
-        return QuadratureRule(nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order)
-
-    _check_rule_range(lam, order)
-    positive, bisected = _positive_roots(lam, order)
-    nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
+    bisected, weights = 0, None
+    if lam == 0.0 or lam == 1.0:
+        nodes, weights = _chebyshev_rule(lam, order)
+    else:
+        _check_rule_range(lam, order)
+        positive, bisected = _positive_roots(lam, order)
+        nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
         raise ConvergenceError(
             f"Gauss nodes (lam={lam}, order={order}) are not distinct and inside (-1, 1)"
         )
 
-    weights = _christoffel_weights(lam, nodes)
+    if weights is None:
+        weights = _christoffel_weights(lam, nodes)
 
-    mass = math.exp(_log_norm_squared(lam, 0))
+    mass = _norm_squared(lam, 0)
     if not math.isclose(weights.sum(), mass, rel_tol=1e-9):
         raise ConvergenceError(
             f"Gauss weights (lam={lam}, order={order}) sum to {weights.sum():.16e}, "

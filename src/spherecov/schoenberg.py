@@ -333,7 +333,7 @@ def certify(
     dimension. Both tolerances are real numbers in (0, inf), stored in the
     certificate as floats (see `gegenbauer._check_real`). Trial point-set
     seeds are derived from `seed` through numpy's SeedSequence, so results
-    are reproducible.
+    are reproducible; they are cached by (seed, gram_trials), the last 64.
 
     g is called as in `recover_coefficients`: first once with a read-only
     1-D float array (the quadrature nodes, then the upper triangle of each
@@ -351,7 +351,7 @@ def certify(
     caches live in the process: a fresh CLI process gains nothing from them.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _trial_arguments, _trial_index
+    from .fields import _trial_arguments, _trial_index, _trial_seeds
 
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
@@ -391,7 +391,7 @@ def certify(
 
     n = CERTIFY_GRAM_POINTS
     index = _trial_index(n)
-    trial_seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
+    trial_seeds = _trial_seeds(seed, max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])

@@ -16,7 +16,9 @@ package grows without bound. Only gegenbauer's `_fill` runs the recurrence
 step `_step`, so every degree table comes from one loop, and only its
 `_newton_roots` runs the ratio recurrence `_ratio`, so every Gauss root that
 is not in closed form comes from one loop too; `_ratio` itself steps through
-its βs in one loop, for Newton and Sturm passes alike."""
+its βs in one loop, for Newton and Sturm passes alike. `_newton_roots` and
+`_christoffel_weights` each have one caller, the route of every Gauss rule
+that is not in closed form."""
 
 import ast
 import inspect
@@ -489,6 +491,18 @@ def test_one_loop_finds_the_gauss_roots():
         for owner, _ in _uses(path.read_text(encoding="utf-8"), "_ratio")
     }
     assert callers == {("gegenbauer.py", "_newton_roots")}
+
+
+@pytest.mark.parametrize("name, owner", [("_newton_roots", "_positive_roots"), ("_christoffel_weights", "_gauss_rule")])
+def test_one_caller_runs_the_recurrence_route(name, owner):
+    # The closed-form Gauss–Chebyshev rules at λ = 0 and 1 take neither the
+    # Newton roots nor the Christoffel weights; only the recurrence route does.
+    sites = [
+        (path.name, caller)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for caller, _ in _uses(path.read_text(encoding="utf-8"), name)
+    ]
+    assert sites == [("gegenbauer.py", owner)]
 
 
 def test_guard_flags_a_second_root_route():

@@ -414,27 +414,32 @@ class TestQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 3, 16, 257, 1024])
     def test_weights_match_table_formula(self, lam, order):
         # Reference: Christoffel numbers from the whole degree x node table,
-        # symmetrized as the rule is.
+        # symmetrized as the rule is. The λ = 1 rule takes closed-form weights,
+        # so there the Christoffel sums are checked at its nodes directly.
         rule = quadrature(lam, order)
+        weights = gegenbauer._christoffel_weights(lam, rule.nodes) if lam == 1.0 else rule.weights
         basis = GegenbauerBasis.from_index(lam)
         inv_norms = np.array([1.0 / norm_squared(basis, n) for n in range(order)])
         reference = 1.0 / (inv_norms @ eval_sequence(basis, order - 1, rule.nodes) ** 2)
-        assert_allclose(rule.weights, 0.5 * (reference + reference[::-1]), rtol=1e-14, atol=0)
+        assert_allclose(weights, 0.5 * (reference + reference[::-1]), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.5, 20.0])
     def test_half_node_weights_equal_the_full_node_sum(self, lam):
         # Reference: the Christoffel sum over every node, in the order the
         # rule adds its terms, then symmetrized. Summing over the nonnegative
-        # half and mirroring must give the same bytes.
+        # half and mirroring must give the same bytes. The λ = 1 rule takes
+        # closed-form weights, so there the Christoffel sums at its nodes are
+        # checked directly.
         for order in (1, 2, 3, 4, 5, 64, 65, 255, 512, 1023, 1024):
             rule = quadrature(lam, order)
+            weights = gegenbauer._christoffel_weights(lam, rule.nodes) if lam == 1.0 else rule.weights
             total = np.zeros(order)
             values = eval_sequence(GegenbauerBasis.from_index(lam), order - 1, rule.nodes)
             for n in range(order):
                 total += np.square(values[n]) / gegenbauer._norm_squared(lam, n)
             reference = 1.0 / total
             reference = 0.5 * (reference + reference[::-1])
-            assert rule.weights.tobytes() == reference.tobytes(), order
+            assert weights.tobytes() == reference.tobytes(), order
 
     def test_weight_memory_is_linear_in_order(self):
         # An order x order recurrence table and its square would take 137 MiB here.
@@ -716,6 +721,13 @@ class TestRootRounds:
             full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
         assert_allclose(rule.nodes[order - order // 2 :], full, rtol=0, atol=2.0**-51)
 
+    def test_later_rounds_keep_newton_progress(self):
+        # (Newton passes, Sturm passes) of the one root at (1e4, 2). An iterate
+        # inside its bracket goes on from where it is; restarting it at its
+        # spaced point every round took (40, 5).
+        rule, passes = _counted_build(1e4, 2)
+        assert rule.bisected == 1 and passes == (10, 2)
+
     @pytest.mark.parametrize("order", [2, 3])
     def test_one_root_is_bracketed_by_its_restart_points(self, order):
         # One positive root and no midpoint between iterates: only the counts
@@ -727,30 +739,47 @@ class TestRootRounds:
 
 
 class TestRuleChecks:
-    """Before it builds a rule, `_gauss_rule` checks the nodes that the root
-    loop returns and the mass of the weights; either failing is a
-    ConvergenceError, not a rule."""
+    """Before it builds a rule, `_gauss_rule` checks the nodes, from the root
+    loop or the closed-form Gauss–Chebyshev rule, and the mass of the weights;
+    either failing is a ConvergenceError, not a rule."""
 
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 20.0])
     @pytest.mark.parametrize("fault", ["repeated", "at-one"])
     def test_nodes_must_be_distinct_and_inside(self, lam, fault):
-        positive, bisected = gegenbauer._positive_roots(lam, 8)
-        positive = positive.copy()
+        # At λ = 0 and 1 the closed-form rule gives the nodes, elsewhere the
+        # root finder does; either way the fault is in the positive half.
+        closed = lam in (0.0, 1.0)
+        if closed:
+            nodes, weights = gegenbauer._chebyshev_rule(lam, 8)
+            nodes = nodes.copy()
+            positive = nodes[4:]
+        else:
+            positive, bisected = gegenbauer._positive_roots(lam, 8)
+            positive = positive.copy()
         if fault == "repeated":
             positive[1] = positive[0]
         else:
             positive[-1] = 1.0
-        with mock.patch.object(gegenbauer, "_positive_roots", return_value=(positive, bisected)):
+        route, result = ("_chebyshev_rule", (nodes, weights)) if closed else ("_positive_roots", (positive, bisected))
+        with mock.patch.object(gegenbauer, route, return_value=result):
             with pytest.raises(ConvergenceError) as excinfo:
                 quadrature.__wrapped__(lam, 8)
         assert str(excinfo.value) == f"Gauss nodes (lam={lam}, order=8) are not distinct and inside (-1, 1)"
 
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 20.0])
     def test_weights_must_sum_to_the_mass(self, lam):
-        weights = gegenbauer._christoffel_weights
+        # At λ = 0 and 1 the scaled weights are the closed-form rule's.
+        if lam in (0.0, 1.0):
+            nodes, weights = gegenbauer._chebyshev_rule(lam, 8)
 
-        def scaled(factor):
-            return mock.patch.object(gegenbauer, "_christoffel_weights", lambda *args: weights(*args) * factor)
+            def scaled(factor):
+                return mock.patch.object(gegenbauer, "_chebyshev_rule", return_value=(nodes, weights * factor))
+
+        else:
+            christoffel = gegenbauer._christoffel_weights
+
+            def scaled(factor):
+                return mock.patch.object(gegenbauer, "_christoffel_weights", lambda *args: christoffel(*args) * factor)
 
         with scaled(1.0 + 1e-6), pytest.raises(ConvergenceError, match=r"^Gauss weights \(lam=.*, order=8\) sum to "):
             quadrature.__wrapped__(lam, 8)
@@ -759,8 +788,9 @@ class TestRuleChecks:
 
 
 class TestChebyshevURoots:
-    """At λ = 1 the nodes are the closed-form roots cos(kπ/(N+1)) of U_N; no
-    Newton or Sturm pass runs."""
+    """At λ = 1 the rule is the closed-form Gauss–Chebyshev rule of the second
+    kind: nodes cos(kπ/(N+1)), the roots of U_N, and weights
+    π/(N+1)·sin²(kπ/(N+1)). Like the λ = 0 rule, it runs no recurrence."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 1024])
     def test_nodes_are_the_closed_form_roots(self, order):
@@ -771,10 +801,28 @@ class TestChebyshevURoots:
         assert rule.nodes.tobytes() == (-rule.nodes[::-1] + 0.0).tobytes()
         assert rule.bisected == 0
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 41, 1024, 20002])
+    def test_weights_match_mpmath(self, order):
+        # Against 40-digit weights; at order 20002 a sample of 301 nodes.
+        rule = quadrature(1.0, order)
+        picks = np.unique(np.linspace(0, order - 1, min(order, 301)).astype(int))
+        with mpmath.workdps(40):
+            exact = [mpmath.pi / (order + 1) * mpmath.sin((i + 1) * mpmath.pi / (order + 1)) ** 2 for i in picks]
+            errors = [abs(mpmath.mpf(float(rule.weights[i])) / w - 1) for i, w in zip(picks, exact)]
+        assert float(max(errors)) <= 2e-15
+        assert rule.weights.tobytes() == rule.weights[::-1].tobytes()
+
     def test_no_recurrence_ratio_runs(self):
-        with mock.patch.object(gegenbauer, "_ratio", side_effect=AssertionError("a Newton or Sturm pass ran")):
-            rule = quadrature.__wrapped__(1.0, 1024)
-        assert rule.order == 1024 and rule.bisected == 0
+        # Neither closed-form rule runs a Newton or Sturm pass, a recurrence
+        # row or a Christoffel sum.
+        for lam in (0.0, 1.0):
+            with (
+                mock.patch.object(gegenbauer, "_ratio", side_effect=AssertionError("a Newton or Sturm pass ran")),
+                mock.patch.object(gegenbauer, "_fill", side_effect=AssertionError("a recurrence row was filled")),
+                mock.patch.object(gegenbauer, "_christoffel_weights", side_effect=AssertionError("a Christoffel sum ran")),
+            ):
+                rule = quadrature.__wrapped__(lam, 1024)
+            assert rule.order == 1024 and rule.bisected == 0
 
     @settings(max_examples=40, deadline=None)
     @given(order=st.integers(1, 400))
@@ -785,8 +833,8 @@ class TestChebyshevURoots:
         with np.errstate(all="ignore"):
             newton, proven = gegenbauer._newton_roots(1.0, order, betas)
             full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
-        roots, bisected = gegenbauer._positive_roots(1.0, order)
-        assert proven.all() and bisected == 0
+        roots = gegenbauer._chebyshev_rule(1.0, order)[0][order - order // 2 :]
+        assert proven.all()
         assert roots.shape == (order // 2,)
         assert_allclose(roots, newton, rtol=0, atol=2.0**-51)
         assert_allclose(roots, full, rtol=0, atol=2.0**-51)
@@ -869,8 +917,11 @@ class TestDegreeTableCache:
     def test_norms_are_the_closed_form(self):
         for lam in (0.0, 0.5, 2.5):
             norms = gegenbauer._norms(lam, 30)
-            assert isinstance(norms, tuple) and gegenbauer._norms(lam, 30) is norms
-            assert norms == tuple(gegenbauer._norm_squared(lam, n) for n in range(30))
+            assert isinstance(norms, np.ndarray) and gegenbauer._norms(lam, 30) is norms
+            assert norms.dtype == np.float64 and isinstance(norms.base, bytes)
+            with pytest.raises(ValueError):
+                norms.setflags(write=True)
+            assert norms.tolist() == [gegenbauer._norm_squared(lam, n) for n in range(30)]
 
     def test_cache_holds_at_most_sixteen_tables_at_the_cap(self):
         cap = gegenbauer._CHUNK_BYTES
@@ -1134,9 +1185,9 @@ class TestChunkedRuleBuild:
     def test_norms_match_the_per_degree_closed_form(self, lam, count):
         got = gegenbauer._norms.__wrapped__(lam, count)
         want = tuple(gegenbauer._norm_squared(lam, n) for n in range(count))
-        assert isinstance(got, tuple) and len(got) == count
-        assert all(type(h) is float for h in got)
-        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (count,)
+        assert not got.flags.writeable
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(

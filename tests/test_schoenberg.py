@@ -791,7 +791,7 @@ class TestCertifyGoldenBytes:
     SHA256 = {
         1: "85d1d358fb463ce81ae6c95ec34e89138b0397328cb0e551b9432b3396a730a1",
         2: "9558fe8f970a85023161d9870693e89e9facb7fb8583d31722e085cfb1cb8f05",
-        3: "f0064f6b5ce4f00443eb430018ba44c8ceded1c8baf652349906ce3b4db68918",
+        3: "5be3e91be85ccc36496dbb0a234bcea8f67fffd0bbc051b8d52e2d7dd628e340",
     }
 
     def test_certificates(self):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, KernelSpecError, SphereCovError
 from .fields import point_set_type, sample_factorized, sample_spectral_s2
-from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed
+from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed, quadrature
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
@@ -283,8 +283,6 @@ def cmd_coeffs(args) -> int:
     quad_order = args.quad_order if args.quad_order is not None else _default_quad_order(n_max)
     rule_cover = None
     if args.table is not None:
-        from .gegenbauer import quadrature
-
         _check_recovery(n_max, quad_order)
         rule = quadrature(args.lam, quad_order)
         rule_cover = (float(rule.nodes[0]), float(rule.nodes[-1]))

@@ -467,7 +467,10 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     _check_points(kernel, points)
     _check_array_bytes((n_samples, len(points)), "a sample")
     g = gram(kernel, points)
-    jitter = _check_real(_default_jitter(g.entries) if jitter is None else jitter, "jitter", "[0, inf)")
+    with np.errstate(over="ignore"):  # an overflowing trace or diagonal is a DomainError
+        jitter = _default_jitter(g.entries) if jitter is None else _check_real(jitter, "jitter", "[0, inf)")
+        if not np.isfinite(g.entries.diagonal() + jitter).all():
+            raise DomainError(f"kernel scale {kernel.scale_c!r} is too large: the Gram matrix plus jitter overflows")
     factor = _factor(g.entries, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, g.size))
@@ -584,7 +587,10 @@ def sample_spectral_s2(
 
     table = real_spherical_harmonics(n_trunc, points)
     degrees = np.arange(n_trunc + 1)
-    amps = np.sqrt(seq.scale_c * seq.coeffs * 4.0 * math.pi / (2.0 * degrees + 1.0))
+    with np.errstate(over="ignore"):
+        amps = np.sqrt(seq.scale_c * seq.coeffs * 4.0 * math.pi / (2.0 * degrees + 1.0))
+    if not np.isfinite(amps).all():
+        raise DomainError(f"kernel scale {seq.scale_c!r} is too large: the spectral amplitudes overflow")
     stds = np.repeat(amps, 2 * degrees + 1)
     rng = np.random.default_rng(seed)
     bounds = _sample_blocks(n_samples, 8 * stds.size)

@@ -30,12 +30,11 @@ high order. Those weights and the Sturm counts fill chunks of recurrence
 rows of at most `_CHUNK_BYTES` and reduce each chunk with one ufunc per
 operation, in the order of the one-degree-at-a-time loop, so memory grows
 with the number of points, not with degree × points. Coefficient recovery
-projects onto one chunk at a time too, and caches a degree × node table that
-is one chunk (`_degree_table`).
+caches its degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES`
+and projects a larger one chunk by chunk.
 """
 
 import functools
-import io
 import math
 import numbers
 import operator
@@ -61,9 +60,12 @@ _MAX_ARRAY_BYTES = 2**30
 
 # Largest chunk of recurrence rows, in bytes, that a Gauss rule build or a
 # coefficient recovery fills before it reduces them all at once: it stays in
-# L2 cache. Recovery caches a degree × node table of one chunk; `_degree_table`
-# keeps 16, so that cache never holds more than 4 MiB.
+# L2 cache.
 _CHUNK_BYTES = 256 * 2**10
+
+# Largest (n_max+1) × order float table, in bytes, that `_degree_table` caches,
+# 16 of them (16 MiB): n_max <= 255 at `certify`'s default order 2(n_max+1).
+_TABLE_CACHE_BYTES = 2**20
 
 # Most Newton passes over the recurrence in one round of `_newton_roots`.
 _NEWTON_STEPS = 8
@@ -456,26 +458,15 @@ def _norms(lam: float, count: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
-    """The (n_max+1) × order table of P̃_0, ..., P̃_{n_max} at the nodes of the
-    order-`order` Gauss rule, cached by (λ, order, n_max). Only `_degree_rows`
-    calls it, for tables of at most one chunk, `_CHUNK_BYTES`.
-
-    Like an `_immutable` array it views a bytes object, so no caller can make
-    it writeable. `_fill` writes two rows at a time to a BytesIO, and
-    CPython's `getvalue` hands over the buffer's own bytes object, so a build
-    holds one table (and at most an eighth more), not a table and its copy."""
-    buffer = io.BytesIO()
-    for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes, np.empty((2, order))):
-        buffer.write(rows)
-    return np.ndarray((n_max + 1, order), dtype=np.float64, buffer=buffer.getvalue())
+    """The `_immutable` table of P̃_0, ..., P̃_{n_max} at the order-`order` Gauss nodes."""
+    return _immutable(_table(lam, n_max, _gauss_rule(lam, order).nodes))
 
 
 def _degree_rows(lam: float, order: int, n_max: int):
-    """P̃_0, ..., P̃_{n_max} at the nodes of the cached order-`order` Gauss rule,
-    as blocks of rows, one row per degree: the cached `_degree_table` as one
-    block when it is one chunk (`_CHUNK_BYTES`), else the chunks of `_fill`,
-    each overwritten by the next. Both give the same bytes in each row."""
-    if 8 * (n_max + 1) * order <= _CHUNK_BYTES:
+    """P̃_0, ..., P̃_{n_max} at the order-`order` Gauss nodes, one row per degree:
+    the cached `_degree_table` as one block up to `_TABLE_CACHE_BYTES`, else
+    the chunks of `_fill`, each overwritten by the next, with the same bytes."""
+    if 8 * (n_max + 1) * order <= _TABLE_CACHE_BYTES:
         return [_degree_table(lam, order, n_max)]
     return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
 
@@ -734,6 +725,3 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
         nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order, bisected=bisected
     )
 
-
-# The uncached builder, where `functools.lru_cache` would put it.
-quadrature.__wrapped__ = _gauss_rule.__wrapped__

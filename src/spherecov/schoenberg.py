@@ -240,9 +240,13 @@ def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np
     n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
-    weighted = rule.weights * values
-    ahat = np.concatenate([np.vecdot(rows, weighted) for rows in _degree_rows(rule.lam, rule.order, n_max)])
-    return ahat / _norms(rule.lam, n_max + 1), vectorized
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, not a warning
+        weighted = rule.weights * values
+        ahat = np.concatenate([np.vecdot(rows, weighted) for rows in _degree_rows(rule.lam, rule.order, n_max)])
+        ahat /= _norms(rule.lam, n_max + 1)
+    if not np.isfinite(ahat).all():
+        raise DomainError(f"coefficient {np.argmin(np.isfinite(ahat))} overflows: the function's values are too large")
+    return ahat, vectorized
 
 
 def _default_quad_order(n_max: int) -> int:
@@ -267,13 +271,13 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
     and should return an array of the same shape. Only if that call raises
     or returns another shape is g called once per node with a float, so
     scalar-only functions still work. A failing or non-finite evaluation
-    raises EvaluationError naming the node.
+    raises EvaluationError naming the node; an overflowing coefficient,
+    DomainError.
 
     The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
-    (λ, quad_order, n_max) when it is one chunk of at most 256 KiB (the last
-    16, so at most 4 MiB); a larger one is streamed in such chunks. Each
-    table or chunk takes one `np.vecdot` with the weighted values, the same
-    BLAS dot on each row, so the coefficients have the same bytes either
+    (λ, quad_order, n_max) up to 1 MiB; a larger one is streamed in chunks.
+    Each table or chunk takes one `np.vecdot` with the weighted values, the
+    same BLAS dot on each row, so the coefficients have the same bytes either
     way. The cache lives in the process: a fresh CLI process gains nothing.
     """
     return _recover(g, basis, n_max, quad_order)[0]
@@ -330,25 +334,26 @@ def certify(
     Otherwise the verdict is PD when the recovered coefficient mass beyond
     degree n_max/2 is below coeff_tol (the truncation saw the whole
     function), else Inconclusive. `eig_tol` defaults to 1e−8 times the Gram
-    dimension. Both tolerances are real numbers in (0, inf), stored in the
-    certificate as floats (see `gegenbauer._check_real`). Trial point-set
-    seeds are derived from `seed` through numpy's SeedSequence, so results
-    are reproducible; they are cached by (seed, gram_trials), the last 64.
+    dimension. Both tolerances are absolute real numbers in (0, inf), stored
+    as floats (see `gegenbauer._check_real`), so g scaled by s needs them
+    scaled by s: at the defaults exp(x−1) on S^2 reads PD, 1e7·exp(x−1)
+    NotPD (â_26 ≈ −3.5e−8). Trial point-set seeds come from `seed` through
+    numpy's SeedSequence, so results are reproducible; they are cached by
+    (seed, gram_trials), the last 64.
 
     g is called as in `recover_coefficients`: first once with a read-only
     1-D float array (the quadrature nodes, then the upper triangle of each
     trial's cosine matrix), and point by point with floats only if that call
-    raises or returns another shape. The coefficients read the degree × node
-    table that `recover_coefficients` caches when it is one chunk: repeated
-    calls with the same basis and n_max <= 127 (at most 256 KiB) skip the
-    recurrence and project onto all degrees in one `np.vecdot`. Each trial's
-    Gram matrix is one gather of g's values through a cached index map, so it
-    is exactly symmetric by construction, and g's values were checked finite:
-    it goes to `np.linalg.eigvalsh` directly, without the checks that
-    `min_eigenvalue` runs on a caller's matrix. Each trial's cosines are
-    cached by (d, 25, trial seed), the last 64 (about 170 KB), so a repeated
-    seed skips drawing the points but still calls g on every trial. These
-    caches live in the process: a fresh CLI process gains nothing from them.
+    raises or returns another shape. Repeated calls with the same basis and
+    n_max <= 255 reuse the table that `recover_coefficients` caches. Each
+    trial's Gram matrix is one gather of g's values through a cached index
+    map, so it is exactly symmetric by construction, and g's values were
+    checked finite: it goes to `np.linalg.eigvalsh` directly, without the
+    checks that `min_eigenvalue` runs on a caller's matrix. Each trial's
+    cosines are cached by (d, 25, trial seed), the last 64 (about 170 KB), so
+    a repeated seed skips drawing the points but still calls g on every
+    trial. These caches live in the process: a fresh CLI process gains
+    nothing from them.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
     from .fields import _trial_arguments, _trial_index, _trial_seeds
@@ -441,9 +446,11 @@ def multiquadric_sequence(delta: float, basis: GegenbauerBasis, n_max: int) -> S
     if lam <= 0:
         raise DomainError("multiquadric sequence requires lam > 0 (d >= 2)")
     n_max = _check_degree(n_max)
-    terms = np.empty(n_max + 1)
-    terms[0] = 1.0
+    terms = [1.0]
     for n in range(1, n_max + 1):
-        terms[n] = terms[n - 1] * delta * (n + 2.0 * lam - 1.0) / n
+        # A Python float overflows silently; a power of two keeps every ratio's bits.
+        while (term := terms[-1] * delta * (n + 2.0 * lam - 1.0) / n) > 2.0**1000:
+            terms = [t * 2.0**-512 for t in terms]
+        terms.append(term)
     seq = make_sequence(terms, basis, normalize=True)
     return dataclasses.replace(seq, scale_c=1.0)

@@ -875,6 +875,29 @@ class TestSpecOverflow:
         assert result.stderr == json.dumps({"error": 2, "message": message}) + "\n"
 
 
+class TestNumericOverflow:
+    """A function or kernel scale whose numbers overflow double range on the way
+    to a result: exit 3 with one JSON line on stderr and no numpy warning."""
+
+    OVERFLOW = "coefficient 0 overflows: the function's values are too large"
+    SCALE = "kernel scale 1e+308 is too large: "
+    CASES = [
+        (["certify", "--lambda", "0.5", "--table", "big.csv"], OVERFLOW),
+        (["coeffs", "--lambda", "0.5", "--table", "big.csv", "--nmax", "4"], OVERFLOW),
+        (["simulate", "spec.json", "--random", "5"], SCALE + "the Gram matrix plus jitter overflows"),
+        (["simulate", "spec.json", "--random", "5", "--method", "spectral"], SCALE + "the spectral amplitudes overflow"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES, ids=["certify", "coeffs", "factorized", "spectral"])
+    def test_exit_3_with_one_json_line(self, tmp_path, argv, message):
+        (tmp_path / "big.csv").write_text("".join(f"{-1.0 + i / 40},1e308\n" for i in range(81)), encoding="utf-8")
+        doc = {"kind": "sphere", "d": 2, "coeffs": [0.5, 0.5], "scale": 1e308}
+        (tmp_path / "spec.json").write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli(argv, tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == json.dumps({"error": 3, "message": message}) + "\n"
+
+
 class TestCharFnParamSpecs:
     """A characteristic-function parameter that is not a JSON number is a spec
     problem: exit 2 with one JSON line on stderr, no traceback."""

@@ -796,6 +796,16 @@ class TestSampleFactorized:
         with pytest.raises(DomainError):
             sample_factorized(seq, pts, n_samples=2, seed=0, jitter=jitter)
 
+    @pytest.mark.parametrize("n_points, jitter", [(5, None), (1, 1e308)], ids=["trace", "diagonal"])
+    def test_overflowing_scale_is_a_domain_error_naming_it(self, n_points, jitter):
+        # Scale 1e308: five diagonal entries overflow the default jitter's
+        # trace, and one plus a jitter of 1e308 overflows the diagonal.
+        seq = make_sequence([5e307, 5e307], LEGENDRE, normalize=True)
+        pts = uniform_sphere_points(2, n_points, seed=54)
+        with pytest.raises(DomainError, match=r"kernel scale 1e\+308 is too large"):
+            sample_factorized(seq, pts, n_samples=2, seed=0, jitter=jitter)
+        assert np.isfinite(sample_factorized(seq, uniform_sphere_points(2, 1, seed=54), 2, seed=0).values).all()
+
 
 class TestHarmonicDimension:
     def test_two_sphere(self):
@@ -998,6 +1008,11 @@ class TestSampleSpectralS2:
         a = sample_spectral_s2(seq, pts, n_samples=5, seed=81)
         b = sample_spectral_s2(seq, pts, n_samples=5, seed=81)
         assert_array_equal(a.values, b.values)
+
+    def test_overflowing_scale_is_a_domain_error_naming_it(self):
+        seq = make_sequence([5e307, 5e307], LEGENDRE, normalize=True)
+        with pytest.raises(DomainError, match=r"kernel scale 1e\+308 is too large"):
+            sample_spectral_s2(seq, uniform_sphere_points(2, 5, seed=73), n_samples=2, seed=0)
 
     def test_rejects_wrong_basis(self):
         seq = make_sequence([1.0], GegenbauerBasis.from_index(1.0))

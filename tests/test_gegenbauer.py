@@ -445,7 +445,7 @@ class TestQuadrature:
         # An order x order recurrence table and its square would take 137 MiB here.
         # The rounds of Newton and Sturm passes hold a few vectors of length
         # order; a dense order x order Jacobi matrix would take 69 MiB here.
-        build = quadrature.__wrapped__
+        build = gegenbauer._gauss_rule.__wrapped__
         build(0.5, 4)  # one-time first-call costs stay outside the measurement
         tracemalloc.start()
         try:
@@ -543,7 +543,7 @@ def _reference_bisection(betas, above):
 
 
 def _counted_build(lam, order):
-    """`quadrature.__wrapped__(lam, order)` and its (Newton, Sturm) pass counts:
+    """`gegenbauer._gauss_rule.__wrapped__(lam, order)` and its (Newton, Sturm) pass counts:
     the `_ratio` calls without and with Sturm counts."""
     passes = [0, 0]
     ratio = gegenbauer._ratio
@@ -553,7 +553,7 @@ def _counted_build(lam, order):
         return ratio(betas, x, counts)
 
     with mock.patch.object(gegenbauer, "_ratio", spy):
-        return quadrature.__wrapped__(lam, order), tuple(passes)
+        return gegenbauer._gauss_rule.__wrapped__(lam, order), tuple(passes)
 
 
 class TestGaussNodes:
@@ -680,7 +680,7 @@ class TestRootRounds:
         ],
     )
     def test_first_round_rule_bytes(self, lam, digest):
-        rule = quadrature.__wrapped__(lam, 1024)
+        rule = gegenbauer._gauss_rule.__wrapped__(lam, 1024)
         assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("lam, passes", [(0.5, (3, 1)), (10.5, (8, 1))])
@@ -714,7 +714,7 @@ class TestRootRounds:
     def test_later_rounds_find_the_bisection_roots(self, lam, order, bisected):
         # `bisected` is the count the first round leaves, as recorded when the
         # unproven roots went to plain bisection instead.
-        rule = quadrature.__wrapped__(lam, order)
+        rule = gegenbauer._gauss_rule.__wrapped__(lam, order)
         assert rule.bisected == bisected
         betas = gegenbauer._monic_betas(lam, order)
         with np.errstate(all="ignore"):
@@ -732,7 +732,7 @@ class TestRootRounds:
     def test_one_root_is_bracketed_by_its_restart_points(self, order):
         # One positive root and no midpoint between iterates: only the counts
         # at the restart points bracket it. The build runs the mass check.
-        rule = quadrature.__wrapped__(1e4, order)
+        rule = gegenbauer._gauss_rule.__wrapped__(1e4, order)
         assert rule.bisected == 1
         assert_allclose(rule.nodes, roots_gegenbauer(order, 1e4)[0], rtol=0, atol=1e-15)
         assert_allclose(rule.integrate(np.ones(order)), math.exp(gegenbauer._log_norm_squared(1e4, 0)), rtol=1e-9)
@@ -763,7 +763,7 @@ class TestRuleChecks:
         route, result = ("_chebyshev_rule", (nodes, weights)) if closed else ("_positive_roots", (positive, bisected))
         with mock.patch.object(gegenbauer, route, return_value=result):
             with pytest.raises(ConvergenceError) as excinfo:
-                quadrature.__wrapped__(lam, 8)
+                gegenbauer._gauss_rule.__wrapped__(lam, 8)
         assert str(excinfo.value) == f"Gauss nodes (lam={lam}, order=8) are not distinct and inside (-1, 1)"
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 20.0])
@@ -782,9 +782,9 @@ class TestRuleChecks:
                 return mock.patch.object(gegenbauer, "_christoffel_weights", lambda *args: christoffel(*args) * factor)
 
         with scaled(1.0 + 1e-6), pytest.raises(ConvergenceError, match=r"^Gauss weights \(lam=.*, order=8\) sum to "):
-            quadrature.__wrapped__(lam, 8)
+            gegenbauer._gauss_rule.__wrapped__(lam, 8)
         with scaled(1.0 + 1e-11):  # within the check's relative 1e-9
-            assert quadrature.__wrapped__(lam, 8).order == 8
+            assert gegenbauer._gauss_rule.__wrapped__(lam, 8).order == 8
 
 
 class TestChebyshevURoots:
@@ -821,7 +821,7 @@ class TestChebyshevURoots:
                 mock.patch.object(gegenbauer, "_fill", side_effect=AssertionError("a recurrence row was filled")),
                 mock.patch.object(gegenbauer, "_christoffel_weights", side_effect=AssertionError("a Christoffel sum ran")),
             ):
-                rule = quadrature.__wrapped__(lam, 1024)
+                rule = gegenbauer._gauss_rule.__wrapped__(lam, 1024)
             assert rule.order == 1024 and rule.bisected == 0
 
     @settings(max_examples=40, deadline=None)
@@ -896,7 +896,7 @@ class TestQuadratureCache:
 class TestDegreeTableCache:
     """Coefficient recovery's cached degree x node tables and norms."""
 
-    CAP_SHAPES = ((32, 1024), (64, 512), (128, 256), (256, 128))  # rows x order at the cap
+    CAP_SHAPES = ((128, 1024), (256, 512), (512, 256), (1024, 128))  # rows x order at the cap
 
     def test_table_is_cached_read_only_and_equals_the_recurrence(self):
         table = gegenbauer._degree_table(1.5, 40, 12)
@@ -924,7 +924,7 @@ class TestDegreeTableCache:
             assert norms.tolist() == [gegenbauer._norm_squared(lam, n) for n in range(30)]
 
     def test_cache_holds_at_most_sixteen_tables_at_the_cap(self):
-        cap = gegenbauer._CHUNK_BYTES
+        cap = gegenbauer._TABLE_CACHE_BYTES
         assert all(8 * rows * order == cap for rows, order in self.CAP_SHAPES)
         lams = (0.0, 0.5, 1.0, 1.5, 2.0)
         keys = [(lam, order, rows - 1) for lam in lams for rows, order in self.CAP_SHAPES]
@@ -940,14 +940,15 @@ class TestDegreeTableCache:
         finally:
             tracemalloc.stop()
         assert gegenbauer._degree_table.cache_info().currsize == 16
-        # 16 tables of 256 KiB; at the peak a new table is built before the
-        # oldest is dropped. The slack covers the norms and the recurrence rows.
+        # 16 tables of 1 MiB; at the peak a new table and its `tobytes` copy
+        # exist before the oldest is dropped. The slack covers the norms and
+        # the recurrence rows.
         assert current <= 16 * cap + 2**18
-        assert peak <= 17 * cap + 2**18
+        assert peak <= 18 * cap + 2**18
 
     def test_table_over_the_cap_is_streamed_and_not_cached(self):
         order = 1024
-        rows = gegenbauer._CHUNK_BYTES // (8 * order)
+        rows = gegenbauer._TABLE_CACHE_BYTES // (8 * order)
         quadrature(0.5, order)
         before = gegenbauer._degree_table.cache_info()
         # One row over the cap: each block is overwritten by the next, so read it at once.
@@ -961,6 +962,17 @@ class TestDegreeTableCache:
         streamed = b"".join(streamed)
         assert len(streamed) == 8 * (rows + 1) * order
         assert streamed[: 8 * rows * order] == at_cap.tobytes()
+
+    def test_certify_workload_recoveries_hit_the_cache(self):
+        # The four (lambda, order) recoveries of the benchmark's `certify`
+        # workload, at n_max = 64: tables of 266 240 and 532 480 bytes.
+        cases = [(lam, order) for lam in (0.5, 1.0) for order in (512, 1024)]
+        gegenbauer._degree_table.cache_clear()
+        first = [recover_coefficients(np.exp, GegenbauerBasis.from_index(lam), 64, order) for lam, order in cases]
+        again = [recover_coefficients(np.exp, GegenbauerBasis.from_index(lam), 64, order) for lam, order in cases]
+        info = gegenbauer._degree_table.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
 
 
 class TestRegressionValues:
@@ -1209,7 +1221,7 @@ class TestNodeRoute:
     Newton–Sturm round could not prove."""
 
     def test_a_bisected_rule_reports_its_count(self):
-        rule = quadrature.__wrapped__(20.0, 41)
+        rule = gegenbauer._gauss_rule.__wrapped__(20.0, 41)
         assert type(rule.bisected) is int
         assert rule.bisected == gegenbauer._positive_roots(20.0, 41)[1] > 0
 

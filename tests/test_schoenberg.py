@@ -1,5 +1,6 @@
 """Schoenberg sequences: synthesis, recovery, certification, multiquadric."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -295,6 +296,23 @@ class TestRecoverCoefficients:
         assert len(seen) == 1
         assert seen[0].shape == (16,) and not seen[0].flags.writeable
 
+    @pytest.mark.parametrize(
+        "d, n_max, order, g, message",
+        [
+            (2, 4, 64, lambda x: np.full_like(x, 1e308), "coefficient 0 overflows"),
+            (1, 4, 64, lambda x: np.where(x > 0, 1e308, -1e308), "coefficient 1 overflows"),
+            (1, 1, 2, lambda x: np.where(x > 0, 1.7e308, -1.7e308), "coefficient 0 overflows"),
+        ],
+    )
+    def test_overflowing_coefficient_is_a_domain_error(self, d, n_max, order, g, message):
+        # The `error::RuntimeWarning` filter in pyproject.toml fails a numpy overflow warning too.
+        with pytest.raises(DomainError, match=message):
+            recover_coefficients(g, GegenbauerBasis.from_dimension(d), n_max, order)
+
+    def test_certify_of_an_overflowing_function_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="coefficient 0 overflows"):
+            certify(lambda x: np.full_like(x, 1e308), GegenbauerBasis.from_dimension(2))
+
     def test_memory_does_not_grow_with_degree_times_order(self):
         # A degree x node table would take 34 MiB here.
         quadrature(0.5, 3002)  # the cached rule is built outside the measurement
@@ -346,16 +364,17 @@ def _scalar_only(g):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([1, 2, 3, 5]),
-    st.integers(0, 200),
+    st.integers(0, 300),
     st.integers(0, 300),
     st.floats(-8.0, 8.0),
     st.booleans(),
 )
-@example(2, 200, 300, 1.5, False)  # both tables over the cap
+@example(2, 256, 300, 1.5, False)  # both tables over the cap
 @example(3, 10, 20, -2.0, True)  # both tables under it
 def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, pointwise):
     # Each call runs twice, cold and then warm, and must give the bytes of
-    # the streamed path, which a cap of 0 forces for every table.
+    # the streamed path, which a cache cap of 0 forces for every table, in
+    # chunks of two rows.
     basis = GegenbauerBasis.from_dimension(d)
     order = n_max + 1 + extra
     g = lambda x: np.cos(frequency * x + 0.25)
@@ -368,10 +387,10 @@ def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, 
 
     gegenbauer._degree_table.cache_clear()
     cold, warm = run(), run()
-    if 8 * (n_max + 1) * order <= gegenbauer._CHUNK_BYTES:
+    if 8 * (n_max + 1) * order <= gegenbauer._TABLE_CACHE_BYTES:
         table = gegenbauer._degree_table(basis.lam, order, n_max)
         assert table.shape == (n_max + 1, order) and not table.flags.writeable
-    with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 0):
+    with mock.patch.multiple(gegenbauer, _TABLE_CACHE_BYTES=0, _CHUNK_BYTES=0):
         before = gegenbauer._degree_table.cache_info()
         streamed = run()
         assert gegenbauer._degree_table.cache_info() == before
@@ -394,26 +413,27 @@ def _loop_projection(g, basis, n_max, order, pointwise):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([0.0, 0.5, 1.0, 1.5, 20.0]),
-    st.integers(0, 200),
-    st.integers(0, 100),
+    st.integers(0, 300),
+    st.integers(0, 300),
     st.floats(-8.0, 8.0),
     st.booleans(),
     st.booleans(),
 )
-@example(0.5, 127, 128, 1.5, False, False)  # the largest cached table: 127 + 1 rows of 256 nodes
-@example(1.0, 127, 129, 1.5, False, False)  # one node more: streamed
+@example(0.5, 255, 256, 1.5, False, False)  # the largest cached table: 255 + 1 rows of 512 nodes
+@example(1.0, 255, 257, 1.5, False, False)  # one node more: streamed
 @example(20.0, 150, 0, -3.0, True, False)
 @example(0.0, 0, 0, 0.5, False, True)
 def test_one_vecdot_equals_the_per_degree_loop(lam, n_max, extra, frequency, pointwise, no_cache):
-    # Both sides of the cache cap, and with a cap of 0 every table streams.
+    # Both sides of the cache cap, and with a cache cap of 0 every table
+    # streams, in chunks of two rows.
     basis = GegenbauerBasis.from_index(lam)
     order = n_max + 1 + extra
     g = lambda x: np.cos(frequency * x + 0.25)
     if pointwise:
         g = _scalar_only(g)
     reference = _loop_projection(g, basis, n_max, order, pointwise)
-    cap = 0 if no_cache else gegenbauer._CHUNK_BYTES
-    with mock.patch.object(gegenbauer, "_CHUNK_BYTES", cap):
+    streamed = mock.patch.multiple(gegenbauer, _TABLE_CACHE_BYTES=0, _CHUNK_BYTES=0)
+    with streamed if no_cache else contextlib.nullcontext():
         ahat, vectorized = schoenberg._recover(g, basis, n_max, order)
     assert vectorized is not pointwise
     assert ahat.shape == (n_max + 1,) and ahat.tobytes() == reference.tobytes()
@@ -892,6 +912,28 @@ class TestMultiquadric:
         seq = multiquadric_sequence(delta, LAMBDA_ONE, 64)
         ahat = recover_coefficients(lambda x: multiquadric_kernel(delta, 1.0, x), LAMBDA_ONE, 64, order)
         assert_allclose(ahat, seq.coeffs * seq.scale_c, rtol=0, atol=1e-13)
+
+    def test_large_index_keeps_the_ratio_law(self):
+        # The running terms pass the float max here: they are rescaled, with no
+        # warning, and each ratio a_n / a_{n-1} stays delta (n + 2 lambda - 1) / n.
+        delta, basis = 0.5, GegenbauerBasis.from_dimension(20001)
+        a = multiquadric_sequence(delta, basis, 9000).coeffs
+        n = np.arange(1, a.size)
+        normal = a[:-1] > 1e-280
+        assert normal.sum() > 1000 and math.isclose(a.sum(), 1.0, rel_tol=1e-12)
+        assert_allclose(a[1:][normal] / a[:-1][normal], (delta * (n + 2.0 * basis.lam - 1.0) / n)[normal], rtol=1e-12)
+
+    @pytest.mark.parametrize("delta, d, n_max", [(0.3, 20001, 150), (0.7, 1500, 300), (0.99, 1001, 300)])
+    def test_rescaled_terms_keep_the_bits_of_the_running_product(self, delta, d, n_max):
+        # The largest term lies between 2^1000 and the float max: it is rescaled,
+        # and the weights keep the bits of the plain product, normalized.
+        lam, terms = (d - 1) / 2, [1.0]
+        for n in range(1, n_max + 1):
+            terms.append(terms[-1] * delta * (n + 2.0 * lam - 1.0) / n)
+        assert 2.0**1000 < max(terms) < math.inf
+        terms = np.array(terms)
+        seq = multiquadric_sequence(delta, GegenbauerBasis.from_dimension(d), n_max)
+        assert seq.coeffs.tobytes() == (terms / float(terms.sum())).tobytes()
 
     def test_rejects_delta_outside_unit_interval(self):
         for bad in (0.0, 1.0, -0.2, 1.3):

@@ -212,7 +212,7 @@ def _load_table_function(path: str, n_max: int, cover: tuple):
         raise _ValidationFailure(
             f"table spans [{xs[0]!r}, {xs[-1]!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
         )
-    return _pchip(xs, ys)
+    return _pchip(xs, ys, path)
 
 
 def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -227,7 +227,7 @@ def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(xs: np.ndarray, ys: np.ndarray):
+def _pchip(xs: np.ndarray, ys: np.ndarray, name: str = "table"):
     """The monotone piecewise-cubic Hermite interpolant (PCHIP) through points
     with strictly increasing `xs`, NaN outside [xs[0], xs[-1]].
 
@@ -236,31 +236,37 @@ def _pchip(xs: np.ndarray, ys: np.ndarray):
     else their weighted harmonic mean; `_pchip_end` at the ends; the slope
     itself for two points. Each step is written in the order of operations of
     scipy's `PchipInterpolator(xs, ys, extrapolate=False)`, so both give the
-    same values."""
-    h = np.diff(xs)
-    m = np.diff(ys) / h
-    if xs.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        d = np.zeros(xs.size)
-        smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    same values. Values so far apart that a slope or a cubic coefficient is
+    not finite are a DomainError that names the table `name`; a value that
+    overflows is returned as ±inf or NaN, without a numpy warning, for the
+    caller's check of function values."""
+    with np.errstate(all="ignore"):  # overflows are checked below
+        h = np.diff(xs)
+        m = np.diff(ys) / h
+        if xs.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            d = np.zeros(xs.size)
+            smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d[1:-1][smooth] = 1.0 / whmean[smooth]
-        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    # Power-form coefficients of each interval's cubic in s = x - xs[i].
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]
+            d[1:-1][smooth] = 1.0 / whmean[smooth]
+            d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+        # Power-form coefficients of each interval's cubic in s = x - xs[i].
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]
+    if not (np.isfinite(c3).all() and np.isfinite(c2).all() and np.isfinite(c1).all()):
+        raise DomainError(f"table {name}: neighbouring values are too far apart, the interpolant's slopes overflow")
 
     def interpolant(x):
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
         s = np.where((xs[0] <= x) & (x <= xs[-1]), x - xs[i], np.nan)
         s2 = s * s
-        return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
     return interpolant
 

@@ -18,7 +18,10 @@ caller's buffer of rows, so every table and chunk of rows has the same bits.
 Gauss rules are built with numpy alone (the package does not use scipy). At
 λ = 0 and λ = 1 they are the Gauss–Chebyshev rules of the first and second
 kind, nodes and weights in closed form from angles (`_chebyshev_rule`), in
-time linear in the order. Every other λ finds its nodes by rounds of Newton
+time linear in the order. At λ = 1/2 from order `_LEGENDRE_MIN_ORDER` on they
+are Gauss–Legendre rules from Bogaert's iteration-free asymptotic series in
+the zeros of J_0 (`_legendre_rule`), also linear in the order, with no
+recurrence. Every other λ and order finds its nodes by rounds of Newton
 passes on the recurrence from asymptotic guesses, each round ending in one
 pass of Sturm counts of the zero-diagonal Jacobi matrix (Barth, Martin &
 Wilkinson 1967; Golub & Welsch 1969) that proves each root alone in its own
@@ -73,6 +76,15 @@ _NEWTON_STEPS = 8
 # Largest λ with a Gauss rule: the log-gamma form of h_n cancels to an absolute
 # error of about 4e-11 at λ = 1e4 and 1e-9 at 1e5, the mass check's tolerance.
 _MAX_RULE_LAM = 1e4
+
+# Least order of a λ = 1/2 rule from `_legendre_rule`; lower orders take the
+# recurrence route. The series' truncation error falls as the order grows: at
+# every node of every order from 69 to 140, the node is within 1.9·2^-53 of a
+# 40-digit reference and the weight within 7.5e-16 relative, the gate of
+# 4·2^-53 and 1e-15 with two ulps to spare, so a `sin` that rounds otherwise
+# cannot cross it. Orders 67 and 68 pass with less (weights 9.0e-16 and
+# 8.0e-16), 66 fails (1.02e-15), and below 59 the nodes fail too.
+_LEGENDRE_MIN_ORDER = 69
 
 
 def _immutable(arr: np.ndarray) -> np.ndarray:
@@ -248,8 +260,9 @@ class QuadratureRule:
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
     `bisected` is the node route: how many of the positive nodes the first
     Newton–Sturm round could not prove, an int (0 for every rule up to
-    λ = 10.5 and for the closed-form Gauss–Chebyshev rules, λ = 0 and λ = 1,
-    which run no round).
+    λ = 10.5, for the closed-form Gauss–Chebyshev rules, λ = 0 and λ = 1, and
+    for the iteration-free λ = 1/2 rules from order `_LEGENDRE_MIN_ORDER` (69)
+    on, which run no round).
     """
 
     nodes: np.ndarray
@@ -359,7 +372,9 @@ def _block_sum(scale: float, rows: int, terms, *args):
     BLAS threads. A term is added before the next is made, so `terms` may reuse a
     buffer. Memory is the output plus about `_BLOCK_BYTES` (`rows` rows of one
     block). Scalar points give a float, arrays an array of their shape.
-    Arguments that are not numbers or do not broadcast are a DomainError."""
+    Arguments that are not numbers or do not broadcast are a DomainError, and
+    so is a `scale` that makes a value overflow (normalized weights can sum to
+    just over 1 in floating point)."""
     floats = [_float_array(a, "kernel arguments") for a in args]
     try:
         arrays = np.broadcast_arrays(*floats)
@@ -371,7 +386,11 @@ def _block_sum(scale: float, rows: int, terms, *args):
         acc = out[block]
         for term in terms(*(f[block] for f in flat)):
             acc += term
-    out *= scale
+    try:
+        with np.errstate(over="raise"):  # numpy reads the overflow flag after every ufunc anyway
+            out *= scale
+    except FloatingPointError:
+        raise DomainError(f"kernel scale {scale!r} is too large: the kernel values overflow") from None
     return float(out[0]) if arrays[0].ndim == 0 else out.reshape(arrays[0].shape)
 
 
@@ -645,6 +664,157 @@ def _chebyshev_rule(lam: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+# j_{0,k}, the zeros of the Bessel function J_0, for k = 1, ..., 20, and
+# J_1(j_{0,k})² for k = 1, ..., 21: the doubles nearest their 40-digit mpmath
+# values (`besseljzero(0, k)`, `besselj(1, j)**2`). `_legendre_rule` takes
+# McMahon's expansions beyond them.
+_J0_ZEROS = np.array([
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281, 14.930917708487787,
+    18.071063967910924, 21.21163662987926, 24.352471530749302, 27.493479132040253, 30.634606468431976,
+    33.77582021357357, 36.917098353664045, 40.05842576462824, 43.19979171317673, 46.341188371661815,
+    49.482609897397815, 52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+])
+_J1_SQUARED = np.array([
+    0.2695141239419169, 0.11578013858220369, 0.07368635113640822, 0.05403757319811628, 0.04266142901724309,
+    0.0352421034909961, 0.030021070103054673, 0.02614739149530809, 0.023159121824691393, 0.02078382912226786,
+    0.01885045066931767, 0.017246157569665008, 0.0158935181059236, 0.01473762609647219, 0.013738465145387117,
+    0.012866181737615133, 0.012098051548626797, 0.011416471224491609, 0.010807592791180204, 0.010260372926280762,
+    0.009765897139791051,
+])
+
+# Polynomial coefficients, lowest power first, for `_legendre_rule`.
+# McMahon: j_{0,k} = β + P(1/β²)/β, β = (k − 1/4)π, with the coefficients
+# 1/8, −31/384, 3779/15360, −6277237/3440640, 2092163573/82575360 and
+# −8249725736393/14533263360 (Abramowitz & Stegun 9.5.12); the next term is
+# below 1e-21 of j_{0,k} from k = 21 on.
+_MCMAHON = (
+    0.125, -0.08072916666666667, 0.24602864583333334, -1.824438767206101, 25.336414797343906, -567.6444121351834
+)
+# J_1(j_{0,k})² = t·P(t²), t = 1/(k − 1/4), and the fits in θ² of the node
+# corrections F_1, F_2, F_3 and the weight terms W_1, W_2, W_3 of Bogaert (2014),
+# as published in his FastGL code.
+_J1_SQUARED_SERIES = (
+    0.202642367284675542887758926420, 0.0, -0.303380429711290253026202643516e-3,
+    0.198924364245969295201137972743e-3, -0.228969902772111653038747229723e-3,
+    0.433710719130746277915572905025e-3, -0.123632349727175414724737657367e-2,
+    0.496101423268883102872271417616e-2, -0.266837393702323757700998557826e-1, 0.185395398206345628711318848386,
+)
+_NODE_FITS = (
+    (
+        -0.416666666666662959639712457549e-1, 0.416666666665193394525296923981e-2,
+        -0.148809523713909147898955880165e-3, 0.275573168962061235623801563453e-5,
+        -3.13148654635992041468855740012e-8, 2.40724685864330121825976175184e-10,
+        -1.29052996274280508473467968379e-12,
+    ),
+    (
+        0.815972221772932265640401128517e-2, -0.209022248387852902722635654229e-2,
+        0.282116886057560434805998583817e-3, -0.253300326008232025914059965302e-4,
+        0.161969259453836261731700382098e-5, -7.53036771373769326811030753538e-8,
+        2.20639421781871003734786884322e-9,
+    ),
+    (
+        -0.416012165620204364833694266818e-2, 0.128654198542845137196151147483e-2,
+        -0.251395293283965914823026348764e-3, 0.418498100329504574443885193835e-4,
+        -0.567797841356833081642185432056e-5, 5.55845330223796209655886325712e-7,
+        -2.97058225375526229899781956673e-8,
+    ),
+)
+_WEIGHT_FITS = (
+    (
+        0.833333333333333302184063103900e-1, -0.305555555555553028279487898503e-1,
+        0.436507936507598105249726413120e-2, -0.326278659594412170300449074873e-3,
+        0.149644593625028648361395938176e-4, -4.63968647553221331251529631098e-7,
+        1.03756066927916795821098009353e-8, -1.75257700735423807659851042318e-10,
+        2.30365726860377376873232578871e-12, -2.20902861044616638398573427475e-14,
+    ),
+    (
+        -0.111111111111214923138249347172e-1, 0.268959435694729660779984493795e-2,
+        -0.407297185611335764191683161117e-3, 0.465969530694968391417927388162e-4,
+        -0.381817918680045468483009307090e-5, 2.11483880685947151466370130277e-7,
+        -7.12912857233642220650643150625e-9, 7.67643545069893130779501844323e-11,
+        3.63117412152654783455929483029e-12,
+    ),
+    (
+        0.656966489926484797412985260842e-2, -0.947969308958577323145923317955e-4,
+        -0.105646050254076140548678457002e-3, -0.422888059282921161626339411388e-4,
+        0.200559326396458326778521795392e-4, -0.397933316519135275712977531366e-5,
+        5.08898347288671653137451093208e-7, -4.38647122520206649251063212545e-8,
+        2.01826791256703301806643264922e-9,
+    ),
+)
+
+
+def _horner(coefficients: tuple, x: np.ndarray) -> np.ndarray:
+    """The polynomial with `coefficients`, lowest power first, at `x`: Horner's
+    rule, two in-place ufuncs per coefficient."""
+    acc = np.full_like(x, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _series(fits: tuple, x: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """F_1 + u2·(F_2 + u2·F_3), each F_i the polynomial `fits[i]` at x."""
+    f1, f2, f3 = (_horner(fit, x) for fit in fits)
+    return f1 + u2 * (f2 + u2 * f3)
+
+
+def _bessel_zeros(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k = 1, ..., count as floats, j_{0,k} − (k − 1/4)π and J_1(j_{0,k})²: the
+    tables `_J0_ZEROS` and `_J1_SQUARED`, then McMahon's expansions. In the
+    table the difference is exact (Sterbenz), so adding (k − 1/4)π back gives
+    the tabulated zero."""
+    k = np.arange(1.0, count + 1.0)
+    beta = np.pi * (k - 0.25)
+    outer = beta[_J0_ZEROS.size :]
+    t = 1.0 / (k[_J1_SQUARED.size :] - 0.25)
+    return (
+        k,
+        np.concatenate((_J0_ZEROS[:count] - beta[: _J0_ZEROS.size], _horner(_MCMAHON, 1.0 / (outer * outer)) / outer)),
+        np.concatenate((_J1_SQUARED[:count], t * _horner(_J1_SQUARED_SERIES, t * t))),
+    )
+
+
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss–Legendre rule (λ = 1/2) from asymptotic
+    series, with no recurrence and no iteration: Bogaert (2014), "Iteration-free
+    computation of Gauss–Legendre quadrature nodes and weights", SIAM J. Sci.
+    Comput. 36(3):A1008–A1026, with the polynomial fits of his FastGL code.
+    `_gauss_rule` takes it from order `_LEGENDRE_MIN_ORDER` on.
+
+    With v = 1/(N + 1/2), j_k the k-th zero of J_0, θ⁰ = v·j_k and
+    u = v²·j_k/sin θ⁰, the k-th node from +1 is cos θ_k with
+    θ_k = v·(j_k + θ⁰·u·F(θ⁰², u²)), and its weight is
+    2v / (J_1(j_k)²·(j_k/sin θ⁰)·(1 + u²·W(θ⁰², u²))); F and W are the fits
+    (`_series`), and j_k and J_1(j_k)² come from `_bessel_zeros`. Since
+    v·(k − 1/4)π = π/2 − π(N+1−2k)/(2N+1), the node is taken as
+    sin(π(N+1−2k)/(2N+1) − v·(j_k − (k − 1/4)π + θ⁰·u·F)): that angle is
+    small near the middle, so no rounding of θ_k near π/2 and of its cosine
+    is paid there (cos θ_k erred by up to 5·2^-53 at order 90, this by at
+    most 2.1·2^-53 at every order from 67 to 4096). The (N+1)//2 values from
+    +1 inwards are mirrored, so the nodes are exactly antisymmetric, 0 in the
+    middle at odd N, whose weight is the formula's at k = (N+1)/2. The number
+    of ufunc calls is the same at every order."""
+    half = order // 2
+    v = 1.0 / (order + 0.5)
+    k, delta, bessel = _bessel_zeros((order + 1) // 2)
+    nu = np.pi * (k - 0.25) + delta
+    theta = v * nu
+    x = theta * theta
+    nu_sin = nu / np.sin(theta)
+    u = v * v * nu_sin
+    u2 = u * u
+    shift = delta + theta * u * _series(_NODE_FITS, x, u2)
+    positive = np.sin(np.pi * (order + 1 - 2 * k[:half]) / (2 * order + 1) - v * shift[:half])
+    scaled = bessel * nu_sin
+    weights = 2.0 * v / (scaled + scaled * u2 * _series(_WEIGHT_FITS, x, u2))
+    return (
+        np.concatenate((-positive, np.zeros(order % 2), positive[::-1])),
+        np.concatenate((weights, weights[:half][::-1])),
+    )
+
+
 def _check_rule_range(lam: float, order: int) -> None:
     """DomainError unless the norms h_0, ..., h_{order−1} that the weights and the
     mass check divide by are accurate (λ <= `_MAX_RULE_LAM`) and large enough
@@ -670,11 +840,16 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     closed-form Gauss–Chebyshev rules: nodes cos((2k−1)π/(2N)) and weights
     π/N, and nodes cos(kπ/(N+1)) (the roots of U_N) and weights
     π/(N+1)·sin²(kπ/(N+1)), exact to a few ulp, in time linear in the order.
-    Every other λ uses rounds of Newton passes on the recurrence from
-    asymptotic guesses, each ending in one pass of Sturm counts that proves
-    each root alone in its own interval and brackets the rest, which go on
-    inside their brackets (from λ = 11 on the first round misses some; the
-    rule's `bisected` says how many). Its weights are Christoffel numbers
+    λ = 1/2 from order 69 (`_LEGENDRE_MIN_ORDER`) on takes Bogaert's (2014)
+    iteration-free Gauss–Legendre series, also linear in the order (about
+    0.2 ms up to order 1024 on a 2-core Xeon VM): nodes within 4·2^-53 and
+    weights within 1e-15 relative of a 40-digit reference; it runs no round,
+    so `bisected` reads 0. Every other λ and order uses rounds of Newton
+    passes on the recurrence from asymptotic guesses, each ending in one pass
+    of Sturm counts that proves each root alone in its own interval and
+    brackets the rest, which go on inside their brackets (from λ = 11 on the
+    first round misses some; the rule's `bisected` says how many). Its
+    weights are Christoffel numbers
     1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes and
     mirrored, in time quadratic in the order. The Sturm counts and the weights
     fill chunks of recurrence rows and reduce each chunk at once, so the
@@ -682,7 +857,7 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     `_CHUNK_BYTES` (256 KiB). The nodes are exactly symmetric about 0, and so
     are the weights. Every rule must pass the same checks: distinct nodes
     inside (−1, 1) and weights that sum to h_0. The tests check orders up to
-    1024 (20002 at λ = 1); orders above 2·MAX_DEGREE + 2 = 20002 raise
+    1024 (20002 at λ = 1/2 and 1); orders above 2·MAX_DEGREE + 2 = 20002 raise
     DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
     would overflow the Christoffel sums (λ = 200 from order 665 on).
 
@@ -692,8 +867,8 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     writeable and change a later call's rule.
     """
     # Christoffel weights take time quadratic in the order (the closed-form
-    # rules at λ = 0 and 1, linear). 2·MAX_DEGREE + 2 is the largest rule
-    # `certify` or the default `coeffs` asks for.
+    # rules at λ = 0 and 1 and the λ = 1/2 series, linear). 2·MAX_DEGREE + 2
+    # is the largest rule `certify` or the default `coeffs` asks for.
     return _gauss_rule(_check_lam(lam), _check_count(order, "order", 1, most=2 * MAX_DEGREE + 2))
 
 
@@ -703,6 +878,8 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
     bisected, weights = 0, None
     if lam == 0.0 or lam == 1.0:
         nodes, weights = _chebyshev_rule(lam, order)
+    elif lam == 0.5 and order >= _LEGENDRE_MIN_ORDER:
+        nodes, weights = _legendre_rule(order)
     else:
         _check_rule_range(lam, order)
         positive, bisected = _positive_roots(lam, order)

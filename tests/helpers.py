@@ -300,9 +300,12 @@ def cli_env():
     ``PYTHONPATH`` starts with the absolute directory that holds the imported
     package, so the child runs the same ``spherecov`` from any working
     directory. ``SPHERECOV_SEED`` is dropped, so the documented default seed
-    applies whatever the calling shell exports.
+    applies whatever the calling shell exports. ``PYTHONWARNINGS`` turns a
+    RuntimeWarning into an error, as ``filterwarnings`` in pyproject.toml does
+    in process, so a stray numpy warning fails a child too.
     """
     env = {k: v for k, v in os.environ.items() if k != "SPHERECOV_SEED"}
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     rest = env.get("PYTHONPATH")
     src = str(Path(spherecov.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")

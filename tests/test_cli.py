@@ -897,6 +897,22 @@ class TestNumericOverflow:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == json.dumps({"error": 3, "message": message}) + "\n"
 
+    def test_table_slopes_that_overflow(self, tmp_path):
+        # Neighbours 2e308 apart: the interpolant's slopes overflow before
+        # any function value is taken.
+        rows = "".join(f"{-1.0 + i / 40},{(-1) ** i * 1e308}\n" for i in range(81))
+        (tmp_path / "t.csv").write_text(rows, encoding="utf-8")
+        result = run_cli(["coeffs", "--lambda", "0.5", "--nmax", "4", "--table", "t.csv"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        message = "table t.csv: neighbouring values are too far apart, the interpolant's slopes overflow"
+        assert result.stderr == json.dumps({"error": 3, "message": message}) + "\n"
+
+    def test_children_turn_runtime_warnings_into_errors(self, tmp_path):
+        # `cli_env` gives CLI children the in-process warning policy.
+        script = "import numpy as np; np.float64(1e308) * 10.0"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+        assert result.returncode != 0 and "RuntimeWarning: overflow" in result.stderr
+
 
 class TestCharFnParamSpecs:
     """A characteristic-function parameter that is not a JSON number is a spec

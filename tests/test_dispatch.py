@@ -18,7 +18,8 @@ step `_step`, so every degree table comes from one loop, and only its
 is not in closed form comes from one loop too; `_ratio` itself steps through
 its βs in one loop, for Newton and Sturm passes alike. `_newton_roots` and
 `_christoffel_weights` each have one caller, the route of every Gauss rule
-that is not in closed form."""
+that is not in closed form, and `_gauss_rule` is the one caller of the
+iteration-free λ = 1/2 rule `_legendre_rule`."""
 
 import ast
 import inspect
@@ -503,6 +504,17 @@ def test_one_caller_runs_the_recurrence_route(name, owner):
         for caller, _ in _uses(path.read_text(encoding="utf-8"), name)
     ]
     assert sites == [("gegenbauer.py", owner)]
+
+
+def test_only_gauss_rule_takes_the_legendre_series():
+    # The iteration-free λ = 1/2 rule is a route of `_gauss_rule`, so it is
+    # built once per (lam, order), cached and checked like the others.
+    sites = [
+        (path.name, caller)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for caller, _ in _uses(path.read_text(encoding="utf-8"), "_legendre_rule")
+    ]
+    assert sites == [("gegenbauer.py", "_gauss_rule")]
 
 
 def test_guard_flags_a_second_root_route():

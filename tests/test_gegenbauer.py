@@ -414,10 +414,11 @@ class TestQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 3, 16, 257, 1024])
     def test_weights_match_table_formula(self, lam, order):
         # Reference: Christoffel numbers from the whole degree x node table,
-        # symmetrized as the rule is. The λ = 1 rule takes closed-form weights,
-        # so there the Christoffel sums are checked at its nodes directly.
+        # symmetrized as the rule is. The λ = 1 rule and the λ = 1/2 rule from
+        # `_LEGENDRE_MIN_ORDER` on take their weights from formulas, so there
+        # the Christoffel sums are checked at their nodes directly.
         rule = quadrature(lam, order)
-        weights = gegenbauer._christoffel_weights(lam, rule.nodes) if lam == 1.0 else rule.weights
+        weights = gegenbauer._christoffel_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
         basis = GegenbauerBasis.from_index(lam)
         inv_norms = np.array([1.0 / norm_squared(basis, n) for n in range(order)])
         reference = 1.0 / (inv_norms @ eval_sequence(basis, order - 1, rule.nodes) ** 2)
@@ -427,12 +428,12 @@ class TestQuadrature:
     def test_half_node_weights_equal_the_full_node_sum(self, lam):
         # Reference: the Christoffel sum over every node, in the order the
         # rule adds its terms, then symmetrized. Summing over the nonnegative
-        # half and mirroring must give the same bytes. The λ = 1 rule takes
-        # closed-form weights, so there the Christoffel sums at its nodes are
-        # checked directly.
+        # half and mirroring must give the same bytes. Where a formula gives
+        # the weights (`_formula_weights`), the Christoffel sums at the rule's
+        # nodes are checked directly.
         for order in (1, 2, 3, 4, 5, 64, 65, 255, 512, 1023, 1024):
             rule = quadrature(lam, order)
-            weights = gegenbauer._christoffel_weights(lam, rule.nodes) if lam == 1.0 else rule.weights
+            weights = gegenbauer._christoffel_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
             total = np.zeros(order)
             values = eval_sequence(GegenbauerBasis.from_index(lam), order - 1, rule.nodes)
             for n in range(order):
@@ -445,16 +446,17 @@ class TestQuadrature:
         # An order x order recurrence table and its square would take 137 MiB here.
         # The rounds of Newton and Sturm passes hold a few vectors of length
         # order; a dense order x order Jacobi matrix would take 69 MiB here.
+        # λ = 1.5: the λ = 1/2 rule of this order runs no recurrence.
         build = gegenbauer._gauss_rule.__wrapped__
-        build(0.5, 4)  # one-time first-call costs stay outside the measurement
+        build(1.5, 4)  # one-time first-call costs stay outside the measurement
         tracemalloc.start()
         try:
-            rule = build(0.5, 3000)
+            rule = build(1.5, 3000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        assert_allclose(rule.integrate(rule.nodes**2), 2.0 / 3.0, rtol=1e-12)
+        assert_allclose(rule.integrate(rule.nodes**2), _even_moment(1.5, 1), rtol=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -502,6 +504,12 @@ class TestQuadrature:
             rule.integrate(np.ones(7))
 
 
+def _formula_weights(lam, order):
+    """Whether the (lam, order) rule takes its weights from a formula, not
+    from Christoffel sums: λ = 0 and 1, and λ = 1/2 from `_LEGENDRE_MIN_ORDER` on."""
+    return lam in (0.0, 1.0) or (lam == 0.5 and order >= gegenbauer._LEGENDRE_MIN_ORDER)
+
+
 def _mp_node_and_weight(lam, order, x0):
     """40-digit Gauss node next to `x0` and its weight: two Newton steps on the
     monic recurrence p_n = x·p_{n−1} − β_{n−1}·p_{n−2} in mpmath, and
@@ -542,9 +550,9 @@ def _reference_bisection(betas, above):
         hi[active[~under]] = mid[~under]
 
 
-def _counted_build(lam, order):
-    """`gegenbauer._gauss_rule.__wrapped__(lam, order)` and its (Newton, Sturm) pass counts:
-    the `_ratio` calls without and with Sturm counts."""
+def _counted(build, lam, order):
+    """`build(lam, order)` and its (Newton, Sturm) pass counts: the `_ratio`
+    calls without and with Sturm counts."""
     passes = [0, 0]
     ratio = gegenbauer._ratio
 
@@ -553,7 +561,12 @@ def _counted_build(lam, order):
         return ratio(betas, x, counts)
 
     with mock.patch.object(gegenbauer, "_ratio", spy):
-        return gegenbauer._gauss_rule.__wrapped__(lam, order), tuple(passes)
+        return build(lam, order), tuple(passes)
+
+
+def _counted_build(lam, order):
+    """`gegenbauer._gauss_rule.__wrapped__(lam, order)` and its (Newton, Sturm) pass counts."""
+    return _counted(gegenbauer._gauss_rule.__wrapped__, lam, order)
 
 
 class TestGaussNodes:
@@ -685,8 +698,9 @@ class TestRootRounds:
 
     @pytest.mark.parametrize("lam, passes", [(0.5, (3, 1)), (10.5, (8, 1))])
     def test_first_round_passes(self, lam, passes):
-        # (Newton passes, Sturm passes) of a cold order-1024 build.
-        assert _counted_build(lam, 1024)[1] == passes
+        # (Newton passes, Sturm passes) of the order-1024 roots; a (0.5, 1024)
+        # rule itself takes `_legendre_rule` and runs none.
+        assert _counted(gegenbauer._positive_roots, lam, 1024)[1] == passes
 
     @pytest.mark.parametrize("lam, order, most", [(20.0, 41, 62), (200.0, 64, 67), (1e4, 40, 71)])
     def test_no_more_passes_than_bisection(self, lam, order, most):
@@ -838,6 +852,142 @@ class TestChebyshevURoots:
         assert roots.shape == (order // 2,)
         assert_allclose(roots, newton, rtol=0, atol=2.0**-51)
         assert_allclose(roots, full, rtol=0, atol=2.0**-51)
+
+
+def _sampled(order):
+    """Indices of the two largest nodes, the node at three quarters and the
+    middle one (0 at odd orders, the smallest positive node at even ones)."""
+    return sorted({order - 1, order - 2, (3 * order) // 4, order // 2})
+
+
+def _mp_legendre(order, x0):
+    """40-digit Gauss–Legendre node next to `x0` and its weight: two Newton
+    steps on n·P_n = (2n−1)·x·P_{n−1} − (n−1)·P_{n−2}, and 2/((1−x²)·P_N′(x)²)
+    at the iterate of the first step. An error e in x moves that weight by
+    about e/(1−x), 1e-18 at the largest node of order 20002. The weight of
+    `_mp_node_and_weight`, taken at the same iterate, divides by p_{N−1}(x),
+    whose largest root lies within 1e-12 of that node, and is off by 1.4e-14
+    there."""
+    x = mpmath.mpf(float(x0))
+    for _ in range(2):
+        before, last = mpmath.mpf(1), x
+        for n in range(2, order + 1):
+            before, last = last, ((2 * n - 1) * x * last - (n - 1) * before) / n
+        slope = order * (x * last - before) / (x * x - 1)
+        weight, step = 2 / ((1 - x * x) * slope**2), last / slope
+        x -= step
+    assert abs(step) < mpmath.mpf(10) ** -25
+    return x, weight
+
+
+def _recurrence_rule(order):
+    """Nodes and weights of the λ = 1/2 rule by the recurrence route, which
+    `_gauss_rule` takes below `_LEGENDRE_MIN_ORDER`: Newton–Sturm roots and
+    Christoffel weights."""
+    positive = gegenbauer._positive_roots(0.5, order)[0]
+    nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
+    return nodes, gegenbauer._christoffel_weights(0.5, nodes)
+
+
+class TestLegendreRule:
+    """From `_LEGENDRE_MIN_ORDER` on, the λ = 1/2 rule comes from Bogaert's
+    iteration-free series (`_legendre_rule`): no recurrence, no Newton or
+    Sturm pass and no Christoffel sum. Its gates: nodes within 4·2^-53 of a
+    40-digit reference, weights within 1e-15 relative."""
+
+    MIN = gegenbauer._LEGENDRE_MIN_ORDER
+
+    @pytest.mark.parametrize("order", [MIN, MIN + 1, 202, 1024, 1025, 4097, 20002])
+    def test_matches_mpmath(self, order):
+        rule = quadrature(0.5, order)
+        with mpmath.workdps(40):
+            for i in _sampled(order):
+                x, w = _mp_legendre(order, rule.nodes[i])
+                assert abs(float(rule.nodes[i] - x)) <= 4 * 2.0**-53, (order, i)
+                assert abs(float(rule.weights[i] / w - 1)) <= 1e-15, (order, i)
+
+    @pytest.mark.parametrize("order", [512, 1024])
+    def test_weights_beat_the_christoffel_sums(self, order):
+        rule = quadrature(0.5, order)
+        nodes, weights = _recurrence_rule(order)
+        ours, theirs = 0.0, 0.0
+        with mpmath.workdps(40):
+            for i in _sampled(order):
+                w = _mp_legendre(order, rule.nodes[i])[1]
+                ours = max(ours, abs(float(rule.weights[i] / w - 1)))
+                theirs = max(theirs, abs(float(weights[i] / w - 1)))
+        assert ours < theirs, (ours, theirs)
+
+    def test_tables_and_expansions_match_mpmath(self):
+        # The 20 zeros and 21 values of J_1² are the doubles nearest their
+        # 40-digit values; McMahon's expansions beyond them are within 4·2^-53.
+        k, delta, bessel = gegenbauer._bessel_zeros(200)
+        zeros = np.pi * (k - 0.25) + delta
+        with mpmath.workdps(40):
+            for i in range(200):
+                j = mpmath.besseljzero(0, i + 1)
+                j1 = mpmath.besselj(1, j) ** 2
+                if i < gegenbauer._J0_ZEROS.size:
+                    assert gegenbauer._J0_ZEROS[i] == zeros[i] == float(j), i
+                else:
+                    assert abs(float(zeros[i] / j - 1)) <= 4 * 2.0**-53, i
+                if i < gegenbauer._J1_SQUARED.size:
+                    assert gegenbauer._J1_SQUARED[i] == bessel[i] == float(j1), i
+                else:
+                    assert abs(float(bessel[i] / j1 - 1)) <= 4 * 2.0**-53, i
+        assert gegenbauer._J0_ZEROS.size == 20 and gegenbauer._J1_SQUARED.size == 21
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.integers(gegenbauer._LEGENDRE_MIN_ORDER, 1100))
+    @example(order=gegenbauer._LEGENDRE_MIN_ORDER)
+    @example(order=1099)
+    @example(order=1100)
+    def test_agrees_with_the_recurrence_route(self, order):
+        # The Christoffel weights err by up to about 2e-17·N² (8.9e-13 below
+        # order 200, 2.3e-11 at 800–1100, against the series' 5e-16), so the
+        # weights are compared within 5e-17·N².
+        nodes, weights = gegenbauer._legendre_rule(order)
+        reference_nodes, reference_weights = _recurrence_rule(order)
+        assert_allclose(nodes, reference_nodes, rtol=0, atol=4 * 2.0**-53)
+        assert_allclose(weights, reference_weights, rtol=5e-17 * order**2, atol=0)
+
+    @pytest.mark.parametrize("order", [MIN, MIN + 1, 1024, 1025])
+    def test_rule_is_exactly_symmetric(self, order):
+        rule = quadrature(0.5, order)
+        assert rule.nodes.tobytes() == (-rule.nodes[::-1] + 0.0).tobytes()
+        assert rule.weights.tobytes() == rule.weights[::-1].tobytes()
+        assert order % 2 == 0 or rule.nodes[order // 2] == 0.0
+        assert rule.bisected == 0
+        assert_allclose(rule.integrate(np.ones(order)), 2.0, rtol=4e-16)
+
+    def test_no_recurrence_runs(self):
+        with (
+            mock.patch.object(gegenbauer, "_ratio", side_effect=AssertionError("a Newton or Sturm pass ran")),
+            mock.patch.object(gegenbauer, "_fill", side_effect=AssertionError("a recurrence row was filled")),
+            mock.patch.object(gegenbauer, "_christoffel_weights", side_effect=AssertionError("a Christoffel sum ran")),
+        ):
+            rule = gegenbauer._gauss_rule.__wrapped__(0.5, self.MIN)
+        assert rule.order == self.MIN and rule.bisected == 0
+
+    def test_recurrence_route_below_the_threshold(self):
+        order = self.MIN - 1
+        with mock.patch.object(gegenbauer, "_legendre_rule", side_effect=AssertionError("the series ran")):
+            rule = gegenbauer._gauss_rule.__wrapped__(0.5, order)
+        nodes, weights = _recurrence_rule(order)
+        assert rule.nodes.tobytes() == nodes.tobytes() and rule.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("fault", ["repeated", "at-one", "heavy"])
+    def test_route_runs_the_node_and_mass_checks(self, fault):
+        nodes, weights = (a.copy() for a in gegenbauer._legendre_rule(self.MIN))
+        if fault == "repeated":
+            nodes[-2] = nodes[-1]
+        elif fault == "at-one":
+            nodes[-1] = 1.0
+        else:
+            weights *= 1.0 + 1e-6
+        with mock.patch.object(gegenbauer, "_legendre_rule", return_value=(nodes, weights)):
+            with pytest.raises(ConvergenceError, match=r"^Gauss (nodes|weights) \(lam=0\.5, order="):
+                gegenbauer._gauss_rule.__wrapped__(0.5, self.MIN)
 
 
 class TestQuadratureCache:

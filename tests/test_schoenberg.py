@@ -192,6 +192,18 @@ class TestKernelEval:
         seq = make_sequence([0.0, 1.0], LEGENDRE)
         assert kernel_eval(seq, 0.3) == 0.3
 
+    def test_scale_that_overflows_is_a_domain_error(self):
+        # Normalized, these weights sum to just over 1 in floating point, so
+        # at x = 1 their total as the scale overflows; a numpy warning would
+        # be an error under pytest.
+        weights = [6.012757765148064e307, 2.018246789480117e305, 6.318982366233716e307, 2.475222761422376e306,
+                   5.377486473204339e307]
+        seq = make_sequence(weights, LEGENDRE, normalize=True)
+        assert seq.scale_c == np.finfo(float).max
+        assert math.isfinite(kernel_eval(seq, 0.3))
+        with pytest.raises(DomainError, match=r"^kernel scale 1\.7976931348623157e\+308 is too large: the kernel values overflow$"):
+            kernel_eval(seq, np.array([0.3, 1.0]))
+
     def test_value_at_one_is_scale(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -810,7 +822,7 @@ class TestCertifyGoldenBytes:
     }
     SHA256 = {
         1: "85d1d358fb463ce81ae6c95ec34e89138b0397328cb0e551b9432b3396a730a1",
-        2: "9558fe8f970a85023161d9870693e89e9facb7fb8583d31722e085cfb1cb8f05",
+        2: "319bf84fc4ede60be6e72ca3a1fdb303af2704eb0e587cadce1e225368a61385",
         3: "5be3e91be85ccc36496dbb0a234bcea8f67fffd0bbc051b8d52e2d7dd628e340",
     }
 

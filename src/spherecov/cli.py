@@ -227,7 +227,7 @@ def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(xs: np.ndarray, ys: np.ndarray, name: str = "table"):
+def _pchip(xs: np.ndarray, ys: np.ndarray, path: str):
     """The monotone piecewise-cubic Hermite interpolant (PCHIP) through points
     with strictly increasing `xs`, NaN outside [xs[0], xs[-1]].
 
@@ -237,7 +237,7 @@ def _pchip(xs: np.ndarray, ys: np.ndarray, name: str = "table"):
     itself for two points. Each step is written in the order of operations of
     scipy's `PchipInterpolator(xs, ys, extrapolate=False)`, so both give the
     same values. Values so far apart that a slope or a cubic coefficient is
-    not finite are a DomainError that names the table `name`; a value that
+    not finite are a DomainError that names the table `path`; a value that
     overflows is returned as ±inf or NaN, without a numpy warning, for the
     caller's check of function values."""
     with np.errstate(all="ignore"):  # overflows are checked below
@@ -258,7 +258,7 @@ def _pchip(xs: np.ndarray, ys: np.ndarray, name: str = "table"):
         t = (d[:-1] + d[1:] - 2 * m) / h
         c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]
     if not (np.isfinite(c3).all() and np.isfinite(c2).all() and np.isfinite(c1).all()):
-        raise DomainError(f"table {name}: neighbouring values are too far apart, the interpolant's slopes overflow")
+        raise DomainError(f"table {path}: neighbouring values are too far apart, the interpolant's slopes overflow")
 
     def interpolant(x):
         x = np.asarray(x, dtype=float)

@@ -325,7 +325,7 @@ class TestPchip:
             return
         # Random points, out-of-range points on both sides, and the knots themselves.
         at = np.concatenate((rng.uniform(-1.5, 1.5, 64), [-2.0, 2.0, np.nan], xs))
-        ours = cli._pchip(xs, ys)(at)
+        ours = cli._pchip(xs, ys, "t.csv")(at)
         theirs = PchipInterpolator(xs, ys, extrapolate=False)(at)
         assert np.array_equal(np.isnan(ours), np.isnan(theirs))
         assert np.all(np.isnan(ours[(at < xs[0]) | (at > xs[-1]) | np.isnan(at)]))
@@ -336,7 +336,7 @@ class TestPchip:
 
     def test_scalar_point(self):
         xs, ys = np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
-        assert float(cli._pchip(xs, ys)(0.5)) == float(PchipInterpolator(xs, ys, extrapolate=False)(0.5))
+        assert float(cli._pchip(xs, ys, "t.csv")(0.5)) == float(PchipInterpolator(xs, ys, extrapolate=False)(0.5))
 
     def test_single_row_table_is_exit_2(self, capsys, tmp_path):
         table = tmp_path / "one.csv"

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError, KernelSpecError, SphereCovError
-from .fields import point_set_type, sample_factorized, sample_spectral_s2
+from .fields import _seed_states, point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed, quadrature
 from .kernelspec import read_kernel_file
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
@@ -361,8 +361,7 @@ def _read_points_file(path: str, kernel):
 
 def _random_points(kernel, n: int, seed: int):
     """Deterministic point generation with streams split off the seed."""
-    states = np.random.SeedSequence(seed).generate_state(2)
-    return point_set_type(kernel).random(kernel.dimensions, n, states)
+    return point_set_type(kernel).random(kernel.dimensions, n, _seed_states(seed, 2))
 
 
 def cmd_simulate(args) -> int:

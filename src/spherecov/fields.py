@@ -292,13 +292,13 @@ def uniform_sphere_points(d: int, n: int, seed: int) -> SpherePointSet:
 
 def geodesic_cosine(p, q) -> float:
     """cos of the great-circle angle: the inner product clamped to [-1, 1]."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = gegenbauer._float_array(p, "p"), gegenbauer._float_array(q, "q")
     for name, v in (("p", p), ("q", q)):
         if v.ndim != 1:
             raise DomainError(f"{name} must be a vector")
-        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
-            raise DomainError(f"{name} has norm {np.linalg.norm(v)!r}, not 1 within {UNIT_NORM_TOL}")
+        norm = float(np.linalg.norm(v))
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
+            raise DomainError(f"{name} has norm {norm!r}, not 1 within {UNIT_NORM_TOL}")
     if p.shape != q.shape:
         raise DomainError("p and q must have the same length")
     return float(np.clip(p @ q, -1.0, 1.0))
@@ -334,8 +334,8 @@ def _upper(rows: slice, n: int) -> np.ndarray:
 
 def _row_arguments(factors: list, rows: slice) -> tuple:
     """One kernel argument per factor of `_row_factors` for the upper-triangle
-    pairs (i, j), j >= i, of `rows` in row-major order: the order of
-    `np.triu_indices`, whose triangle is the concatenation of its rows."""
+    pairs (i, j), j >= i, of `rows` in row-major order, as `_upper` masks them:
+    the one pair order, which `_mirror_rows` writes back and `_trial_index` maps."""
     upper, start = _upper(rows, len(factors[0])), rows.start
     return tuple(
         f[rows, start:][upper] if f.ndim == 2 else np.subtract.outer(f[rows], f[start:])[upper] for f in factors
@@ -354,11 +354,11 @@ def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _trial_seeds(seed: int, count: int) -> np.ndarray:
-    """`SeedSequence(seed).generate_state(count)`: the point-set seeds of
-    `certify`'s first `count` Gram trials, cached by (seed, count). The last 64
-    are kept, 4 bytes per trial each; `_immutable`, so no caller can make them
-    writeable."""
+def _seed_states(seed: int, count: int) -> np.ndarray:
+    """`SeedSequence(seed).generate_state(count)`, the one split of a seed into
+    `count` child seeds (`certify`'s Gram trials, the CLI's random points).
+    Cached by (seed, count), the last 64, 4 bytes per state each; `_immutable`,
+    so no caller can make them writeable."""
     return _immutable(np.random.SeedSequence(seed).generate_state(count))
 
 
@@ -367,11 +367,10 @@ def _trial_index(n: int) -> np.ndarray:
     """The n × n map from (i, j) to the place of the pair (min, max) in the
     row-major upper triangle of `_row_arguments`, so that `values[index]` is
     the exactly symmetric matrix that `_mirror_rows` writes from those
-    values, in one gather. Cached by n, the last 4; `_immutable`, so no
-    caller can make it writeable."""
-    rows, cols = np.triu_indices(n)
+    values, in one gather: `_mirror_rows` itself writes the places. Cached by
+    n, the last 4; `_immutable`, so no caller can make it writeable."""
     index = np.empty((n, n), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    _mirror_rows(index, slice(0, n), np.arange(n * (n + 1) // 2))
     return _immutable(index)
 
 
@@ -419,7 +418,11 @@ def schur_product(a: GramMatrix, b: GramMatrix) -> GramMatrix:
         raise DomainError(
             f"shape mismatch: {a.entries.shape} vs {b.entries.shape}"
         )
-    entries = a.entries * b.entries
+    try:
+        with np.errstate(over="raise"):
+            entries = a.entries * b.entries
+    except FloatingPointError:
+        raise DomainError(f"the Schur product of {a.provenance} and {b.provenance} overflows") from None
     entries.setflags(write=False)
     return GramMatrix(entries=entries, provenance=f"schur({a.provenance}, {b.provenance})")
 
@@ -613,8 +616,11 @@ def empirical_covariance(s: FieldSample) -> GramMatrix:
     """Unbiased sample covariance across realizations (divisor n_samples-1)."""
     if s.n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {s.n_samples}")
-    c = np.cov(s.values, rowvar=False, ddof=1)
-    c = np.atleast_2d(c)
-    c = 0.5 * (c + c.T)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # an inf or NaN can only follow an overflow
+            c = np.atleast_2d(np.cov(s.values, rowvar=False, ddof=1))
+            c = 0.5 * (c + c.T)
+    except FloatingPointError:
+        raise DomainError(f"the covariance of the {s.kernel_id} samples overflows") from None
     c.setflags(write=False)
     return GramMatrix(entries=c, provenance=f"empirical({s.kernel_id}, n_samples={s.n_samples})")

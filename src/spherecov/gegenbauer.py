@@ -427,17 +427,15 @@ def eval_sequence(basis: GegenbauerBasis, n_max: int, x) -> np.ndarray:
     return _table(basis.lam, n_max, _check_argument(x))
 
 
-def _log_norm_constant(lam: float) -> float:
-    """The terms of log h_n that do not depend on n, summed left to right."""
-    return (
-        math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0) + 2.0 * math.lgamma(2.0 * lam) - 2.0 * math.lgamma(lam)
-    )
-
-
 def _log_norm_squared(lam: float, n: int) -> float:
     # ∫ P̃_n² (1−x²)^{λ−1/2} dx in closed form via Gamma functions:
     #   h_n = π·2^{1−2λ}·Γ(2λ)²·n! / [(n+λ)·Γ(λ)²·Γ(n+2λ)]
-    return _log_norm_constant(lam) + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam) - math.log(n + lam)
+    # The terms that do not depend on n are summed first, left to right; the
+    # bits of every h_n, and so of `_norms`, depend on that order.
+    return (
+        (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0) + 2.0 * math.lgamma(2.0 * lam) - 2.0 * math.lgamma(lam))
+        + math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam) - math.log(n + lam)
+    )
 
 
 def _norm_squared(lam: float, n: int) -> float:
@@ -452,27 +450,12 @@ def norm_squared(basis: GegenbauerBasis, n: int) -> float:
     return _norm_squared(basis.lam, n)
 
 
-def _mapped(function, values: np.ndarray) -> np.ndarray:
-    """`function` (a `math` function) of each entry of the 1-D `values`."""
-    return np.fromiter(map(function, values.tolist()), dtype=float, count=values.size)
-
-
 @functools.lru_cache(maxsize=32)
 def _norms(lam: float, count: int) -> np.ndarray:
     """h_0, ..., h_{count−1} at λ as an `_immutable` float array, cached by
-    (λ, count), with the bits of `_norm_squared`: one pass of each `math`
-    function over all degrees, the terms added in the order `_log_norm_squared`
-    adds them. The working memory is a few vectors of length count."""
-    if lam == 0.0:
-        return _immutable(np.array([_norm_squared(lam, n) for n in range(count)], dtype=float))
-    n = np.arange(float(count))
-    log_norms = (
-        _log_norm_constant(lam)
-        + _mapped(math.lgamma, n + 1.0)
-        - _mapped(math.lgamma, n + 2.0 * lam)
-        - _mapped(math.log, n + lam)
-    )
-    return _immutable(_mapped(math.exp, log_norms))
+    (λ, count): `_norm_squared(lam, n)`, the one definition of h_n, for each
+    n < count."""
+    return _immutable(np.array([_norm_squared(lam, n) for n in range(count)], dtype=float))
 
 
 @functools.lru_cache(maxsize=16)

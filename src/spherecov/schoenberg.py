@@ -356,7 +356,7 @@ def certify(
     nothing from them.
     """
     # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _trial_arguments, _trial_index, _trial_seeds
+    from .fields import _seed_states, _trial_arguments, _trial_index
 
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
@@ -396,7 +396,7 @@ def certify(
 
     n = CERTIFY_GRAM_POINTS
     index = _trial_index(n)
-    trial_seeds = _trial_seeds(seed, max(gram_trials, 1))
+    trial_seeds = _seed_states(seed, max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])

@@ -19,7 +19,9 @@ is not in closed form comes from one loop too; `_ratio` itself steps through
 its βs in one loop, for Newton and Sturm passes alike. `_newton_roots` and
 `_christoffel_weights` each have one caller, the route of every Gauss rule
 that is not in closed form, and `_gauss_rule` is the one caller of the
-iteration-free λ = 1/2 rule `_legendre_rule`."""
+iteration-free λ = 1/2 rule `_legendre_rule`. The norm h_n, the Gram pair
+order and the split of a seed into child seeds each have one definition
+(`ONE_DEFINITION`)."""
 
 import ast
 import inspect
@@ -579,6 +581,58 @@ def test_guard_flags_a_second_ratio_loop():
         "        pass\n"
     )
     assert _beta_loops(source) == [4, 8, 11]
+
+
+# Facts with one definition each, by the name only that definition may use:
+# h_n (only `_log_norm_squared` takes a log-Gamma, and `_norms` reads it
+# through `_norm_squared`), the Gram pair order of fields (the `_upper` mask,
+# which `_trial_index` reads through `_mirror_rows`) and the split of a seed
+# into child seeds (`_seed_states`). Values: the modules searched (None for
+# all) and the allowed (module, enclosing function) pairs.
+ONE_DEFINITION = {
+    "lgamma": (["gegenbauer.py"], {("gegenbauer.py", "_log_norm_squared")}),
+    "triu_indices": (["fields.py"], set()),
+    "SeedSequence": (None, {("fields.py", "_seed_states")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_DEFINITION))
+def test_each_fact_has_one_definition(name):
+    modules, owners = ONE_DEFINITION[name]
+    paths = sorted(PACKAGE.glob("*.py")) if modules is None else [PACKAGE / module for module in modules]
+    sites = {(path.name, owner) for path in paths for owner, _ in _uses(path.read_text(encoding="utf-8"), name)}
+    assert sites == owners
+
+
+@pytest.mark.parametrize(
+    "name, source, uses",
+    [
+        (
+            "lgamma",
+            "def _log_norm_squared(lam, n):\n"
+            "    return math.lgamma(n + 1.0)\n"
+            "def _norms(lam, count):\n"
+            "    return _mapped(math.lgamma, np.arange(count) + 1.0)\n",
+            [("_log_norm_squared", 2), ("_norms", 4)],
+        ),
+        (
+            "triu_indices",
+            "def _trial_index(n):\n"
+            "    rows, cols = np.triu_indices(n)\n",
+            [("_trial_index", 2)],
+        ),
+        (
+            "SeedSequence",
+            "def _seed_states(seed, count):\n"
+            "    return np.random.SeedSequence(seed).generate_state(count)\n"
+            "def _random_points(kernel, n, seed):\n"
+            "    states = SeedSequence(seed).generate_state(2)\n",
+            [("_seed_states", 2), ("_random_points", 4)],
+        ),
+    ],
+)
+def test_guard_flags_a_second_definition(name, source, uses):
+    assert _uses(source, name) == uses
 
 
 class TestKernelProtocol:

@@ -517,6 +517,16 @@ class TestGeodesicCosine:
         with pytest.raises(DomainError):
             geodesic_cosine([2.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("p, q, name", [("abc", [1, 0, 0], "p"), ([1, 0, 0], ["x", 0, 0], "q")])
+    def test_non_numbers_are_a_domain_error(self, p, q, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be numbers: could not convert string to float"):
+            geodesic_cosine(p, q)
+
+    def test_norm_is_shown_as_a_float(self):
+        with pytest.raises(DomainError) as excinfo:
+            geodesic_cosine([1, 0, 0.1], [1, 0, 0])
+        assert str(excinfo.value) == "p has norm 1.004987562112089, not 1 within 1e-12"
+
 
 class TestGram:
     def test_constant_kernel_all_ones(self):
@@ -694,6 +704,12 @@ class TestSchurProduct:
         b = GramMatrix(entries=np.eye(3), provenance="b")
         with pytest.raises(DomainError):
             schur_product(a, b)
+
+    def test_overflow_is_one_domain_error(self):
+        # No numpy warning first: tier-1 turns a RuntimeWarning into an error.
+        g = GramMatrix(entries=np.diag([1e200, 1e200]), provenance="g")
+        with pytest.raises(DomainError, match=r"^the Schur product of g and g overflows$"):
+            schur_product(g, g)
 
 
 class TestFactor:
@@ -1195,3 +1211,18 @@ class TestEmpiricalCovariance:
         s = FieldSample(values=np.ones((1, 3)), seed=0, kernel_id="test")
         with pytest.raises(DomainError):
             empirical_covariance(s)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[1e300, -1e300], [-1e300, 1e300]], [[1e308, 0.0], [1.7e308, 0.0]]],
+        ids=["overflowing-products", "overflowing-mean"],
+    )
+    def test_overflow_is_one_domain_error(self, values):
+        s = FieldSample(values=np.array(values), seed=0, kernel_id="k")
+        with pytest.raises(DomainError, match=r"^the covariance of the k samples overflows$"):
+            empirical_covariance(s)
+
+    def test_a_large_finite_covariance_is_kept(self):
+        values = np.array([[1e153, 0.0], [-1e153, 1.0]])
+        c = empirical_covariance(FieldSample(values=values, seed=0, kernel_id="k")).entries
+        assert c.tobytes() == np.cov(values, rowvar=False, ddof=1).tobytes() and c[0, 0] > 1e306

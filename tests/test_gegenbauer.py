@@ -513,21 +513,27 @@ def _formula_weights(lam, order):
 def _mp_node_and_weight(lam, order, x0):
     """40-digit Gauss node next to `x0` and its weight: two Newton steps on the
     monic recurrence p_n = x·p_{n−1} − β_{n−1}·p_{n−2} in mpmath, and
-    w = ‖p_{N−1}‖² / (p_N′(x)·p_{N−1}(x)) from the values of the last step."""
+    w = ‖p_{N−1}‖² / (p_N′(x)·p_{N−1}(x)) from a third pass at the final
+    iterate. At high order p_{N−1} has a root close to the largest node (within
+    about 1e-12 at order 20002), so a weight taken at an earlier iterate would
+    be off there by 1e-14. p_N′ comes from the monic form of DLMF 18.9.20,
+    (1−x²)·p_N′ = (N+2λ−1)·N/(2(N+λ−1))·p_{N−1} − N·x·p_N."""
     lam = mpmath.mpf(lam)
     betas = [n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)) for n in range(1, order)]
+    slope = (order + 2 * lam - 1) * order / (2 * (order + lam - 1))
     x = mpmath.mpf(float(x0))
-    for _ in range(2):
-        before, last, d_before, d_last = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
+    for newton in (True, True, False):
+        before, last = mpmath.mpf(1), x
         for beta in betas:
-            before, last, d_before, d_last = last, x * last - beta * before, d_last, last + x * d_last - beta * d_before
-        weight_at = x
-        x -= last / d_last
+            before, last = last, x * last - beta * before
+        derivative = (slope * before - order * x * last) / (1 - x * x)
+        if newton:
+            x -= last / derivative
     norm = mpmath.sqrt(mpmath.pi) * mpmath.gamma(lam + 0.5) / mpmath.gamma(lam + 1)
     for beta in betas:
         norm *= beta
-    assert abs(x - weight_at) < mpmath.mpf(10) ** -25
-    return x, norm / (d_last * before)
+    assert abs(last / derivative) < mpmath.mpf(10) ** -25
+    return x, norm / (derivative * before)
 
 
 def _reference_bisection(betas, above):
@@ -860,26 +866,6 @@ def _sampled(order):
     return sorted({order - 1, order - 2, (3 * order) // 4, order // 2})
 
 
-def _mp_legendre(order, x0):
-    """40-digit Gauss–Legendre node next to `x0` and its weight: two Newton
-    steps on n·P_n = (2n−1)·x·P_{n−1} − (n−1)·P_{n−2}, and 2/((1−x²)·P_N′(x)²)
-    at the iterate of the first step. An error e in x moves that weight by
-    about e/(1−x), 1e-18 at the largest node of order 20002. The weight of
-    `_mp_node_and_weight`, taken at the same iterate, divides by p_{N−1}(x),
-    whose largest root lies within 1e-12 of that node, and is off by 1.4e-14
-    there."""
-    x = mpmath.mpf(float(x0))
-    for _ in range(2):
-        before, last = mpmath.mpf(1), x
-        for n in range(2, order + 1):
-            before, last = last, ((2 * n - 1) * x * last - (n - 1) * before) / n
-        slope = order * (x * last - before) / (x * x - 1)
-        weight, step = 2 / ((1 - x * x) * slope**2), last / slope
-        x -= step
-    assert abs(step) < mpmath.mpf(10) ** -25
-    return x, weight
-
-
 def _recurrence_rule(order):
     """Nodes and weights of the λ = 1/2 rule by the recurrence route, which
     `_gauss_rule` takes below `_LEGENDRE_MIN_ORDER`: Newton–Sturm roots and
@@ -902,7 +888,7 @@ class TestLegendreRule:
         rule = quadrature(0.5, order)
         with mpmath.workdps(40):
             for i in _sampled(order):
-                x, w = _mp_legendre(order, rule.nodes[i])
+                x, w = _mp_node_and_weight(0.5, order, rule.nodes[i])
                 assert abs(float(rule.nodes[i] - x)) <= 4 * 2.0**-53, (order, i)
                 assert abs(float(rule.weights[i] / w - 1)) <= 1e-15, (order, i)
 
@@ -913,7 +899,7 @@ class TestLegendreRule:
         ours, theirs = 0.0, 0.0
         with mpmath.workdps(40):
             for i in _sampled(order):
-                w = _mp_legendre(order, rule.nodes[i])[1]
+                w = _mp_node_and_weight(0.5, order, rule.nodes[i])[1]
                 ours = max(ours, abs(float(rule.weights[i] / w - 1)))
                 theirs = max(theirs, abs(float(weights[i] / w - 1)))
         assert ours < theirs, (ours, theirs)

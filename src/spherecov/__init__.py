@@ -1,162 +1,26 @@
 """Isotropic positive definite kernels on spheres, sphere cross line, and
 products of spheres: Gegenbauer machinery, Schoenberg sequences,
 certification, separability analysis, and exact Gaussian field simulation.
+
+Each module's `__all__` names its public objects; the package exports them all.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateZeroError,
-    DomainError,
-    EvaluationError,
-    FactorizationError,
-    GeometryError,
-    KernelSpecError,
-    NegativeCoefficientError,
-    NormalizationError,
-    SphereCovError,
-    ZeroMassError,
-)
-from .fields import (
-    FieldSample,
-    GramMatrix,
-    ProductPointSet,
-    SpaceTimePointSet,
-    SpherePointSet,
-    empirical_covariance,
-    geodesic_cosine,
-    gram,
-    harmonic_dimension,
-    kernel_label,
-    min_eigenvalue,
-    real_spherical_harmonics,
-    sample_factorized,
-    sample_spectral_s2,
-    schur_product,
-    uniform_sphere_points,
-)
-from .gegenbauer import (
-    GegenbauerBasis,
-    QuadratureRule,
-    eval_normalized,
-    eval_sequence,
-    norm_squared,
-    quadrature,
-)
-from .kernelspec import (
-    kernel_from_dict,
-    kernel_to_dict,
-    read_kernel_file,
-    write_kernel_file,
-)
-from .product_spheres import (
-    NonSeparable,
-    ProductSphereKernel,
-    Separable,
-    make_ps_kernel,
-    outer_product_kernel,
-    ps_kernel_eval,
-    separability_test,
-)
-from .schoenberg import (
-    INCONCLUSIVE,
-    NOT_PD,
-    PD,
-    PDCertificate,
-    SchoenbergSequence,
-    certify,
-    kernel_eval,
-    make_sequence,
-    multiquadric_kernel,
-    multiquadric_sequence,
-    recover_coefficients,
-)
-from .spacetime import (
-    CharFn,
-    SpaceTimeKernel,
-    charfn_eval,
-    exponential,
-    gaussian,
-    is_separable,
-    make_charfn,
-    make_st_kernel,
-    point_mass_at_zero,
-    schoenberg_functions_at,
-    spatial_sequence,
-    st_kernel_eval,
-    stable,
-    triangle_sinc,
-)
+from . import errors, fields, gegenbauer, kernelspec, product_spheres, schoenberg, spacetime
+from .errors import *
+from .gegenbauer import *
+from .schoenberg import *
+from .spacetime import *
+from .product_spheres import *
+from .fields import *
+from .kernelspec import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharFn",
-    "ConvergenceError",
-    "DegenerateZeroError",
-    "DomainError",
-    "EvaluationError",
-    "FactorizationError",
-    "FieldSample",
-    "GegenbauerBasis",
-    "GeometryError",
-    "GramMatrix",
-    "INCONCLUSIVE",
-    "KernelSpecError",
-    "NOT_PD",
-    "NegativeCoefficientError",
-    "NonSeparable",
-    "NormalizationError",
-    "PD",
-    "PDCertificate",
-    "ProductPointSet",
-    "ProductSphereKernel",
-    "QuadratureRule",
-    "SchoenbergSequence",
-    "Separable",
-    "SpaceTimeKernel",
-    "SpaceTimePointSet",
-    "SpherePointSet",
-    "SphereCovError",
-    "ZeroMassError",
-    "certify",
-    "charfn_eval",
-    "empirical_covariance",
-    "eval_normalized",
-    "eval_sequence",
-    "exponential",
-    "gaussian",
-    "geodesic_cosine",
-    "gram",
-    "harmonic_dimension",
-    "is_separable",
-    "kernel_eval",
-    "kernel_from_dict",
-    "kernel_label",
-    "kernel_to_dict",
-    "make_charfn",
-    "make_ps_kernel",
-    "make_sequence",
-    "make_st_kernel",
-    "min_eigenvalue",
-    "multiquadric_kernel",
-    "multiquadric_sequence",
-    "norm_squared",
-    "outer_product_kernel",
-    "point_mass_at_zero",
-    "ps_kernel_eval",
-    "quadrature",
-    "read_kernel_file",
-    "real_spherical_harmonics",
-    "recover_coefficients",
-    "sample_factorized",
-    "sample_spectral_s2",
-    "schoenberg_functions_at",
-    "schur_product",
-    "separability_test",
-    "spatial_sequence",
-    "st_kernel_eval",
-    "stable",
-    "triangle_sinc",
-    "uniform_sphere_points",
-    "write_kernel_file",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += gegenbauer.__all__
+__all__ += schoenberg.__all__
+__all__ += spacetime.__all__
+__all__ += product_spheres.__all__
+__all__ += fields.__all__
+__all__ += kernelspec.__all__

@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConvergenceError",
+    "DegenerateZeroError",
+    "DomainError",
+    "EvaluationError",
+    "FactorizationError",
+    "GeometryError",
+    "KernelSpecError",
+    "NegativeCoefficientError",
+    "NormalizationError",
+    "SphereCovError",
+    "ZeroMassError",
+]
+
 
 class SphereCovError(Exception):
     """Base class for all errors raised by this package."""

@@ -50,6 +50,25 @@ from .product_spheres import ProductSphereKernel
 from .schoenberg import SchoenbergSequence, kernel_eval  # noqa: F401
 from .spacetime import SpaceTimeKernel
 
+__all__ = [
+    "FieldSample",
+    "GramMatrix",
+    "ProductPointSet",
+    "SpaceTimePointSet",
+    "SpherePointSet",
+    "empirical_covariance",
+    "geodesic_cosine",
+    "gram",
+    "harmonic_dimension",
+    "kernel_label",
+    "min_eigenvalue",
+    "real_spherical_harmonics",
+    "sample_factorized",
+    "sample_spectral_s2",
+    "schur_product",
+    "uniform_sphere_points",
+]
+
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
@@ -353,13 +372,12 @@ def _trial_arguments(d: int, n: int, seed: int) -> np.ndarray:
     return _immutable(cosines)
 
 
-@functools.lru_cache(maxsize=64)
 def _seed_states(seed: int, count: int) -> np.ndarray:
     """`SeedSequence(seed).generate_state(count)`, the one split of a seed into
-    `count` child seeds (`certify`'s Gram trials, the CLI's random points).
-    Cached by (seed, count), the last 64, 4 bytes per state each; `_immutable`,
-    so no caller can make them writeable."""
-    return _immutable(np.random.SeedSequence(seed).generate_state(count))
+    `count` uint32 child seeds (`certify`'s Gram trials, the CLI's random
+    points). Not cached: `certify` asks for one seed per Gram trial, and a
+    cache would keep each split's 4·count bytes after the call."""
+    return np.random.SeedSequence(seed).generate_state(count)
 
 
 @functools.lru_cache(maxsize=4)

@@ -48,17 +48,26 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
+__all__ = [
+    "GegenbauerBasis",
+    "QuadratureRule",
+    "eval_normalized",
+    "eval_sequence",
+    "norm_squared",
+    "quadrature",
+]
+
 MAX_DEGREE = 10_000
 MAX_SEED = 2**128 - 1
 
 # Largest degree × point table, in bytes, that a kernel sum builds at once.
 _BLOCK_BYTES = 16 * 2**20
 
-# Largest float array, in bytes, that one request may build whole: an
+# Largest array, in bytes, that one request may build whole: an
 # `eval_sequence` table here; a point set, a Gram matrix, a sample or an output
-# table in `fields` and `cli`. gram holds the matrix and one n² cosine matrix
-# per sphere factor (three n²-sized arrays on a product of spheres), so 1 GiB
-# keeps it within an 8 GiB machine.
+# table in `fields` and `cli`; `certify`'s seed split. gram holds the matrix
+# and one n² cosine matrix per sphere factor (three n²-sized arrays on a
+# product of spheres), so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
 
 # Largest chunk of recurrence rows, in bytes, that a Gauss rule build or a
@@ -161,18 +170,18 @@ def _check_count(value, name: str, least: int = 0, error=DomainError, most: int 
 _REAL_WORDING = {"(0, inf)": "be a positive real", "[0, inf)": "be a finite nonnegative number"}
 
 
-def _check_real(value, name: str, interval: str = "(-inf, inf)", error=DomainError, type_error=None) -> float:
+def _check_real(value, name: str, interval: str = "(-inf, inf)", type_error=DomainError) -> float:
     """The one real-number rule: a tolerance, scale, index or parameter as a
     Python float. It must be a real number (a Python or numpy int or float, or
     a Fraction; not a bool, a string, a Decimal or a complex) whose float lies
     in `interval`, written like "(0, 2]". NaN lies in no interval and ±inf in
     none in use, whose infinite ends are open; an int too large for a float
-    is out of range too. Anything else is an `error` (`type_error`, if given,
-    for a value that is not a real number), whose message is worded from the
-    interval and shows the value with `_shown`."""
-    real = math.nan
+    is out of range too. Anything else is a DomainError, or a `type_error` if
+    it is not a real number, whose message is worded from the interval and
+    shows the value with `_shown`."""
+    real, error = math.nan, DomainError
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        error = type_error or error
+        error = type_error
     else:
         try:
             real = float(value)
@@ -190,12 +199,13 @@ def _check_seed(seed, error=DomainError) -> int:
     return _check_count(seed, "seed", error=error, most=MAX_SEED)
 
 
-def _check_array_bytes(shape: tuple, what: str):
-    """DomainError if a float array of `shape` would exceed `_MAX_ARRAY_BYTES`."""
-    size = 8 * math.prod(shape)
+def _check_array_bytes(shape: tuple, what: str, items: str = "floats", itemsize: int = 8):
+    """DomainError if an array of `shape`, `itemsize` bytes per item (8 for the
+    floats of every array but a seed split), would exceed `_MAX_ARRAY_BYTES`."""
+    size = itemsize * math.prod(shape)
     if size > _MAX_ARRAY_BYTES:
         dims = " x ".join(map(_shown, shape))
-        raise DomainError(f"{what} of {dims} floats needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
+        raise DomainError(f"{what} of {dims} {items} needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
 def _check_degree(n) -> int:

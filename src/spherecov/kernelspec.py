@@ -21,6 +21,13 @@ from .product_spheres import make_ps_kernel
 from .schoenberg import make_sequence
 from .spacetime import make_charfn, make_st_kernel
 
+__all__ = [
+    "kernel_from_dict",
+    "kernel_to_dict",
+    "read_kernel_file",
+    "write_kernel_file",
+]
+
 
 def _require_keys(doc: dict, required: tuple, optional: tuple, where: str):
     keys = set(doc)

@@ -17,6 +17,16 @@ from .errors import DegenerateZeroError
 from .gegenbauer import GegenbauerBasis, _block_sum, _check_real, eval_sequence
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
+__all__ = [
+    "NonSeparable",
+    "ProductSphereKernel",
+    "Separable",
+    "make_ps_kernel",
+    "outer_product_kernel",
+    "ps_kernel_eval",
+    "separability_test",
+]
+
 
 @dataclass(frozen=True)
 class ProductSphereKernel(_Kernel):

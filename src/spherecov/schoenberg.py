@@ -41,6 +41,20 @@ from .gegenbauer import (
     quadrature,
 )
 
+__all__ = [
+    "INCONCLUSIVE",
+    "NOT_PD",
+    "PD",
+    "PDCertificate",
+    "SchoenbergSequence",
+    "certify",
+    "kernel_eval",
+    "make_sequence",
+    "multiquadric_kernel",
+    "multiquadric_sequence",
+    "recover_coefficients",
+]
+
 NORMALIZATION_TOL = 1e-12
 
 DEFAULT_COEFF_TOL = 1e-8
@@ -338,8 +352,8 @@ def certify(
     as floats (see `gegenbauer._check_real`), so g scaled by s needs them
     scaled by s: at the defaults exp(x−1) on S^2 reads PD, 1e7·exp(x−1)
     NotPD (â_26 ≈ −3.5e−8). Trial point-set seeds come from `seed` through
-    numpy's SeedSequence, so results are reproducible; they are cached by
-    (seed, gram_trials), the last 64.
+    numpy's SeedSequence, so results are reproducible; the split is not
+    cached, so no call keeps its 4·gram_trials bytes.
 
     g is called as in `recover_coefficients`: first once with a read-only
     1-D float array (the quadrature nodes, then the upper triangle of each
@@ -362,7 +376,7 @@ def certify(
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
     eig_tol = _check_real(1e-8 * CERTIFY_GRAM_POINTS if eig_tol is None else eig_tol, "eig_tol", "(0, inf)")
     gram_trials = _check_count(gram_trials, "gram_trials")
-    _check_array_bytes((gram_trials,), "the trial seeds")
+    _check_array_bytes((gram_trials,), "a seed split", "uint32 seeds", 4)
     seed = _check_seed(seed)
 
     quad_order = _default_quad_order(n_max)

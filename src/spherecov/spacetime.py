@@ -17,6 +17,23 @@ from .errors import DomainError
 from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _fill, _float_array
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
+__all__ = [
+    "CharFn",
+    "SpaceTimeKernel",
+    "charfn_eval",
+    "exponential",
+    "gaussian",
+    "is_separable",
+    "make_charfn",
+    "make_st_kernel",
+    "point_mass_at_zero",
+    "schoenberg_functions_at",
+    "spatial_sequence",
+    "st_kernel_eval",
+    "stable",
+    "triangle_sinc",
+]
+
 GAUSSIAN = "gaussian"
 EXPONENTIAL = "exponential"
 STABLE = "stable"
@@ -186,8 +203,12 @@ def _lags(t) -> np.ndarray:
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
     `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, P̃_n from
-    `_fill` in chunks of at most 256 KiB (no table). The lags are checked once,
-    for all terms: a NaN lag is a DomainError."""
+    `_fill` (no table) in chunks of 256 KiB or two rows of the block, whichever
+    is more, plus a two-row carry. Inside `gram`, whose calls get at most
+    16 384 pairs, a chunk is at most 256 KiB; a block holds up to
+    16 MiB/(8(N+1)) points, so a direct call of 67 650 points or more at
+    N = 30 streams through chunks of two rows, 1.03 MiB, and a 1.03 MiB carry.
+    The lags are checked once, for all terms: a NaN lag is a DomainError."""
 
     def terms(x_block, t_block):
         x_block = _check_argument(x_block)
@@ -205,8 +226,7 @@ def schoenberg_functions_at(kernel: SpaceTimeKernel, t: float) -> np.ndarray:
     t = _lags(t)
     if t.ndim:
         raise DomainError(f"t must be one time lag, got shape {t.shape}")
-    t = float(t)
-    return np.array([a * charfn_eval(cf, t) for a, cf in zip(kernel.weights, kernel.charfns)])
+    return np.array([a * _charfn_values(cf, t) for a, cf in zip(kernel.weights, kernel.charfns)])
 
 
 def spatial_sequence(kernel: SpaceTimeKernel) -> SchoenbergSequence:

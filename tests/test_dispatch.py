@@ -21,10 +21,12 @@ its βs in one loop, for Newton and Sturm passes alike. `_newton_roots` and
 that is not in closed form, and `_gauss_rule` is the one caller of the
 iteration-free λ = 1/2 rule `_legendre_rule`. The norm h_n, the Gram pair
 order and the split of a seed into child seeds each have one definition
-(`ONE_DEFINITION`)."""
+(`ONE_DEFINITION`). Each public name is written once, in its module's
+`__all__`; the package root only joins those lists."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +635,121 @@ def test_each_fact_has_one_definition(name):
 )
 def test_guard_flags_a_second_definition(name, source, uses):
     assert _uses(source, name) == uses
+
+
+# Each public name is written once, in the `__all__` of the module that
+# defines it. The package root names none: it imports its library modules,
+# star-imports each one, and joins their `__all__` lists in that order.
+
+
+def _root_faults(source):
+    """(line, statement) of each statement of a package root other than its
+    docstring, `from . import <modules>`, `from .<module> import *`,
+    `__version__ = ...`, `__all__ = []` and `__all__ += <module>.__all__`."""
+    faults = []
+    for i, node in enumerate(ast.parse(source).body):
+        text = ast.unparse(node)
+        allowed = (
+            (i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+            or (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 1
+                and all(alias.asname is None for alias in node.names)
+                and (node.module is None or [alias.name for alias in node.names] == ["*"])
+            )
+            or text.startswith("__version__ = ")
+            or text == "__all__ = []"
+            or re.fullmatch(r"__all__ \+= \w+\.__all__", text)
+        )
+        if not allowed:
+            faults.append((node.lineno, text.splitlines()[0]))
+    return faults
+
+
+def _star_imported(source):
+    """The modules a package root star-imports, in order."""
+    return [
+        node.module
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.module and [alias.name for alias in node.names] == ["*"]
+    ]
+
+
+def _export_faults(source):
+    """The names in a module's `__all__`, a literal list, that the module does
+    not define at its top level (by def, class or assignment) or that are private."""
+    defined, exported = set(), None
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            if names == ["__all__"]:
+                exported = ast.literal_eval(node.value)
+            defined.update(names)
+    assert isinstance(exported, list), "no literal __all__ list"
+    return [name for name in exported if name not in defined or name.startswith("_")]
+
+
+def _joined_faults(exported, lists):
+    """Each name `exported` more than once, then a note if `exported` is not
+    the `lists` joined in order."""
+    faults = sorted({name for name in exported if exported.count(name) > 1})
+    return faults + ([] if list(exported) == [name for names in lists for name in names] else ["not joined in order"])
+
+
+ROOT = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+
+
+def test_the_root_names_no_public_object():
+    assert _root_faults(ROOT) == []
+
+
+def test_every_library_module_but_the_cli_is_exported():
+    library = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__", "cli"}
+    assert sorted(_star_imported(ROOT)) == sorted(library)
+
+
+@pytest.mark.parametrize("module", _star_imported(ROOT))
+def test_each_module_exports_only_its_own_public_names(module):
+    assert _export_faults((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_root_exports_the_module_lists_joined():
+    modules = [getattr(spherecov, name) for name in _star_imported(ROOT)]
+    assert _joined_faults(spherecov.__all__, [module.__all__ for module in modules]) == []
+    namespace = {}
+    exec("from spherecov import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(module, name) for module in modules for name in module.__all__}
+
+
+def test_guards_flag_a_name_listed_twice_or_in_the_wrong_place():
+    root = (
+        '"""Docs."""\n'
+        "from . import errors, fields\n"
+        "from .errors import *\n"
+        "from .errors import DomainError\n"
+        "from .fields import gram as gram\n"
+        "__version__ = '0.1.0'\n"
+        "__all__ = ['DomainError']\n"
+        "__all__ += errors.__all__\n"
+        "__all__ += ['gram']\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    assert [line for line, _ in _root_faults(root)] == [4, 5, 7, 9, 10]
+    assert _star_imported(root) == ["errors"]
+    module = (
+        "from .gegenbauer import quadrature\n"
+        "__all__ = ['quadrature', '_step', 'gram']\n"
+        "def _step(): pass\n"
+        "def gram(): pass\n"
+    )
+    assert _export_faults(module) == ["quadrature", "_step"]
+    assert _joined_faults(["a", "b", "a"], [["a", "b"], ["a"]]) == ["a"]
+    assert _joined_faults(["b", "a"], [["a"], ["b"]]) == ["not joined in order"]
 
 
 class TestKernelProtocol:

@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -715,6 +716,34 @@ class TestTrialCache:
             certify(lambda x: x * x, LEGENDRE, n_max=4, gram_trials=1, seed=seed)
         info = fields._trial_arguments.cache_info()
         assert info.maxsize == 64 and info.misses == 100 and info.currsize <= 64
+
+    @staticmethod
+    def _notpd_at_trial_0(x):
+        """PD to degree 4, but a Gram trial sees the −P̃_20 term at once."""
+        return 1e-3 - eval_normalized(LEGENDRE, 20, x)
+
+    def test_no_seed_split_stays_cached(self, monkeypatch):
+        """A call of 1 000 000 trials that is NotPD at trial 0 splits its seed
+        into 4 MB of uint32 seeds, and nothing keeps them after it returns."""
+        split, splits = fields._seed_states, []
+
+        def recorded(seed, count):
+            states = split(seed, count)
+            splits.append(weakref.ref(states))
+            return states
+
+        monkeypatch.setattr(fields, "_seed_states", recorded)
+        cert = certify(self._notpd_at_trial_0, LEGENDRE, n_max=4, gram_trials=1_000_000, seed=11)
+        assert cert.witness["kind"] == "eigenvalue" and cert.witness["trial"] == 0
+        assert len(splits) == 1 and splits[0]() is None
+
+    def test_the_seed_split_is_bounded_by_its_uint32_bytes(self, monkeypatch):
+        monkeypatch.setattr(gegenbauer, "_MAX_ARRAY_BYTES", 2**20)
+        g = self._notpd_at_trial_0
+        assert certify(g, LEGENDRE, n_max=4, gram_trials=2**18, seed=11).witness["trial"] == 0
+        message = f"^a seed split of {2**18 + 1} uint32 seeds needs {2**20 + 4} bytes, over the bound of {2**20}$"
+        with pytest.raises(DomainError, match=message):
+            certify(g, LEGENDRE, n_max=4, gram_trials=2**18 + 1, seed=11)
 
 
 def _reference_certificate(g, basis, n_max, gram_trials, seed):

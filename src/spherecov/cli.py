@@ -210,7 +210,7 @@ def _load_table_function(path: str, n_max: int, cover: tuple):
         raise _ValidationFailure("table has duplicate x values")
     if xs[0] > cover[0] or xs[-1] < cover[1]:
         raise _ValidationFailure(
-            f"table spans [{xs[0]!r}, {xs[-1]!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
+            f"table spans [{float(xs[0])!r}, {float(xs[-1])!r}] but must cover [{cover[0]!r}, {cover[1]!r}]"
         )
     return _pchip(xs, ys, path)
 

@@ -149,6 +149,19 @@ class _FactoredPointSet:
         return [_cosine_matrix(f.points) if kind == _SPHERE else f for kind, f in self._factors()]
 
 
+def _check_unit_norms(rows: np.ndarray, name: str, error) -> None:
+    """`error` unless each row of the 2-D float array `rows` has a norm within
+    `UNIT_NORM_TOL` of 1. The message names the row furthest off as
+    `name.format(index)` and shows its norm as a Python float. An overflowing
+    norm is inf, without a numpy warning, and fails the tolerance; so does a NaN."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    off = np.abs(norms - 1.0)
+    worst = int(np.argmax(off))  # the first NaN, if there is one
+    if not off[worst] <= UNIT_NORM_TOL:
+        raise error(f"{name.format(worst)} has norm {float(norms[worst])!r}, not 1 within {UNIT_NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class SpherePointSet(_FactoredPointSet):
     """n unit vectors in R^{d+1}, rows of `points`: a single sphere factor."""
@@ -166,12 +179,7 @@ class SpherePointSet(_FactoredPointSet):
             raise GeometryError(
                 f"points must have shape (n, {d + 1}), got {pts.shape}"
             )
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise GeometryError(
-                f"point {worst} has norm {norms[worst]!r}, not 1 within {UNIT_NORM_TOL}"
-            )
+        _check_unit_norms(pts, "point {}", GeometryError)
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "points", pts)
 
@@ -262,7 +270,8 @@ class GramMatrix:
             raise DomainError(f"entries must be a square matrix, got shape {m.shape}")
         if not (m == m.T).all():
             scale = max(1.0, float(np.abs(m).max()))
-            asymmetry = m - m.T
+            with gegenbauer._overflow("entries must be symmetric"):  # an overflowing difference is asymmetry
+                asymmetry = m - m.T
             np.abs(asymmetry, out=asymmetry)
             if float(asymmetry.max()) > SYMMETRY_TOL * scale:
                 raise DomainError("entries must be symmetric")
@@ -315,9 +324,7 @@ def geodesic_cosine(p, q) -> float:
     for name, v in (("p", p), ("q", q)):
         if v.ndim != 1:
             raise DomainError(f"{name} must be a vector")
-        norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
-            raise DomainError(f"{name} has norm {norm!r}, not 1 within {UNIT_NORM_TOL}")
+        _check_unit_norms(v[np.newaxis], name, DomainError)
     if p.shape != q.shape:
         raise DomainError("p and q must have the same length")
     return float(np.clip(p @ q, -1.0, 1.0))
@@ -436,11 +443,8 @@ def schur_product(a: GramMatrix, b: GramMatrix) -> GramMatrix:
         raise DomainError(
             f"shape mismatch: {a.entries.shape} vs {b.entries.shape}"
         )
-    try:
-        with np.errstate(over="raise"):
-            entries = a.entries * b.entries
-    except FloatingPointError:
-        raise DomainError(f"the Schur product of {a.provenance} and {b.provenance} overflows") from None
+    with gegenbauer._overflow("the Schur product of {} and {} overflows", a.provenance, b.provenance):
+        entries = a.entries * b.entries
     entries.setflags(write=False)
     return GramMatrix(entries=entries, provenance=f"schur({a.provenance}, {b.provenance})")
 
@@ -488,11 +492,9 @@ def sample_factorized(kernel, points, n_samples: int, seed: int, jitter: float |
     _check_points(kernel, points)
     _check_array_bytes((n_samples, len(points)), "a sample")
     g = gram(kernel, points)
-    with np.errstate(over="ignore"):  # an overflowing trace or diagonal is a DomainError
+    with gegenbauer._overflow("kernel scale {!r} is too large: the Gram matrix plus jitter overflows", kernel.scale_c):
         jitter = _default_jitter(g.entries) if jitter is None else _check_real(jitter, "jitter", "[0, inf)")
-        if not np.isfinite(g.entries.diagonal() + jitter).all():
-            raise DomainError(f"kernel scale {kernel.scale_c!r} is too large: the Gram matrix plus jitter overflows")
-    factor = _factor(g.entries, jitter)
+        factor = _factor(g.entries, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, g.size))
     values = z @ factor.T
@@ -608,10 +610,8 @@ def sample_spectral_s2(
 
     table = real_spherical_harmonics(n_trunc, points)
     degrees = np.arange(n_trunc + 1)
-    with np.errstate(over="ignore"):
+    with gegenbauer._overflow("kernel scale {!r} is too large: the spectral amplitudes overflow", seq.scale_c):
         amps = np.sqrt(seq.scale_c * seq.coeffs * 4.0 * math.pi / (2.0 * degrees + 1.0))
-    if not np.isfinite(amps).all():
-        raise DomainError(f"kernel scale {seq.scale_c!r} is too large: the spectral amplitudes overflow")
     stds = np.repeat(amps, 2 * degrees + 1)
     rng = np.random.default_rng(seed)
     bounds = _sample_blocks(n_samples, 8 * stds.size)
@@ -634,11 +634,8 @@ def empirical_covariance(s: FieldSample) -> GramMatrix:
     """Unbiased sample covariance across realizations (divisor n_samples-1)."""
     if s.n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {s.n_samples}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # an inf or NaN can only follow an overflow
-            c = np.atleast_2d(np.cov(s.values, rowvar=False, ddof=1))
-            c = 0.5 * (c + c.T)
-    except FloatingPointError:
-        raise DomainError(f"the covariance of the {s.kernel_id} samples overflows") from None
+    with gegenbauer._overflow("the covariance of the {} samples overflows", s.kernel_id):
+        c = np.atleast_2d(np.cov(s.values, rowvar=False, ddof=1))
+        c = 0.5 * (c + c.T)
     c.setflags(write=False)
     return GramMatrix(entries=c, provenance=f"empirical({s.kernel_id}, n_samples={s.n_samples})")

@@ -208,6 +208,18 @@ def _check_array_bytes(shape: tuple, what: str, items: str = "floats", itemsize:
         raise DomainError(f"{what} of {dims} {items} needs {_shown(size)} bytes, over the bound of {_MAX_ARRAY_BYTES}")
 
 
+def _overflow(message: str, *args) -> np.errstate:
+    """The one overflow rule: inside `with _overflow(message, *args):` numpy
+    calls `fail` on an overflow or an invalid operation (in these blocks a NaN
+    can only follow an overflow), which raises DomainError(`message.format(*args)`),
+    formatted only then. numpy checks its flags after every ufunc anyway."""
+
+    def fail(kind, flag):
+        raise DomainError(message.format(*args))
+
+    return np.errstate(call=fail, over="call", invalid="call")
+
+
 def _check_degree(n) -> int:
     return _check_count(n, "degree", most=MAX_DEGREE)
 
@@ -298,11 +310,12 @@ class QuadratureRule:
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of function values at the nodes, which must be finite
-        (see `_frozen_floats`)."""
+        (see `_frozen_floats`). A sum that overflows is a DomainError."""
         values = _frozen_floats(values, 1, "values")
         if values.shape != (self.order,):
             raise DomainError(f"values must have shape ({self.order},), got {values.shape}")
-        return float(np.dot(self.weights, values))
+        with _overflow("the weighted sum of the values overflows"):
+            return float(np.dot(self.weights, values))
 
 
 def _float_array(values, what: str) -> np.ndarray:
@@ -396,11 +409,8 @@ def _block_sum(scale: float, rows: int, terms, *args):
         acc = out[block]
         for term in terms(*(f[block] for f in flat)):
             acc += term
-    try:
-        with np.errstate(over="raise"):  # numpy reads the overflow flag after every ufunc anyway
-            out *= scale
-    except FloatingPointError:
-        raise DomainError(f"kernel scale {scale!r} is too large: the kernel values overflow") from None
+    with _overflow("kernel scale {!r} is too large: the kernel values overflow", scale):
+        out *= scale
     return float(out[0]) if arrays[0].ndim == 0 else out.reshape(arrays[0].shape)
 
 

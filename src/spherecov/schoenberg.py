@@ -37,6 +37,7 @@ from .gegenbauer import (
     _degree_rows,
     _frozen_floats,
     _norms,
+    _overflow,
     eval_sequence,
     quadrature,
 )
@@ -79,10 +80,8 @@ def _checked_weights(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
         i = int(bad[0])
         index = i if arr.ndim == 1 else np.unravel_index(i, arr.shape)
         raise NegativeCoefficientError(index, float(flat[i]))
-    with np.errstate(over="ignore"):
+    with _overflow("{} must have a finite total, got inf", name):  # finite nonnegative weights overflow to +inf
         total = float(arr.sum())
-    if not math.isfinite(total):
-        raise DomainError(f"{name} must have a finite total, got {total}")
     if total == 0.0:
         raise ZeroMassError("all coefficients are zero")
     return arr, total
@@ -269,9 +268,11 @@ def _default_quad_order(n_max: int) -> int:
 
 
 def _tail_mass(ahat: np.ndarray) -> float:
-    """Σ|â_n| over n > n_max/2 of â_0..â_n_max: mass the truncation has barely resolved."""
+    """Σ|â_n| over n > n_max/2 of â_0..â_n_max: mass the truncation has barely
+    resolved. A sum that overflows is a DomainError."""
     n_max = ahat.size - 1
-    return float(np.sum(np.abs(ahat[n_max // 2 + 1 :])))
+    with _overflow("the coefficient tail mass overflows: the function's values are too large"):
+        return float(np.sum(np.abs(ahat[n_max // 2 + 1 :])))
 
 
 def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> np.ndarray:

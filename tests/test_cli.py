@@ -291,6 +291,14 @@ class TestCoeffs:
         code, _, _ = run(capsys, "coeffs", "--lambda", "0.5", "--nmax", "10", "--table", str(table))
         assert code == 2
 
+    def test_table_coverage_message_shows_floats(self, capsys, tmp_path):
+        table = tmp_path / "narrow.csv"
+        table.write_text("".join(f"{x!r},1.0\n" for x in np.linspace(-0.5, 0.6, 200).tolist()), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--lambda", "0.5", "--table", str(table))
+        assert (code, out) == (2, "")
+        message = "table spans [-0.5, 0.6] but must cover [-1.0, 1.0]"
+        assert err == json.dumps({"error": 2, "message": message}) + "\n"
+
 
 def _table(n, kind, rng):
     """x knots on [-1, 1] and y values of one `kind` of table."""
@@ -905,6 +913,14 @@ class TestNumericOverflow:
         result = run_cli(["coeffs", "--lambda", "0.5", "--nmax", "4", "--table", "t.csv"], tmp_path)
         assert (result.returncode, result.stdout) == (3, "")
         message = "table t.csv: neighbouring values are too far apart, the interpolant's slopes overflow"
+        assert result.stderr == json.dumps({"error": 3, "message": message}) + "\n"
+
+    def test_point_whose_norm_overflows(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(SPHERE_CONST), encoding="utf-8")
+        (tmp_path / "p.csv").write_text("1,0,0\n1e200,0,0\n", encoding="utf-8")
+        result = run_cli(["simulate", "spec.json", "--points", "p.csv"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        message = "point 1 has norm inf, not 1 within 1e-12"
         assert result.stderr == json.dumps({"error": 3, "message": message}) + "\n"
 
     def test_children_turn_runtime_warnings_into_errors(self, tmp_path):

@@ -11,6 +11,11 @@ input is checked by gegenbauer's `_check_count`, and nothing else in the
 package tests whether a value is an integer. Every real-number parameter is
 checked by gegenbauer's `_check_real`, and only the owners named in
 `REAL_CHECK_OWNERS` test a float for finiteness or a value for realness.
+Every float overflow that must end in an error goes through gegenbauer's
+`_overflow`, the only code that sets numpy's error state to "raise" or
+"call", and nothing names `FloatingPointError`; any other `np.errstate`
+lets an inf through to a later check and sits in `OVERFLOW_OWNERS` with its
+reason.
 Every `functools.lru_cache` has an explicit int `maxsize`, so no cache in the
 package grows without bound. Only gegenbauer's `_fill` runs the recurrence
 step `_step`, so every degree table comes from one loop, and only its
@@ -332,7 +337,6 @@ def test_guard_flags_hand_written_integer_checks():
 # Who may test a float for finiteness or a value for realness, and why.
 REAL_CHECK_OWNERS = {
     "_check_real": "the one real-number rule",
-    "_checked_weights": "the computed total of a weight array, which is not an input",
     "_load_table_function": "the rows of a table file: data, not a parameter, each reported with its line number",
 }
 REAL_CHECKS = {("math", "isfinite"), ("math", "isnan"), ("math", "isinf"), ("numbers", "Real")}
@@ -384,6 +388,76 @@ def test_guard_flags_hand_written_real_checks():
         ("math.isnan", "", 2), ("math.isfinite", "tolerance", 6), ("math.isinf", "tolerance", 6),
         ("numbers.Real", "tolerance", 8), ("math.isnan", "Kernel.scale", 11),
     ]
+
+
+# The one overflow rule, and who may let an inf or NaN through to a later
+# check instead, and why.
+OVERFLOW_RULE = ("gegenbauer.py", "_overflow")
+OVERFLOW_OWNERS = {
+    "_charfn_values": "at a huge lag the exponent overflows to inf, and exp(-inf) is exactly 0",
+    "_positive_roots": "a zero Sturm ratio gives an infinite next one and a finite one after",
+    "_recover": "its check names the first coefficient that overflows",
+    "_pchip": "its check names the table whose slopes overflow",
+    "_pchip.interpolant": "an overflowing value meets the callback check, which names the node",
+    "_check_unit_norms": "an overflowing norm is inf and fails the unit-norm tolerance",
+}
+
+
+def _overflow_faults(source, module):
+    """(kind, scope, line) of each overflow site of `module` outside its owner:
+    a `FloatingPointError`, or an `np.errstate` that raises or calls (a "raise"
+    or "call" value or a `call` keyword), outside `OVERFLOW_RULE` (kind "raise"),
+    and any other `np.errstate` outside it and `OVERFLOW_OWNERS` (kind "errstate")."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        kind = None
+        if getattr(node, "id", getattr(node, "attr", None)) == "FloatingPointError":
+            kind = "raise"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "errstate":
+            raises = any(
+                k.arg == "call" or (isinstance(k.value, ast.Constant) and k.value.value in ("raise", "call"))
+                for k in node.keywords
+            )
+            kind = "raise" if raises else "errstate"
+        in_rule = (module, scope.split(".")[0]) == OVERFLOW_RULE
+        if kind and not in_rule and (kind == "raise" or scope not in OVERFLOW_OWNERS):
+            sites.append((kind, scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_overflows_follow_one_rule(module):
+    assert _overflow_faults((PACKAGE / module).read_text(encoding="utf-8"), module) == []
+
+
+def test_guard_flags_hand_written_overflow_checks():
+    source = (
+        "def _overflow(message):\n"
+        "    def fail(kind, flag):\n"
+        "        raise DomainError(message)\n"
+        "    return np.errstate(call=fail, over='call', invalid='call')\n"
+        "def _recover(g):\n"
+        "    with np.errstate(over='ignore'):\n"
+        "        return g()\n"
+        "def scale(out, c):\n"
+        "    try:\n"
+        "        with np.errstate(all='raise'):\n"
+        "            out *= c\n"
+        "    except builtins.FloatingPointError:\n"
+        "        pass\n"
+        "    with np.errstate(call=print), np.errstate(over='ignore'):\n"
+        "        return out.sum()\n"
+    )
+    planted = [("raise", "scale", 10), ("raise", "scale", 12), ("raise", "scale", 14), ("errstate", "scale", 14)]
+    assert _overflow_faults(source, "gegenbauer.py") == planted
+    assert _overflow_faults(source, "fields.py") == [("raise", "_overflow", 4)] + planted
 
 
 def _unbounded_caches(source):

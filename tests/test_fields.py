@@ -528,6 +528,22 @@ class TestGeodesicCosine:
         assert str(excinfo.value) == "p has norm 1.004987562112089, not 1 within 1e-12"
 
 
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: _sphere_set([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]]), GeometryError, "point 1 has norm 1.1"),
+        (lambda: _sphere_set([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0]]), GeometryError, "point 1 has norm inf"),
+        (lambda: geodesic_cosine([1.0, 0.0, 0.0], [0.0, 1e200, 0.0]), DomainError, "q has norm inf"),
+    ],
+    ids=["point-set", "point-set-overflow", "geodesic-overflow"],
+)
+def test_one_unit_norm_check_shows_the_norm_as_a_float(check, error, message):
+    # An overflowing norm fails the tolerance as inf, with no numpy warning.
+    with pytest.raises(error) as excinfo:
+        check()
+    assert type(excinfo.value) is error and str(excinfo.value) == f"{message}, not 1 within 1e-12"
+
+
 class TestGram:
     def test_constant_kernel_all_ones(self):
         seq = make_sequence([1.0], LEGENDRE)
@@ -673,6 +689,10 @@ class TestMinEigenvalue:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_an_asymmetry_that_overflows_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^entries must be symmetric$"):
+            min_eigenvalue(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):

@@ -504,6 +504,10 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             rule.integrate(np.ones(7))
 
+    def test_a_sum_that_overflows_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^the weighted sum of the values overflows$"):
+            quadrature(0.5, 8).integrate(np.full(8, 1e308))
+
 
 def _formula_weights(lam, order):
     """Whether the (lam, order) rule takes its weights from a formula, not

@@ -326,6 +326,20 @@ class TestRecoverCoefficients:
         with pytest.raises(DomainError, match="coefficient 0 overflows"):
             certify(lambda x: np.full_like(x, 1e308), GegenbauerBasis.from_dimension(2))
 
+    def test_a_tail_mass_that_overflows_is_a_domain_error(self):
+        # Coefficients ±0.3e308 at degrees 16 to 29, each finite (the function's
+        # largest value is 6e307), whose absolute sum beyond n_max/2 is 4.2e308.
+        def g(x):
+            return 0.3e308 * sum((-1) ** (n // 2) * eval_normalized(LEGENDRE, n, x) for n in range(16, 30))
+
+        ahat = recover_coefficients(g, LEGENDRE, 30, 64)
+        assert np.isfinite(ahat).all()
+        message = r"^the coefficient tail mass overflows: the function's values are too large$"
+        with pytest.raises(DomainError, match=message):
+            schoenberg._tail_mass(ahat)
+        with pytest.raises(DomainError, match=message):
+            certify(g, LEGENDRE)
+
     def test_memory_does_not_grow_with_degree_times_order(self):
         # A degree x node table would take 34 MiB here.
         quadrature(0.5, 3002)  # the cached rule is built outside the measurement

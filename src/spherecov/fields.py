@@ -292,6 +292,7 @@ class FieldSample:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_floats(self.values, 2, "values"))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def n_samples(self) -> int:

@@ -12,8 +12,9 @@ The three-term recurrence is rewritten for the normalized family,
 
 which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
-`_step` is that formula and `_fill` the one loop that runs it, into a
-caller's buffer of rows, so every table and chunk of rows has the same bits.
+`_step` is that formula and `_fill` the one loop that runs it, into a ring
+of rows that no caller writes to (a table is a ring that holds every degree),
+so every table and chunk of rows has the same bits.
 
 Gauss rules are built with numpy alone (the package does not use scipy). At
 λ = 0 and λ = 1 they are the Gauss–Chebyshev rules of the first and second
@@ -353,29 +354,25 @@ def _step(lam: float, n: int, x, last, before, out, scratch) -> np.ndarray:
 
 
 def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray | None = None):
-    """Fill `buffer`, of shape (rows,) + x.shape, with P̃_0(x), ..., P̃_{n_max}(x),
-    as many degrees at a time as it holds, and yield (start, chunk): `chunk` is
-    buffer[:k], degrees start to start+k−1, whose last two rows are copied aside
-    first, so the caller may overwrite it. `buffer` needs two rows, or one if it
-    holds every degree; by default it is one chunk of at most `_CHUNK_BYTES`
-    (two rows at least). Degree and argument are not checked."""
+    """Fill `buffer`, of shape (rows,) + x.shape, with P̃_0(x), ..., P̃_{n_max}(x)
+    as a ring, degree n in row n mod rows, and yield (start, chunk) each time it
+    is full or the degrees end: `chunk` is buffer[:k], degrees start to
+    start+k−1. No caller writes to it: the next chunk starts from its last two
+    rows. `buffer` needs three rows, or fewer if it holds every degree; by
+    default it is one ring of at most `_CHUNK_BYTES` (three rows at least).
+    Beyond it, one scratch row. Degree and argument are not checked."""
     if buffer is None:
-        buffer = np.empty((min(_chunk_rows(x.size, 2), n_max + 1),) + x.shape)
+        buffer = np.empty((min(_chunk_rows(x.size, 3), n_max + 1),) + x.shape)
     rows = [buffer[i, ...] for i in range(len(buffer))]
-    carry = np.empty((2,) + x.shape) if len(rows) <= n_max else None  # only a second chunk needs it
     scratch, before, last = np.empty(x.shape), None, None
     for start in range(0, n_max + 1, len(rows)):
-        stop = min(start + len(rows), n_max + 1)
-        for n, out in zip(range(start, stop), rows):
+        for n, out in zip(range(start, n_max + 1), rows):
             if n >= 2:
                 _step(lam, n, x, last, before, out, scratch)
             else:
                 out[...] = x if n else 1.0
             before, last = last, out
-        if stop <= n_max:  # the next chunk starts from the last two rows
-            np.copyto(carry, buffer[stop - start - 2 : stop - start])
-            before, last = carry
-        yield start, buffer[: stop - start]
+        yield start, buffer[: n + 1 - start]
 
 
 def _blocks(rows: int, n: int):
@@ -503,24 +500,25 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
     nodes are antisymmetric and P̃_k(−x) = (−1)^k P̃_k(x) holds exactly in the
     recurrence, so the sums run over the nonnegative half and are mirrored.
 
-    `_fill` writes the next degrees to the rows of a chunk after its row 0.
-    The chunk is then squared and divided by its norms, and `np.add.reduce`
-    over its rows, with the running total in row 0, adds the terms in degree
-    order: the bits of `total += np.square(P̃_k) / h_k` one degree at a time.
-    The working memory is a few vectors of half the order plus one chunk of
-    at most `_CHUNK_BYTES`."""
+    Each chunk of `_fill`'s ring is squared into the rows of a reduce buffer
+    after its row 0 and divided by its norms, and `np.add.reduce` over those
+    rows, with the running total in row 0, adds the terms in degree order: the
+    bits of `total += np.square(P̃_k) / h_k` one degree at a time. The working
+    memory is a few vectors of half the order plus the reduce buffer, of at
+    most `_CHUNK_BYTES` (four rows at least), and the ring, one row fewer."""
     half = nodes.size // 2
     x = nodes[half:]
     norms = _norms(lam, nodes.size)
-    chunk = np.zeros((min(_chunk_rows(x.size, 3), nodes.size + 1), x.size))  # the total, then degrees
-    for start, terms in _fill(lam, nodes.size - 1, x, chunk[1:]):
-        np.square(terms, out=terms)
-        np.divide(terms, norms[start : start + len(terms), None], out=terms)
+    terms = np.zeros((min(_chunk_rows(x.size, 4), nodes.size + 1), x.size))  # the total, then degrees
+    for start, rows in _fill(lam, nodes.size - 1, x, np.empty_like(terms[1:])):
+        k = len(rows) + 1
+        np.square(rows, out=terms[1:k])
+        np.divide(terms[1:k], norms[start : start + k - 1, None], out=terms[1:k])
         # Across rows numpy adds row after row; pairwise summation runs only
         # along a contiguous axis, here a width of 1, which is order <= 2 and
         # at most three rows, still added in order.
-        chunk[0] = np.add.reduce(chunk[: len(terms) + 1], axis=0)
-    total = chunk[0]
+        terms[0] = np.add.reduce(terms[:k], axis=0)
+    total = terms[0]
     return 1.0 / np.concatenate((total[::-1][:half], total))
 
 

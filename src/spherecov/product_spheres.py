@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateZeroError
-from .gegenbauer import GegenbauerBasis, _block_sum, _check_real, eval_sequence
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _fill, eval_sequence
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 __all__ = [
@@ -66,14 +66,15 @@ def make_ps_kernel(
 
 def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
     """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast. `_block_sum` adds
-    (a_{mn} P̃_m) · P̃_n, m outer, n inner, made in one buffer to keep a block in cache."""
+    (a_{mn} P̃_m) · P̃_n, m outer from `_fill`'s ring, n inner from a table that every m
+    reads, made in one buffer to keep a block in cache."""
     m_max, n_max = kernel.truncations
 
     def terms(x1_block, x2_block):
-        t1 = eval_sequence(kernel.basis1, m_max, x1_block)
+        ring = _fill(kernel.basis1.lam, _check_degree(m_max), _check_argument(x1_block))
         t2 = eval_sequence(kernel.basis2, n_max, x2_block)
         term = np.empty(x1_block.size)
-        for a_m, p in zip(kernel.coeff_matrix, t1):
+        for a_m, p in zip(kernel.coeff_matrix, (p for _, rows in ring for p in rows)):
             for a_mn, q in zip(a_m, t2):
                 np.multiply(a_mn, p, out=term)
                 term *= q

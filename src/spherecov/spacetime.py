@@ -202,12 +202,12 @@ def _lags(t) -> np.ndarray:
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
-    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, P̃_n from
-    `_fill` (no table) in chunks of 256 KiB or two rows of the block, whichever
-    is more, plus a two-row carry. Inside `gram`, whose calls get at most
-    16 384 pairs, a chunk is at most 256 KiB; a block holds up to
-    16 MiB/(8(N+1)) points, so a direct call of 67 650 points or more at
-    N = 30 streams through chunks of two rows, 1.03 MiB, and a 1.03 MiB carry.
+    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, P̃_n read
+    from `_fill`'s ring (no table, no copy) of 256 KiB or three rows of the
+    block, whichever is more. Inside `gram`, whose calls get at most 16 384
+    pairs, that is three rows, 384 KiB; a block holds up to 16 MiB/(8(N+1))
+    points, so a direct call of 67 650 points or more at N = 30 rotates three
+    rows, 1.55 MiB.
     The lags are checked once, for all terms: a NaN lag is a DomainError."""
 
     def terms(x_block, t_block):

@@ -213,6 +213,10 @@ class TestTypedIntake:
             (lambda: FieldSample(values="abc", seed=0, kernel_id="test"), DomainError),
             (lambda: FieldSample(values=[[1.0], [1.0, 2.0]], seed=0, kernel_id="test"), DomainError),
             (lambda: FieldSample(values=np.empty((0, 3)), seed=0, kernel_id="test"), DomainError),
+            (lambda: FieldSample(values=np.ones((3, 2)), seed=-5, kernel_id="x"), DomainError),
+            (lambda: FieldSample(values=np.ones((3, 2)), seed=True, kernel_id="x"), DomainError),
+            (lambda: FieldSample(values=np.ones((3, 2)), seed=1.5, kernel_id="x"), DomainError),
+            (lambda: FieldSample(values=np.ones((3, 2)), seed=2**128, kernel_id="x"), DomainError),
             (lambda: SpherePointSet(dimension=2, points="abc"), GeometryError),
             (lambda: SpherePointSet(dimension=2, points=[[1.0, 0.0, 0.0], [1.0, 0.0]]), GeometryError),
             (lambda: SpaceTimePointSet(space=_sphere_set(np.eye(3)), times="abc"), GeometryError),
@@ -220,7 +224,8 @@ class TestTypedIntake:
         ],
         ids=[
             "min-eigenvalue-nan", "min-eigenvalue-empty", "min-eigenvalue-string", "gram-none", "gram-ragged",
-            "sample-nan", "sample-string", "sample-ragged", "sample-empty", "points-string", "points-ragged",
+            "sample-nan", "sample-string", "sample-ragged", "sample-empty", "sample-seed-negative",
+            "sample-seed-bool", "sample-seed-float", "sample-seed-too-big", "points-string", "points-ragged",
             "times-string", "times-2-D",
         ],
     )

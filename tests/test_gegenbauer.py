@@ -1215,24 +1215,23 @@ class TestInPlaceTable:
 
 
 class TestFill:
-    """`_fill` is the one loop over `_step`. Whatever the buffer's row count,
+    """`_fill` is the one loop over `_step`. Whatever the ring's row count,
     the chunks it yields must hold the expression-per-degree recurrence bit
-    for bit, even when the caller overwrites each chunk before the next."""
+    for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         lam=st.sampled_from([0.0, 0.5, 1.0, 20.0]),
         n_max=st.integers(0, 40),
-        rows=st.sampled_from(["two", "short", "exact", "over", "twice"]),
+        rows=st.sampled_from(["three", "short", "exact", "over", "twice"]),
         shape=st.sampled_from([(), (7,), (3, 4)]),
-        overwrite=st.booleans(),
         data=st.data(),
     )
-    @example(lam=0.5, n_max=5, rows="two", shape=(7,), overwrite=True, data=None)
-    @example(lam=0.0, n_max=0, rows="exact", shape=(), overwrite=True, data=None)
-    def test_chunks_equal_the_reference_recurrence(self, lam, n_max, rows, shape, overwrite, data):
-        count = {"two": 2, "short": n_max, "exact": n_max + 1, "over": n_max + 2, "twice": 2 * (n_max + 1)}[rows]
-        count = max(count, min(2, n_max + 1))  # two rows at least, unless one holds every degree
+    @example(lam=0.5, n_max=5, rows="three", shape=(7,), data=None)
+    @example(lam=0.0, n_max=0, rows="exact", shape=(), data=None)
+    def test_chunks_equal_the_reference_recurrence(self, lam, n_max, rows, shape, data):
+        count = {"three": 3, "short": n_max, "exact": n_max + 1, "over": n_max + 2, "twice": 2 * (n_max + 1)}[rows]
+        count = max(count, min(3, n_max + 1))  # three rows at least, unless fewer hold every degree
         size = math.prod(shape)
         if data is None:
             values = np.linspace(-1.0, 1.0, size).tolist()
@@ -1246,10 +1245,24 @@ class TestFill:
             assert start == expect_start and np.shares_memory(chunk, buffer)
             assert chunk.shape == (min(count, n_max + 1 - start),) + shape
             assert chunk.tobytes() == reference[start : start + len(chunk)].tobytes()
-            if overwrite:
-                chunk[...] = np.nan
             expect_start += len(chunk)
         assert expect_start == n_max + 1
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_a_ring_allocates_only_its_scratch_row(self, lam):
+        """Over a caller's ring of three rows, 40 degrees allocate one scratch
+        row of x's size and a few small objects, and no copy of any row."""
+        x, ring = np.linspace(-1.0, 1.0, 1000), np.empty((3, 1000))
+        for _ in gegenbauer._fill(lam, 40, x, ring):  # one-time first-call costs stay outside
+            pass
+        tracemalloc.start()
+        try:
+            for _ in gegenbauer._fill(lam, 40, x, ring):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
 
 
 def _reference_christoffel_weights(lam, nodes):
@@ -1297,11 +1310,11 @@ class TestChunkedRuleBuild:
     @settings(max_examples=80, deadline=None)
     @given(
         lam=st.sampled_from(CHUNK_LAMS),
-        degrees=st.integers(2, 24),
+        degrees=st.integers(3, 24),
         edge=st.sampled_from(["short", "exact", "over", "twice"]),
         data=st.data(),
     )
-    @example(lam=0.5, degrees=2, edge="short", data=None)
+    @example(lam=0.5, degrees=3, edge="short", data=None)
     def test_christoffel_sums_match_the_per_degree_loop(self, lam, degrees, edge, data):
         order = {"short": degrees - 1, "exact": degrees, "over": degrees + 1, "twice": 2 * degrees}[edge]
         if data is None:
@@ -1309,9 +1322,10 @@ class TestChunkedRuleBuild:
         else:
             nodes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order)))
         width = order - order // 2
-        # A chunk of degrees + 1 rows: the running total and `degrees` degree rows.
+        # A reduce buffer of degrees + 1 rows, the running total and `degrees`
+        # terms, over a ring of `degrees` rows (three at least).
         with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * (degrees + 1)):
-            assert gegenbauer._chunk_rows(width, 3) == degrees + 1
+            assert gegenbauer._chunk_rows(width, 4) == degrees + 1
             got = gegenbauer._christoffel_weights(lam, nodes)
         assert got.tobytes() == _reference_christoffel_weights(lam, nodes).tobytes()
 

@@ -72,11 +72,6 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
-# Most upper-triangle entries per kernel call of `gram`. Of 4096 to 65536, 16384
-# ran the S², sphere × time and product Gram matrices of 800-1000 points
-# fastest or within 5 % of the fastest; 4096 was 28-34 % slower.
-_GRAM_BLOCK_ENTRIES = 16384
-
 
 _SPHERE = "sphere"
 _TIME = "time"
@@ -344,11 +339,12 @@ def _cosine_matrix(points: np.ndarray) -> np.ndarray:
 
 def _row_blocks(n: int):
     """Yield slices of consecutive rows of an n × n matrix whose upper-triangle
-    parts hold at most `_GRAM_BLOCK_ENTRIES` entries together, or one row."""
+    parts hold at most `gegenbauer._BLOCK_POINTS` entries together, or one row:
+    a kernel sum's block has at most that many points within `_BLOCK_BYTES`."""
     start = 0
     while start < n:
         stop, size = start + 1, n - start
-        while stop < n and size + n - stop <= _GRAM_BLOCK_ENTRIES:
+        while stop < n and size + n - stop <= gegenbauer._BLOCK_POINTS:
             size, stop = size + n - stop, stop + 1
         yield slice(start, stop)
         start = stop
@@ -412,12 +408,12 @@ def _mirror_rows(entries: np.ndarray, rows: slice, values: np.ndarray) -> None:
 def gram(kernel, points) -> GramMatrix:
     """Matrix of kernel values over all point pairs, exactly symmetric.
 
-    The upper triangle is evaluated one block of rows at a time, at most
-    `_GRAM_BLOCK_ENTRIES` pairs per kernel call, and mirrored as it goes. A
-    kernel value depends only on its own pair, so the blocks do not change a
-    bit. Working memory is the matrix, one n × n cosine matrix per sphere
-    factor and one block's kernel table (at most (N+1) × 16384 floats for a
-    sphere kernel of degree N).
+    The upper triangle is evaluated one block of rows at a time and mirrored as
+    it goes: at most `_BLOCK_POINTS` pairs per kernel call, the most points of a
+    kernel sum's block (within `_BLOCK_BYTES`). A kernel value depends only on
+    its own pair, so the blocks do not change a bit. Working memory is the matrix, one n × n
+    cosine matrix per sphere factor and one block's kernel table (at most
+    (N+1) × `_BLOCK_POINTS` floats for a sphere kernel of degree N).
     """
     _check_points(kernel, points)
     n = len(points)

@@ -61,8 +61,12 @@ __all__ = [
 MAX_DEGREE = 10_000
 MAX_SEED = 2**128 - 1
 
-# Largest degree × point table, in bytes, that a kernel sum builds at once.
+# Largest degree × point table, in bytes, and most points that a kernel sum
+# takes at once: one block, and the most pairs per `fields.gram` call. Of 4096 to
+# 65536 points, 16384 ran the S², sphere × time and product Gram matrices of
+# 800-1000 points fastest or within 5 % of the fastest; 4096 was 28-34 % slower.
 _BLOCK_BYTES = 16 * 2**20
+_BLOCK_POINTS = 16384
 
 # Largest array, in bytes, that one request may build whole: an
 # `eval_sequence` table here; a point set, a Gram matrix, a sample or an output
@@ -376,11 +380,10 @@ def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray | None = Non
 
 
 def _blocks(rows: int, n: int):
-    """Yield slices covering range(n) in steps of `_BLOCK_BYTES // (8 * rows)`
-    points (at least 1), so a float table of `rows` rows over one fits. A
-    lower `_MAX_ARRAY_BYTES` sets the step instead, so a kernel sum's
-    `eval_sequence` tables stay within the bound that it checks."""
-    step = max(1, min(_BLOCK_BYTES, _MAX_ARRAY_BYTES) // (8 * rows))
+    """Yield slices covering range(n) in steps of `_BLOCK_POINTS` points, or fewer
+    (at least 1) so that a float table of `rows` rows over one fits `_BLOCK_BYTES`,
+    or a lower `_MAX_ARRAY_BYTES`, the bound that `eval_sequence` checks."""
+    step = max(1, min(_BLOCK_POINTS, min(_BLOCK_BYTES, _MAX_ARRAY_BYTES) // (8 * rows)))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -390,11 +393,11 @@ def _block_sum(scale: float, rows: int, terms, *args):
     `args`: for each of `_blocks(rows, ...)`, `acc += term` runs from zero over
     what `terms(*block)` yields, so a value does not depend on its batch, block or
     BLAS threads. A term is added before the next is made, so `terms` may reuse a
-    buffer. Memory is the output plus about `_BLOCK_BYTES` (`rows` rows of one
-    block). Scalar points give a float, arrays an array of their shape.
-    Arguments that are not numbers or do not broadcast are a DomainError, and
-    so is a `scale` that makes a value overflow (normalized weights can sum to
-    just over 1 in floating point)."""
+    buffer. Memory is the output plus one block: at most `_BLOCK_POINTS` points
+    within `_BLOCK_BYTES` (`rows` rows). Scalar points give a float, arrays an
+    array of their shape. Arguments that are not numbers or do not broadcast are
+    a DomainError, and so is a `scale` that makes a value overflow (normalized
+    weights can sum to just over 1 in floating point)."""
     floats = [_float_array(a, "kernel arguments") for a in args]
     try:
         arrays = np.broadcast_arrays(*floats)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateZeroError
-from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _fill, eval_sequence
+from .gegenbauer import GegenbauerBasis, _block_sum, _check_argument, _check_degree, _check_real, _fill, _table
 from .schoenberg import SchoenbergSequence, _Kernel, _split_mass
 
 __all__ = [
@@ -67,12 +67,13 @@ def make_ps_kernel(
 def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
     """k(x1, x2) = c · Σ a_{mn} P̃_m(x1) P̃_n(x2); x1 and x2 broadcast. `_block_sum` adds
     (a_{mn} P̃_m) · P̃_n, m outer from `_fill`'s ring, n inner from a table that every m
-    reads, made in one buffer to keep a block in cache."""
-    m_max, n_max = kernel.truncations
+    reads, made in one buffer to keep a block in cache. A block has at most `_BLOCK_POINTS`
+    points within `_BLOCK_BYTES` for n_max + 5 rows: the table, a ring of three, the term."""
+    m_max, n_max = (_check_degree(n) for n in kernel.truncations)
 
     def terms(x1_block, x2_block):
-        ring = _fill(kernel.basis1.lam, _check_degree(m_max), _check_argument(x1_block))
-        t2 = eval_sequence(kernel.basis2, n_max, x2_block)
+        ring = _fill(kernel.basis1.lam, m_max, _check_argument(x1_block))
+        t2 = _table(kernel.basis2.lam, n_max, _check_argument(x2_block))
         term = np.empty(x1_block.size)
         for a_m, p in zip(kernel.coeff_matrix, (row for _, rows in ring for row in rows)):
             for a_mn, q in zip(a_m, t2):
@@ -80,7 +81,7 @@ def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
                 term *= q
                 yield term
 
-    return _block_sum(kernel.scale_c, m_max + n_max + 2, terms, x1, x2)
+    return _block_sum(kernel.scale_c, n_max + 5, terms, x1, x2)
 
 
 @dataclass(frozen=True)

@@ -202,20 +202,20 @@ def _lags(t) -> np.ndarray:
 
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
-    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, P̃_n read
-    from `_fill`'s ring (no table, no copy) of 256 KiB or three rows of the
-    block, whichever is more. Inside `gram`, whose calls get at most 16 384
-    pairs, that is three rows, 384 KiB; a block holds up to 16 MiB/(8(N+1))
-    points, so a direct call of 67 650 points or more at N = 30 rotates three
-    rows, 1.55 MiB.
+    `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, formed in
+    one buffer that every term reuses, P̃_n read from `_fill`'s ring (no table,
+    no copy) of 256 KiB or three rows of the block, whichever is more: a block
+    has at most `_BLOCK_POINTS` points within `_BLOCK_BYTES`, so 384 KiB at most.
     The lags are checked once, for all terms: a NaN lag is a DomainError."""
 
     def terms(x_block, t_block):
         x_block = _check_argument(x_block)
+        term = np.empty(x_block.size)
         for start, chunk in _fill(kernel.basis.lam, kernel.truncation, x_block):
             for a, cf, p in zip(kernel.weights[start:], kernel.charfns[start:], chunk):
                 if a != 0.0:
-                    yield a * _charfn_values(cf, t_block) * p
+                    np.multiply(a, _charfn_values(cf, t_block), out=term)
+                    yield np.multiply(term, p, out=term)
 
     return _block_sum(kernel.scale_c, _check_degree(kernel.truncation) + 1, terms, x, _lags(t))
 

@@ -265,13 +265,13 @@ class TestHandOver:
 
     def test_gram_holds_the_matrix_the_cosines_and_one_block_table(self):
         # The matrix, the n × n cosine matrix and the (N+1)-row degree table of
-        # one block of `_GRAM_BLOCK_ENTRIES` pairs, plus 1 MiB for the block's
+        # one block of `_BLOCK_POINTS` pairs, plus 1 MiB for the block's
         # arguments, mask and sums. A one-call triangle fill peaks at 32.2 MiB
         # here, over the bound.
         n, n_max = 1000, 100
         seq = random_sequence(np.random.default_rng(5), LEGENDRE, n_max)
         pts = uniform_sphere_points(2, n, 3)
-        table = 8 * (n_max + 1) * fields._GRAM_BLOCK_ENTRIES
+        table = 8 * (n_max + 1) * gegenbauer._BLOCK_POINTS
         assert self._peak(lambda: gram(seq, pts)) < 2 * 8 * n * n + table + 2**20
 
     @pytest.mark.parametrize("method, outputs", [("factorized", 2), ("spectral", 1)])
@@ -645,7 +645,7 @@ class TestGramRowBlocks:
     mirrors it; the matrix must have the bytes of the one-call triangle fill."""
 
     # The most points whose n(n+1)/2 pairs fit one block (180 for 16384 pairs).
-    ONE_BLOCK = (math.isqrt(8 * fields._GRAM_BLOCK_ENTRIES + 1) - 1) // 2
+    ONE_BLOCK = (math.isqrt(8 * gegenbauer._BLOCK_POINTS + 1) - 1) // 2
 
     @pytest.mark.parametrize("family", _FAMILIES)
     @pytest.mark.parametrize("n", [1, 2, 3, ONE_BLOCK, ONE_BLOCK + 1])
@@ -660,14 +660,14 @@ class TestGramRowBlocks:
     )
     def test_bytes_do_not_depend_on_the_block_size(self, family, n, budget, seed):
         kernel, points = _kernel_and_points(family, n, seed)
-        with mock.patch.object(fields, "_GRAM_BLOCK_ENTRIES", budget):
+        with mock.patch.object(gegenbauer, "_BLOCK_POINTS", budget):
             entries = gram(kernel, points).entries
         assert entries.tobytes() == _triangle_gram(kernel, points).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 300), budget=st.integers(1, 2000))
     def test_blocks_are_the_fewest_within_the_budget(self, n, budget):
-        with mock.patch.object(fields, "_GRAM_BLOCK_ENTRIES", budget):
+        with mock.patch.object(gegenbauer, "_BLOCK_POINTS", budget):
             blocks = list(fields._row_blocks(n))
         assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
         for rows, after in zip(blocks, blocks[1:] + [None]):

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cli_env, ps_kernel_eval_one_einsum, random_charfn, random_ps_kernel, random_sequence
+from helpers import (
+    cli_env,
+    ps_kernel_eval_one_einsum,
+    random_charfn,
+    random_ps_kernel,
+    random_sequence,
+    random_st_kernel,
+)
 from spherecov import (
     GegenbauerBasis,
     eval_sequence,
@@ -69,13 +76,17 @@ def test_kernel_eval_matches_exact_degree_sum(d, n_max, seed, points):
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("rows, n", [(1, 0), (1, 5), (21, 12), (21, 13), (21, 25), (101, 10**6)])
+    @pytest.mark.parametrize(
+        "rows, n", [(1, 0), (1, 5), (21, 12), (21, 13), (21, 25), (101, 10**6), (1, 10**6), (21, 10**6), (2000, 10**6)]
+    )
     def test_slices_cover_the_points_within_the_budget(self, rows, n):
         slices = list(gegenbauer._blocks(rows, n))
         assert [i for s in slices for i in range(n)[s]] == list(range(n))
         assert all(rows * (s.stop - s.start) * 8 <= gegenbauer._BLOCK_BYTES for s in slices)
+        assert all(s.stop - s.start <= gegenbauer._BLOCK_POINTS for s in slices)
         # The fewest: one slice less could not hold all n points.
-        assert (len(slices) - 1) * (gegenbauer._BLOCK_BYTES // (8 * rows)) < n
+        step = min(gegenbauer._BLOCK_POINTS, gegenbauer._BLOCK_BYTES // (8 * rows))
+        assert (len(slices) - 1) * step < n
 
     def test_slices_take_fixed_steps_and_stop_at_n(self, monkeypatch):
         # A short last block, even of one point, is allowed: no kernel sum's
@@ -84,6 +95,45 @@ class TestBlocks:
         for n in range(200):
             want = [slice(start, min(start + 12, n)) for start in range(0, n, 12)]
             assert list(gegenbauer._blocks(21, n)) == want
+
+
+def _direct_call(kind, rng, size):
+    """A kernel of `kind` at degrees where the byte budget alone takes 50 000
+    points as one block, its `size`-point arguments, and the (module, name) of
+    each function that builds a block's rows from the points, its third argument."""
+    s2, s1 = GegenbauerBasis.from_dimension(2), GegenbauerBasis.from_dimension(1)
+    x = rng.uniform(-1.0, 1.0, size)
+    if kind == "sphere":
+        return random_sequence(rng, s2, 20), (x,), [(schoenberg, "eval_sequence")]
+    if kind == "sphere_time":
+        return random_st_kernel(rng, s2, 30), (x, rng.normal(0.0, 3.0, size)), [(spacetime, "_fill")]
+    kernel = random_ps_kernel(rng, s2, s1, 20, 10)
+    return kernel, (x, rng.uniform(-1.0, 1.0, size)), [(product_spheres, "_fill"), (product_spheres, "_table")]
+
+
+@pytest.mark.parametrize("kind", ["sphere", "sphere_time", "product_spheres"])
+def test_a_direct_call_takes_blocks_of_at_most_the_block_points(monkeypatch, kind):
+    """A direct call of 50 000 points builds its rows in blocks of
+    `_BLOCK_POINTS` points and has the bytes of one block and of small ones."""
+    size = 50_000
+    kernel, args, builders = _direct_call(kind, np.random.default_rng(3), size)
+    widths = []
+
+    def recording(build):
+        def record(*a, **k):
+            widths.append(a[2].size)
+            return build(*a, **k)
+
+        return record
+
+    for module, name in builders:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    values = kernel.values(*args)
+    edge = gegenbauer._BLOCK_POINTS
+    assert sorted(widths) == sorted(len(builders) * ([edge] * (size // edge) + [size % edge]))
+    for name, value in [("_BLOCK_POINTS", size), ("_BLOCK_BYTES", 2**18)]:
+        with mock.patch.object(gegenbauer, name, value):
+            assert kernel.values(*args).tobytes() == values.tobytes()
 
 
 class TestManyBlocks:

@@ -95,6 +95,11 @@ class TestPsKernelEval:
             ps_kernel_eval(k, 1.5, 0.0)
         with pytest.raises(DomainError):
             ps_kernel_eval(k, 0.0, -1.5)
+        # A degree over the cap is an error even where no pair is evaluated.
+        for shape in [(10_002, 1), (1, 10_002)]:
+            over = make_ps_kernel(np.ones(shape), LEGENDRE, LEGENDRE, normalize=True)
+            with pytest.raises(DomainError, match="^degree 10001 exceeds the supported cap 10000$"):
+                ps_kernel_eval(over, np.zeros(0), 0.0)
 
 
 class TestSeparabilityTest:

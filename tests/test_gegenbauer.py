@@ -706,16 +706,36 @@ class TestRootRounds:
     the same bytes and passes; later rounds restart the roots it leaves
     unproven inside their Sturm brackets."""
 
+    # Every route of `_gauss_rule` (closed form at λ = 0 and 1, the series at
+    # λ = 1/2 from order 69, Newton–Sturm with Christoffel weights elsewhere),
+    # at small, odd and even orders, both sides of `_LEGENDRE_MIN_ORDER` and
+    # the largest orders the tests build.
+    EVERY_ROUTE = [
+        (lam, order)
+        for lam in (0.0, 0.25, 0.5, 1.0, 1.5, 3.7, 20.0)
+        for order in (1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 68, 69, 70, 101, 257, 1024)
+    ] + [(0.5, 2049), (1.0, 20002), (0.0, 20001)]
+
     @pytest.mark.parametrize(
         "lam, digest",
         [
             (2.5, "01e0c2647b93bb93fdf6897f0a2b3824c506fed31e030fc1fc27e6da3a5e7833"),
             (10.5, "2bdf14f18f62bc5712c546953acd13a2f25e1da6b3b51b79e56989609103d0fa"),
+            pytest.param(None, "d7b78b01caae9d50f7b7ffdae988bd29b975c4f0c7fa023518b1016fe66121cc", id="every-route"),
         ],
     )
     def test_first_round_rule_bytes(self, lam, digest):
-        rule = gegenbauer._gauss_rule.__wrapped__(lam, 1024)
-        assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
+        # The order-1024 rule's nodes and weights at λ = 2.5 and 10.5; with no
+        # λ, every rule of EVERY_ROUTE in turn, its nodes, weights and `bisected`.
+        build = gegenbauer._gauss_rule.__wrapped__
+        if lam is not None:
+            rule = build(lam, 1024)
+            assert hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest() == digest
+            return
+        sha = hashlib.sha256()
+        for rule in (build(*key) for key in self.EVERY_ROUTE):
+            sha.update(rule.nodes.tobytes() + rule.weights.tobytes() + rule.bisected.to_bytes(8, "little"))
+        assert len(self.EVERY_ROUTE) == 115 and sha.hexdigest() == digest
 
     @pytest.mark.parametrize("lam, passes", [(0.5, (3, 1)), (10.5, (8, 1))])
     def test_first_round_passes(self, lam, passes):

@@ -46,13 +46,9 @@ class _ValidationFailure(Exception):
     """CLI-level input problem; maps to exit code 2."""
 
 
-def _r(value) -> str:
-    """Shortest round-tripping decimal form of a float."""
-    return repr(float(value))
-
-
 def _csv_row(row: np.ndarray) -> str:
-    """A float row as `_r` would join it, without one Python call per value."""
+    """A float row as the shortest round-tripping decimals (`repr`) of its
+    values joined by commas, without one Python call per value."""
     return ",".join(map(repr, row.tolist()))
 
 
@@ -156,7 +152,7 @@ def cmd_eval(args) -> int:
             raise _ValidationFailure(f"a {kernel.label} spec needs {' and '.join(flags)} (or --grid)")
         _forbid(args, [f for f in EVAL_FLAGS if f not in flags], f"for a {kernel.label} spec")
         value = kernel.values(*(_parse_float(text, flag) for text, flag in zip(texts, flags)))
-        print(",".join([*texts, _r(value)]))
+        print(",".join([*texts, repr(value)]))
     return 0
 
 
@@ -295,7 +291,7 @@ def cmd_coeffs(args) -> int:
     g = _function_from_args(args, n_max, rule_cover)
     coeffs = recover_coefficients(g, basis, n_max, quad_order)
     tail = _tail_mass(coeffs)
-    print("\n".join(f"{n},{_r(a)}" for n, a in enumerate(coeffs)))
+    print("\n".join(f"{n},{a!r}" for n, a in enumerate(coeffs.tolist())))
     if tail > TAIL_WARN_THRESHOLD:
         print(
             f"warning: coefficient mass {tail:.3e} beyond degree n_max/2 exceeds "

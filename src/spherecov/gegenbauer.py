@@ -30,12 +30,14 @@ interval and brackets the rest, which go on inside their brackets. Both
 passes are one loop, `_ratio`, over ratios of consecutive polynomials: none
 under- or overflows. Its weights are Christoffel numbers from the recurrence
 above, which are more accurate than the Golub–Welsch eigenvector weights at
-high order. Those weights and the Sturm counts fill chunks of recurrence
-rows of at most `_CHUNK_BYTES` and reduce each chunk with one ufunc per
-operation, in the order of the one-degree-at-a-time loop, so memory grows
-with the number of points, not with degree × points. Coefficient recovery
-caches its degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES`
-and projects a larger one chunk by chunk.
+high order. Every route gives only the nonnegative half of its rule, and
+`_gauss_rule` alone mirrors it into the rule. Those weights and the Sturm
+counts fill chunks of recurrence rows of at most `_CHUNK_BYTES` and reduce
+each chunk with one ufunc per operation, in the order of the
+one-degree-at-a-time loop, so memory grows with the number of points, not
+with degree × points. Coefficient recovery caches its degree × node table
+(`_degree_table`) up to `_TABLE_CACHE_BYTES` and projects a larger one chunk
+by chunk.
 """
 
 import functools
@@ -108,18 +110,18 @@ def _immutable(arr: np.ndarray) -> np.ndarray:
     return np.ndarray(arr.shape, dtype=arr.dtype, buffer=arr.tobytes())
 
 
-def _frozen_floats(values, ndim: int, what: str, error=DomainError, private: bool = False) -> np.ndarray:
+def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
     """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
-    `error`. A float64 array that views an immutable `bytes` object (see
-    `_immutable`) is kept, and so is a read-only float64 array that owns its
-    data unless `private` is set: its owner could make it writeable again, so
-    a result that must never change takes a copy. Anything else is copied, so
-    a caller's writeable array is never frozen or shared."""
+    `error`. A read-only float64 array that views an immutable `bytes` object
+    (see `_immutable`) or owns its data is kept; the owner of the latter can
+    make it writeable again, so kernel weights are made `_immutable` after
+    this. Anything else is copied, so a caller's writeable array is never
+    frozen or shared."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and not values.flags.writeable
-        and (isinstance(values.base, bytes) or (values.flags.owndata and not private))
+        and (isinstance(values.base, bytes) or values.flags.owndata)
     ):
         arr = values
     else:
@@ -498,22 +500,19 @@ def _chunk_rows(width: int, least: int) -> int:
     return max(least, _CHUNK_BYTES // (8 * max(width, 1)))
 
 
-def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
-    """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at each node. The
-    nodes are antisymmetric and P̃_k(−x) = (−1)^k P̃_k(x) holds exactly in the
-    recurrence, so the sums run over the nonnegative half and are mirrored.
+def _christoffel_weights(lam: float, order: int, x: np.ndarray) -> np.ndarray:
+    """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at the nodes `x`, the
+    nonnegative half of the order-`order` rule.
 
     Each chunk of `_fill`'s ring is squared into the rows of a reduce buffer
     after its row 0 and divided by its norms, and `np.add.reduce` over those
     rows, with the running total in row 0, adds the terms in degree order: the
     bits of `total += np.square(P̃_k) / h_k` one degree at a time. The working
-    memory is a few vectors of half the order plus the reduce buffer, of at
-    most `_CHUNK_BYTES` (four rows at least), and the ring, one row fewer."""
-    half = nodes.size // 2
-    x = nodes[half:]
-    norms = _norms(lam, nodes.size)
-    terms = np.zeros((min(_chunk_rows(x.size, 4), nodes.size + 1), x.size))  # the total, then degrees
-    for start, rows in _fill(lam, nodes.size - 1, x, np.empty_like(terms[1:])):
+    memory is a few vectors of x's length plus the reduce buffer, of at most
+    `_CHUNK_BYTES` (four rows at least), and the ring, one row fewer."""
+    norms = _norms(lam, order)
+    terms = np.zeros((min(_chunk_rows(x.size, 4), order + 1), x.size))  # the total, then degrees
+    for start, rows in _fill(lam, order - 1, x, np.empty_like(terms[1:])):
         k = len(rows) + 1
         np.square(rows, out=terms[1:k])
         np.divide(terms[1:k], norms[start : start + k - 1, None], out=terms[1:k])
@@ -521,8 +520,7 @@ def _christoffel_weights(lam: float, nodes: np.ndarray) -> np.ndarray:
         # along a contiguous axis, here a width of 1, which is order <= 2 and
         # at most three rows, still added in order.
         terms[0] = np.add.reduce(terms[:k], axis=0)
-    total = terms[0]
-    return 1.0 / np.concatenate((total[::-1][:half], total))
+    return 1.0 / terms[0]
 
 
 def _monic_betas(lam: float, order: int) -> list:
@@ -645,27 +643,23 @@ def _positive_roots(lam: float, order: int) -> tuple[np.ndarray, int]:
 
 
 def _chebyshev_rule(lam: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss–Chebyshev rule at λ = 0 or λ = 1, from
-    angles alone, with no recurrence (Abramowitz & Stegun 25.4.38, 25.4.40).
+    """The nonnegative half of the Gauss–Chebyshev rule at λ = 0 or λ = 1, nodes
+    ascending and their weights, from angles alone, with no recurrence
+    (Abramowitz & Stegun 25.4.38, 25.4.40).
 
-    λ = 0, the first kind: nodes cos((2k−1)π/(2N)), made exactly antisymmetric,
-    and weights π/N. λ = 1, the second kind: P̃_N is U_N/(N+1), whose roots
-    cos(kπ/(N+1)) are taken as sin((N+1−2k)π/(2(N+1))), the same angle measured
-    from π/2, so small roots keep full relative accuracy. The weights
-    π/(N+1)·sin²(kπ/(N+1)) are formed for k <= N/2, where the angle is at most
-    π/2 and sin keeps full relative accuracy (cos² of the complementary angle
-    would not), then mirrored, with π/(N+1) in the middle at odd N."""
+    λ = 0, the first kind: nodes cos((2k−1)π/(2N)), each averaged with the
+    negated node opposite it, so the middle one at odd N is 0, and weights π/N.
+    λ = 1, the second kind: P̃_N is U_N/(N+1), whose roots cos(kπ/(N+1)) are
+    taken as sin((N+1−2k)π/(2(N+1))), the same angle measured from π/2, so
+    small roots keep full relative accuracy. The weights π/(N+1)·sin²(kπ/(N+1))
+    are formed for k <= (N+1)/2, where the angle is at most π/2 and sin keeps
+    full relative accuracy (cos² of the complementary angle would not)."""
     if lam == 0.0:
-        k = np.arange(order, 0, -1)
-        nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
-        return 0.5 * (nodes - nodes[::-1]), np.full(order, np.pi / order)
+        nodes = np.cos((2 * np.arange(order, 0, -1) - 1) * np.pi / (2 * order))
+        return 0.5 * (nodes - nodes[::-1])[order // 2 :], np.full(order - order // 2, np.pi / order)
     step = np.pi / (2 * (order + 1))
-    positive = np.sin(np.arange(order % 2 + 1, order, 2) * step)
-    low = np.pi / (order + 1) * np.square(np.sin(np.arange(2, order + 1, 2) * step))
-    return (
-        np.concatenate((-positive[::-1], np.zeros(order % 2), positive)),
-        np.concatenate((low, np.full(order % 2, np.pi / (order + 1)), low[::-1])),
-    )
+    sines = np.sin(np.arange(order + order % 2, 1, -2) * step)  # sin(kπ/(N+1)), k = (N+1)//2, ..., 1
+    return np.sin(np.arange(1 - order % 2, order, 2) * step), np.pi / (order + 1) * np.square(sines)
 
 
 # j_{0,k}, the zeros of the Bessel function J_0, for k = 1, ..., 20, and
@@ -796,10 +790,10 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     sin(π(N+1−2k)/(2N+1) − v·(j_k − (k − 1/4)π + θ⁰·u·F)): that angle is
     small near the middle, so no rounding of θ_k near π/2 and of its cosine
     is paid there (cos θ_k erred by up to 5·2^-53 at order 90, this by at
-    most 2.1·2^-53 at every order from 67 to 4096). The (N+1)//2 values from
-    +1 inwards are mirrored, so the nodes are exactly antisymmetric, 0 in the
-    middle at odd N, whose weight is the formula's at k = (N+1)/2. The number
-    of ufunc calls is the same at every order."""
+    most 2.1·2^-53 at every order from 67 to 4096). It returns the nonnegative
+    half of the rule, nodes ascending: the N//2 positive nodes, after 0 at odd
+    N, whose weight is the formula's at k = (N+1)/2. The number of ufunc calls
+    is the same at every order."""
     half = order // 2
     v = 1.0 / (order + 0.5)
     k, delta, bessel = _bessel_zeros((order + 1) // 2)
@@ -813,10 +807,7 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     positive = np.sin(np.pi * (order + 1 - 2 * k[:half]) / (2 * order + 1) - v * shift[:half])
     scaled = bessel * nu_sin
     weights = 2.0 * v / (scaled + scaled * u2 * _series(_WEIGHT_FITS, x, u2))
-    return (
-        np.concatenate((-positive, np.zeros(order % 2), positive[::-1])),
-        np.concatenate((weights, weights[:half][::-1])),
-    )
+    return np.concatenate((np.zeros(order % 2), positive[::-1])), weights[::-1]
 
 
 def _check_rule_range(lam: float, order: int) -> None:
@@ -854,12 +845,13 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     brackets the rest, which go on inside their brackets (from λ = 11 on the
     first round misses some; the rule's `bisected` says how many). Its
     weights are Christoffel numbers
-    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes and
-    mirrored, in time quadratic in the order. The Sturm counts and the weights
+    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes,
+    in time quadratic in the order. The Sturm counts and the weights
     fill chunks of recurrence rows and reduce each chunk at once, so the
     working memory is a few vectors of length order plus one chunk of at most
-    `_CHUNK_BYTES` (256 KiB). The nodes are exactly symmetric about 0, and so
-    are the weights. Every rule must pass the same checks: distinct nodes
+    `_CHUNK_BYTES` (256 KiB). Every route gives the nonnegative half of the
+    rule, which one step mirrors, so the nodes are exactly antisymmetric and
+    the weights symmetric. Every rule must pass the same checks: distinct nodes
     inside (−1, 1) and weights that sum to h_0. The tests check orders up to
     1024 (20002 at λ = 1/2 and 1); orders above 2·MAX_DEGREE + 2 = 20002 raise
     DomainError, and so do λ > 1e4 and an order whose smallest norm h_{N−1}
@@ -878,23 +870,26 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=64)
 def _gauss_rule(lam: float, order: int) -> QuadratureRule:
-    """The rule of `quadrature`, for a float λ and an int order it has checked."""
-    bisected, weights = 0, None
+    """The rule of `quadrature`, for a float λ and an int order it has checked.
+    Each route gives the nonnegative half of the rule, nodes ascending (0 first
+    at odd order) with their weights; the rule is that half mirrored, the
+    nodes negated, so it is exactly symmetric whatever the route."""
+    bisected = 0
     if lam == 0.0 or lam == 1.0:
-        nodes, weights = _chebyshev_rule(lam, order)
+        x, w = _chebyshev_rule(lam, order)
     elif lam == 0.5 and order >= _LEGENDRE_MIN_ORDER:
-        nodes, weights = _legendre_rule(order)
+        x, w = _legendre_rule(order)
     else:
         _check_rule_range(lam, order)
         positive, bisected = _positive_roots(lam, order)
-        nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
+        x = np.concatenate((np.zeros(order % 2), positive))
+        w = _christoffel_weights(lam, order, x)
+    nodes = np.concatenate((-x[order % 2 :][::-1], x))
+    weights = np.concatenate((w[order % 2 :][::-1], w))
     if np.any(np.diff(nodes) <= 0) or np.max(np.abs(nodes)) >= 1:
         raise ConvergenceError(
             f"Gauss nodes (lam={lam}, order={order}) are not distinct and inside (-1, 1)"
         )
-
-    if weights is None:
-        weights = _christoffel_weights(lam, nodes)
 
     mass = _norm_squared(lam, 0)
     if not math.isclose(weights.sum(), mass, rel_tol=1e-9):
@@ -905,4 +900,3 @@ def _gauss_rule(lam: float, order: int) -> QuadratureRule:
     return QuadratureRule(
         nodes=_immutable(nodes), weights=_immutable(weights), lam=lam, order=order, bisected=bisected
     )
-

@@ -36,6 +36,7 @@ from .gegenbauer import (
     _check_seed,
     _degree_rows,
     _frozen_floats,
+    _immutable,
     _norms,
     _overflow,
     eval_sequence,
@@ -69,11 +70,13 @@ INCONCLUSIVE = "Inconclusive"
 
 def _checked_weights(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     """(weights, total): `values` as `_frozen_floats` takes them, nonnegative,
-    with a finite, nonzero total. A caller's read-only array is copied too
-    (`private`), so no one can edit the weights once they are checked. A
-    negative entry is reported with its index and value; an overflowing
-    total is a DomainError, not a numpy warning."""
-    arr = _frozen_floats(values, ndim, name, private=True)
+    with a finite, nonzero total, as an `_immutable` array (one is kept as it
+    is), so no one can edit the weights once they are checked. A negative
+    entry is reported with its index and value; an overflowing total is a
+    DomainError, not a numpy warning."""
+    arr = _frozen_floats(values, ndim, name)
+    if not isinstance(arr.base, bytes):
+        arr = _immutable(arr)
     flat = arr.reshape(-1)
     bad = np.flatnonzero(flat < 0)
     if bad.size:

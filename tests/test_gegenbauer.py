@@ -151,14 +151,6 @@ class TestFrozenFloats:
         buffer[:8] = np.float64(5.0).tobytes()
         assert out[0, 0] == 0.0
 
-    def test_private_copies_a_read_only_owned_array_but_keeps_an_immutable_one(self):
-        arr = np.ones((2, 3))
-        arr.setflags(write=False)
-        out = _frozen_floats(arr, 2, "values", private=True)
-        assert not np.shares_memory(out, arr) and not out.flags.writeable
-        kept = gegenbauer._immutable(arr)
-        assert _frozen_floats(kept, 2, "values", private=True) is kept
-
     def test_a_later_write_to_the_input_does_not_reach_the_copy(self):
         arr = np.ones((2, 2))
         out = _frozen_floats(arr, 2, "values")
@@ -419,7 +411,7 @@ class TestQuadrature:
         # `_LEGENDRE_MIN_ORDER` on take their weights from formulas, so there
         # the Christoffel sums are checked at their nodes directly.
         rule = quadrature(lam, order)
-        weights = gegenbauer._christoffel_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
+        weights = _christoffel_rule_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
         basis = GegenbauerBasis.from_index(lam)
         inv_norms = np.array([1.0 / norm_squared(basis, n) for n in range(order)])
         reference = 1.0 / (inv_norms @ eval_sequence(basis, order - 1, rule.nodes) ** 2)
@@ -434,7 +426,7 @@ class TestQuadrature:
         # nodes are checked directly.
         for order in (1, 2, 3, 4, 5, 64, 65, 255, 512, 1023, 1024):
             rule = quadrature(lam, order)
-            weights = gegenbauer._christoffel_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
+            weights = _christoffel_rule_weights(lam, rule.nodes) if _formula_weights(lam, order) else rule.weights
             total = np.zeros(order)
             values = eval_sequence(GegenbauerBasis.from_index(lam), order - 1, rule.nodes)
             for n in range(order):
@@ -507,6 +499,14 @@ class TestQuadrature:
     def test_a_sum_that_overflows_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^the weighted sum of the values overflows$"):
             quadrature(0.5, 8).integrate(np.full(8, 1e308))
+
+
+def _christoffel_rule_weights(lam, nodes):
+    """Christoffel weights at every node of a rule: `_christoffel_weights` over
+    the nonnegative half of `nodes`, mirrored as `_gauss_rule` mirrors a half."""
+    order = nodes.size
+    half = gegenbauer._christoffel_weights(lam, order, nodes[order // 2 :])
+    return np.concatenate((half[order % 2 :][::-1], half))
 
 
 def _formula_weights(lam, order):
@@ -805,17 +805,15 @@ class TestRuleChecks:
         # root finder does; either way the fault is in the positive half.
         closed = lam in (0.0, 1.0)
         if closed:
-            nodes, weights = gegenbauer._chebyshev_rule(lam, 8)
-            nodes = nodes.copy()
-            positive = nodes[4:]
+            positive, weights = gegenbauer._chebyshev_rule(lam, 8)
         else:
             positive, bisected = gegenbauer._positive_roots(lam, 8)
-            positive = positive.copy()
+        positive = positive.copy()
         if fault == "repeated":
             positive[1] = positive[0]
         else:
             positive[-1] = 1.0
-        route, result = ("_chebyshev_rule", (nodes, weights)) if closed else ("_positive_roots", (positive, bisected))
+        route, result = ("_chebyshev_rule", (positive, weights)) if closed else ("_positive_roots", (positive, bisected))
         with mock.patch.object(gegenbauer, route, return_value=result):
             with pytest.raises(ConvergenceError) as excinfo:
                 gegenbauer._gauss_rule.__wrapped__(lam, 8)
@@ -840,6 +838,33 @@ class TestRuleChecks:
             gegenbauer._gauss_rule.__wrapped__(lam, 8)
         with scaled(1.0 + 1e-11):  # within the check's relative 1e-9
             assert gegenbauer._gauss_rule.__wrapped__(lam, 8).order == 8
+
+
+class TestRuleHalves:
+    """Each route of `_gauss_rule` gives only the nonnegative half of its rule,
+    nodes ascending (0 first at odd order) with their weights, and
+    `_gauss_rule` alone mirrors it into the rule."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 9, 69, 70, 1024, 1025])
+    @pytest.mark.parametrize("route", ["chebyshev-0", "chebyshev-1", "legendre", "christoffel"])
+    def test_every_route_gives_the_nonnegative_half(self, route, order):
+        lam = {"chebyshev-0": 0.0, "chebyshev-1": 1.0, "legendre": 0.5, "christoffel": 2.5}[route]
+        if route == "legendre":
+            nodes, weights = gegenbauer._legendre_rule(order)
+        elif route == "christoffel":
+            nodes = np.concatenate((np.zeros(order % 2), gegenbauer._positive_roots(lam, order)[0]))
+            weights = gegenbauer._christoffel_weights(lam, order, nodes)
+        else:
+            nodes, weights = gegenbauer._chebyshev_rule(lam, order)
+        assert nodes.shape == weights.shape == (order - order // 2,)
+        assert np.all(np.diff(nodes) > 0) and np.all(nodes[order % 2 :] > 0) and np.all(weights > 0)
+        assert order % 2 == 0 or nodes[:1].tobytes() == np.zeros(1).tobytes()
+        if route != "legendre" or order >= gegenbauer._LEGENDRE_MIN_ORDER:  # the route the rule takes
+            rule = gegenbauer._gauss_rule.__wrapped__(lam, order)
+            assert rule.nodes[order // 2 :].tobytes() == nodes.tobytes()
+            assert rule.weights[order // 2 :].tobytes() == weights.tobytes()
+            assert rule.nodes.tobytes() == (-rule.nodes[::-1] + 0.0).tobytes()
+            assert rule.weights.tobytes() == rule.weights[::-1].tobytes()
 
 
 class TestChebyshevURoots:
@@ -888,7 +913,7 @@ class TestChebyshevURoots:
         with np.errstate(all="ignore"):
             newton, proven = gegenbauer._newton_roots(1.0, order, betas)
             full = _reference_bisection(betas, np.arange(order // 2, 0, -1))
-        roots = gegenbauer._chebyshev_rule(1.0, order)[0][order - order // 2 :]
+        roots = gegenbauer._chebyshev_rule(1.0, order)[0][order % 2 :]
         assert proven.all()
         assert roots.shape == (order // 2,)
         assert_allclose(roots, newton, rtol=0, atol=2.0**-51)
@@ -907,7 +932,7 @@ def _recurrence_rule(order):
     Christoffel weights."""
     positive = gegenbauer._positive_roots(0.5, order)[0]
     nodes = np.concatenate((-positive[::-1], np.zeros(order % 2), positive))
-    return nodes, gegenbauer._christoffel_weights(0.5, nodes)
+    return nodes, _christoffel_rule_weights(0.5, nodes)
 
 
 class TestLegendreRule:
@@ -968,7 +993,7 @@ class TestLegendreRule:
         # order 200, 2.3e-11 at 800–1100, against the series' 5e-16), so the
         # weights are compared within 5e-17·N².
         nodes, weights = gegenbauer._legendre_rule(order)
-        reference_nodes, reference_weights = _recurrence_rule(order)
+        reference_nodes, reference_weights = (a[order // 2 :] for a in _recurrence_rule(order))
         assert_allclose(nodes, reference_nodes, rtol=0, atol=4 * 2.0**-53)
         assert_allclose(weights, reference_weights, rtol=5e-17 * order**2, atol=0)
 
@@ -1285,14 +1310,13 @@ class TestFill:
         assert peak < 2 * x.nbytes
 
 
-def _reference_christoffel_weights(lam, nodes):
+def _reference_christoffel_weights(lam, order, x):
     """The Christoffel weights as one loop over degrees: `total += np.square(P̃_k) / h_k`
-    over the nonnegative half of `nodes`, each h_k from `_norm_squared`, mirrored."""
-    half = nodes.size // 2
-    total = np.zeros(nodes.size - half)
-    for n, values in enumerate(_reference_sequence(lam, nodes.size - 1, nodes[half:])):
+    at the nodes `x` for k < order, each h_k from `_norm_squared`."""
+    total = np.zeros(x.size)
+    for n, values in enumerate(_reference_sequence(lam, order - 1, x)):
         total += np.square(values) / gegenbauer._norm_squared(lam, n)
-    return 1.0 / np.concatenate((total[::-1][:half], total))
+    return 1.0 / total
 
 
 def _reference_ratio(betas, x, counts=None):
@@ -1346,8 +1370,8 @@ class TestChunkedRuleBuild:
         # terms, over a ring of `degrees` rows (three at least).
         with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * (degrees + 1)):
             assert gegenbauer._chunk_rows(width, 4) == degrees + 1
-            got = gegenbauer._christoffel_weights(lam, nodes)
-        assert got.tobytes() == _reference_christoffel_weights(lam, nodes).tobytes()
+            got = gegenbauer._christoffel_weights(lam, order, nodes[order // 2 :])
+        assert got.tobytes() == _reference_christoffel_weights(lam, order, nodes[order // 2 :]).tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(

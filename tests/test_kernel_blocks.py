@@ -136,6 +136,29 @@ def test_a_direct_call_takes_blocks_of_at_most_the_block_points(monkeypatch, kin
             assert kernel.values(*args).tobytes() == values.tobytes()
 
 
+def test_a_sphere_time_block_is_sized_for_the_rows_it_holds(monkeypatch):
+    """An N = 200 sphere × time sum holds a ring of three rows and a few more,
+    not a table of N + 1 rows, so two blocks of `_BLOCK_POINTS` points take a
+    call on twice that many; 201 rows within `_BLOCK_BYTES` would take four."""
+    rng = np.random.default_rng(5)
+    kernel = random_st_kernel(rng, GegenbauerBasis.from_dimension(2), 200)
+    size = 2 * gegenbauer._BLOCK_POINTS
+    x, t = rng.uniform(-1.0, 1.0, size), rng.normal(0.0, 3.0, size)
+    blocks, take = [], gegenbauer._blocks
+
+    def counting(rows, n):
+        for block in take(rows, n):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(gegenbauer, "_blocks", counting)
+    values = kernel.values(x, t)
+    assert [(s.start, s.stop) for s in blocks] == [(0, size // 2), (size // 2, size)]
+    with mock.patch.object(gegenbauer, "_BLOCK_POINTS", size):
+        assert kernel.values(x, t).tobytes() == values.tobytes()
+    assert len(blocks) == 3
+
+
 class TestManyBlocks:
     """With a budget of a few KiB, small inputs span many blocks and must
     give the bits of one block."""

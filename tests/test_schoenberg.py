@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
-from spherecov import fields, gegenbauer, schoenberg
+from spherecov import fields, gegenbauer, kernelspec, schoenberg
 from spherecov import (
     DomainError,
     EvaluationError,
@@ -155,8 +155,9 @@ class TestOneWeightCheck:
 
 
 class TestPrivateWeights:
-    """A kernel keeps its own copy of a caller's read-only weight array: the
-    caller could make that array writeable again and edit checked weights."""
+    """A kernel stores its weights as an `_immutable` array: a copy of a
+    caller's read-only array, which the caller could make writeable again,
+    and no one can make the stored array writeable."""
 
     def test_the_caller_cannot_edit_checked_coefficients(self):
         c = np.array([0.5, 0.5])
@@ -182,6 +183,42 @@ class TestPrivateWeights:
         w.setflags(write=True)
         w[...] = -1.0
         assert stored.reshape(-1).tolist() == [0.25, 0.75]
+
+    SPECS = {
+        "sphere": {"kind": "sphere", "d": 2, "coeffs": [1.0, 3.0]},
+        "sphere_time": {
+            "kind": "sphere_time",
+            "d": 2,
+            "terms": [{"a": 1.0, "charfn": {"family": "gaussian", "params": {"sigma": 1.0}}}] * 2,
+        },
+        "product": {"kind": "product_spheres", "d1": 2, "d2": 1, "matrix": [[1.0, 3.0]]},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_no_one_can_make_the_stored_weights_writeable(self, kind):
+        # Before, `make_sequence([0.5, 0.5], d = 2)` stored an array that owned
+        # its data: `setflags(write=True)` and `coeffs[0] = -1` then gave
+        # kernel_eval(seq, 1.0) = -0.5, a negative variance.
+        w = np.array([[0.25, 0.75]] if kind == "product" else [0.25, 0.75])
+        kernels = [self.BUILDERS[kind](w)]
+        kernels += [kernelspec.kernel_from_dict({**self.SPECS[kind], "scale": scale}) for scale in (1.0, 2.5)]
+        kernels += [multiquadric_sequence(0.5, LEGENDRE, 10)] if kind == "sphere" else []
+        for kernel in kernels:
+            stored = getattr(kernel, kernel.WEIGHTS)
+            assert isinstance(stored.base, bytes)
+            with pytest.raises(ValueError):
+                stored.setflags(write=True)
+            at_one = kernel.values(*[0.0 if name == "t" else 1.0 for name in kernel.arguments])
+            assert at_one == pytest.approx(kernel.scale_c, rel=1e-15)
+
+    def test_checked_weights_copy_a_read_only_owned_array_but_keep_an_immutable_one(self):
+        arr = np.ones((2, 3))
+        arr.setflags(write=False)
+        out, total = schoenberg._checked_weights(arr, 2, "values")
+        assert not np.shares_memory(out, arr) and isinstance(out.base, bytes) and total == 6.0
+        assert schoenberg._checked_weights(out, 2, "values")[0] is out
+        seq = make_sequence([0.5, 0.5], LEGENDRE)
+        assert dataclasses.replace(seq, scale_c=2.0).coeffs is seq.coeffs
 
 
 class TestKernelEval:
@@ -361,12 +398,16 @@ class TestRecoverCoefficients:
     st.floats(-20.0, 20.0),
     st.floats(0.0, 3.2),
 )
+@example(1, 0, 62, 0.0, 0.5)
 def test_recovery_matches_table_formula(d, n_max, extra, frequency, phase):
     # Reference: each row of the degree x node table times the weighted
     # values, summed exactly, so only recover_coefficients' own rounding is
     # measured (a BLAS product of the table is itself up to 1.4e-15 off for
-    # g = 1 on the circle). With |g| <= 1 the summed terms add up to at
-    # most h_0 in magnitude.
+    # g = 1 on the circle). The bound is the standard one for a floating-point
+    # dot product of q terms, γ_q·Σ_i |P̃_n(x_i)·w_i·g(x_i)| with
+    # γ_q = q·u/(1 − q·u), u = 2^-53 and q the quadrature order, at the
+    # largest degree, in units of h_0. A fixed 1e-15 failed at the example
+    # above: 63 equal weights times cos(0.5) summed to 1.11e-15 of h_0 off.
     basis = GegenbauerBasis.from_dimension(d)
     quad_order = n_max + 1 + extra
     g = lambda x: np.cos(frequency * x + phase)
@@ -376,7 +417,9 @@ def test_recovery_matches_table_formula(d, n_max, extra, frequency, phase):
     table = eval_sequence(basis, n_max, rule.nodes)
     reference = np.array([math.fsum(row * weighted) for row in table]) / norms
     ahat = recover_coefficients(g, basis, n_max, quad_order)
-    assert np.max(np.abs(ahat - reference) * norms / norms[0]) <= 1e-15
+    gamma = quad_order * 2.0**-53 / (1.0 - quad_order * 2.0**-53)
+    bound = gamma * max(math.fsum(np.abs(row * weighted)) for row in table) / norms[0]
+    assert np.max(np.abs(ahat - reference) * norms / norms[0]) <= bound
 
 
 def _scalar_only(g):

@@ -18,6 +18,7 @@ import tempfile
 
 import numpy as np
 
+from . import gegenbauer
 from .errors import DomainError, KernelSpecError, SphereCovError
 from .fields import _seed_states, point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed, quadrature
@@ -30,8 +31,6 @@ SEED_ENV_VAR = "SPHERECOV_SEED"
 TAIL_WARN_THRESHOLD = 1e-6
 
 EVAL_FLAGS = ("--x", "--t", "--x1", "--x2")
-# `eval --grid` rows joined per write: as fast as one join, with a bounded text.
-_LINES_PER_WRITE = 4096
 
 BUILTIN_EXPRESSIONS = {
     "x": lambda x: x,
@@ -132,19 +131,20 @@ def cmd_eval(args) -> int:
     if args.grid is not None:
         _forbid(args, EVAL_FLAGS, "together with --grid")
         k = len(kernel.arguments)
-        _check_array_bytes((args.grid**k, k + 1), "an eval table")
+        rows = args.grid**k
+        _check_array_bytes((rows, k + 1), "an eval table")
         xs = np.linspace(-1.0, 1.0, args.grid)
         ts = np.linspace(0.0, 1.0 if args.t_max is None else args.t_max, args.grid)
         axes = [ts if name == "t" else xs for name in kernel.arguments]
-        # One block of rows at a time, in row-major order of the axes, so neither
-        # the table nor its text exists whole in memory. A kernel value does not
-        # depend on its batch, so the bytes are those of one whole table.
-        rows = args.grid**k
-        for start in range(0, rows, _LINES_PER_WRITE):
-            index = np.unravel_index(np.arange(start, min(start + _LINES_PER_WRITE, rows)), (args.grid,) * k)
-            columns = [axis[i] for axis, i in zip(axes, index)]
-            block = np.column_stack([*columns, kernel.values(*columns)])
-            sys.stdout.write("".join([f"{_csv_row(row)}\n" for row in block]))
+        texts = [[f"{v!r}," for v in axis.tolist()] for axis in axes]
+        # One kernel block of rows at a time, in row-major order of the axes, so
+        # neither the table nor its text exists whole in memory. A kernel value
+        # does not depend on its batch, so the bytes are those of one whole table.
+        for start in range(0, rows, gegenbauer._BLOCK_POINTS):
+            index = np.unravel_index(np.arange(start, min(rows, start + gegenbauer._BLOCK_POINTS)), (args.grid,) * k)
+            values = kernel.values(*(axis[i] for axis, i in zip(axes, index)))
+            cells = [[text[j] for j in i.tolist()] for text, i in zip(texts, index)]
+            sys.stdout.write("".join(map("".join, zip(*cells, map("{!r}\n".format, values.tolist())))))
     else:
         flags = [f"--{name}" for name in kernel.arguments]
         texts = [getattr(args, name) for name in kernel.arguments]

@@ -169,7 +169,7 @@ class SpherePointSet(_FactoredPointSet):
 
     def __post_init__(self):
         d = _check_count(self.dimension, "sphere dimension", 1, GeometryError)
-        pts = _frozen_floats(self.points, 2, "points", GeometryError)
+        pts = _immutable(_frozen_floats(self.points, 2, "points", GeometryError))
         if pts.shape[1] != d + 1:
             raise GeometryError(
                 f"points must have shape (n, {d + 1}), got {pts.shape}"
@@ -193,7 +193,7 @@ class SpaceTimePointSet(_FactoredPointSet):
     LAYOUT = "coordinates then time"
 
     def __post_init__(self):
-        t = _frozen_floats(self.times, 1, "times", GeometryError)
+        t = _immutable(_frozen_floats(self.times, 1, "times", GeometryError))
         if t.size != len(self.space):
             raise GeometryError(
                 f"times must be 1-D with one entry per point ({len(self.space)}), got shape {t.shape}"

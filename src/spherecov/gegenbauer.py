@@ -104,19 +104,22 @@ _LEGENDRE_MIN_ORDER = 69
 
 
 def _immutable(arr: np.ndarray) -> np.ndarray:
-    """A copy of the array `arr` that views an immutable `bytes` object: no
-    caller can make it writeable again (`setflags(write=True)` raises
-    ValueError), so a cached array cannot be changed through it."""
+    """`arr` if it views an immutable `bytes` object, else a copy of it that
+    does: no caller can make it writeable again (`setflags(write=True)` raises
+    ValueError), so a stored or cached array cannot be changed through it."""
+    if isinstance(arr.base, bytes):
+        return arr
     return np.ndarray(arr.shape, dtype=arr.dtype, buffer=arr.tobytes())
 
 
 def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
     """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
     `error`. A read-only float64 array that views an immutable `bytes` object
-    (see `_immutable`) or owns its data is kept; the owner of the latter can
-    make it writeable again, so kernel weights are made `_immutable` after
-    this. Anything else is copied, so a caller's writeable array is never
-    frozen or shared."""
+    (see `_immutable`) or owns its data is kept, so a fresh result is handed
+    over without a copy; the owner of the latter can make it writeable again,
+    so a value that must stay checked is made `_immutable` after this.
+    Anything else is copied once into an `_immutable` array, so a caller's
+    writeable array is never frozen or shared."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
@@ -126,7 +129,7 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
         arr = values
     else:
         try:
-            arr = np.array(values, dtype=float)
+            arr = _immutable(np.asarray(values, dtype=float))
         except (TypeError, ValueError, OverflowError) as exc:
             raise error(f"{what} must be an array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
@@ -285,7 +288,7 @@ class GegenbauerBasis:
 class QuadratureRule:
     """Gauss rule for the weight (1−x²)^{λ−1/2} on [−1, 1].
 
-    `nodes` and `weights` are stored read-only (see `_frozen_floats`), `lam`
+    `nodes` and `weights` are stored `_immutable` (see `_frozen_floats`), `lam`
     as a float in [0, inf) (see `_check_real`) and `order` as an int.
     `bisected` is the node route: how many of the positive nodes the first
     Newton–Sturm round could not prove, an int (0 for every rule up to
@@ -305,7 +308,7 @@ class QuadratureRule:
         object.__setattr__(self, "order", _check_count(self.order, "order", 1))
         object.__setattr__(self, "bisected", _check_count(self.bisected, "bisected"))
         for name in ("nodes", "weights"):
-            object.__setattr__(self, name, _frozen_floats(getattr(self, name), 1, name))
+            object.__setattr__(self, name, _immutable(_frozen_floats(getattr(self, name), 1, name)))
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise DomainError("nodes/weights must have shape (order,)")
         if np.any(np.diff(self.nodes) <= 0):

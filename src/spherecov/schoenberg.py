@@ -74,9 +74,7 @@ def _checked_weights(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     is), so no one can edit the weights once they are checked. A negative
     entry is reported with its index and value; an overflowing total is a
     DomainError, not a numpy warning."""
-    arr = _frozen_floats(values, ndim, name)
-    if not isinstance(arr.base, bytes):
-        arr = _immutable(arr)
+    arr = _immutable(_frozen_floats(values, ndim, name))
     flat = arr.reshape(-1)
     bad = np.flatnonzero(flat < 0)
     if bad.size:

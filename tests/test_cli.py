@@ -1,12 +1,15 @@
 """Command-line contract: golden outputs, exit codes, error shape, atomicity."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from scipy.interpolate import PchipInterpolator
 from helpers import cli_env, run_cli
 from spherecov import GegenbauerBasis, cli, gegenbauer, multiquadric_kernel, multiquadric_sequence
 from spherecov.cli import main
+from spherecov.kernelspec import read_kernel_file
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 
@@ -979,6 +983,15 @@ class TestSpecReadingExitsTwo:
         assert json.loads(line)["message"].startswith(message)
 
 
+@pytest.fixture(scope="class")
+def grid_specs(tmp_path_factory):
+    """Paths of the golden spec files by kind, written once per class."""
+    folder = tmp_path_factory.mktemp("specs")
+    for kind, doc in GOLDEN_SPECS.items():
+        (folder / f"{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return {kind: str(folder / f"{kind}.json") for kind in GOLDEN_SPECS}
+
+
 class TestEvalGrid:
     """`eval --grid` checks its table of grid**k rows against
     `gegenbauer._MAX_ARRAY_BYTES` before it allocates anything (exit 3, as for
@@ -1016,7 +1029,7 @@ class TestEvalGrid:
         spec = spec_file(GOLDEN_SPECS[kind])
         code, out, _ = run(capsys, "eval", spec, "--grid", "4")
         assert code == 0
-        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 3)
+        monkeypatch.setattr(gegenbauer, "_BLOCK_POINTS", 3)
         writes = []
 
         class Sink:
@@ -1031,6 +1044,29 @@ class TestEvalGrid:
         lines = out.splitlines(keepends=True)
         assert len(lines) == (4 if kind == "sphere" else 16)
         assert writes == ["".join(lines[i : i + 3]) for i in range(0, len(lines), 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(GOLDEN_SPECS)), grid=st.integers(2, 40))
+    def test_any_block_size_writes_the_bytes_of_one_whole_table(self, grid_specs, data, kind, grid):
+        """The stdout of `eval --grid`, with the kernel block patched to any
+        size from 1 to rows + 1, equals the table built whole, as
+        `np.column_stack` of the row-major axes and the kernel values, written
+        by `_csv_row` per row."""
+        spec = grid_specs[kind]
+        rows = grid ** (1 if kind == "sphere" else 2)
+        t_max = data.draw(st.none() | st.floats(-100.0, 100.0), label="t_max") if kind == "sphere_time" else None
+        block = data.draw(st.integers(1, rows + 1), label="block")
+        kernel = read_kernel_file(spec)
+        xs = np.linspace(-1.0, 1.0, grid)
+        ts = np.linspace(0.0, 1.0 if t_max is None else t_max, grid)
+        mesh = np.meshgrid(*[ts if name == "t" else xs for name in kernel.arguments], indexing="ij")
+        columns = [axis.reshape(-1) for axis in mesh]
+        table = np.column_stack([*columns, kernel.values(*columns)])
+        expected = "".join(f"{cli._csv_row(row)}\n" for row in table)
+        argv = ["eval", spec, "--grid", str(grid), *([] if t_max is None else [f"--t-max={t_max!r}"])]
+        with mock.patch.object(gegenbauer, "_BLOCK_POINTS", block), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == expected
 
 
 class TestSimulateStreams:

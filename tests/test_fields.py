@@ -66,6 +66,34 @@ class TestPointSets:
         assert len(s) == 2
         assert s.points.flags.writeable is False
 
+    @pytest.mark.parametrize(
+        "make, stored",
+        [
+            (lambda: uniform_sphere_points(2, 3, 0), lambda s: s.points),
+            (lambda: _sphere_set(np.eye(3)), lambda s: s.points),
+            (lambda: SpaceTimePointSet(space=_sphere_set(np.eye(3)), times=np.zeros(3)), lambda s: s.times),
+            (lambda: SpaceTimePointSet.random((2,), 3, [1, 2]), lambda s: s.times),
+            (lambda: ProductPointSet.from_columns((2, 1), np.hstack([np.eye(3), np.eye(2)[[0, 1, 0]]])), lambda s: s.first.points),
+        ],
+        ids=["random", "writeable", "times", "random-times", "columns"],
+    )
+    def test_no_one_can_make_the_stored_coordinates_writeable(self, make, stored):
+        arr = stored(make())
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+    @pytest.mark.parametrize("field", ["points", "times"])
+    def test_the_caller_cannot_edit_checked_coordinates(self, field):
+        given = np.eye(3) if field == "points" else np.zeros(3)
+        given.setflags(write=False)
+        if field == "points":
+            stored = SpherePointSet(dimension=2, points=given).points
+        else:
+            stored = SpaceTimePointSet(space=_sphere_set(np.eye(3)), times=given).times
+        given.setflags(write=True)
+        given[0] = 2.0
+        assert_array_equal(stored, np.eye(3) if field == "points" else np.zeros(3))
+
     def test_sphere_set_rejects_bad_norm(self):
         with pytest.raises(GeometryError):
             _sphere_set([[1.0, 0.0, 0.0], [0.0, 0.0, 1.1]])

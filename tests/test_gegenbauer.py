@@ -134,6 +134,8 @@ class TestFrozenFloats:
         out = _frozen_floats(arr, 2, "values")
         assert not np.shares_memory(out, arr)
         assert out.dtype == np.float64 and not out.flags.writeable
+        with pytest.raises(ValueError):
+            out.setflags(write=True)
         assert arr.flags.writeable == writeable
         assert_array_equal(out, arr)
 
@@ -1055,6 +1057,22 @@ class TestQuadratureCache:
             assert isinstance(arr.base, bytes)
             with pytest.raises(ValueError):
                 arr.setflags(write=True)
+
+    def test_the_caller_cannot_edit_a_checked_rule(self):
+        nodes = np.array([-0.5, 0.5])
+        nodes.setflags(write=False)
+        rule = QuadratureRule(nodes=nodes, weights=np.ones(2), lam=0.5, order=2)
+        nodes.setflags(write=True)
+        nodes[1] = 7.0
+        assert rule.nodes.tolist() == [-0.5, 0.5]
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    def test_a_rule_built_from_a_cached_one_shares_its_bytes(self):
+        cached = quadrature(0.5, 64)
+        rule = QuadratureRule(nodes=cached.nodes, weights=cached.weights, lam=0.5, order=64)
+        assert rule.nodes is cached.nodes and rule.weights is cached.weights
 
     def test_a_callback_that_writes_to_the_nodes_leaves_the_rule_unchanged(self):
         rule = quadrature(0.5, 64)

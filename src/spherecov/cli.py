@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -56,7 +57,15 @@ def _print_error(code: int, message: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    # Argument errors must follow the JSON-on-stderr contract.
+    """Every parser and subparser of the CLI. Argument errors follow the
+    JSON-on-stderr contract, and an argument that reads as a negative float in
+    decimal or exponent notation, or as -inf or -nan, is a value, not an
+    option (argparse's own pattern takes only -1 and -1.5, not -1e-3)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
     def error(self, message):
         _print_error(2, message)
         raise SystemExit(2)

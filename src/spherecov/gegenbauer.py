@@ -31,13 +31,11 @@ passes are one loop, `_ratio`, over ratios of consecutive polynomials: none
 under- or overflows. Its weights are Christoffel numbers from the recurrence
 above, which are more accurate than the Golub–Welsch eigenvector weights at
 high order. Every route gives only the nonnegative half of its rule, and
-`_gauss_rule` alone mirrors it into the rule. Those weights and the Sturm
-counts fill chunks of recurrence rows of at most `_CHUNK_BYTES` and reduce
-each chunk with one ufunc per operation, in the order of the
-one-degree-at-a-time loop, so memory grows with the number of points, not
-with degree × points. Coefficient recovery caches its degree × node table
-(`_degree_table`) up to `_TABLE_CACHE_BYTES` and projects a larger one chunk
-by chunk.
+`_gauss_rule` alone mirrors it into the rule. Those weights are summed and
+the Sturm signs counted one degree at a time, so memory grows with the
+number of points, not with degree × points. Coefficient recovery caches its
+degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES` and
+projects a larger one chunk by chunk.
 """
 
 import functools
@@ -77,9 +75,9 @@ _BLOCK_POINTS = 16384
 # product of spheres), so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
 
-# Largest chunk of recurrence rows, in bytes, that a Gauss rule build or a
-# coefficient recovery fills before it reduces them all at once: it stays in
-# L2 cache.
+# Largest ring of recurrence rows, in bytes, that `_fill` fills by default
+# for a Christoffel sum or a coefficient recovery's chunks: it stays in L2
+# cache.
 _CHUNK_BYTES = 256 * 2**10
 
 # Largest (n_max+1) × order float table, in bytes, that `_degree_table` caches,
@@ -124,7 +122,7 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and not values.flags.writeable
-        and (isinstance(values.base, bytes) or values.flags.owndata)
+        and values.flags.owndata
     ):
         arr = values
     else:
@@ -136,7 +134,6 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
         raise error(f"{what} must be a nonempty {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise error(f"{what} must be finite")
-    arr.setflags(write=False)
     return arr
 
 
@@ -368,10 +365,10 @@ def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray | None = Non
     is full or the degrees end: `chunk` is buffer[:k], degrees start to
     start+k−1. No caller writes to it: the next chunk starts from its last two
     rows. `buffer` needs three rows, or fewer if it holds every degree; by
-    default it is one ring of at most `_CHUNK_BYTES` (three rows at least).
-    Beyond it, one scratch row. Degree and argument are not checked."""
+    default it is one ring of `_chunk_rows` rows. Beyond it, one scratch row.
+    Degree and argument are not checked."""
     if buffer is None:
-        buffer = np.empty((min(_chunk_rows(x.size, 3), n_max + 1),) + x.shape)
+        buffer = np.empty((min(_chunk_rows(x.size), n_max + 1),) + x.shape)
     rows = [buffer[i, ...] for i in range(len(buffer))]
     scratch, before, last = np.empty(x.shape), None, None
     for start in range(0, n_max + 1, len(rows)):
@@ -498,32 +495,21 @@ def _degree_rows(lam: float, order: int, n_max: int):
     return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
 
 
-def _chunk_rows(width: int, least: int) -> int:
-    """Rows of `width` floats in a chunk of at most `_CHUNK_BYTES`, but at least `least`."""
-    return max(least, _CHUNK_BYTES // (8 * max(width, 1)))
+def _chunk_rows(width: int) -> int:
+    """Rows of `width` floats in a ring of at most `_CHUNK_BYTES`, but at least three."""
+    return max(3, _CHUNK_BYTES // (8 * max(width, 1)))
 
 
 def _christoffel_weights(lam: float, order: int, x: np.ndarray) -> np.ndarray:
     """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at the nodes `x`, the
-    nonnegative half of the order-`order` rule.
-
-    Each chunk of `_fill`'s ring is squared into the rows of a reduce buffer
-    after its row 0 and divided by its norms, and `np.add.reduce` over those
-    rows, with the running total in row 0, adds the terms in degree order: the
-    bits of `total += np.square(P̃_k) / h_k` one degree at a time. The working
-    memory is a few vectors of x's length plus the reduce buffer, of at most
-    `_CHUNK_BYTES` (four rows at least), and the ring, one row fewer."""
-    norms = _norms(lam, order)
-    terms = np.zeros((min(_chunk_rows(x.size, 4), order + 1), x.size))  # the total, then degrees
-    for start, rows in _fill(lam, order - 1, x, np.empty_like(terms[1:])):
-        k = len(rows) + 1
-        np.square(rows, out=terms[1:k])
-        np.divide(terms[1:k], norms[start : start + k - 1, None], out=terms[1:k])
-        # Across rows numpy adds row after row; pairwise summation runs only
-        # along a contiguous axis, here a width of 1, which is order <= 2 and
-        # at most three rows, still added in order.
-        terms[0] = np.add.reduce(terms[:k], axis=0)
-    return 1.0 / terms[0]
+    nonnegative half of the order-`order` rule: `total += np.square(P̃_k) / h_k`
+    one degree at a time, over the rows of `_fill`'s default ring. The working
+    memory is a few vectors of x's length plus the ring."""
+    norms, total, term = _norms(lam, order), np.zeros(x.size), np.empty(x.size)
+    for start, rows in _fill(lam, order - 1, x):
+        for norm, row in zip(norms[start:], rows):
+            total += np.divide(np.square(row, out=term), norm, out=term)
+    return 1.0 / total
 
 
 def _monic_betas(lam: float, order: int) -> list:
@@ -545,28 +531,20 @@ def _ratio(betas: list, x: np.ndarray, counts: np.ndarray | None = None) -> np.n
     under- or overflows however large λ is. A zero ratio gives an infinite next
     one and a finite one after, so run it under `np.errstate(all="ignore")`.
 
-    One loop over the βs runs both kinds of pass, two ufuncs per β, writing
-    q_2, ..., q_N to the next row of a buffer: a Newton pass (no `counts`)
-    overwrites one row. If `counts` is given, the number of negative ratios at
-    each point is added to it: the sign changes of p_0(x), ..., p_N(x), which
-    by Sturm's theorem is the number of roots of P̃_N above x. The buffer is
-    then a chunk of at most `_CHUNK_BYTES`, whose sign bits are counted once
-    per chunk, not once per ratio; the working memory is a few vectors of x's
-    length plus one chunk."""
-    q = x
-    if counts is None:
-        rows = [np.empty_like(x)] * (len(betas) + 1)  # one row, listed once per β and at least once
-    else:
-        chunk = np.empty((min(_chunk_rows(x.size, 1), len(betas) + 1), x.size))
-        rows, signs = list(chunk), np.empty(chunk.shape, dtype=bool)
+    One loop over the βs runs both kinds of pass, two ufuncs per β writing
+    q_2, ..., q_N into one row. If `counts` is given (a Sturm pass), the sign
+    bit of each ratio is added to it as the ratio is made: the number of
+    negative ratios at each point, the sign changes of p_0(x), ..., p_N(x),
+    which by Sturm's theorem is the number of roots of P̃_N above x. The
+    working memory is a few vectors of x's length."""
+    q, out = x, np.empty_like(x)
+    if counts is not None:
         counts += np.signbit(x)
-    for start in range(0, len(betas), len(rows)):
-        for beta, out in zip(betas[start : start + len(rows)], rows):
-            np.divide(beta, q, out=out)
-            q = np.subtract(x, out, out=out)
+    for beta in betas:
+        np.divide(beta, q, out=out)
+        q = np.subtract(x, out, out=out)
         if counts is not None:
-            filled = min(len(rows), len(betas) - start)
-            counts += np.count_nonzero(np.signbit(chunk[:filled], out=signs[:filled]), axis=0)
+            counts += np.signbit(q)
     return q
 
 
@@ -849,10 +827,10 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     first round misses some; the rule's `bisected` says how many). Its
     weights are Christoffel numbers
     1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes,
-    in time quadratic in the order. The Sturm counts and the weights
-    fill chunks of recurrence rows and reduce each chunk at once, so the
-    working memory is a few vectors of length order plus one chunk of at most
-    `_CHUNK_BYTES` (256 KiB). Every route gives the nonnegative half of the
+    in time quadratic in the order. The Sturm counts and the weights run
+    one degree at a time, so the working memory is a few vectors of length
+    order plus `_fill`'s ring of recurrence rows, `_CHUNK_BYTES` (256 KiB)
+    or three rows. Every route gives the nonnegative half of the
     rule, which one step mirrors, so the nodes are exactly antisymmetric and
     the weights symmetric. Every rule must pass the same checks: distinct nodes
     inside (−1, 1) and weights that sum to h_0. The tests check orders up to

@@ -1063,7 +1063,7 @@ class TestEvalGrid:
         columns = [axis.reshape(-1) for axis in mesh]
         table = np.column_stack([*columns, kernel.values(*columns)])
         expected = "".join(f"{cli._csv_row(row)}\n" for row in table)
-        argv = ["eval", spec, "--grid", str(grid), *([] if t_max is None else [f"--t-max={t_max!r}"])]
+        argv = ["eval", spec, "--grid", str(grid), *([] if t_max is None else ["--t-max", repr(t_max)])]
         with mock.patch.object(gegenbauer, "_BLOCK_POINTS", block), contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0
         assert out.getvalue() == expected
@@ -1201,6 +1201,29 @@ class TestFloatFlags:
         code, out, err = run(capsys, *self._command(spec_file, argv), f"{flag}={value}")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": 3, "message": message}
+
+    # Negative values that argparse's own pattern (-1, -1.5) reads as options.
+    NEGATIVE = ["-1e-3", "-4.6e-275", "-1E+300", "-1.", "-.5e1", "-inf", "-nan", "-Infinity"]
+    FLOATS = FLAGS + [
+        (["eval", "{st}", "--t", "1"], "--x"),
+        (["eval", "{st}", "--x", "0.5"], "--t"),
+        (["eval", "{prod}", "--x2", "0.5"], "--x1"),
+        (["eval", "{prod}", "--x1", "0.5"], "--x2"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", FLOATS, ids=[f"{argv[0]}{flag}" for argv, flag in FLOATS])
+    @pytest.mark.parametrize("value", NEGATIVE)
+    def test_negative_value_as_its_own_argument(self, capsys, spec_file, argv, flag, value):
+        """`--flag <value>` as two arguments exits and prints as `--flag=<value>` does."""
+        command = self._command(spec_file, argv)
+        joined = run(capsys, *command, f"{flag}={value}")
+        assert run(capsys, *command, flag, value) == joined
+        assert "expected one argument" not in joined[2]
+
+    def test_an_option_after_a_float_flag_is_still_missing_its_value(self, capsys, spec_file):
+        code, out, err = run(capsys, "eval", spec_file(SPHERE_DEGREE_ONE), "--x", "--grid", "3")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": 2, "message": "argument --x: expected one argument"}
 
     def test_non_number_message_is_unchanged(self, capsys):
         code, _, err = run(capsys, "coeffs", "--lambda", "half", "--expr", "x")

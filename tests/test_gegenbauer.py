@@ -453,6 +453,22 @@ class TestQuadrature:
         assert peak < 32 * 2**20
         assert_allclose(rule.integrate(rule.nodes**2), _even_moment(1.5, 1), rtol=1e-12)
 
+    def test_cold_rule_memory_is_one_ring_plus_linear_in_order(self):
+        """A cold Newton-route rule holds `_fill`'s ring of at most
+        `_CHUNK_BYTES` and a few dozen floats per node (Newton and Sturm
+        vectors, the norms and the list of 0-d βs, each about a dozen floats'
+        worth): about 0.33 MB at order 2048, where one degree × node table of
+        the nonnegative half would take 16 MiB. The build takes about 0.1 s."""
+        build, order = gegenbauer._gauss_rule.__wrapped__, 2048
+        build(1.5, 4)  # one-time first-call costs stay outside the measurement
+        tracemalloc.start()
+        try:
+            build(1.5, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gegenbauer._CHUNK_BYTES + 32 * 8 * order
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             quadrature(-0.5, 8)
@@ -1363,11 +1379,11 @@ CHUNK_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0
 
 
 class TestChunkedRuleBuild:
-    """A cold Gauss rule fills chunks of recurrence rows and reduces each chunk
-    at once. Each chunked path must give the bits of the per-degree loop it
-    replaces, at every chunk edge: a count of rows one short of a chunk,
-    exactly one, one over, and two chunks (`_CHUNK_BYTES` is patched to set
-    the rows per chunk)."""
+    """A cold Gauss rule sums its Christoffel terms over the rows of `_fill`'s
+    ring and counts its Sturm signs one ratio at a time. Each must give the
+    bits of the per-degree or per-β reference loop, the Christoffel sums at
+    every ring edge: a count of degrees one short of a ring, exactly one, one
+    over, and two rings (`_CHUNK_BYTES` is patched to set the ring's rows)."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1384,32 +1400,26 @@ class TestChunkedRuleBuild:
         else:
             nodes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order)))
         width = order - order // 2
-        # A reduce buffer of degrees + 1 rows, the running total and `degrees`
-        # terms, over a ring of `degrees` rows (three at least).
-        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * (degrees + 1)):
-            assert gegenbauer._chunk_rows(width, 4) == degrees + 1
+        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * degrees):
+            assert gegenbauer._chunk_rows(width) == degrees
             got = gegenbauer._christoffel_weights(lam, order, nodes[order // 2 :])
         assert got.tobytes() == _reference_christoffel_weights(lam, order, nodes[order // 2 :]).tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
         lam=st.sampled_from(CHUNK_LAMS),
-        rows=st.integers(1, 24),
-        edge=st.sampled_from(["short", "exact", "over", "twice"]),
+        order=st.integers(1, 48),
         points=st.lists(CHUNK_POINTS, min_size=1, max_size=9),
     )
-    @example(lam=0.5, rows=4, edge="twice", points=[0.0, 0.5])
-    @example(lam=0.5, rows=3, edge="short", points=[0.0])
-    @example(lam=20.0, rows=3, edge="over", points=[-0.0, 0.25])
-    @example(lam=0.5, rows=2, edge="twice", points=[0.0, -0.5])
-    def test_sturm_counts_match_the_per_beta_loop(self, lam, rows, edge, points):
-        # The chunk holds q_2, ..., q_N, one row per β: "over" fills it exactly
-        # and "twice" at two rows runs one ratio into a second chunk.
-        ratios = {"short": rows - 1, "exact": rows, "over": rows + 1, "twice": 2 * rows}[edge]
-        betas, x = _betas(lam, max(ratios, 1)), np.array(points)
+    @example(lam=0.5, order=8, points=[0.0, 0.5])
+    @example(lam=0.5, order=2, points=[0.0])
+    @example(lam=20.0, order=4, points=[-0.0, 0.25])
+    @example(lam=0.5, order=4, points=[0.0, -0.5])
+    @example(lam=0.5, order=1, points=[0.0, -0.5])
+    def test_sturm_counts_match_the_per_beta_loop(self, lam, order, points):
+        betas, x = _betas(lam, order), np.array(points)
         counts, expect = np.arange(x.size), np.arange(x.size)  # counts are added to
-        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * x.size * rows), np.errstate(all="ignore"):
-            assert gegenbauer._chunk_rows(x.size, 1) == rows
+        with np.errstate(all="ignore"):
             q = gegenbauer._ratio(betas, x, counts)
             fast = gegenbauer._ratio(betas, x)
             want = _reference_ratio(betas, x, expect)
@@ -1433,19 +1443,13 @@ class TestChunkedRuleBuild:
                     if want >= sys.float_info.min:
                         assert abs(mpmath.mpf(float(got[n])) / want - 1) <= 1e-10, (lam, n)
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        lam_order=st.sampled_from([(20.0, 41), (20.0, 120), (40.0, 64), (200.0, 64)]),
-        chunk_bytes=st.integers(8, 4096),
-    )
-    def test_bisection_path_matches_the_per_beta_loop(self, lam_order, chunk_bytes):
-        lam, order = lam_order
-        with mock.patch.object(gegenbauer, "_ratio", _reference_ratio):
-            want, want_bisected = gegenbauer._positive_roots(lam, order)
-        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", chunk_bytes):
+    def test_bisection_path_matches_the_per_beta_loop(self):
+        for lam, order in [(20.0, 41), (20.0, 120), (40.0, 64), (200.0, 64)]:
+            with mock.patch.object(gegenbauer, "_ratio", _reference_ratio):
+                want, want_bisected = gegenbauer._positive_roots(lam, order)
             got, bisected = gegenbauer._positive_roots(lam, order)
-        assert bisected == want_bisected > 0
-        assert got.tobytes() == want.tobytes()
+            assert bisected == want_bisected > 0
+            assert got.tobytes() == want.tobytes()
 
 
 class TestNodeRoute:

@@ -226,7 +226,7 @@ class TestManyBlocks:
         kernel = random_ps_kernel(rng, basis1, basis2, m_max, n_max)
         x1, x2 = rng.uniform(-1.0, 1.0, (2, 25))
         with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * x1.size * ring):
-            assert gegenbauer._chunk_rows(x1.size, 3) == ring
+            assert gegenbauer._chunk_rows(x1.size) == ring
             got = ps_kernel_eval(kernel, x1, x2)
         assert got.tobytes() == ps_kernel_eval_one_einsum(kernel, x1, x2).tobytes()
 

@@ -12,9 +12,9 @@ The three-term recurrence is rewritten for the normalized family,
 
 which evaluates to exactly 1 at x = 1. Upward recursion in double precision
 is accurate on [−1, 1] to roughly degree 2000; degrees are capped at 10000.
-`_step` is that formula and `_fill` the one loop that runs it, into a ring
-of rows that no caller writes to (a table is a ring that holds every degree),
-so every table and chunk of rows has the same bits.
+`_step` is that formula and `_fill` the one loop that runs it, one degree at
+a time into a ring of rows that no caller writes to (a table is a ring that
+holds every degree), so every table and row has the same bits.
 
 Gauss rules are built with numpy alone (the package does not use scipy). At
 λ = 0 and λ = 1 they are the Gauss–Chebyshev rules of the first and second
@@ -35,7 +35,7 @@ high order. Every route gives only the nonnegative half of its rule, and
 the Sturm signs counted one degree at a time, so memory grows with the
 number of points, not with degree × points. Coefficient recovery caches its
 degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES` and
-projects a larger one chunk by chunk.
+projects a larger one row by row.
 """
 
 import functools
@@ -74,11 +74,6 @@ _BLOCK_POINTS = 16384
 # and one n² cosine matrix per sphere factor (three n²-sized arrays on a
 # product of spheres), so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
-
-# Largest ring of recurrence rows, in bytes, that `_fill` fills by default
-# for a Christoffel sum or a coefficient recovery's chunks: it stays in L2
-# cache.
-_CHUNK_BYTES = 256 * 2**10
 
 # Largest (n_max+1) × order float table, in bytes, that `_degree_table` caches,
 # 16 of them (16 MiB): n_max <= 255 at `certify`'s default order 2(n_max+1).
@@ -360,25 +355,24 @@ def _step(lam: float, n: int, x, last, before, out, scratch) -> np.ndarray:
 
 
 def _fill(lam: float, n_max: int, x: np.ndarray, buffer: np.ndarray | None = None):
-    """Fill `buffer`, of shape (rows,) + x.shape, with P̃_0(x), ..., P̃_{n_max}(x)
-    as a ring, degree n in row n mod rows, and yield (start, chunk) each time it
-    is full or the degrees end: `chunk` is buffer[:k], degrees start to
-    start+k−1. No caller writes to it: the next chunk starts from its last two
-    rows. `buffer` needs three rows, or fewer if it holds every degree; by
-    default it is one ring of `_chunk_rows` rows. Beyond it, one scratch row.
-    Degree and argument are not checked."""
+    """Yield P̃_0(x), ..., P̃_{n_max}(x), one row per degree: P̃_n(x) is row
+    n mod rows of `buffer`, of shape (rows,) + x.shape, and holds until degree
+    n + rows is made. No caller writes to a row: each step reads the last two.
+    `buffer` needs three rows, or fewer if it holds every degree; by default
+    it is a ring of min(3, n_max + 1) rows. Beyond it, one scratch row. Degree
+    and argument are not checked."""
     if buffer is None:
-        buffer = np.empty((min(_chunk_rows(x.size), n_max + 1),) + x.shape)
+        buffer = np.empty((min(3, n_max + 1),) + x.shape)
     rows = [buffer[i, ...] for i in range(len(buffer))]
     scratch, before, last = np.empty(x.shape), None, None
-    for start in range(0, n_max + 1, len(rows)):
-        for n, out in zip(range(start, n_max + 1), rows):
-            if n >= 2:
-                _step(lam, n, x, last, before, out, scratch)
-            else:
-                out[...] = x if n else 1.0
-            before, last = last, out
-        yield start, buffer[: n + 1 - start]
+    for n in range(n_max + 1):
+        out = rows[n % len(rows)]
+        if n >= 2:
+            _step(lam, n, x, last, before, out, scratch)
+        else:
+            out[...] = x if n else 1.0
+        before, last = last, out
+        yield out
 
 
 def _blocks(rows: int, n: int):
@@ -423,9 +417,9 @@ def eval_normalized(basis: GegenbauerBasis, n: int, x):
     """
     n = _check_degree(n)
     x = _check_argument(x)
-    for _, chunk in _fill(basis.lam, n, x):
+    for row in _fill(basis.lam, n, x):
         pass  # only the last degree is kept
-    return float(chunk[-1]) if x.ndim == 0 else chunk[-1].copy()
+    return float(row) if x.ndim == 0 else row.copy()
 
 
 def _table(lam: float, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -487,28 +481,22 @@ def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
 
 
 def _degree_rows(lam: float, order: int, n_max: int):
-    """P̃_0, ..., P̃_{n_max} at the order-`order` Gauss nodes, one row per degree:
+    """P̃_0, ..., P̃_{n_max} at the order-`order` Gauss nodes in blocks of rows:
     the cached `_degree_table` as one block up to `_TABLE_CACHE_BYTES`, else
-    the chunks of `_fill`, each overwritten by the next, with the same bytes."""
+    each row of `_fill`'s ring, overwritten three degrees on, as a block of one."""
     if 8 * (n_max + 1) * order <= _TABLE_CACHE_BYTES:
         return [_degree_table(lam, order, n_max)]
-    return (rows for _, rows in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of `width` floats in a ring of at most `_CHUNK_BYTES`, but at least three."""
-    return max(3, _CHUNK_BYTES // (8 * max(width, 1)))
+    return (row[np.newaxis] for row in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
 
 
 def _christoffel_weights(lam: float, order: int, x: np.ndarray) -> np.ndarray:
     """Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, k < order, at the nodes `x`, the
     nonnegative half of the order-`order` rule: `total += np.square(P̃_k) / h_k`
-    one degree at a time, over the rows of `_fill`'s default ring. The working
-    memory is a few vectors of x's length plus the ring."""
+    one degree at a time, over the rows of `_fill`. The working memory is a few
+    vectors of x's length plus its ring of three rows."""
     norms, total, term = _norms(lam, order), np.zeros(x.size), np.empty(x.size)
-    for start, rows in _fill(lam, order - 1, x):
-        for norm, row in zip(norms[start:], rows):
-            total += np.divide(np.square(row, out=term), norm, out=term)
+    for norm, row in zip(norms, _fill(lam, order - 1, x)):
+        total += np.divide(np.square(row, out=term), norm, out=term)
     return 1.0 / total
 
 
@@ -825,12 +813,11 @@ def quadrature(lam: float, order: int) -> QuadratureRule:
     of Sturm counts that proves each root alone in its own interval and
     brackets the rest, which go on inside their brackets (from λ = 11 on the
     first round misses some; the rule's `bisected` says how many). Its
-    weights are Christoffel numbers
-    1/Σ_k P̃_k(x_i)²/h_k, summed in degree order over the nonnegative nodes,
-    in time quadratic in the order. The Sturm counts and the weights run
-    one degree at a time, so the working memory is a few vectors of length
-    order plus `_fill`'s ring of recurrence rows, `_CHUNK_BYTES` (256 KiB)
-    or three rows. Every route gives the nonnegative half of the
+    weights are Christoffel numbers 1/Σ_k P̃_k(x_i)²/h_k, summed in degree
+    order over the nonnegative nodes, in time quadratic in the order. The
+    Sturm counts and the weights run one degree at a time, so the working
+    memory is a few vectors of length order plus `_fill`'s ring of three
+    recurrence rows. Every route gives the nonnegative half of the
     rule, which one step mirrors, so the nodes are exactly antisymmetric and
     the weights symmetric. Every rule must pass the same checks: distinct nodes
     inside (−1, 1) and weights that sum to h_0. The tests check orders up to

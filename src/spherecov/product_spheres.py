@@ -75,7 +75,7 @@ def ps_kernel_eval(kernel: ProductSphereKernel, x1, x2):
         ring = _fill(kernel.basis1.lam, m_max, _check_argument(x1_block))
         t2 = _table(kernel.basis2.lam, n_max, _check_argument(x2_block))
         term = np.empty(x1_block.size)
-        for a_m, p in zip(kernel.coeff_matrix, (row for _, rows in ring for row in rows)):
+        for a_m, p in zip(kernel.coeff_matrix, ring):
             for a_mn, q in zip(a_m, t2):
                 np.multiply(a_mn, p, out=term)
                 term *= q

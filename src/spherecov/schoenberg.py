@@ -248,9 +248,9 @@ def _check_recovery(n_max: int, quad_order: int) -> int:
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
     """(â_0, ..., â_n_max, whether g ran vectorized): each â_n is one BLAS dot
     product of the weighted values with row n of `_degree_rows`, over h_n.
-    Each block of rows takes one `np.vecdot`, which runs that same dot per row
-    (unlike `table @ weighted`, a gemv that can change last bits), so a cached
-    table and a streamed one give the same bytes."""
+    Each block of rows, the cached table or one streamed row, takes one
+    `np.vecdot`, which runs that same dot per row (unlike `table @ weighted`,
+    a gemv that can change last bits), so both paths give the same bytes."""
     n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
@@ -291,10 +291,11 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
     DomainError.
 
     The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
-    (λ, quad_order, n_max) up to 1 MiB; a larger one is streamed in chunks.
-    Each table or chunk takes one `np.vecdot` with the weighted values, the
-    same BLAS dot on each row, so the coefficients have the same bytes either
-    way. The cache lives in the process: a fresh CLI process gains nothing.
+    (λ, quad_order, n_max) up to 1 MiB; a larger one is streamed one row at
+    a time from a ring of three rows. The table, or each streamed row, takes
+    one `np.vecdot` with the weighted values, the same BLAS dot on each row,
+    so the coefficients have the same bytes either way. The cache lives in
+    the process: a fresh CLI process gains nothing.
     """
     return _recover(g, basis, n_max, quad_order)[0]
 

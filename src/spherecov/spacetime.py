@@ -203,22 +203,21 @@ def _lags(t) -> np.ndarray:
 def st_kernel_eval(kernel: SpaceTimeKernel, x, t):
     """k(x, t) = c · Σ_n a_n φ_n(t) P̃_n(x); x and t broadcast together.
     `_block_sum` adds (a_n φ_n(t)) · P̃_n(x) over the nonzero weights, formed in
-    one buffer that every term reuses, P̃_n read from `_fill`'s ring (no table,
-    no copy) of 256 KiB or three rows of the block, whichever is more. A block
-    has at most `_BLOCK_POINTS` points within `_BLOCK_BYTES` for the 12 rows it
-    holds: the ring of three, the term, `_step`'s scratch row and φ with its
-    temporaries, at most seven rows (`triangle_sinc`). The degree and the lags
-    are checked once, for all terms: a NaN lag is a DomainError."""
+    one buffer that every term reuses, P̃_n read from `_fill`'s ring of three
+    rows of the block (no table, no copy). A block has at most `_BLOCK_POINTS`
+    points within `_BLOCK_BYTES` for the 12 rows it holds: the ring of three,
+    the term, `_step`'s scratch row and φ with its temporaries, at most seven
+    rows (`triangle_sinc`). The degree and the lags are checked once, for all
+    terms: a NaN lag is a DomainError."""
     n_max = _check_degree(kernel.truncation)
 
     def terms(x_block, t_block):
         x_block = _check_argument(x_block)
         term = np.empty(x_block.size)
-        for start, chunk in _fill(kernel.basis.lam, n_max, x_block):
-            for a, cf, p in zip(kernel.weights[start:], kernel.charfns[start:], chunk):
-                if a != 0.0:
-                    np.multiply(a, _charfn_values(cf, t_block), out=term)
-                    yield np.multiply(term, p, out=term)
+        for a, cf, p in zip(kernel.weights, kernel.charfns, _fill(kernel.basis.lam, n_max, x_block)):
+            if a != 0.0:
+                np.multiply(a, _charfn_values(cf, t_block), out=term)
+                yield np.multiply(term, p, out=term)
 
     return _block_sum(kernel.scale_c, 12, terms, x, _lags(t))
 

@@ -454,8 +454,8 @@ class TestQuadrature:
         assert_allclose(rule.integrate(rule.nodes**2), _even_moment(1.5, 1), rtol=1e-12)
 
     def test_cold_rule_memory_is_one_ring_plus_linear_in_order(self):
-        """A cold Newton-route rule holds `_fill`'s ring of at most
-        `_CHUNK_BYTES` and a few dozen floats per node (Newton and Sturm
+        """A cold Newton-route rule holds `_fill`'s ring of three rows of the
+        nonnegative nodes and a few dozen floats per node (Newton and Sturm
         vectors, the norms and the list of 0-d βs, each about a dozen floats'
         worth): about 0.33 MB at order 2048, where one degree × node table of
         the nonnegative half would take 16 MiB. The build takes about 0.1 s."""
@@ -467,7 +467,7 @@ class TestQuadrature:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < gegenbauer._CHUNK_BYTES + 32 * 8 * order
+        assert peak < 3 * 8 * (order - order // 2) + 32 * 8 * order
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -1193,6 +1193,28 @@ class TestDegreeTableCache:
         assert len(streamed) == 8 * (rows + 1) * order
         assert streamed[: 8 * rows * order] == at_cap.tobytes()
 
+    def test_streamed_recovery_memory_is_a_few_rows_plus_linear_vectors(self):
+        """A recovery at n_max = 1000 and order 2002, whose 16 MB table is over
+        the cap, streams `_fill`'s ring of three rows: its `tracemalloc` peak
+        is about five rows of the order (the ring, `_step`'s scratch row, the
+        values and the weighted values) and about 130 bytes per degree (each
+        row's one-element `np.vecdot` result, held until they are joined),
+        0.21 MB in all. A ring of 256 KiB alone would be over the bound. It
+        takes about 0.03 s."""
+        n_max, order = 1000, 2002
+        quadrature(0.5, order)  # the rule is built outside the measurement
+        recover_coefficients(np.cos, LEGENDRE, 3, 8)  # and so are one-time first-call costs
+        before = gegenbauer._degree_table.cache_info()
+        tracemalloc.start()
+        try:
+            coeffs = recover_coefficients(np.cos, LEGENDRE, n_max, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gegenbauer._degree_table.cache_info() == before
+        assert peak < 6 * 8 * order + 160 * (n_max + 1)
+        assert_allclose(coeffs[0], math.sin(1.0), rtol=1e-13)
+
     def test_certify_workload_recoveries_hit_the_cache(self):
         # The four (lambda, order) recoveries of the benchmark's `certify`
         # workload, at n_max = 64: tables of 266 240 and 532 480 bytes.
@@ -1294,23 +1316,21 @@ class TestInPlaceTable:
 
 
 class TestFill:
-    """`_fill` is the one loop over `_step`. Whatever the ring's row count,
-    the chunks it yields must hold the expression-per-degree recurrence bit
-    for bit."""
+    """`_fill` is the one loop over `_step`. In a ring of three rows or a
+    whole-table buffer, the row it yields for each degree must hold the
+    expression-per-degree recurrence bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         lam=st.sampled_from([0.0, 0.5, 1.0, 20.0]),
         n_max=st.integers(0, 40),
-        rows=st.sampled_from(["three", "short", "exact", "over", "twice"]),
+        table=st.booleans(),
         shape=st.sampled_from([(), (7,), (3, 4)]),
         data=st.data(),
     )
-    @example(lam=0.5, n_max=5, rows="three", shape=(7,), data=None)
-    @example(lam=0.0, n_max=0, rows="exact", shape=(), data=None)
-    def test_chunks_equal_the_reference_recurrence(self, lam, n_max, rows, shape, data):
-        count = {"three": 3, "short": n_max, "exact": n_max + 1, "over": n_max + 2, "twice": 2 * (n_max + 1)}[rows]
-        count = max(count, min(3, n_max + 1))  # three rows at least, unless fewer hold every degree
+    @example(lam=0.5, n_max=5, table=False, shape=(7,), data=None)
+    @example(lam=0.0, n_max=0, table=True, shape=(), data=None)
+    def test_rows_equal_the_reference_recurrence(self, lam, n_max, table, shape, data):
         size = math.prod(shape)
         if data is None:
             values = np.linspace(-1.0, 1.0, size).tolist()
@@ -1318,14 +1338,26 @@ class TestFill:
             values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
         x = np.array(values, dtype=float).reshape(shape)
         reference = _reference_sequence(lam, n_max, x)
-        buffer = np.empty((count,) + shape)
-        expect_start = 0
-        for start, chunk in gegenbauer._fill(lam, n_max, x, buffer):
-            assert start == expect_start and np.shares_memory(chunk, buffer)
-            assert chunk.shape == (min(count, n_max + 1 - start),) + shape
-            assert chunk.tobytes() == reference[start : start + len(chunk)].tobytes()
-            expect_start += len(chunk)
-        assert expect_start == n_max + 1
+        buffer = np.empty((n_max + 1 if table else min(3, n_max + 1),) + shape)
+        degrees = 0
+        for n, row in enumerate(gegenbauer._fill(lam, n_max, x, buffer)):
+            assert row.shape == shape and np.shares_memory(row, buffer[n % len(buffer), ...])
+            assert row.tobytes() == reference[n].tobytes()
+            degrees += 1
+        assert degrees == n_max + 1
+        if table:
+            assert buffer.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 9])
+    def test_default_ring_is_three_rows(self, n_max):
+        """Degree n and degree n + 3 share a row of the default ring, and
+        degrees n + 1 and n + 2 do not; from n_max = 2 down, every degree has
+        its own row."""
+        rows = list(gegenbauer._fill(0.5, n_max, np.linspace(-1.0, 1.0, 5)))
+        assert len(rows) == n_max + 1
+        for n, row in enumerate(rows):
+            for k, later in enumerate(rows[n + 1 : n + 4], 1):
+                assert np.shares_memory(row, later) is (k == 3)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_a_ring_allocates_only_its_scratch_row(self, lam):
@@ -1382,27 +1414,24 @@ class TestChunkedRuleBuild:
     """A cold Gauss rule sums its Christoffel terms over the rows of `_fill`'s
     ring and counts its Sturm signs one ratio at a time. Each must give the
     bits of the per-degree or per-β reference loop, the Christoffel sums at
-    every ring edge: a count of degrees one short of a ring, exactly one, one
-    over, and two rings (`_CHUNK_BYTES` is patched to set the ring's rows)."""
+    orders on both sides of the ring's three rows, where it holds every
+    degree and where it wraps."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         lam=st.sampled_from(CHUNK_LAMS),
-        degrees=st.integers(3, 24),
-        edge=st.sampled_from(["short", "exact", "over", "twice"]),
+        order=st.integers(1, 48),
         data=st.data(),
     )
-    @example(lam=0.5, degrees=3, edge="short", data=None)
-    def test_christoffel_sums_match_the_per_degree_loop(self, lam, degrees, edge, data):
-        order = {"short": degrees - 1, "exact": degrees, "over": degrees + 1, "twice": 2 * degrees}[edge]
+    @example(lam=0.5, order=2, data=None)
+    @example(lam=0.5, order=3, data=None)
+    @example(lam=0.5, order=4, data=None)
+    def test_christoffel_sums_match_the_per_degree_loop(self, lam, order, data):
         if data is None:
             nodes = quadrature(lam, order).nodes
         else:
             nodes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=order, max_size=order)))
-        width = order - order // 2
-        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * width * degrees):
-            assert gegenbauer._chunk_rows(width) == degrees
-            got = gegenbauer._christoffel_weights(lam, order, nodes[order // 2 :])
+        got = gegenbauer._christoffel_weights(lam, order, nodes[order // 2 :])
         assert got.tobytes() == _reference_christoffel_weights(lam, order, nodes[order // 2 :]).tobytes()
 
     @settings(max_examples=80, deadline=None)

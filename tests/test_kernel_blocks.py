@@ -212,22 +212,18 @@ class TestManyBlocks:
     @given(
         d1=st.sampled_from([1, 2, 3, 4]),
         d2=st.sampled_from([1, 2, 3, 4]),
-        ring=st.sampled_from([3, 4, 5]),
         m_max=st.integers(5, 30),
         n_max=st.integers(0, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ps_kernel_eval_is_bit_equal_to_one_einsum_as_the_ring_wraps(self, d1, d2, ring, m_max, n_max, seed):
-        """`_CHUNK_BYTES` is set so that the ring of first-factor rows holds 3, 4
-        or 5 degrees of the one block of pairs and wraps inside the sum, at
-        λ = 0, ½, 1 and 1.5 on either factor."""
+    def test_ps_kernel_eval_is_bit_equal_to_one_einsum_as_the_ring_wraps(self, d1, d2, m_max, n_max, seed):
+        """The ring of three first-factor rows wraps inside the sum of the one
+        block of pairs, at λ = 0, ½, 1 and 1.5 on either factor."""
         rng = np.random.default_rng(seed)
         basis1, basis2 = GegenbauerBasis.from_dimension(d1), GegenbauerBasis.from_dimension(d2)
         kernel = random_ps_kernel(rng, basis1, basis2, m_max, n_max)
         x1, x2 = rng.uniform(-1.0, 1.0, (2, 25))
-        with mock.patch.object(gegenbauer, "_CHUNK_BYTES", 8 * x1.size * ring):
-            assert gegenbauer._chunk_rows(x1.size) == ring
-            got = ps_kernel_eval(kernel, x1, x2)
+        got = ps_kernel_eval(kernel, x1, x2)
         assert got.tobytes() == ps_kernel_eval_one_einsum(kernel, x1, x2).tobytes()
 
 

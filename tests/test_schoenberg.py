@@ -443,8 +443,8 @@ def _scalar_only(g):
 @example(3, 10, 20, -2.0, True)  # both tables under it
 def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, pointwise):
     # Each call runs twice, cold and then warm, and must give the bytes of
-    # the streamed path, which a cache cap of 0 forces for every table, in
-    # chunks of two rows.
+    # the streamed path, which a cache cap of 0 forces for every table, one
+    # row at a time.
     basis = GegenbauerBasis.from_dimension(d)
     order = n_max + 1 + extra
     g = lambda x: np.cos(frequency * x + 0.25)
@@ -460,7 +460,7 @@ def test_cached_table_path_equals_the_streamed_path(d, n_max, extra, frequency, 
     if 8 * (n_max + 1) * order <= gegenbauer._TABLE_CACHE_BYTES:
         table = gegenbauer._degree_table(basis.lam, order, n_max)
         assert table.shape == (n_max + 1, order) and not table.flags.writeable
-    with mock.patch.multiple(gegenbauer, _TABLE_CACHE_BYTES=0, _CHUNK_BYTES=0):
+    with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", 0):
         before = gegenbauer._degree_table.cache_info()
         streamed = run()
         assert gegenbauer._degree_table.cache_info() == before
@@ -495,14 +495,14 @@ def _loop_projection(g, basis, n_max, order, pointwise):
 @example(0.0, 0, 0, 0.5, False, True)
 def test_one_vecdot_equals_the_per_degree_loop(lam, n_max, extra, frequency, pointwise, no_cache):
     # Both sides of the cache cap, and with a cache cap of 0 every table
-    # streams, in chunks of two rows.
+    # streams, one row at a time.
     basis = GegenbauerBasis.from_index(lam)
     order = n_max + 1 + extra
     g = lambda x: np.cos(frequency * x + 0.25)
     if pointwise:
         g = _scalar_only(g)
     reference = _loop_projection(g, basis, n_max, order, pointwise)
-    streamed = mock.patch.multiple(gegenbauer, _TABLE_CACHE_BYTES=0, _CHUNK_BYTES=0)
+    streamed = mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", 0)
     with streamed if no_cache else contextlib.nullcontext():
         ahat, vectorized = schoenberg._recover(g, basis, n_max, order)
     assert vectorized is not pointwise

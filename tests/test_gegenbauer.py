@@ -1199,8 +1199,8 @@ class TestDegreeTableCache:
         is about five rows of the order (the ring, `_step`'s scratch row, the
         values and the weighted values) and about 130 bytes per degree (each
         row's one-element `np.vecdot` result, held until they are joined),
-        0.21 MB in all. A ring of 256 KiB alone would be over the bound. It
-        takes about 0.03 s."""
+        0.23 MB in all. A ring of 256 KiB alone would be over the bound. It
+        takes about 0.04 s."""
         n_max, order = 1000, 2002
         quadrature(0.5, order)  # the rule is built outside the measurement
         recover_coefficients(np.cos, LEGENDRE, 3, 8)  # and so are one-time first-call costs

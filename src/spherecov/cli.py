@@ -323,12 +323,7 @@ def cmd_certify(args) -> int:
         seed=args.seed if args.seed is not None else _default_seed(),
     )
     print(json.dumps(certificate.to_dict(), indent=2))
-    if certificate.verdict == PD:
-        return 0
-    if certificate.verdict == NOT_PD:
-        return 4
-    assert certificate.verdict == INCONCLUSIVE
-    return 5
+    return {PD: 0, NOT_PD: 4, INCONCLUSIVE: 5}[certificate.verdict]
 
 
 # ---------------------------------------------------------------- separable

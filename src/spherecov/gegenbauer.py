@@ -33,9 +33,9 @@ above, which are more accurate than the Golub–Welsch eigenvector weights at
 high order. Every route gives only the nonnegative half of its rule, and
 `_gauss_rule` alone mirrors it into the rule. Those weights are summed and
 the Sturm signs counted one degree at a time, so memory grows with the
-number of points, not with degree × points. Coefficient recovery caches its
-degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES` and
-projects a larger one row by row.
+number of points, not with degree × points. Coefficient recovery (`_project`)
+caches its degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES`;
+over it, each row of the ring takes one dot product.
 """
 
 import functools
@@ -480,13 +480,16 @@ def _degree_table(lam: float, order: int, n_max: int) -> np.ndarray:
     return _immutable(_table(lam, n_max, _gauss_rule(lam, order).nodes))
 
 
-def _degree_rows(lam: float, order: int, n_max: int):
-    """P̃_0, ..., P̃_{n_max} at the order-`order` Gauss nodes in blocks of rows:
-    the cached `_degree_table` as one block up to `_TABLE_CACHE_BYTES`, else
-    each row of `_fill`'s ring, overwritten three degrees on, as a block of one."""
+def _project(lam: float, order: int, n_max: int, v: np.ndarray) -> np.ndarray:
+    """Σ_i v_i·P̃_n(x_i) at the order-`order` Gauss nodes, n = 0..n_max, in one array:
+    one `np.vecdot` with the cached `_degree_table` up to `_TABLE_CACHE_BYTES`, else
+    one BLAS dot `row @ v` per row of `_fill`'s ring, the dot `np.vecdot` runs per row."""
     if 8 * (n_max + 1) * order <= _TABLE_CACHE_BYTES:
-        return [_degree_table(lam, order, n_max)]
-    return (row[np.newaxis] for row in _fill(lam, n_max, _gauss_rule(lam, order).nodes))
+        return np.vecdot(_degree_table(lam, order, n_max), v)
+    out = np.empty(n_max + 1)
+    for n, row in enumerate(_fill(lam, n_max, _gauss_rule(lam, order).nodes)):
+        out[n] = row @ v
+    return out
 
 
 def _christoffel_weights(lam: float, order: int, x: np.ndarray) -> np.ndarray:

@@ -34,11 +34,11 @@ from .gegenbauer import (
     _check_lam,
     _check_real,
     _check_seed,
-    _degree_rows,
     _frozen_floats,
     _immutable,
     _norms,
     _overflow,
+    _project,
     eval_sequence,
     quadrature,
 )
@@ -246,17 +246,16 @@ def _check_recovery(n_max: int, quad_order: int) -> int:
 
 
 def _recover(g, basis: GegenbauerBasis, n_max: int, quad_order: int) -> tuple[np.ndarray, bool]:
-    """(â_0, ..., â_n_max, whether g ran vectorized): each â_n is one BLAS dot
-    product of the weighted values with row n of `_degree_rows`, over h_n.
-    Each block of rows, the cached table or one streamed row, takes one
-    `np.vecdot`, which runs that same dot per row (unlike `table @ weighted`,
-    a gemv that can change last bits), so both paths give the same bytes."""
+    """(â_0, ..., â_n_max, whether g ran vectorized): each â_n is `_project`'s one
+    BLAS dot product of the weighted values with P̃_n at the nodes, over h_n. The
+    cached table and the streamed rows run that same dot per row (unlike
+    `table @ weighted`, a gemv that can change last bits), so both give the same bytes."""
     n_max = _check_recovery(n_max, quad_order)
     rule = quadrature(basis.lam, quad_order)
     values, vectorized = _evaluate(g, rule.nodes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, not a warning
         weighted = rule.weights * values
-        ahat = np.concatenate([np.vecdot(rows, weighted) for rows in _degree_rows(rule.lam, rule.order, n_max)])
+        ahat = _project(rule.lam, rule.order, n_max, weighted)
         ahat /= _norms(rule.lam, n_max + 1)
     if not np.isfinite(ahat).all():
         raise DomainError(f"coefficient {np.argmin(np.isfinite(ahat))} overflows: the function's values are too large")
@@ -291,11 +290,11 @@ def recover_coefficients(g, basis: GegenbauerBasis, n_max: int, quad_order: int)
     DomainError.
 
     The (n_max+1) × quad_order table of P̃_n at the nodes is cached by
-    (λ, quad_order, n_max) up to 1 MiB; a larger one is streamed one row at
-    a time from a ring of three rows. The table, or each streamed row, takes
-    one `np.vecdot` with the weighted values, the same BLAS dot on each row,
-    so the coefficients have the same bytes either way. The cache lives in
-    the process: a fresh CLI process gains nothing.
+    (λ, quad_order, n_max) up to 1 MiB and takes one `np.vecdot` with the
+    weighted values; a larger one is streamed from a ring of three rows, one
+    BLAS dot per row into the coefficient array. Both run the same dot on each
+    row, so the coefficients have the same bytes either way. The cache lives
+    in the process: a fresh CLI process gains nothing.
     """
     return _recover(g, basis, n_max, quad_order)[0]
 
@@ -413,7 +412,7 @@ def certify(
 
     n = CERTIFY_GRAM_POINTS
     index = _trial_index(n)
-    trial_seeds = _seed_states(seed, max(gram_trials, 1))
+    trial_seeds = _seed_states(seed, gram_trials)
     min_eig = math.inf
     for trial in range(gram_trials):
         trial_seed = int(trial_seeds[trial])

@@ -1160,16 +1160,21 @@ class TestDegreeTableCache:
         keys = [(lam, order, rows - 1) for lam in lams for rows, order in self.CAP_SHAPES]
         for lam, order, _ in keys:
             quadrature(lam, order)  # the rules are built outside the measurement
+        weighted = {order: np.linspace(-1.0, 1.0, order) for _, order in self.CAP_SHAPES}
         gegenbauer._degree_table.cache_clear()
         tracemalloc.start()
         try:
             for key in keys:
-                (block,) = gegenbauer._degree_rows(*key)  # the cached table, as one block
-                assert block is gegenbauer._degree_table(*key)
+                projected = gegenbauer._project(*key, weighted[key[1]])  # a miss that caches the table
+                assert projected.tobytes() == np.vecdot(gegenbauer._degree_table(*key), weighted[key[1]]).tobytes()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gegenbauer._degree_table.cache_info().currsize == 16
+        info = gegenbauer._degree_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (len(keys), len(keys), 16)
+        with mock.patch.object(np, "vecdot", wraps=np.vecdot) as vecdot:
+            gegenbauer._project(*key, weighted[key[1]])
+        assert vecdot.call_args.args[0] is gegenbauer._degree_table(*key)  # the cached table itself
         # 16 tables of 1 MiB; at the peak a new table and its `tobytes` copy
         # exist before the oldest is dropped. The slack covers the norms and
         # the recurrence rows.
@@ -1179,28 +1184,28 @@ class TestDegreeTableCache:
     def test_table_over_the_cap_is_streamed_and_not_cached(self):
         order = 1024
         rows = gegenbauer._TABLE_CACHE_BYTES // (8 * order)
-        quadrature(0.5, order)
+        rule = quadrature(0.5, order)
+        weighted = rule.weights * np.cos(rule.nodes)
         before = gegenbauer._degree_table.cache_info()
-        # One row over the cap: each block is overwritten by the next, so read it at once.
-        streamed = [block.tobytes() for block in gegenbauer._degree_rows(0.5, order, rows)]
+        streamed = gegenbauer._project(0.5, order, rows, weighted)  # one row over the cap
         coeffs = recover_coefficients(lambda x: x, LEGENDRE, rows, order)
         assert gegenbauer._degree_table.cache_info() == before
         assert_allclose(coeffs[:3], [0.0, 1.0, 0.0], atol=1e-14)
-        (at_cap,) = gegenbauer._degree_rows(0.5, order, rows - 1)
-        assert at_cap is gegenbauer._degree_table(0.5, order, rows - 1)
-        assert len(streamed) > 1
-        streamed = b"".join(streamed)
-        assert len(streamed) == 8 * (rows + 1) * order
-        assert streamed[: 8 * rows * order] == at_cap.tobytes()
+        loop = np.array([p @ weighted for p in eval_sequence(LEGENDRE, rows, rule.nodes)])
+        assert streamed.shape == (rows + 1,) and streamed.tobytes() == loop.tobytes()
+        at_cap = gegenbauer._project(0.5, order, rows - 1, weighted)
+        assert at_cap.tobytes() == np.vecdot(gegenbauer._degree_table(0.5, order, rows - 1), weighted).tobytes()
+        assert at_cap.tobytes() == streamed[:rows].tobytes()
 
     def test_streamed_recovery_memory_is_a_few_rows_plus_linear_vectors(self):
         """A recovery at n_max = 1000 and order 2002, whose 16 MB table is over
         the cap, streams `_fill`'s ring of three rows: its `tracemalloc` peak
         is about five rows of the order (the ring, `_step`'s scratch row, the
-        values and the weighted values) and about 130 bytes per degree (each
-        row's one-element `np.vecdot` result, held until they are joined),
-        0.23 MB in all. A ring of 256 KiB alone would be over the bound. It
-        takes about 0.04 s."""
+        values and the weighted values) and a few floats per degree (the
+        coefficients and the norms h_n), 106 412 bytes in all. One
+        one-element `np.vecdot` result per degree, held in a list until they
+        are joined, peaked at 227 672 bytes and is over the bound. It takes
+        about 0.03 s."""
         n_max, order = 1000, 2002
         quadrature(0.5, order)  # the rule is built outside the measurement
         recover_coefficients(np.cos, LEGENDRE, 3, 8)  # and so are one-time first-call costs
@@ -1212,7 +1217,7 @@ class TestDegreeTableCache:
         finally:
             tracemalloc.stop()
         assert gegenbauer._degree_table.cache_info() == before
-        assert peak < 6 * 8 * order + 160 * (n_max + 1)
+        assert peak < 6 * 8 * order + 32 * (n_max + 1)
         assert_allclose(coeffs[0], math.sin(1.0), rtol=1e-13)
 
     def test_certify_workload_recoveries_hit_the_cache(self):

@@ -312,6 +312,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_certify(args) -> int:
     basis = GegenbauerBasis.from_index(args.lam)
+    gegenbauer._check_degree(args.nmax)
     g = _function_from_args(args, args.nmax, (-1.0, 1.0))
     certificate = certify(
         g,

@@ -163,7 +163,9 @@ def read_kernel_file(path):
 
 
 def write_kernel_file(kernel, path):
-    """Serialize a kernel to a spec JSON file."""
+    """Serialize a kernel to a spec JSON file. A kernel that cannot be
+    serialized raises KernelSpecError before the file is opened."""
+    doc = kernel_to_dict(kernel)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kernel_to_dict(kernel), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -12,7 +12,6 @@ independent Gram-eigenvalue oracle.
 """
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,9 +305,12 @@ class PDCertificate:
     `witness` is None for PD/Inconclusive verdicts; for NotPD it holds either
     {"kind": "coefficient", "index", "value"} or
     {"kind": "eigenvalue", "gram_size", "eigenvalue", "seed", "trial"}.
+    `min_gram_eigenvalue` is the least eigenvalue over the Gram trials that
+    ran, None when none ran (a coefficient witness, or gram_trials=0).
     `quad_order` is the Gauss rule used for the coefficients, `evaluations`
-    the number of function values computed, and `callback_path` is
-    "vectorized" when every batched call of g succeeded, else "pointwise".
+    the number of function values computed (`quad_order` plus 325 per trial
+    that ran), and `callback_path` is "vectorized" when every batched call
+    of g succeeded, else "pointwise".
     """
 
     verdict: str
@@ -388,53 +390,44 @@ def certify(
     a_min = float(ahat[i_min])
     tail = _tail_mass(ahat)
 
-    def _certificate(verdict, min_eig, witness):
-        return PDCertificate(
-            verdict=verdict,
-            coefficients=ahat,
-            min_coefficient=a_min,
-            min_coefficient_index=i_min,
-            tail_mass=tail,
-            coeff_tol=coeff_tol,
-            eig_tol=eig_tol,
-            gram_trials=gram_trials,
-            gram_points=CERTIFY_GRAM_POINTS,
-            min_gram_eigenvalue=min_eig,
-            witness=witness,
-            seed=seed,
-            quad_order=quad_order,
-            evaluations=evaluations,
-            callback_path=VECTORIZED if vectorized else POINTWISE,
-        )
-
+    min_eig = witness = None
     if a_min < -coeff_tol:
-        return _certificate(NOT_PD, None, {"kind": "coefficient", "index": i_min, "value": a_min})
+        witness = {"kind": "coefficient", "index": i_min, "value": a_min}
+    else:
+        index = _trial_index(CERTIFY_GRAM_POINTS)
+        for trial, trial_seed in enumerate(_seed_states(seed, gram_trials).tolist()):
+            values, batched = _evaluate(g, _trial_arguments(basis.dimension, CERTIFY_GRAM_POINTS, trial_seed))
+            vectorized = vectorized and batched
+            evaluations += values.size
+            eig = float(np.linalg.eigvalsh(values[index])[0])
+            min_eig = eig if min_eig is None else min(min_eig, eig)
+            if eig < -eig_tol:
+                witness = {
+                    "kind": "eigenvalue",
+                    "gram_size": CERTIFY_GRAM_POINTS,
+                    "eigenvalue": eig,
+                    "seed": trial_seed,
+                    "trial": trial,
+                }
+                break
 
-    n = CERTIFY_GRAM_POINTS
-    index = _trial_index(n)
-    trial_seeds = _seed_states(seed, gram_trials)
-    min_eig = math.inf
-    for trial in range(gram_trials):
-        trial_seed = int(trial_seeds[trial])
-        values, batched = _evaluate(g, _trial_arguments(basis.dimension, n, trial_seed))
-        vectorized = vectorized and batched
-        evaluations += values.size
-        eig = float(np.linalg.eigvalsh(values[index])[0])
-        min_eig = min(min_eig, eig)
-        if eig < -eig_tol:
-            witness = {
-                "kind": "eigenvalue",
-                "gram_size": n,
-                "eigenvalue": eig,
-                "seed": trial_seed,
-                "trial": trial,
-            }
-            return _certificate(NOT_PD, eig, witness)
-
-    reported_eig = None if gram_trials < 1 else min_eig
-    if tail <= coeff_tol:
-        return _certificate(PD, reported_eig, None)
-    return _certificate(INCONCLUSIVE, reported_eig, None)
+    return PDCertificate(
+        verdict=NOT_PD if witness else (PD if tail <= coeff_tol else INCONCLUSIVE),
+        coefficients=ahat,
+        min_coefficient=a_min,
+        min_coefficient_index=i_min,
+        tail_mass=tail,
+        coeff_tol=coeff_tol,
+        eig_tol=eig_tol,
+        gram_trials=gram_trials,
+        gram_points=CERTIFY_GRAM_POINTS,
+        min_gram_eigenvalue=min_eig,
+        witness=witness,
+        seed=seed,
+        quad_order=quad_order,
+        evaluations=evaluations,
+        callback_path=VECTORIZED if vectorized else POINTWISE,
+    )
 
 
 def multiquadric_kernel(delta: float, lam: float, x):

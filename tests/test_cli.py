@@ -405,6 +405,19 @@ class TestCertify:
         assert cert["evaluations"] == 64 + 5 * 25 * 26 // 2
         assert cert["callback_path"] == path
 
+    @pytest.mark.parametrize("nmax", ["-1", "20000"])
+    def test_table_checks_nmax_before_it_is_read(self, capsys, tmp_path, nmax):
+        table = tmp_path / "one.csv"  # one row: were it read first, the exit would be 2
+        table.write_text("0.0,1.0\n", encoding="utf-8")
+        results = [
+            run(capsys, "certify", "--lambda", "0.5", "--nmax", nmax, *source)
+            for source in (["--table", str(table)], ["--expr", "x"])
+        ]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith("degree ")
+
     def test_certificate_key_order(self, capsys):
         code, out, _ = run(capsys, "certify", "--lambda", "0.5", "--nmax", "10", "--expr", "x")
         assert code == 0

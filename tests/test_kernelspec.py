@@ -18,6 +18,7 @@ from spherecov import (
     SpaceTimeKernel,
     kernel_from_dict,
     kernel_to_dict,
+    make_sequence,
     read_kernel_file,
     write_kernel_file,
 )
@@ -290,6 +291,14 @@ class TestRoundTrips:
         write_kernel_file(k, path)
         k2 = read_kernel_file(path)
         assert kernel_to_dict(k2) == kernel_to_dict(k)
+
+    def test_unserializable_kernel_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "kernel.json"
+        write_kernel_file(make_sequence([1.0], LEGENDRE), path)
+        before = path.read_bytes()
+        with pytest.raises(KernelSpecError, match="cannot serialize object"):
+            write_kernel_file(object(), path)
+        assert path.read_bytes() == before
 
     def test_to_dict_rejects_unknown_type(self):
         with pytest.raises(KernelSpecError):

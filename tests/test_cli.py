@@ -405,8 +405,11 @@ class TestCertify:
         assert cert["evaluations"] == 64 + 5 * 25 * 26 // 2
         assert cert["callback_path"] == path
 
-    @pytest.mark.parametrize("nmax", ["-1", "20000"])
-    def test_table_checks_nmax_before_it_is_read(self, capsys, tmp_path, nmax):
+    @pytest.mark.parametrize(
+        "nmax, message",
+        [("-1", "degree must be >= 0, got -1"), ("20000", "degree 20000 exceeds the supported cap 10000")],
+    )
+    def test_table_checks_nmax_before_it_is_read(self, capsys, tmp_path, nmax, message):
         table = tmp_path / "one.csv"  # one row: were it read first, the exit would be 2
         table.write_text("0.0,1.0\n", encoding="utf-8")
         results = [
@@ -416,7 +419,7 @@ class TestCertify:
         assert results[0] == results[1]
         code, out, err = results[0]
         assert (code, out) == (3, "")
-        assert json.loads(err)["message"].startswith("degree ")
+        assert json.loads(err) == {"error": 3, "message": message}
 
     def test_certificate_key_order(self, capsys):
         code, out, _ = run(capsys, "certify", "--lambda", "0.5", "--nmax", "10", "--expr", "x")

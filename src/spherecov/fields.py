@@ -90,6 +90,14 @@ class _FactoredPointSet:
         values = (self,) if len(self.FACTORS) == 1 else [getattr(self, f.name) for f in dataclasses.fields(self)]
         return list(zip(self.FACTORS, values))
 
+    def _check_sphere_factors(self) -> None:
+        """GeometryError, naming the field, unless each sphere factor of a
+        point set of more than one factor is a SpherePointSet."""
+        for field, kind in zip(dataclasses.fields(self), self.FACTORS):
+            factor = getattr(self, field.name)
+            if kind == _SPHERE and not isinstance(factor, SpherePointSet):
+                raise GeometryError(f"{field.name} must be a SpherePointSet, got {type(factor).__name__}")
+
     @classmethod
     def _from_factors(cls, factors):
         return factors[0] if len(cls.FACTORS) == 1 else cls(*factors)
@@ -193,6 +201,7 @@ class SpaceTimePointSet(_FactoredPointSet):
     LAYOUT = "coordinates then time"
 
     def __post_init__(self):
+        self._check_sphere_factors()
         t = _immutable(_frozen_floats(self.times, 1, "times", GeometryError))
         if t.size != len(self.space):
             raise GeometryError(
@@ -213,6 +222,7 @@ class ProductPointSet(_FactoredPointSet):
     LAYOUT = "first factor then second"
 
     def __post_init__(self):
+        self._check_sphere_factors()
         if len(self.first) != len(self.second):
             raise GeometryError(
                 f"component point sets must have equal length, got {len(self.first)} and {len(self.second)}"

@@ -107,12 +107,13 @@ def _immutable(arr: np.ndarray) -> np.ndarray:
 
 def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
     """`values` as a read-only, nonempty, `ndim`-D array of finite floats, else
-    `error`. A read-only float64 array that views an immutable `bytes` object
-    (see `_immutable`) or owns its data is kept, so a fresh result is handed
-    over without a copy; the owner of the latter can make it writeable again,
-    so a value that must stay checked is made `_immutable` after this.
-    Anything else is copied once into an `_immutable` array, so a caller's
-    writeable array is never frozen or shared."""
+    `error`: the intake of every array a result stores. It converts nothing
+    itself; `_float_array` does. A read-only float64 array that views an
+    immutable `bytes` object (see `_immutable`) or owns its data is kept, so a
+    fresh result is handed over without a copy; the owner of the latter can
+    make it writeable again, so a value that must stay checked is made
+    `_immutable` after this. Anything else is copied once into an `_immutable`
+    array, so a caller's writeable array is never frozen or shared."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
@@ -121,10 +122,7 @@ def _frozen_floats(values, ndim: int, what: str, error=DomainError) -> np.ndarra
     ):
         arr = values
     else:
-        try:
-            arr = _immutable(np.asarray(values, dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"{what} must be an array of numbers: {exc}") from None
+        arr = _immutable(_float_array(values, what, error))
     if arr.ndim != ndim or arr.size == 0:
         raise error(f"{what} must be a nonempty {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -320,12 +318,26 @@ class QuadratureRule:
             return float(np.dot(self.weights, values))
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """`values` as a float array, not copied if it is one, else DomainError."""
+# What `_float_array` calls an array whose numpy type is not a number's.
+_NOT_NUMBERS = {"b": "bools", "S": "bytes", "U": "strings"}
+
+
+def _float_array(values, what: str, error=DomainError) -> np.ndarray:
+    """The one conversion of a caller's values, an argument or an array to be
+    stored, to a float array, not copied if it is one, else `error`. Numbers
+    follow `_check_real`'s rule: values that numpy reads as bools, strings or
+    bytes are not numbers, even where they would cast. The rule reads the
+    type of the array numpy makes of `values` (an ndarray's own dtype, with no
+    conversion), so what numpy coerces is kept: a list of floats and bools,
+    such as [1.0, True], is a float array."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be numbers: {exc}") from None
+        raise error(f"{what} must be an array of numbers: {exc}") from None
+    kind = (values if isinstance(values, np.ndarray) else np.asarray(values)).dtype.kind
+    if kind in _NOT_NUMBERS:
+        raise error(f"{what} must be an array of numbers, not of {_NOT_NUMBERS[kind]}")
+    return arr
 
 
 def _check_argument(x):

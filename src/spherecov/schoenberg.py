@@ -113,11 +113,16 @@ def _stored_weights(values, ndim: int, name: str, scale_c) -> tuple[np.ndarray, 
 class _Kernel:
     """The kernel protocol, written once: a kernel is a frozen dataclass of
     nonnegative weights (the field named `WEIGHTS`, one axis per basis), the
-    Gegenbauer bases (the fields named `BASES`, in axis order) and `scale_c`,
-    a real number in (0, inf) stored as a float."""
+    Gegenbauer bases (the fields named `BASES`, in axis order, each a
+    `GegenbauerBasis`) and `scale_c`, a real number in (0, inf) stored as a
+    float."""
 
     def __post_init__(self):
         weights, scale = _stored_weights(getattr(self, self.WEIGHTS), len(self.BASES), self.WEIGHTS, self.scale_c)
+        for name in self.BASES:
+            basis = getattr(self, name)
+            if not isinstance(basis, GegenbauerBasis):
+                raise DomainError(f"{name} must be a GegenbauerBasis, got {type(basis).__name__}")
         object.__setattr__(self, self.WEIGHTS, weights)
         object.__setattr__(self, "scale_c", scale)
 

@@ -64,8 +64,10 @@ _FAMILIES = {
 class CharFn:
     """A parametric characteristic function: real, even, φ(0) = 1, |φ| ≤ 1.
 
-    Each parameter is a real number (see `gegenbauer._check_real`) stored as
-    a float: the stable index alpha in (0, 2], every other in (0, inf).
+    `params` is a mapping or (name, value) pairs, stored as pairs sorted by
+    name. Each parameter is a real number (see `gegenbauer._check_real`)
+    stored as a float: the stable index alpha in (0, 2], every other in
+    (0, inf). Anything else is a DomainError.
     """
 
     family: str
@@ -99,32 +101,32 @@ class CharFn:
 
 def gaussian(sigma: float) -> CharFn:
     """φ(t) = exp(−σ² t² / 2)."""
-    return CharFn(GAUSSIAN, {"sigma": sigma}.items())
+    return CharFn(GAUSSIAN, {"sigma": sigma})
 
 
 def exponential(rate: float) -> CharFn:
     """φ(t) = exp(−rate·|t|), the Cauchy-distribution characteristic function."""
-    return CharFn(EXPONENTIAL, {"rate": rate}.items())
+    return CharFn(EXPONENTIAL, {"rate": rate})
 
 
 def stable(scale: float, alpha: float) -> CharFn:
     """φ(t) = exp(−scale·|t|^α) for 0 < α ≤ 2."""
-    return CharFn(STABLE, {"scale": scale, "alpha": alpha}.items())
+    return CharFn(STABLE, {"scale": scale, "alpha": alpha})
 
 
 def triangle_sinc(width: float) -> CharFn:
     """φ(t) = sin(width·t)/(width·t), transform of the uniform density."""
-    return CharFn(TRIANGLE_SINC, {"width": width}.items())
+    return CharFn(TRIANGLE_SINC, {"width": width})
 
 
 def point_mass_at_zero() -> CharFn:
     """φ ≡ 1, the degenerate distribution at the origin."""
-    return CharFn(POINT_MASS_AT_ZERO, {}.items())
+    return CharFn(POINT_MASS_AT_ZERO, {})
 
 
 def make_charfn(family: str, params: dict) -> CharFn:
     """Build a CharFn from a family name and parameter mapping."""
-    return CharFn(family, dict(params).items())
+    return CharFn(family, params)
 
 
 def charfn_eval(spec: CharFn, t):
@@ -157,7 +159,10 @@ class SpaceTimeKernel(_Kernel):
 
     def __post_init__(self):
         super().__post_init__()
-        charfns = tuple(self.charfns)
+        try:
+            charfns = tuple(self.charfns)
+        except TypeError:
+            raise DomainError(f"charfns must be a sequence of CharFn, got {type(self.charfns).__name__}") from None
         if len(charfns) != self.weights.size:
             raise DomainError(
                 f"need one characteristic function per weight: {self.weights.size} weights, "

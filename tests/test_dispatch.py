@@ -11,6 +11,8 @@ input is checked by gegenbauer's `_check_count`, and nothing else in the
 package tests whether a value is an integer. Every real-number parameter is
 checked by gegenbauer's `_check_real`, and only the owners named in
 `REAL_CHECK_OWNERS` test a float for finiteness or a value for realness.
+Every caller's array is converted to floats by gegenbauer's `_float_array`,
+and only the owners named in `FLOAT_CONVERSION_OWNERS` convert other values.
 Every float overflow that must end in an error goes through gegenbauer's
 `_overflow`, the only code that sets numpy's error state to "raise" or
 "call", and nothing names `FloatingPointError`; any other `np.errstate`
@@ -387,6 +389,71 @@ def test_guard_flags_hand_written_real_checks():
     assert _real_checks(source) == [
         ("math.isnan", "", 2), ("math.isfinite", "tolerance", 6), ("math.isinf", "tolerance", 6),
         ("numbers.Real", "tolerance", 8), ("math.isnan", "Kernel.scale", 11),
+    ]
+
+
+# Who may convert values to a float array, and why.
+FLOAT_CONVERSION_OWNERS = {
+    "_float_array": "the one conversion of caller data, where the number rule lives",
+    "_evaluate": "a callback's results, which may be anything numpy casts, as pointwise ones may",
+    "_pchip.interpolant": "a callback's input, the nodes that certify or recover passes in",
+    "_norms": "Python floats that it computed itself",
+}
+
+
+# Where a float dtype can be passed without its keyword.
+DTYPE_POSITION = {"array": 1, "asarray": 1, "astype": 0}
+
+
+def _is_float(node):
+    return (isinstance(node, ast.Name) and node.id == "float") or (
+        isinstance(node, ast.Attribute) and node.attr == "float64"
+    )
+
+
+def _float_conversions(source):
+    """(scope, line) of each `np.asarray` or `np.array` with a float dtype and
+    each `.astype(float)`, outside the functions that own one."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DTYPE_POSITION:
+            position = DTYPE_POSITION[node.func.attr]
+            dtypes = node.args[position : position + 1] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(map(_is_float, dtypes)) and scope not in FLOAT_CONVERSION_OWNERS:
+                sites.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_caller_arrays_are_converted_in_one_place(module):
+    assert _float_conversions((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_a_second_float_conversion():
+    source = (
+        "def _float_array(values):\n"
+        "    return np.asarray(values, dtype=float)\n"
+        "def _frozen_floats(values):\n"
+        "    return _immutable(np.asarray(values, dtype=float))\n"
+        "def lags(t):\n"
+        "    return np.array(t, float), numpy.asarray(t, dtype=np.float64), np.asarray(t)\n"
+        "class PointSet:\n"
+        "    def times(self):\n"
+        "        return self.t.astype(float), self.t.astype(dtype=float), self.t.astype(int)\n"
+        "def _pchip(xs):\n"
+        "    def interpolant(x):\n"
+        "        return np.asarray(x, dtype=float)\n"
+        "    return np.asarray(xs, dtype=float)\n"
+    )
+    assert _float_conversions(source) == [
+        ("_frozen_floats", 4), ("lags", 6), ("lags", 6), ("PointSet.times", 9), ("PointSet.times", 9), ("_pchip", 13),
     ]
 
 

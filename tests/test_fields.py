@@ -133,6 +133,20 @@ class TestPointSets:
         with pytest.raises(GeometryError):
             SpaceTimePointSet(space=s, times=[0.0, np.inf, 1.0])
 
+    @pytest.mark.parametrize(
+        "make, field, given",
+        [
+            (lambda: SpaceTimePointSet(space=np.eye(3), times=[0, 1, 2]), "space", "ndarray"),
+            (lambda: SpaceTimePointSet(space=None, times=[1]), "space", "NoneType"),
+            (lambda: ProductPointSet(first="abc", second="xyz"), "first", "str"),
+            (lambda: ProductPointSet(first=_sphere_set(np.eye(3)), second=np.eye(3)), "second", "ndarray"),
+        ],
+        ids=["space-array", "space-none", "first", "second"],
+    )
+    def test_sphere_factors_must_be_sphere_point_sets(self, make, field, given):
+        with pytest.raises(GeometryError, match=f"^{field} must be a SpherePointSet, got {given}$"):
+            make()
+
     def test_product_set_rejects_length_mismatch(self):
         a = _sphere_set(np.eye(3))
         b = _sphere_set(np.eye(3)[:2])
@@ -552,7 +566,7 @@ class TestGeodesicCosine:
 
     @pytest.mark.parametrize("p, q, name", [("abc", [1, 0, 0], "p"), ([1, 0, 0], ["x", 0, 0], "q")])
     def test_non_numbers_are_a_domain_error(self, p, q, name):
-        with pytest.raises(DomainError, match=rf"^{name} must be numbers: could not convert string to float"):
+        with pytest.raises(DomainError, match=rf"^{name} must be an array of numbers: could not convert string to float"):
             geodesic_cosine(p, q)
 
     def test_norm_is_shown_as_a_float(self):

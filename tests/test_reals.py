@@ -2,7 +2,8 @@
 parameter takes a Python or numpy real number, an int or a Fraction, stores or
 echoes it as a Python float, and rejects anything else with a typed error and
 no warning. Evaluation arguments (cosines and time lags) that are not numbers,
-or that do not broadcast, are typed errors too."""
+or that do not broadcast, are typed errors too, and so are arrays of bools,
+strings or bytes, wherever an array is taken in."""
 
 import json
 import math
@@ -17,14 +18,20 @@ import pytest
 
 from spherecov import (
     DomainError,
+    FieldSample,
     GegenbauerBasis,
+    GeometryError,
+    GramMatrix,
     KernelSpecError,
     ProductSphereKernel,
     QuadratureRule,
     SchoenbergSequence,
     SpaceTimeKernel,
+    SpaceTimePointSet,
+    SpherePointSet,
     certify,
     charfn_eval,
+    eval_normalized,
     eval_sequence,
     exponential,
     gaussian,
@@ -262,3 +269,51 @@ def test_multiquadric_kernel_is_one_at_x_one_for_a_huge_index():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert multiquadric_kernel(0.5, 1e4, 1.0) == 1.0
+
+
+# Every intake of a caller's array, as (error, build from one array, that
+# array as floats of 0 and 1, which builds). The number rule reads the type
+# numpy gives the array, so these arrays are rejected whatever their values.
+ARRAY_INTAKES = {
+    "kernel_eval": (DomainError, lambda v: kernel_eval(SEQ, v), 1.0),
+    "st_kernel_eval cosine": (DomainError, lambda v: st_kernel_eval(ST, v, 0.0), [1.0, 0.0]),
+    "st_kernel_eval lag": (DomainError, lambda v: st_kernel_eval(ST, 0.5, v), 1.0),
+    "ps_kernel_eval": (DomainError, lambda v: ps_kernel_eval(PS, 0.5, v), [[1.0, 0.0]]),
+    "eval_sequence": (DomainError, lambda v: eval_sequence(LEGENDRE, 2, v), 1.0),
+    "eval_normalized": (DomainError, lambda v: eval_normalized(LEGENDRE, 2, v), [0.0, 1.0]),
+    "charfn_eval": (DomainError, lambda v: charfn_eval(gaussian(1.0), v), [1.0]),
+    "geodesic_cosine": (DomainError, lambda v: geodesic_cosine(v, [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0]),
+    "make_sequence": (DomainError, lambda v: make_sequence(v, LEGENDRE), [0.0, 1.0]),
+    "make_st_kernel": (DomainError, lambda v: make_st_kernel(zip(v, [gaussian(1.0)] * 2), LEGENDRE), [1.0, 0.0]),
+    "make_ps_kernel": (DomainError, lambda v: make_ps_kernel(v, LEGENDRE, LEGENDRE), [[1.0], [0.0]]),
+    "quadrature nodes": (DomainError, lambda v: QuadratureRule(v, [2.0], 0.5, 1), [0.0]),
+    "quadrature weights": (DomainError, lambda v: QuadratureRule([0.0], v, 0.5, 1), [1.0]),
+    "integrate": (DomainError, lambda v: quadrature(0.5, 1).integrate(v), [1.0]),
+    "gram entries": (DomainError, lambda v: GramMatrix(v, "test"), [[1.0, 0.0], [0.0, 1.0]]),
+    "sample values": (DomainError, lambda v: FieldSample(v, 0, "test"), [[1.0, 0.0]]),
+    "points": (GeometryError, lambda v: SpherePointSet(1, v), [[1.0, 0.0], [0.0, 1.0]]),
+    "times": (GeometryError, lambda v: SpaceTimePointSet(SpherePointSet(1, [[1.0, 0.0]]), v), [1.0]),
+}
+NOT_NUMBERS = {
+    "numeric string": (lambda v: np.asarray(v).astype(str).tolist(), "strings"),
+    "bool array": (lambda v: np.asarray(v, dtype=bool), "bools"),
+    "bytes": (lambda v: np.asarray(v).astype(bytes).tolist(), "bytes"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("intake", sorted(ARRAY_INTAKES))
+def test_arrays_that_are_not_numbers_are_typed_errors(intake, kind):
+    error, build, floats = ARRAY_INTAKES[intake]
+    convert, name = NOT_NUMBERS[kind]
+    build(floats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf" must be an array of numbers, not of {name}$"):
+            build(convert(floats))
+
+
+def test_numpy_coerces_a_mixed_list_before_the_rule_reads_it():
+    np.testing.assert_array_equal(kernel_eval(SEQ, [1.0, True]), kernel_eval(SEQ, [1.0, 1.0]))
+    with pytest.raises(DomainError, match="^kernel arguments must be an array of numbers, not of strings$"):
+        kernel_eval(SEQ, [1.0, "1.0"])

@@ -1054,6 +1054,20 @@ class TestMultiquadric:
 
 
 class TestSequenceDataclass:
+    @pytest.mark.parametrize(
+        "make, field, given",
+        [
+            (lambda: make_sequence([1.0], None), "basis", "NoneType"),
+            (lambda: ProductSphereKernel(np.array([[1.0]]), 1.0, 2, LEGENDRE), "basis1", "int"),
+            (lambda: make_ps_kernel([[1.0]], LEGENDRE, "legendre"), "basis2", "str"),
+            (lambda: SpaceTimeKernel(np.array([1.0]), (gaussian(1.0),), 1.0, 0.5), "basis", "float"),
+        ],
+        ids=["sequence", "product-first", "product-second", "sphere-time"],
+    )
+    def test_bases_must_be_gegenbauer_bases(self, make, field, given):
+        with pytest.raises(DomainError, match=f"^{field} must be a GegenbauerBasis, got {given}$"):
+            make()
+
     def test_replace_revalidates(self):
         seq = make_sequence([0.5, 0.5], LEGENDRE)
         with pytest.raises(DomainError):

@@ -91,6 +91,11 @@ class TestCharFnConstruction:
         with pytest.raises(DomainError, match="^gaussian parameters must be numbers: "):
             CharFn("gaussian", params)
 
+    @pytest.mark.parametrize("params", [5, None, [1.0], "ab"], ids=["int", "none", "list", "str"])
+    def test_make_charfn_leaves_params_to_charfn(self, params):
+        with pytest.raises(DomainError, match="^gaussian parameters must be numbers: "):
+            make_charfn("gaussian", params)
+
     @pytest.mark.parametrize("bad", ["abc", None, [1.0]])
     def test_rejects_non_numeric_params(self, bad):
         with pytest.raises(DomainError, match="^gaussian parameters must be numbers: "):
@@ -290,6 +295,12 @@ class TestMakeStKernel:
         message = f"^need one characteristic function per weight: 2 weights, {len(charfns)} functions$"
         with pytest.raises(DomainError, match=message):
             SpaceTimeKernel(np.array([0.5, 0.5]), charfns, 1.0, LEGENDRE)
+
+    @pytest.mark.parametrize("charfns", [None, 5], ids=["none", "number"])
+    def test_charfns_must_be_a_sequence(self, charfns):
+        message = f"^charfns must be a sequence of CharFn, got {type(charfns).__name__}$"
+        with pytest.raises(DomainError, match=message):
+            SpaceTimeKernel(np.array([1.0]), charfns, 1.0, LEGENDRE)
 
     @pytest.mark.parametrize(
         "terms",

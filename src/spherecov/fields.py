@@ -422,8 +422,9 @@ def gram(kernel, points) -> GramMatrix:
     it goes: at most `_BLOCK_POINTS` pairs per kernel call, the most points of a
     kernel sum's block (within `_BLOCK_BYTES`). A kernel value depends only on
     its own pair, so the blocks do not change a bit. Working memory is the matrix, one n × n
-    cosine matrix per sphere factor and one block's kernel table (at most
-    (N+1) × `_BLOCK_POINTS` floats for a sphere kernel of degree N).
+    cosine matrix per sphere factor and one block of the kernel sum: a sphere
+    kernel's degree table only up to `_TABLE_CACHE_BYTES`, else a few rows of
+    `_BLOCK_POINTS` floats (see `kernel_eval`).
     """
     _check_points(kernel, points)
     n = len(points)

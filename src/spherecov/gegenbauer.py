@@ -33,9 +33,11 @@ above, which are more accurate than the Golub–Welsch eigenvector weights at
 high order. Every route gives only the nonnegative half of its rule, and
 `_gauss_rule` alone mirrors it into the rule. Those weights are summed and
 the Sturm signs counted one degree at a time, so memory grows with the
-number of points, not with degree × points. Coefficient recovery (`_project`)
-caches its degree × node table (`_degree_table`) up to `_TABLE_CACHE_BYTES`;
-over it, each row of the ring takes one dot product.
+number of points, not with degree × points. A degree table is built whole
+only up to `_TABLE_CACHE_BYTES`, over which it would spill the cache: coefficient
+recovery (`_project`) caches its degree × node table (`_degree_table`) up to it,
+and over it each row of the ring takes one dot product; `kernel_eval` sums a
+block from one table up to it, and over it from the rows of the ring.
 """
 
 import functools
@@ -75,8 +77,10 @@ _BLOCK_POINTS = 16384
 # product of spheres), so 1 GiB keeps it within an 8 GiB machine.
 _MAX_ARRAY_BYTES = 2**30
 
-# Largest (n_max+1) × order float table, in bytes, that `_degree_table` caches,
-# 16 of them (16 MiB): n_max <= 255 at `certify`'s default order 2(n_max+1).
+# Largest degree table, in bytes, that is built whole: the (n_max+1) × order
+# table that `_degree_table` caches, 16 of them (16 MiB), so n_max <= 255 at
+# `certify`'s default order 2(n_max+1); and the (N+1) × points table of one
+# `kernel_eval` block. A larger one is read row by row from `_fill`'s ring.
 _TABLE_CACHE_BYTES = 2**20
 
 # Most Newton passes over the recurrence in one round of `_newton_roots`.
@@ -170,6 +174,11 @@ def _check_count(value, name: str, least: int = 0, error=DomainError, most: int 
 _REAL_WORDING = {"(0, inf)": "be a positive real", "[0, inf)": "be a finite nonnegative number"}
 
 
+def _is_real(value) -> bool:
+    """Whether `value` is a real number by `_check_real`'s rule."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_real(value, name: str, interval: str = "(-inf, inf)", type_error=DomainError) -> float:
     """The one real-number rule: a tolerance, scale, index or parameter as a
     Python float. It must be a real number (a Python or numpy int or float, or
@@ -180,7 +189,7 @@ def _check_real(value, name: str, interval: str = "(-inf, inf)", type_error=Doma
     it is not a real number, whose message is worded from the interval and
     shows the value with `_shown`."""
     real, error = math.nan, DomainError
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         error = type_error
     else:
         try:
@@ -318,26 +327,36 @@ class QuadratureRule:
             return float(np.dot(self.weights, values))
 
 
-# What `_float_array` calls an array whose numpy type is not a number's.
-_NOT_NUMBERS = {"b": "bools", "S": "bytes", "U": "strings"}
+# What `_float_array` calls an array of each numpy kind that is not a number's.
+_NOT_NUMBERS = {"b": "bools", "c": "complex numbers", "M": "datetimes", "m": "timedeltas", "S": "bytes", "U": "strings", "V": "records"}
 
 
 def _float_array(values, what: str, error=DomainError) -> np.ndarray:
     """The one conversion of a caller's values, an argument or an array to be
     stored, to a float array, not copied if it is one, else `error`. Numbers
-    follow `_check_real`'s rule: values that numpy reads as bools, strings or
-    bytes are not numbers, even where they would cast. The rule reads the
-    type of the array numpy makes of `values` (an ndarray's own dtype, with no
-    conversion), so what numpy coerces is kept: a list of floats and bools,
-    such as [1.0, True], is a float array."""
+    follow `_check_real`'s rule, read from the array's kind before any cast:
+    an ndarray as it is, anything else as the one array numpy makes of it, so
+    what numpy coerces is kept ([1.0, True] is a float array). Ints and floats
+    pass, and so does an object array whose elements are real numbers or None,
+    which numpy casts to NaN. Every other kind is an `error` that names it,
+    even where it would cast. Strings are cast first, so one that is not a
+    number keeps numpy's message, as does any failed cast."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+        kind = arr.dtype.kind
+        if kind == "O":  # named as numpy types the first element that is not a number
+            other = next((v for v in arr.flat if v is not None and not _is_real(v)), None)
+            if other is None:
+                kind = "f"
+            elif (kind := np.asarray(other).dtype.kind) not in _NOT_NUMBERS:
+                kind = f"{type(other).__name__} objects"
+        if kind in ("i", "u", "f", "S", "U"):
+            floats = np.asarray(arr, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be an array of numbers: {exc}") from None
-    kind = (values if isinstance(values, np.ndarray) else np.asarray(values)).dtype.kind
-    if kind in _NOT_NUMBERS:
-        raise error(f"{what} must be an array of numbers, not of {_NOT_NUMBERS[kind]}")
-    return arr
+    if kind not in ("i", "u", "f"):
+        raise error(f"{what} must be an array of numbers, not of {_NOT_NUMBERS.get(kind, kind)}")
+    return floats
 
 
 def _check_argument(x):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gegenbauer
 from .errors import (
     DomainError,
     EvaluationError,
@@ -33,6 +34,7 @@ from .gegenbauer import (
     _check_lam,
     _check_real,
     _check_seed,
+    _fill,
     _frozen_floats,
     _immutable,
     _norms,
@@ -186,18 +188,24 @@ def make_sequence(coeffs, basis: GegenbauerBasis, normalize: bool = False) -> Sc
 
 
 def kernel_eval(seq: SchoenbergSequence, x):
-    """k(x) = c · Σ_n a_n P̃_n(x), summed by `_block_sum` over the rows of one
-    `eval_sequence` table per block. Each term a_n P̃_n is made in the table
-    itself, by one multiply of the whole table by the column of a_n, and the
-    rows are then added in degree order: N + 2 ufunc calls per block. Scalar
-    in, float out; an array gives an array of its shape."""
-    coeffs = seq.coeffs[:, None]
+    """k(x) = c · Σ_n a_n P̃_n(x), summed in degree order by `_block_sum`. A block
+    whose degree table, (N+1) × points floats, fits `_TABLE_CACHE_BYTES` makes
+    each term a_n P̃_n in one `eval_sequence` table, by one multiply of the whole
+    table by the column of a_n: N + 2 ufunc calls. A larger block, whose table
+    would spill the cache, reads each P̃_n from `_fill`'s ring of three rows and
+    makes a_n P̃_n in one buffer that every term reuses. Both paths add every
+    term, zero weights included, with the same bits and the same degree and
+    range checks. Scalar in, float out; an array gives an array of its shape."""
+    coeffs, n_max = seq.coeffs, seq.truncation
 
     def terms(block):
-        table = eval_sequence(seq.basis, seq.truncation, block)
-        return np.multiply(table, coeffs, out=table)
+        if 8 * coeffs.size * block.size <= gegenbauer._TABLE_CACHE_BYTES:
+            table = eval_sequence(seq.basis, n_max, block)
+            return np.multiply(table, coeffs[:, None], out=table)
+        rows, term = _fill(seq.basis.lam, _check_degree(n_max), _check_argument(block)), np.empty(block.size)
+        return (np.multiply(a, p, out=term) for a, p in zip(coeffs, rows))
 
-    return _block_sum(seq.scale_c, seq.coeffs.size, terms, x)
+    return _block_sum(seq.scale_c, coeffs.size, terms, x)
 
 
 VECTORIZED = "vectorized"

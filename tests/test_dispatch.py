@@ -339,6 +339,7 @@ def test_guard_flags_hand_written_integer_checks():
 # Who may test a float for finiteness or a value for realness, and why.
 REAL_CHECK_OWNERS = {
     "_check_real": "the one real-number rule",
+    "_is_real": "its test of realness, which `_float_array` applies to each element of an object array",
     "_load_table_function": "the rows of a table file: data, not a parameter, each reported with its line number",
 }
 REAL_CHECKS = {("math", "isfinite"), ("math", "isnan"), ("math", "isinf"), ("numbers", "Real")}

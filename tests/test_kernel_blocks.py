@@ -75,6 +75,36 @@ def test_kernel_eval_matches_exact_degree_sum(d, n_max, seed, points):
         assert abs(got[i] - exact) <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    n_max=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.sampled_from([0, 1, 2]),
+    size=st.integers(0, 3000),
+    block=st.integers(1, 3000),
+)
+def test_ring_and_table_paths_give_the_same_bytes(d, n_max, seed, ndim, size, block):
+    """`kernel_eval` reads a block's P̃_n from `_fill`'s ring when its table
+    would exceed `_TABLE_CACHE_BYTES`, else from one table: every block on the
+    ring (bound 0), every block on a table (a bound no table reaches) and the
+    default bound, where blocks of `block` points and a short last block can
+    fall on either side, give the same bytes, ±1, 0 and −0.0 among the points."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, n_max + 1) * (rng.uniform(size=n_max + 1) < 0.8)
+    raw[0] += 0.1
+    seq = make_sequence(raw, GegenbauerBasis.from_dimension(d), normalize=True)
+    x = rng.permutation(np.concatenate([[1.0, -1.0, 0.0, -0.0], rng.uniform(-1.0, 1.0, size)]))
+    x = float(x[0]) if ndim == 0 else x if ndim == 1 else x[: x.size // 2 * 2].reshape(2, -1)
+    values = {}
+    with mock.patch.object(gegenbauer, "_BLOCK_POINTS", block):
+        for name, bound in [("ring", 0), ("default", gegenbauer._TABLE_CACHE_BYTES), ("table", 2**62)]:
+            with mock.patch.object(gegenbauer, "_TABLE_CACHE_BYTES", bound):
+                values[name] = kernel_eval(seq, x)
+    assert {type(v) for v in values.values()} == {float if ndim == 0 else np.ndarray}
+    assert len({np.asarray(v).tobytes() for v in values.values()}) == 1
+
+
 class TestBlocks:
     @pytest.mark.parametrize(
         "rows, n", [(1, 0), (1, 5), (21, 12), (21, 13), (21, 25), (101, 10**6), (1, 10**6), (21, 10**6), (2000, 10**6)]
@@ -99,24 +129,27 @@ class TestBlocks:
 
 def _direct_call(kind, rng, size):
     """A kernel of `kind` at degrees where the byte budget alone takes 50 000
-    points as one block, its `size`-point arguments, and the (module, name) of
-    each function that builds a block's rows from the points, its third argument."""
+    points as one block, its `size`-point arguments, the (module, name) of each
+    function that builds a block's rows from the points, its third argument, and
+    how many of them run per block. A sphere block's rows come from one of its
+    two: an `eval_sequence` table if it fits `_TABLE_CACHE_BYTES`, else `_fill`'s ring."""
     s2, s1 = GegenbauerBasis.from_dimension(2), GegenbauerBasis.from_dimension(1)
     x = rng.uniform(-1.0, 1.0, size)
     if kind == "sphere":
-        return random_sequence(rng, s2, 20), (x,), [(schoenberg, "eval_sequence")]
+        return random_sequence(rng, s2, 20), (x,), [(schoenberg, "eval_sequence"), (schoenberg, "_fill")], 1
     if kind == "sphere_time":
-        return random_st_kernel(rng, s2, 30), (x, rng.normal(0.0, 3.0, size)), [(spacetime, "_fill")]
+        return random_st_kernel(rng, s2, 30), (x, rng.normal(0.0, 3.0, size)), [(spacetime, "_fill")], 1
     kernel = random_ps_kernel(rng, s2, s1, 20, 10)
-    return kernel, (x, rng.uniform(-1.0, 1.0, size)), [(product_spheres, "_fill"), (product_spheres, "_table")]
+    return kernel, (x, rng.uniform(-1.0, 1.0, size)), [(product_spheres, "_fill"), (product_spheres, "_table")], 2
 
 
 @pytest.mark.parametrize("kind", ["sphere", "sphere_time", "product_spheres"])
 def test_a_direct_call_takes_blocks_of_at_most_the_block_points(monkeypatch, kind):
     """A direct call of 50 000 points builds its rows in blocks of
-    `_BLOCK_POINTS` points and has the bytes of one block and of small ones."""
+    `_BLOCK_POINTS` points, each block's rows built once per builder that
+    runs per block, and has the bytes of one block and of small ones."""
     size = 50_000
-    kernel, args, builders = _direct_call(kind, np.random.default_rng(3), size)
+    kernel, args, builders, per_block = _direct_call(kind, np.random.default_rng(3), size)
     widths = []
 
     def recording(build):
@@ -130,7 +163,7 @@ def test_a_direct_call_takes_blocks_of_at_most_the_block_points(monkeypatch, kin
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     values = kernel.values(*args)
     edge = gegenbauer._BLOCK_POINTS
-    assert sorted(widths) == sorted(len(builders) * ([edge] * (size // edge) + [size % edge]))
+    assert sorted(widths) == sorted(per_block * ([edge] * (size // edge) + [size % edge]))
     for name, value in [("_BLOCK_POINTS", size), ("_BLOCK_BYTES", 2**18)]:
         with mock.patch.object(gegenbauer, name, value):
             assert kernel.values(*args).tobytes() == values.tobytes()
@@ -312,19 +345,28 @@ def test_blas_guard_flags_each_form():
 
 
 def test_table_stays_within_the_budget_for_a_million_points(monkeypatch):
+    """At N = 100, each full block of a million points streams `_fill`'s ring,
+    and only the short last one, whose table fits, builds a table."""
     rng = np.random.default_rng(5)
     seq = random_sequence(rng, GegenbauerBasis.from_dimension(2), 100)
     x = rng.uniform(-1.0, 1.0, 10**6)
-    sizes = _record_tables(monkeypatch, schoenberg)
+    sizes, rings, fill = _record_tables(monkeypatch, schoenberg), [], schoenberg._fill
+
+    def ring(lam, n_max, x):
+        rings.append(x.size)
+        return fill(lam, n_max, x)
+
+    monkeypatch.setattr(schoenberg, "_fill", ring)
     tracemalloc.start()
     try:
         values = kernel_eval(seq, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sizes) > 1
-    assert max(sizes) <= gegenbauer._BLOCK_BYTES
-    assert peak < 3 * values.nbytes + 2 * gegenbauer._BLOCK_BYTES
+    assert len(sizes) + len(rings) == -(-x.size // gegenbauer._BLOCK_POINTS)
+    assert all(size <= gegenbauer._TABLE_CACHE_BYTES for size in sizes)
+    assert rings == [gegenbauer._BLOCK_POINTS] * len(rings) and sizes == [8 * 101 * (x.size % gegenbauer._BLOCK_POINTS)]
+    assert peak < values.nbytes + 2 * gegenbauer._TABLE_CACHE_BYTES
 
 
 _HASHES = """

@@ -328,7 +328,10 @@ class QuadratureRule:
 
 
 # What `_float_array` calls an array of each numpy kind that is not a number's.
-_NOT_NUMBERS = {"b": "bools", "c": "complex numbers", "M": "datetimes", "m": "timedeltas", "S": "bytes", "U": "strings", "V": "records"}
+_NOT_NUMBERS = {
+    "b": "bools", "c": "complex numbers", "M": "datetimes", "m": "timedeltas", "S": "bytes", "U": "strings",
+    "V": "records",
+}
 
 
 def _float_array(values, what: str, error=DomainError) -> np.ndarray:

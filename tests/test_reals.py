@@ -300,7 +300,7 @@ NOT_NUMBERS = {
     "bytes": (lambda v: np.asarray(v).astype(bytes).tolist(), "bytes"),
     "complex array": (lambda v: np.asarray(v, dtype=complex) + 1j, "complex numbers"),
     "object array of numeric strings": (lambda v: np.asarray(v).astype(str).astype(object), "strings"),
-    "Decimals": (lambda v: np.array(np.frompyfunc(Decimal, 1, 1)(np.asarray(v, dtype=float))).tolist(), "Decimal objects"),
+    "Decimals": (lambda v: np.array(np.frompyfunc(Decimal, 1, 1)(np.asarray(v, float))).tolist(), "Decimal objects"),
 }
 
 

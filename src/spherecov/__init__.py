@@ -5,9 +5,10 @@ certification, separability analysis, and exact Gaussian field simulation.
 Each module's `__all__` names its public objects; the package exports them all.
 """
 
-from . import errors, fields, gegenbauer, kernelspec, product_spheres, schoenberg, spacetime
+from . import errors, fields, gegenbauer, kernelspec, pointsets, product_spheres, schoenberg, spacetime
 from .errors import *
 from .gegenbauer import *
+from .pointsets import *
 from .schoenberg import *
 from .spacetime import *
 from .product_spheres import *
@@ -19,6 +20,7 @@ __version__ = "0.1.0"
 __all__ = []
 __all__ += errors.__all__
 __all__ += gegenbauer.__all__
+__all__ += pointsets.__all__
 __all__ += schoenberg.__all__
 __all__ += spacetime.__all__
 __all__ += product_spheres.__all__

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import gegenbauer
 from .errors import DomainError, KernelSpecError, SphereCovError
-from .fields import _seed_states, point_set_type, sample_factorized, sample_spectral_s2
+from .fields import point_set_type, sample_factorized, sample_spectral_s2
 from .gegenbauer import GegenbauerBasis, _check_array_bytes, _check_count, _check_real, _check_seed, quadrature
 from .kernelspec import read_kernel_file
+from .pointsets import _seed_states
 # kernel_eval is not called here, but perfbench/selftest.py checks its traced binding in this module.
 from .schoenberg import INCONCLUSIVE, NOT_PD, PD, certify, kernel_eval, recover_coefficients  # noqa: F401
 from .schoenberg import DEFAULT_COEFF_TOL, DEFAULT_GRAM_TRIALS, _check_recovery, _default_quad_order, _tail_mass

@@ -342,8 +342,14 @@ def _float_array(values, what: str, error=DomainError) -> np.ndarray:
     what numpy coerces is kept ([1.0, True] is a float array). Ints and floats
     pass, and so does an object array whose elements are real numbers or None,
     which numpy casts to NaN. Every other kind is an `error` that names it,
-    even where it would cast. Strings are cast first, so one that is not a
-    number keeps numpy's message, as does any failed cast."""
+    even where it would cast, and so is a masked array, whose mask a cast
+    would drop. Strings are cast first, so one that is not a number keeps
+    numpy's message, as does any failed cast, and a long double beyond float64
+    range. `numpy.ma` is not imported here: an array can only be masked once
+    something else has imported it."""
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(values, ma.MaskedArray):
+        raise error(f"{what} must be an array of numbers, not a masked array")
     try:
         arr = values if isinstance(values, np.ndarray) else np.asarray(values)
         kind = arr.dtype.kind
@@ -353,7 +359,11 @@ def _float_array(values, what: str, error=DomainError) -> np.ndarray:
                 kind = "f"
             elif (kind := np.asarray(other).dtype.kind) not in _NOT_NUMBERS:
                 kind = f"{type(other).__name__} objects"
-        if kind in ("i", "u", "f", "S", "U"):
+        # A long double, in its own array or as an object, may lie beyond float64 range.
+        if kind in ("i", "u", "f", "S", "U") and (arr.dtype.itemsize > 8 or arr.dtype.kind == "O"):
+            with _overflow("a value lies beyond float64 range"):
+                floats = np.asarray(arr, dtype=float)
+        elif kind in ("i", "u", "f", "S", "U"):
             floats = np.asarray(arr, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be an array of numbers: {exc}") from None

@@ -43,6 +43,7 @@ from .gegenbauer import (
     eval_sequence,
     quadrature,
 )
+from .pointsets import _seed_states, _trial_arguments, _trial_index
 
 __all__ = [
     "INCONCLUSIVE",
@@ -195,7 +196,10 @@ def kernel_eval(seq: SchoenbergSequence, x):
     would spill the cache, reads each P̃_n from `_fill`'s ring of three rows and
     makes a_n P̃_n in one buffer that every term reuses. Both paths add every
     term, zero weights included, with the same bits and the same degree and
-    range checks. Scalar in, float out; an array gives an array of its shape."""
+    range checks. A block has at most `_BLOCK_POINTS` points within
+    `_BLOCK_BYTES` for the 5 rows a ring block holds: the ring of three,
+    `_step`'s scratch row and the term (a table block's table fits the cache).
+    Scalar in, float out; an array gives an array of its shape."""
     coeffs, n_max = seq.coeffs, seq.truncation
 
     def terms(block):
@@ -205,7 +209,7 @@ def kernel_eval(seq: SchoenbergSequence, x):
         rows, term = _fill(seq.basis.lam, _check_degree(n_max), _check_argument(block)), np.empty(block.size)
         return (np.multiply(a, p, out=term) for a, p in zip(coeffs, rows))
 
-    return _block_sum(seq.scale_c, coeffs.size, terms, x)
+    return _block_sum(seq.scale_c, 5, terms, x)
 
 
 VECTORIZED = "vectorized"
@@ -220,7 +224,9 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     called point by point on Python floats, in one `np.fromiter` loop, so a
     scalar-only callback works and a failure names its point. That loop
     cannot keep a StopIteration that g raises, so the error's cause is a new
-    one. A non-finite value raises at the first point that produced one.
+    one. A non-finite value raises at the first point that produced one, and
+    so does a value beyond float64 range, cast to inf without a numpy warning;
+    g's pointwise calls run under that rule too.
     """
     xs.setflags(write=False)
     try:
@@ -228,13 +234,17 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
         vectorized = values.shape == xs.shape and values.dtype.kind in "biuf"
     except Exception:  # noqa: BLE001 - any failure selects the pointwise path
         vectorized = False
-    if vectorized:
+    if vectorized and values.dtype.itemsize > 8:
+        with np.errstate(over="ignore"):  # a long double beyond float64 range is inf, named below
+            values = values.astype(float)
+    elif vectorized:
         values = np.asarray(values, dtype=float)  # a float64 result is not copied
     else:
         points = xs.tolist()
         rest = iter(points)
         try:
-            values = np.fromiter(map(g, rest), float)
+            with np.errstate(over="ignore"):  # as above, for a value that g returns
+                values = np.fromiter(map(g, rest), float)
         except Exception as exc:  # noqa: BLE001 - attribute the failing point
             # `map` has taken every point up to and including the failing one.
             raise EvaluationError(points[len(points) - len(list(rest)) - 1], exc) from exc
@@ -386,9 +396,6 @@ def certify(
     trial. These caches live in the process: a fresh CLI process gains
     nothing from them.
     """
-    # fields depends on this module for Gram dispatch, hence the local import.
-    from .fields import _seed_states, _trial_arguments, _trial_index
-
     n_max = _check_degree(n_max)
     coeff_tol = _check_real(coeff_tol, "coeff_tol", "(0, inf)")
     eig_tol = _check_real(1e-8 * CERTIFY_GRAM_POINTS if eig_tol is None else eig_tol, "eig_tol", "(0, inf)")

@@ -1394,14 +1394,17 @@ class TestEntryPoints:
         "    codes = [cli.main(argv) for argv in runs]\n"
     )
 
-    def _run_all_commands(self, tmp_path, prelude):
+    # What a child prints after its exit codes, by default the scipy modules it loaded.
+    SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    def _run_all_commands(self, tmp_path, prelude, report=SCIPY_MODULES):
         (tmp_path / "sphere.json").write_text(json.dumps(SPHERE_DEGREE_ONE), encoding="utf-8")
         (tmp_path / "product.json").write_text(json.dumps(PROD_OUTER), encoding="utf-8")
         xs = np.linspace(-1.0, 1.0, 41)
         table = "".join(f"{x!r},{math.exp(x)!r}\n" for x in xs.tolist())
         (tmp_path / "table.csv").write_text(table, encoding="utf-8")
         script = prelude + "import contextlib, io, sys\nimport spherecov.cli as cli\n" + self.ALL_COMMANDS + (
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"print(codes, {report})\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=cli_env()
@@ -1412,6 +1415,10 @@ class TestEntryPoints:
     def test_eval_separable_simulate_never_import_scipy(self, tmp_path):
         # The name predates it: now no command imports scipy, coeffs and certify included.
         assert self._run_all_commands(tmp_path, "") == "[0, 0, 0, 0, 0, 0, 0, 0] []\n"
+
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        # `_float_array` finds a masked array without importing `numpy.ma`, about 12 ms of a child's start.
+        assert self._run_all_commands(tmp_path, "", "'numpy.ma' in sys.modules") == "[0, 0, 0, 0, 0, 0, 0, 0] False\n"
 
     def test_all_commands_run_where_scipy_cannot_be_imported(self, tmp_path):
         refuse_scipy = (

@@ -3,8 +3,8 @@ family: family facts live on the kernel classes and in kernelspec's kind
 table. Only the generic `isinstance(points, point_set_type(kernel))` check
 of fields remains, and it names no family. Likewise no module branches on
 the characteristic-function family: its facts live in spacetime's family
-table. No point-set class writes a protocol member of its own: fields writes
-them once, over each point set's factors. No kernel class writes its own
+table. No point-set class writes a protocol member of its own: pointsets
+writes them once, over each point set's factors. No kernel class writes its own
 `dimensions`, `label`, `truncations` or weight intake: schoenberg's `_Kernel`
 writes them once, over each kernel's weight and basis fields. Every integer
 input is checked by gegenbauer's `_check_count`, and nothing else in the
@@ -29,7 +29,8 @@ that is not in closed form, and `_gauss_rule` is the one caller of the
 iteration-free λ = 1/2 rule `_legendre_rule`. The norm h_n, the Gram pair
 order and the split of a seed into child seeds each have one definition
 (`ONE_DEFINITION`). Each public name is written once, in its module's
-`__all__`; the package root only joins those lists."""
+`__all__`; the package root only joins those lists. Each module imports only
+the modules before it in `MODULE_ORDER`, and only at its top."""
 
 import ast
 import inspect
@@ -468,6 +469,7 @@ OVERFLOW_OWNERS = {
     "_pchip": "its check names the table whose slopes overflow",
     "_pchip.interpolant": "an overflowing value meets the callback check, which names the node",
     "_check_unit_norms": "an overflowing norm is inf and fails the unit-norm tolerance",
+    "_evaluate": "a callback's value beyond float64 range casts to inf, which its finiteness check names",
 }
 
 
@@ -729,14 +731,14 @@ def test_guard_flags_a_second_ratio_loop():
 
 # Facts with one definition each, by the name only that definition may use:
 # h_n (only `_log_norm_squared` takes a log-Gamma, and `_norms` reads it
-# through `_norm_squared`), the Gram pair order of fields (the `_upper` mask,
+# through `_norm_squared`), the Gram pair order of pointsets (the `_upper` mask,
 # which `_trial_index` reads through `_mirror_rows`) and the split of a seed
 # into child seeds (`_seed_states`). Values: the modules searched (None for
 # all) and the allowed (module, enclosing function) pairs.
 ONE_DEFINITION = {
     "lgamma": (["gegenbauer.py"], {("gegenbauer.py", "_log_norm_squared")}),
-    "triu_indices": (["fields.py"], set()),
-    "SeedSequence": (None, {("fields.py", "_seed_states")}),
+    "triu_indices": (["pointsets.py"], set()),
+    "SeedSequence": (None, {("pointsets.py", "_seed_states")}),
 }
 
 
@@ -777,6 +779,70 @@ def test_each_fact_has_one_definition(name):
 )
 def test_guard_flags_a_second_definition(name, source, uses):
     assert _uses(source, name) == uses
+
+
+# The package's modules in import order: each imports only modules before it,
+# and only at its top, so no module needs a function-level import to break a
+# cycle. `__init__` and `__main__` come after all of them.
+MODULE_ORDER = [
+    "errors", "gegenbauer", "pointsets", "schoenberg", "spacetime", "product_spheres", "fields", "kernelspec", "cli",
+]
+
+
+def _imported_modules(node):
+    """The package modules that an import statement names."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    else:
+        module = ".".join(filter(None, ["spherecov" if node.level else "", node.module]))
+        dotted = [f"{module}.{alias.name}" for alias in node.names] if module == "spherecov" else [module]
+    return [name.split(".")[1] for name in dotted if name.startswith("spherecov.")]
+
+
+def _import_faults(source, module):
+    """(line, fault) of each import in `source`, the package module `module`,
+    that sits inside a function ("nested"), and of each package module it
+    imports that does not come before `module` in `MODULE_ORDER` (its name)."""
+    earlier = MODULE_ORDER[: MODULE_ORDER.index(module)] if module in MODULE_ORDER else MODULE_ORDER
+    faults = []
+
+    def visit(node, nested):
+        nested = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            faults.extend([(node.lineno, "nested")] if nested else [])
+            faults.extend((node.lineno, name) for name in _imported_modules(node) if name not in earlier)
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(ast.parse(source), False)
+    return faults
+
+
+def test_the_module_order_names_every_module():
+    assert sorted(MODULE_ORDER) == sorted({path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"})
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_modules_import_only_earlier_modules_at_their_top(module):
+    assert _import_faults((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), module) == []
+
+
+def test_guard_flags_nested_and_later_imports():
+    source = (
+        "import numpy as np\n"
+        "from . import errors, fields\n"
+        "from .gegenbauer import _check_count\n"
+        "from spherecov.kernelspec import read_kernel_file\n"
+        "import spherecov.cli\n"
+        "def certify(g):\n"
+        "    from .fields import _seed_states\n"
+        "    import math\n"
+    )
+    assert _import_faults(source, "schoenberg") == [
+        (2, "fields"), (4, "kernelspec"), (5, "cli"), (7, "nested"), (7, "fields"), (8, "nested"),
+    ]
+    assert _import_faults(source, "cli") == [(5, "cli"), (7, "nested"), (8, "nested")]
+    assert _import_faults(source, "__init__") == [(7, "nested"), (8, "nested")]
 
 
 # Each public name is written once, in the `__all__` of the module that

@@ -50,7 +50,8 @@ from spherecov import (
 )
 from spherecov import fields, gegenbauer
 from spherecov.gegenbauer import MAX_SEED
-from spherecov.fields import _factor, _row_arguments, _sample_blocks
+from spherecov.fields import _factor, _sample_blocks
+from spherecov.pointsets import _row_arguments
 
 LEGENDRE = GegenbauerBasis.from_index(0.5)
 

@@ -192,6 +192,24 @@ def test_a_sphere_time_block_is_sized_for_the_rows_it_holds(monkeypatch):
     assert len(blocks) == 3
 
 
+def test_a_sphere_block_is_sized_for_the_rows_it_holds(monkeypatch):
+    """A degree-1000 sphere sum reads its rows from `_fill`'s ring, 5 rows in
+    all, not a table of N + 1 rows: 20 000 points take two blocks, the first of
+    `_BLOCK_POINTS` points; 1001 rows within `_BLOCK_BYTES` would take ten."""
+    rng = np.random.default_rng(6)
+    seq = random_sequence(rng, GegenbauerBasis.from_dimension(2), 1000)
+    x = rng.uniform(-1.0, 1.0, 20_000)
+    widths, fill = [], schoenberg._fill
+
+    def recording(lam, n_max, block):
+        widths.append(block.size)
+        return fill(lam, n_max, block)
+
+    monkeypatch.setattr(schoenberg, "_fill", recording)
+    kernel_eval(seq, x)
+    assert widths == [gegenbauer._BLOCK_POINTS, 20_000 - gegenbauer._BLOCK_POINTS] == [16384, 3616]
+
+
 class TestManyBlocks:
     """With a budget of a few KiB, small inputs span many blocks and must
     give the bits of one block."""
@@ -205,7 +223,7 @@ class TestManyBlocks:
         seq = random_sequence(rng, GegenbauerBasis.from_dimension(d), 20)
         x = rng.uniform(-1.0, 1.0, shape)
         one_block = kernel_eval(seq, x)
-        monkeypatch.setattr(gegenbauer, "_BLOCK_BYTES", SMALL_BUDGET)
+        monkeypatch.setattr(gegenbauer, "_BLOCK_BYTES", 8 * 5 * 12)  # a sphere sum's 5 rows hold 12 points
         sizes = _record_tables(monkeypatch, schoenberg)
         many = kernel_eval(seq, x)
         assert type(many) is type(one_block)

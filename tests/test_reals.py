@@ -18,6 +18,7 @@ import pytest
 
 from spherecov import (
     DomainError,
+    EvaluationError,
     FieldSample,
     GegenbauerBasis,
     GeometryError,
@@ -28,6 +29,7 @@ from spherecov import (
     SchoenbergSequence,
     SpaceTimeKernel,
     SpaceTimePointSet,
+    SphereCovError,
     SpherePointSet,
     certify,
     charfn_eval,
@@ -314,6 +316,58 @@ def test_arrays_that_are_not_numbers_are_typed_errors(intake, kind):
         warnings.simplefilter("error")
         with pytest.raises(error, match=rf" must be an array of numbers, not of {name}$"):
             build(convert(floats))
+
+
+# A long double of this build is wider than a float64, so one can lie beyond its range.
+WIDE = pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max, reason="long double is a float64 here")
+
+
+@WIDE
+@pytest.mark.parametrize("intake", sorted(ARRAY_INTAKES))
+def test_long_doubles_beyond_float64_range_are_typed_errors(intake):
+    error, build, floats = ARRAY_INTAKES[intake]
+    wide = np.asarray(floats, dtype=np.longdouble)
+    build(wide)  # in range, a long double passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=" must be an array of numbers: a value lies beyond float64 range$"):
+            build(wide + np.longdouble("1e400"))
+
+
+@WIDE
+def test_a_long_double_in_range_keeps_its_value():
+    x = np.linspace(-1.0, 1.0, 7)
+    assert kernel_eval(SEQ, x.astype(np.longdouble)).tobytes() == kernel_eval(SEQ, x).tobytes()
+    assert charfn_eval(gaussian(1.0), np.longdouble(0.5)) == charfn_eval(gaussian(1.0), 0.5)
+
+
+@WIDE
+@pytest.mark.parametrize("path", ["vectorized", "pointwise"])
+def test_a_callback_beyond_float64_range_names_its_point(path):
+    """A callback's long double beyond float64 range is inf, with no numpy
+    warning, and the finiteness check names the first node."""
+    big = np.longdouble("1e400")
+    if path == "vectorized":
+        g = lambda x: np.full(x.shape, big)
+    else:
+        g = lambda x: big if isinstance(x, float) else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite function value") as info:
+            certify(g, LEGENDRE, n_max=4)
+    assert info.value.point == float(quadrature(0.5, 64).nodes[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: kernel_eval(SEQ, v),
+    lambda v: charfn_eval(gaussian(1.0), v),
+    lambda v: SpherePointSet(1, v.reshape(-1, 2)),
+], ids=["kernel_eval", "charfn_eval", "points"])
+def test_masked_arrays_are_typed_errors(build):
+    """A cast would drop the mask and use the masked values too."""
+    values = np.ma.masked_array([1.0, 0.0, 0.0, 1.0], mask=[False, True, False, False])
+    with pytest.raises(SphereCovError, match=" must be an array of numbers, not a masked array$"):
+        build(values)
 
 
 def test_numpy_coerces_a_mixed_list_before_the_rule_reads_it():

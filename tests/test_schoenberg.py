@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_sequence
-from spherecov import fields, gegenbauer, kernelspec, schoenberg
+from spherecov import fields, gegenbauer, kernelspec, pointsets, schoenberg
 from spherecov import (
     DomainError,
     EvaluationError,
@@ -705,7 +705,7 @@ class TestCertify:
 
 
 class TestTrialCache:
-    """Gram trials read their cosines from `fields._trial_arguments`, cached by
+    """Gram trials read their cosines from `pointsets._trial_arguments`, cached by
     (d, 25, trial seed); a cold and a warm cache give the same certificate."""
 
     CALLBACKS = {
@@ -728,7 +728,7 @@ class TestTrialCache:
         def run():
             return json.dumps(certify(g, basis, n_max=10, gram_trials=trials, seed=seed).to_dict())
 
-        fields._trial_arguments.cache_clear()
+        pointsets._trial_arguments.cache_clear()
         cold, warm = run(), run()
         assert cold == warm
         cert = json.loads(cold)
@@ -741,14 +741,14 @@ class TestTrialCache:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 7, gegenbauer.MAX_SEED])
     def test_cached_vector_is_the_read_only_upper_triangle(self, d, seed):
-        fields._trial_arguments.cache_clear()
-        cached = fields._trial_arguments(d, 25, seed)
-        (reference,) = fields._row_arguments(uniform_sphere_points(d, 25, seed)._row_factors(), slice(0, 25))
+        pointsets._trial_arguments.cache_clear()
+        cached = pointsets._trial_arguments(d, 25, seed)
+        (reference,) = pointsets._row_arguments(uniform_sphere_points(d, 25, seed)._row_factors(), slice(0, 25))
         assert cached.shape == (325,) and cached.tobytes() == reference.tobytes()
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached.setflags(write=True)
-        assert fields._trial_arguments(d, 25, seed) is cached
+        assert pointsets._trial_arguments(d, 25, seed) is cached
 
     def test_a_callback_that_writes_cannot_change_a_later_certificate(self):
         attempts = []
@@ -761,17 +761,17 @@ class TestTrialCache:
                     attempts.append(attempt)
             return x * x
 
-        fields._trial_arguments.cache_clear()
+        pointsets._trial_arguments.cache_clear()
         before = json.dumps(certify(lambda x: x * x, LEGENDRE, n_max=10, seed=3).to_dict())
         assert certify(vandal, LEGENDRE, n_max=10, seed=3).verdict == "PD"
         assert len(attempts) == 3 * 5
         assert json.dumps(certify(lambda x: x * x, LEGENDRE, n_max=10, seed=3).to_dict()) == before
 
     def test_the_cache_keeps_at_most_64_trials(self):
-        fields._trial_arguments.cache_clear()
+        pointsets._trial_arguments.cache_clear()
         for seed in range(100):
             certify(lambda x: x * x, LEGENDRE, n_max=4, gram_trials=1, seed=seed)
-        info = fields._trial_arguments.cache_info()
+        info = pointsets._trial_arguments.cache_info()
         assert info.maxsize == 64 and info.misses == 100 and info.currsize <= 64
 
     @staticmethod
@@ -782,14 +782,14 @@ class TestTrialCache:
     def test_no_seed_split_stays_cached(self, monkeypatch):
         """A call of 1 000 000 trials that is NotPD at trial 0 splits its seed
         into 4 MB of uint32 seeds, and nothing keeps them after it returns."""
-        split, splits = fields._seed_states, []
+        split, splits = pointsets._seed_states, []
 
         def recorded(seed, count):
             states = split(seed, count)
             splits.append(weakref.ref(states))
             return states
 
-        monkeypatch.setattr(fields, "_seed_states", recorded)
+        monkeypatch.setattr(schoenberg, "_seed_states", recorded)
         cert = certify(self._notpd_at_trial_0, LEGENDRE, n_max=4, gram_trials=1_000_000, seed=11)
         assert cert.witness["kind"] == "eigenvalue" and cert.witness["trial"] == 0
         assert len(splits) == 1 and splits[0]() is None
@@ -805,7 +805,7 @@ class TestTrialCache:
 
 def _reference_certificate(g, basis, n_max, gram_trials, seed):
     """The certificate of `certify` with each Gram trial built the way it was
-    before the gather: `fields._mirror_rows` into an empty matrix, then
+    before the gather: `pointsets._mirror_rows` into an empty matrix, then
     `min_eigenvalue` of a `GramMatrix`, with all of its checks."""
     doc = certify(g, basis, n_max=n_max, gram_trials=0, seed=seed).to_dict()
     doc["gram_trials"] = gram_trials
@@ -815,12 +815,12 @@ def _reference_certificate(g, basis, n_max, gram_trials, seed):
     seeds = np.random.SeedSequence(seed).generate_state(max(gram_trials, 1))
     min_eig = math.inf
     for trial in range(gram_trials):
-        values, batched = schoenberg._evaluate(g, fields._trial_arguments(basis.dimension, n, int(seeds[trial])))
+        values, batched = schoenberg._evaluate(g, pointsets._trial_arguments(basis.dimension, n, int(seeds[trial])))
         if not batched:
             doc["callback_path"] = "pointwise"
         doc["evaluations"] += values.size
         entries = np.empty((n, n))
-        fields._mirror_rows(entries, slice(0, n), values)
+        pointsets._mirror_rows(entries, slice(0, n), values)
         eig = fields.min_eigenvalue(fields.GramMatrix(entries=entries, provenance="reference"))
         min_eig = min(min_eig, eig)
         if eig < -doc["eig_tol"]:
@@ -832,7 +832,7 @@ def _reference_certificate(g, basis, n_max, gram_trials, seed):
 
 
 class TestTrialGather:
-    """Each Gram trial is `values[fields._trial_index(25)]`, handed to
+    """Each Gram trial is `values[pointsets._trial_index(25)]`, handed to
     `eigvalsh` unchecked; its certificates equal those of the mirrored,
     checked route kept in `_reference_certificate`."""
 
@@ -868,13 +868,13 @@ class TestTrialGather:
     def test_the_gather_is_the_mirrored_matrix(self, n):
         values = np.random.default_rng(n).standard_normal(n * (n + 1) // 2)
         mirrored = np.empty((n, n))
-        fields._mirror_rows(mirrored, slice(0, n), values)
-        gathered = values[fields._trial_index(n)]
+        pointsets._mirror_rows(mirrored, slice(0, n), values)
+        gathered = values[pointsets._trial_index(n)]
         assert gathered.tobytes() == mirrored.tobytes() and (gathered == gathered.T).all()
 
     def test_the_index_is_cached_and_cannot_be_made_writeable(self):
-        index = fields._trial_index(25)
-        assert fields._trial_index(25) is index and not index.flags.writeable
+        index = pointsets._trial_index(25)
+        assert pointsets._trial_index(25) is index and not index.flags.writeable
         with pytest.raises(ValueError):
             index.setflags(write=True)
 
@@ -888,7 +888,7 @@ class TestTrialGather:
         with pytest.raises(EvaluationError, match="non-finite function value") as info:
             certify(g, LEGENDRE, n_max=10, seed=0)
         seed = int(np.random.SeedSequence(0).generate_state(1)[0])
-        assert info.value.point == float(fields._trial_arguments(2, 25, seed)[7])
+        assert info.value.point == float(pointsets._trial_arguments(2, 25, seed)[7])
 
 
 class TestCertifyGoldenBytes:

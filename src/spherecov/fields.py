@@ -35,7 +35,8 @@ import numpy as np
 from . import gegenbauer
 from .errors import DomainError, FactorizationError, GeometryError
 from .gegenbauer import _check_array_bytes, _check_count, _check_real, _check_seed, _frozen_floats
-from .pointsets import ProductPointSet, SpaceTimePointSet, SpherePointSet, _check_unit_norms, _mirror_rows, _row_arguments
+from .pointsets import ProductPointSet, SpaceTimePointSet, SpherePointSet
+from .pointsets import _check_unit_norms, _mirror_rows, _row_arguments
 # uniform_sphere_points is not called here, but the benchmark traces it as the layer fields.uniform_sphere_points.
 from .pointsets import uniform_sphere_points  # noqa: F401
 from .product_spheres import ProductSphereKernel

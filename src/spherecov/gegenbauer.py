@@ -344,9 +344,9 @@ def _float_array(values, what: str, error=DomainError) -> np.ndarray:
     which numpy casts to NaN. Every other kind is an `error` that names it,
     even where it would cast, and so is a masked array, whose mask a cast
     would drop. Strings are cast first, so one that is not a number keeps
-    numpy's message, as does any failed cast, and a long double beyond float64
-    range. `numpy.ma` is not imported here: an array can only be masked once
-    something else has imported it."""
+    numpy's message, as does any failed cast; a long double beyond float64
+    range fails its cast under `_overflow`. `numpy.ma` is not imported here:
+    an array can only be masked once something else has imported it."""
     ma = sys.modules.get("numpy.ma")
     if ma is not None and isinstance(values, ma.MaskedArray):
         raise error(f"{what} must be an array of numbers, not a masked array")

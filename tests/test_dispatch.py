@@ -807,9 +807,10 @@ def _import_faults(source, module):
     faults = []
 
     def visit(node, nested):
-        nested = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        nested = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            faults.extend([(node.lineno, "nested")] if nested else [])
+            if nested:
+                faults.append((node.lineno, "nested"))
             faults.extend((node.lineno, name) for name in _imported_modules(node) if name not in earlier)
         for child in ast.iter_child_nodes(node):
             visit(child, nested)

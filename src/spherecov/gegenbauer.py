@@ -359,12 +359,9 @@ def _float_array(values, what: str, error=DomainError) -> np.ndarray:
                 kind = "f"
             elif (kind := np.asarray(other).dtype.kind) not in _NOT_NUMBERS:
                 kind = f"{type(other).__name__} objects"
-        # A long double, in its own array or as an object, may lie beyond float64 range.
-        if kind in ("i", "u", "f", "S", "U") and (arr.dtype.itemsize > 8 or arr.dtype.kind == "O"):
+        if kind in ("i", "u", "f", "S", "U"):
             with _overflow("a value lies beyond float64 range"):
                 floats = np.asarray(arr, dtype=float)
-        elif kind in ("i", "u", "f", "S", "U"):
-            floats = np.asarray(arr, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be an array of numbers: {exc}") from None
     if kind not in ("i", "u", "f"):

@@ -225,8 +225,10 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     scalar-only callback works and a failure names its point. That loop
     cannot keep a StopIteration that g raises, so the error's cause is a new
     one. A non-finite value raises at the first point that produced one, and
-    so does a value beyond float64 range, cast to inf without a numpy warning;
-    g's pointwise calls run under that rule too.
+    so does a value beyond float64 range, cast to inf without a numpy warning.
+    The pointwise loop casts as it calls, so g's own numpy overflow there is
+    not warned either (nor raised under `np.seterr(over="raise")`): it gives
+    an inf or NaN, which is named the same way.
     """
     xs.setflags(write=False)
     try:
@@ -234,23 +236,20 @@ def _evaluate(g, xs: np.ndarray) -> tuple[np.ndarray, bool]:
         vectorized = values.shape == xs.shape and values.dtype.kind in "biuf"
     except Exception:  # noqa: BLE001 - any failure selects the pointwise path
         vectorized = False
-    if vectorized and values.dtype.itemsize > 8:
-        with np.errstate(over="ignore"):  # a long double beyond float64 range is inf, named below
-            values = values.astype(float)
-    elif vectorized:
-        values = np.asarray(values, dtype=float)  # a float64 result is not copied
-    else:
-        points = xs.tolist()
-        rest = iter(points)
-        try:
-            with np.errstate(over="ignore"):  # as above, for a value that g returns
+    with np.errstate(over="ignore"):  # a value beyond float64 range is inf, named below
+        if vectorized:
+            values = np.asarray(values, dtype=float)  # a float64 result is not copied
+        else:
+            points = xs.tolist()
+            rest = iter(points)
+            try:
                 values = np.fromiter(map(g, rest), float)
-        except Exception as exc:  # noqa: BLE001 - attribute the failing point
-            # `map` has taken every point up to and including the failing one.
-            raise EvaluationError(points[len(points) - len(list(rest)) - 1], exc) from exc
-        if values.size < len(points):  # a StopIteration from g ends `map` early
-            stop = StopIteration()
-            raise EvaluationError(points[values.size], stop) from stop
+            except Exception as exc:  # noqa: BLE001 - attribute the failing point
+                # `map` has taken every point up to and including the failing one.
+                raise EvaluationError(points[len(points) - len(list(rest)) - 1], exc) from exc
+            if values.size < len(points):  # a StopIteration from g ends `map` early
+                stop = StopIteration()
+                raise EvaluationError(points[values.size], stop) from stop
     if not np.isfinite(values).all():
         bad = np.flatnonzero(~np.isfinite(values))
         raise EvaluationError(float(xs[bad[0]]), "non-finite function value")
